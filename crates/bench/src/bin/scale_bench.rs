@@ -8,12 +8,21 @@
 //! * **baseline** — `batch: false, sp_mode: Full`: per-edge scalar latency
 //!   dispatch and full-sweep Dijkstra, the solver exactly as it was before
 //!   the SoA/targeted-search work;
-//! * **batched** — `FwOptions::default()`: struct-of-arrays latency lanes
-//!   plus target-aware (early-exit / bidirectional) shortest paths.
+//! * **batched** — struct-of-arrays latency lanes plus target-aware
+//!   (early-exit / bidirectional) shortest paths.
+//!
+//! Both A/B arms pin `stall_window: Some(0)`, so each runs the whole
+//! Frank–Wolfe budget before the polish: that loop is what the speedup bar
+//! was set for. Under the default plateau handover both arms would stop
+//! after a few dozen iterations and the shared polish would dominate the
+//! ratio.
 //!
 //! Recorded per grid: Frank–Wolfe wall seconds and seconds/iteration for
-//! both variants, the wall-time speedup, the max per-edge flow deviation
-//! between the two converged flows, and a shortest-path microbenchmark
+//! both arms, the wall-time speedup, the max per-edge flow deviation
+//! between the two converged flows, a **default** record — the solve under
+//! `FwOptions::default()`, i.e. the absolute time to gap a caller gets
+//! (seconds, FW iterations, polish rounds, final relative gap, objective
+//! deviation from the batched arm) — and a shortest-path microbenchmark
 //! (µs/query and settled nodes for full vs. auto traversal of the
 //! corner-to-corner query). The file also carries an engine throughput
 //! number (scenarios/second over a small grid fleet) and the process's
@@ -27,6 +36,8 @@
 //!
 //! Acceptance bars (asserted here, checked in CI):
 //! * batched and baseline flows agree within `1e-6` per edge everywhere;
+//! * the default solve converges, at an objective within `1e-9` relative
+//!   of the batched arm's;
 //! * ≥ 2× wall-time speedup on every grid with ≥ 10⁴ edges;
 //! * the grouped AON phase is ≥ 2× faster than the sequential loop at
 //!   ≥ 64 commodities over ≤ 16 origins, per-commodity flows within `1e-6`.
@@ -51,6 +62,9 @@ const SIDES_CI: [usize; 2] = [16, 51];
 const SIDE_FULL: usize = 159;
 /// Per-edge flow-parity bar between the baseline and batched solves.
 const FLOW_TOL: f64 = 1e-6;
+/// Relative objective parity between the default solve and the batched
+/// arm.
+const OBJECTIVE_TOL: f64 = 1e-9;
 /// Wall-time bar on grids with ≥ `SPEEDUP_MIN_EDGES` edges.
 const MIN_SPEEDUP: f64 = 2.0;
 const SPEEDUP_MIN_EDGES: usize = 10_000;
@@ -70,18 +84,32 @@ const AON_K: usize = 256;
 const AON_REPS: usize = 5;
 const AON_MIN_SPEEDUP: f64 = 2.0;
 
-/// The historical solver: scalar latency dispatch, full-sweep Dijkstra.
+/// The batched A/B arm: the default solver with the stall handover off, so
+/// it spends the whole Frank–Wolfe budget before the polish.
+fn batched_opts() -> FwOptions {
+    FwOptions {
+        stall_window: Some(0),
+        ..FwOptions::default()
+    }
+}
+
+/// The historical solver: scalar latency dispatch, full-sweep Dijkstra,
+/// the same full Frank–Wolfe budget as [`batched_opts`].
 fn baseline_opts() -> FwOptions {
     FwOptions {
         batch: false,
         sp_mode: SpMode::Full,
-        ..FwOptions::default()
+        ..batched_opts()
     }
 }
 
 struct SolveNumbers {
     secs: f64,
     iters: usize,
+    fw_iters: usize,
+    polish_rounds: usize,
+    rel_gap: f64,
+    converged: bool,
     objective: f64,
 }
 
@@ -98,6 +126,10 @@ fn solve_timed(inst: &NetworkInstance, opts: &FwOptions, reps: usize) -> (SolveN
         SolveNumbers {
             secs,
             iters: r.iterations,
+            fw_iters: r.fw_iterations,
+            polish_rounds: r.polish_rounds,
+            rel_gap: r.rel_gap,
+            converged: r.converged,
             objective: r.objective,
         },
         r,
@@ -146,6 +178,8 @@ struct GridCase {
     edges: usize,
     base: SolveNumbers,
     fast: SolveNumbers,
+    /// The solve under `FwOptions::default()` (plateau handover on).
+    default: SolveNumbers,
     max_flow_dev: f64,
     sp: SpNumbers,
 }
@@ -156,7 +190,8 @@ fn measure(side: usize) -> GridCase {
     // Best-of timing; big grids get one rep to keep CI affordable.
     let reps = if edges >= 50_000 { 1 } else { 3 };
     let (base, base_r) = solve_timed(&inst, &baseline_opts(), reps);
-    let (fast, fast_r) = solve_timed(&inst, &FwOptions::default(), reps);
+    let (fast, fast_r) = solve_timed(&inst, &batched_opts(), reps);
+    let (default, _) = solve_timed(&inst, &FwOptions::default(), reps);
     let max_flow_dev = base_r
         .flow
         .0
@@ -170,6 +205,7 @@ fn measure(side: usize) -> GridCase {
         edges,
         base,
         fast,
+        default,
         max_flow_dev,
         sp: sp_micro(&inst),
     }
@@ -309,6 +345,11 @@ fn sci(v: f64) -> String {
     }
 }
 
+/// Relative objective deviation of the default solve from the batched arm.
+fn default_objective_dev(c: &GridCase) -> f64 {
+    (c.default.objective - c.fast.objective).abs() / c.fast.objective.abs().max(1e-300)
+}
+
 fn case_json(c: &GridCase) -> String {
     let speedup = c.base.secs / c.fast.secs.max(1e-12);
     format!(
@@ -316,6 +357,8 @@ fn case_json(c: &GridCase) -> String {
          \"baseline\": {{\"secs\": {}, \"iters\": {}, \"secs_per_iter\": {}}}, \
          \"batched\": {{\"secs\": {}, \"iters\": {}, \"secs_per_iter\": {}}}, \
          \"speedup\": {}, \"max_flow_dev\": {}, \"objective_dev\": {}, \
+         \"default\": {{\"secs\": {}, \"fw_iters\": {}, \"polish_rounds\": {}, \
+         \"rel_gap\": {}, \"converged\": {}, \"objective_rel_dev\": {}}}, \
          \"sp\": {{\"full_us\": {}, \"auto_us\": {}, \
          \"full_settled\": {}, \"auto_settled\": {}}}}}",
         c.side,
@@ -330,6 +373,12 @@ fn case_json(c: &GridCase) -> String {
         num(speedup),
         sci(c.max_flow_dev),
         sci((c.base.objective - c.fast.objective).abs()),
+        num(c.default.secs),
+        c.default.fw_iters,
+        c.default.polish_rounds,
+        sci(c.default.rel_gap),
+        c.default.converged,
+        sci(default_objective_dev(c)),
         num(c.sp.full_us),
         num(c.sp.auto_us),
         c.sp.full_settled,
@@ -357,13 +406,18 @@ fn main() {
         .map(|&s| {
             let c = measure(s);
             eprintln!(
-                "side {}: {} edges, baseline {:.3}s, batched {:.3}s ({:.2}x), flow dev {:.2e}",
+                "side {}: {} edges, baseline {:.3}s, batched {:.3}s ({:.2}x), flow dev {:.2e}; \
+                 default {:.3}s ({} FW iterations + {} polish rounds, gap {:.1e})",
                 c.side,
                 c.edges,
                 c.base.secs,
                 c.fast.secs,
                 c.base.secs / c.fast.secs.max(1e-12),
-                c.max_flow_dev
+                c.max_flow_dev,
+                c.default.secs,
+                c.default.fw_iters,
+                c.default.polish_rounds,
+                c.default.rel_gap
             );
             c
         })
@@ -423,6 +477,14 @@ fn main() {
             "side {}: batched flow deviates from baseline by {:.3e} > {FLOW_TOL:.1e}",
             c.side,
             c.max_flow_dev
+        );
+        assert!(
+            c.default.converged && default_objective_dev(c) <= OBJECTIVE_TOL,
+            "side {}: default solve (converged: {}) deviates from the batched arm by {:.3e} > \
+             {OBJECTIVE_TOL:.1e}",
+            c.side,
+            c.default.converged,
+            default_objective_dev(c)
         );
         let speedup = c.base.secs / c.fast.secs.max(1e-12);
         let bar = if c.side >= SIDE_FULL {

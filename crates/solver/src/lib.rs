@@ -13,9 +13,10 @@
 //! * **Frank–Wolfe family** ([`frank_wolfe`]) — convex-combinations method
 //!   for general (multi)networks, minimising either the Beckmann potential
 //!   `Σ ∫₀^{f_e} ℓ_e` (Wardrop/Nash) or the total cost `Σ f_e ℓ_e(f_e)`
-//!   (system optimum), with all-or-nothing subproblems via Dijkstra, exact
-//!   bisection line search, and the conjugate direction acceleration of
-//!   Mitradjieva–Lindberg (ablation: `benches/frank_wolfe.rs`).
+//!   (system optimum), with all-or-nothing subproblems via Dijkstra, an
+//!   exact Illinois line search, the conjugate direction acceleration of
+//!   Mitradjieva–Lindberg (ablation: `benches/frank_wolfe.rs`), and a
+//!   path-based polish ([`path_polish`]) for the tail once FW plateaus.
 //! * **Path-based projected gradient** ([`pgd`]) — an independent
 //!   lower-precision solver over enumerated paths, used to cross-validate
 //!   Frank–Wolfe in tests.

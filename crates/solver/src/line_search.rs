@@ -2,7 +2,8 @@
 //!
 //! Along a direction `d` from a feasible flow `f`, the objective
 //! `φ(γ) = Σ_e F_e(f_e + γ d_e)` is convex, so `φ'` is nondecreasing and the
-//! minimiser on `[0, γ_max]` is a sign change of `φ'` — found by bisection
+//! minimiser on `[0, γ_max]` is a sign change of `φ'` — found by Illinois
+//! regula falsi on the batched path and by bisection on the scalar one
 //! (exact up to f64, no Armijo constants to tune).
 
 use sopt_latency::{DirPlan, Latency};

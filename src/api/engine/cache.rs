@@ -75,9 +75,9 @@ pub(crate) struct FwKnobs {
     pub(crate) max_iters: u64,
     pub(crate) conjugate: bool,
     pub(crate) restart_period: u64,
-    /// The explicit stall-window override, or `u64::MAX` for the adaptive
-    /// default (which is a pure function of the keyed instance, so it needs
-    /// no separate key material).
+    /// The explicit stall-window override, or `u64::MAX` for the default
+    /// (`sopt_solver::frank_wolfe::DEFAULT_STALL_WINDOW`, a constant, so it
+    /// needs no separate key material).
     pub(crate) stall_window: u64,
     /// The AON strategy token ([`sopt_solver::AonMode::name`]):
     /// grouped/parallel AON may break shortest-path ties differently from

@@ -756,6 +756,23 @@ pub struct Rejection {
     pub error: SoptError,
 }
 
+impl Rejection {
+    /// The rejection of a request line that is not UTF-8. No JSON can be
+    /// read from it, so no id is recoverable.
+    pub(crate) fn not_utf8(line: &[u8], err: std::str::Utf8Error) -> Self {
+        Rejection {
+            id: None,
+            error: SoptError::Parse {
+                token: truncate(String::from_utf8_lossy(line).trim()),
+                reason: format!(
+                    "request line is not valid UTF-8 (bad byte at offset {})",
+                    err.valid_up_to()
+                ),
+            },
+        }
+    }
+}
+
 fn truncate(line: &str) -> String {
     const MAX: usize = 80;
     if line.len() <= MAX {

@@ -297,8 +297,9 @@ impl Server {
     /// EOF, writes one JSONL response per request to `writer` (flushed per
     /// line, completion order). A reader thread parses and enqueues;
     /// worker threads solve; the calling thread is the single writer.
-    /// Unparseable lines are answered immediately with a typed error
-    /// response — they never enter the queue and never panic the server.
+    /// Unparseable lines, including lines that are not UTF-8, are answered
+    /// immediately with a typed error response — they never enter the
+    /// queue, never panic the server and never end the session.
     pub fn serve<R, W>(&self, reader: R, mut writer: W) -> Result<(), SoptError>
     where
         R: std::io::BufRead + Send,
@@ -313,18 +314,22 @@ impl Server {
                 let queue = &queue;
                 s.spawn(move |_| {
                     let mut reader = reader;
-                    let mut line = String::new();
+                    // Bytes, so that a line that is not UTF-8 gets a typed
+                    // rejection like any other bad line: `read_line` fails
+                    // on it, which would end the session.
+                    let mut line = Vec::new();
                     loop {
                         line.clear();
-                        match reader.read_line(&mut line) {
+                        match reader.read_until(b'\n', &mut line) {
                             Ok(0) | Err(_) => break,
                             Ok(_) => {}
                         }
-                        let trimmed = line.trim();
-                        if trimmed.is_empty() {
-                            continue;
-                        }
-                        match Request::parse(trimmed) {
+                        let parsed = match std::str::from_utf8(&line) {
+                            Ok(text) if text.trim().is_empty() => continue,
+                            Ok(text) => Request::parse(text.trim()),
+                            Err(e) => Err(Rejection::not_utf8(&line, e)),
+                        };
+                        match parsed {
                             Ok(request) => {
                                 let priority = request.priority;
                                 queue.push(priority, (request, Instant::now()));

@@ -328,6 +328,33 @@ fn expired_deadlines_drop_exactly_once_with_a_typed_response() {
     assert!(matches!(lenient.handle(doomed).outcome, Outcome::Ok(_)));
 }
 
+#[test]
+fn a_line_that_is_not_utf8_gets_a_typed_error_and_the_session_goes_on() {
+    let server = EngineBuilder::new().threads(1).server().unwrap();
+    let input: &[u8] = b"{\"v\": 1, \"id\": 1, \"kind\": \"stats\"}\n\xff\xfe\n\
+                         {\"v\": 1, \"id\": 2, \"kind\": \"stats\"}\n";
+    let mut out = Vec::new();
+    server.serve(input, &mut out).unwrap();
+    let out = String::from_utf8(out).unwrap();
+    let lines: Vec<&str> = out.lines().collect();
+    assert_eq!(lines.len(), 3, "{out}");
+    let errs: Vec<&&str> = lines
+        .iter()
+        .filter(|l| l.contains("\"status\": \"err\""))
+        .collect();
+    assert_eq!(errs.len(), 1, "{out}");
+    assert!(
+        errs[0].starts_with("{\"v\": 1, \"id\": null, "),
+        "{}",
+        errs[0]
+    );
+    assert!(errs[0].contains("UTF-8"), "{}", errs[0]);
+    for id in ["1", "2"] {
+        let tag = format!("\"id\": {id}, \"status\": \"stats\"");
+        assert!(out.contains(&tag), "no stats answer for id {id}: {out}");
+    }
+}
+
 /// Deterministic xorshift, as in `spec_roundtrip.rs` — the vendored
 /// proptest stub favours scalar strategies, so each case derives a whole
 /// request from one seed.
@@ -460,6 +487,24 @@ fn corrupt(line: &str, rng: &mut Rng) -> String {
     }
 }
 
+/// One line of arbitrary bytes other than `\n`: mostly high bytes that are
+/// not UTF-8, some ASCII and whitespace, sometimes empty.
+fn random_bytes(rng: &mut Rng) -> Vec<u8> {
+    let len = rng.next_usize(24);
+    (0..len)
+        .map(|_| match rng.next_usize(4) {
+            0 => b" \t\r"[rng.next_usize(3)],
+            1 => 0x20 + rng.next_usize(0x5f) as u8,
+            _ => loop {
+                let b = rng.next_u64() as u8;
+                if b != b'\n' {
+                    break b;
+                }
+            },
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -497,14 +542,23 @@ proptest! {
     }
 
     /// The serve loop answers one line per input line (minus blanks),
-    /// whatever the input: the exactly-once response contract.
+    /// whatever the input — arbitrary-byte lines spliced between requests
+    /// included: the exactly-once response contract.
     #[test]
     fn serve_loop_never_skips_an_id(seed in 0u64..100_000) {
         let mut rng = Rng::new(seed);
         let server = EngineBuilder::new().threads(1).server().unwrap();
-        let mut input = String::new();
+        let mut input: Vec<u8> = Vec::new();
         let mut expected = 0usize;
         for _ in 0..4 {
+            if rng.next_usize(2) == 0 {
+                let line = random_bytes(&mut rng);
+                if !String::from_utf8_lossy(&line).trim().is_empty() {
+                    expected += 1;
+                }
+                input.extend_from_slice(&line);
+                input.push(b'\n');
+            }
             let req = random_request(&mut rng);
             let line = if rng.next_usize(3) == 0 {
                 corrupt(&req.to_json(), &mut rng)
@@ -514,11 +568,11 @@ proptest! {
             if !line.trim().is_empty() {
                 expected += 1;
             }
-            input.push_str(&line);
-            input.push('\n');
+            input.extend_from_slice(line.as_bytes());
+            input.push(b'\n');
         }
         let mut out = Vec::new();
-        server.serve(input.as_bytes(), &mut out).unwrap();
+        server.serve(input.as_slice(), &mut out).unwrap();
         let out = String::from_utf8(out).unwrap();
         prop_assert_eq!(out.lines().count(), expected);
         for line in out.lines() {

@@ -1,7 +1,8 @@
 //! Warm-start equivalence: a solve seeded from a nearby solution must
 //! converge to the same flow (within tolerance) in strictly fewer
 //! iterations on perturbed instances — the contract `anarchy_curve`
-//! sweeps and the engine's Beta/Tolls seeding rely on.
+//! sweeps and the engine's Beta/Tolls seeding rely on. Also guards the
+//! cold path's Frank–Wolfe → polish handover on city grids.
 
 use stackopt::equilibrium::network::{
     try_induced_network, try_multicommodity_optimum, try_network_nash, try_network_optimum,
@@ -10,7 +11,8 @@ use stackopt::equilibrium::network::{
 use stackopt::instances::random::{random_layered_network, random_multicommodity};
 use stackopt::network::instance::{MultiCommodityInstance, NetworkInstance};
 use stackopt::network::EdgeFlow;
-use stackopt::solver::frank_wolfe::FwOptions;
+use stackopt::solver::frank_wolfe::{try_solve_assignment, FwOptions};
+use stackopt::solver::CostModel;
 
 fn with_rate(inst: &NetworkInstance, rate: f64) -> NetworkInstance {
     NetworkInstance::new(
@@ -143,6 +145,37 @@ fn batched_evaluation_preserves_warm_and_cold_flows() {
     assert!(warm_b.converged && warm_s.converged);
     for (e, (a, b)) in warm_b.flow.0.iter().zip(&warm_s.flow.0).enumerate() {
         assert!((a - b).abs() < 1e-5, "warm edge {e}: {a} vs {b}");
+    }
+}
+
+#[test]
+fn cold_grid_solves_hand_over_at_the_plateau() {
+    // The default stall window must fire on a city grid: Frank–Wolfe stops
+    // at its plateau inside the iteration budget, and the polish lands on
+    // the objective of a solve that spends the whole budget in FW. Both
+    // seeds' profiles run FW to the cap under a window of max(64, 4·m).
+    let default = FwOptions::default();
+    let pinned = FwOptions {
+        stall_window: Some(0),
+        ..FwOptions::default()
+    };
+    for seed in [3, 7] {
+        let inst = stackopt::instances::try_grid_city(16, 1.0, seed).unwrap();
+        for model in [CostModel::Wardrop, CostModel::SystemOptimum] {
+            let handed = try_solve_assignment(&inst, model, &default).unwrap();
+            let full = try_solve_assignment(&inst, model, &pinned).unwrap();
+            assert!(handed.converged && full.converged, "seed {seed} {model:?}");
+            assert!(
+                handed.fw_iterations < default.max_iters,
+                "seed {seed} {model:?}: FW ran all {} iterations",
+                handed.fw_iterations
+            );
+            let rel = (handed.objective - full.objective).abs() / full.objective.abs();
+            assert!(
+                rel <= 1e-9,
+                "seed {seed} {model:?}: objective off by {rel:e}"
+            );
+        }
     }
 }
 
