@@ -3,42 +3,32 @@
 //! adds the ~10⁵-edge grid to the CI-sized pair).
 //!
 //! For each deterministic city grid (`try_grid_city`) it solves the
-//! Wardrop assignment twice with the *same* solver under two option sets:
+//! Wardrop assignment twice:
 //!
-//! * **baseline** — `batch: false, sp_mode: Full`: per-edge scalar latency
-//!   dispatch and full-sweep Dijkstra, the solver exactly as it was before
-//!   the SoA/targeted-search work;
-//! * **batched** — struct-of-arrays latency lanes plus target-aware
-//!   (early-exit / bidirectional) shortest paths.
+//! * **pinned** — `stall_window: Some(0)`: the whole Frank–Wolfe budget
+//!   runs before the polish, which records the cost of one FW iteration
+//!   and a reference objective;
+//! * **default** — `FwOptions::default()`, i.e. the absolute time to gap a
+//!   caller gets (seconds, FW iterations, polish rounds, final relative
+//!   gap, objective deviation from the pinned solve).
 //!
-//! Both A/B arms pin `stall_window: Some(0)`, so each runs the whole
-//! Frank–Wolfe budget before the polish: that loop is what the speedup bar
-//! was set for. Under the default plateau handover both arms would stop
-//! after a few dozen iterations and the shared polish would dominate the
-//! ratio.
-//!
-//! Recorded per grid: Frank–Wolfe wall seconds and seconds/iteration for
-//! both arms, the wall-time speedup, the max per-edge flow deviation
-//! between the two converged flows, a **default** record — the solve under
-//! `FwOptions::default()`, i.e. the absolute time to gap a caller gets
-//! (seconds, FW iterations, polish rounds, final relative gap, objective
-//! deviation from the batched arm) — and a shortest-path microbenchmark
-//! (µs/query and settled nodes for full vs. auto traversal of the
-//! corner-to-corner query). The file also carries an engine throughput
-//! number (scenarios/second over a small grid fleet) and the process's
-//! peak RSS from `/proc/self/status`.
+//! Each grid also gets a shortest-path microbenchmark: µs/query and
+//! settled nodes for the corner-to-corner query, as the full tree
+//! (`SpWorkspace::dijkstra`, which MOP and the certificates run) and as
+//! the solver's targeted query (`SpWorkspace::shortest_to` with a reverse
+//! view). The file also carries an engine throughput number
+//! (scenarios/second over a small grid fleet) and the process's peak RSS
+//! from `/proc/self/status`.
 //!
 //! A multi-commodity arm measures the all-or-nothing phase on its own: a
 //! 10⁴-edge grid OD matrix with many commodities over few origins, timing
-//! the historical per-commodity query loop against the origin-grouped
-//! one-to-many tree (`AonMode::Grouped`) and its threaded fan-out
+//! the per-commodity query loop against the origin-grouped one-to-many
+//! tree (`AonMode::Grouped`) and its threaded fan-out
 //! (`AonMode::Parallel`) at free-flow costs.
 //!
 //! Acceptance bars (asserted here, checked in CI):
-//! * batched and baseline flows agree within `1e-6` per edge everywhere;
 //! * the default solve converges, at an objective within `1e-9` relative
-//!   of the batched arm's;
-//! * ≥ 2× wall-time speedup on every grid with ≥ 10⁴ edges;
+//!   of the pinned solve's;
 //! * the grouped AON phase is ≥ 2× faster than the sequential loop at
 //!   ≥ 64 commodities over ≤ 16 origins, per-commodity flows within `1e-6`.
 
@@ -46,12 +36,12 @@ use std::time::Instant;
 
 use sopt_instances::{grid_dims, try_grid_city, try_grid_city_multi};
 use sopt_latency::Latency;
-use sopt_network::csr::{Csr, RevCsr, SpMode, SpPool, SpWorkspace};
+use sopt_network::csr::{Csr, RevCsr, SpPool, SpWorkspace};
 use sopt_network::graph::NodeId;
 use sopt_network::instance::NetworkInstance;
 use sopt_network::EdgeFlow;
 use sopt_solver::aon::{aon_assign_targets, aon_st_into};
-use sopt_solver::frank_wolfe::{try_solve_assignment, FwOptions, FwResult};
+use sopt_solver::frank_wolfe::{try_solve_assignment, FwOptions};
 use sopt_solver::{AonMode, CommodityGroups, CostModel};
 use stackopt::api::{parse_batch_file, Engine};
 use stackopt::fleet::{generate_fleet, Family};
@@ -60,20 +50,10 @@ use stackopt::fleet::{generate_fleet, Family};
 const SIDES_CI: [usize; 2] = [16, 51];
 /// Added by `--full`: 100 488 edges.
 const SIDE_FULL: usize = 159;
-/// Per-edge flow-parity bar between the baseline and batched solves.
+/// Per-commodity flow-parity bar between the AON arms.
 const FLOW_TOL: f64 = 1e-6;
-/// Relative objective parity between the default solve and the batched
-/// arm.
+/// Relative objective parity between the default and pinned solves.
 const OBJECTIVE_TOL: f64 = 1e-9;
-/// Wall-time bar on grids with ≥ `SPEEDUP_MIN_EDGES` edges.
-const MIN_SPEEDUP: f64 = 2.0;
-const SPEEDUP_MIN_EDGES: usize = 10_000;
-/// Looser bar for the `--full`-only 100 488-edge grid: restructuring the
-/// AON step around `aon_assign_targets` (origin grouping) also sped up
-/// the *scalar* arm's assignment loop, compressing the batched-vs-scalar
-/// ratio at this size from ~2.2× to ~1.8× (absolute batched wall time is
-/// unchanged-to-better; the compression is the baseline getting faster).
-const FULL_MIN_SPEEDUP: f64 = 1.5;
 /// Shortest-path microbenchmark repetitions.
 const SP_REPS: usize = 20;
 /// AON-phase arm: grid side, commodity count, repetitions, speedup bar.
@@ -84,22 +64,12 @@ const AON_K: usize = 256;
 const AON_REPS: usize = 5;
 const AON_MIN_SPEEDUP: f64 = 2.0;
 
-/// The batched A/B arm: the default solver with the stall handover off, so
-/// it spends the whole Frank–Wolfe budget before the polish.
-fn batched_opts() -> FwOptions {
+/// The default solver with the stall handover off, so it spends the whole
+/// Frank–Wolfe budget before the polish.
+fn pinned_opts() -> FwOptions {
     FwOptions {
         stall_window: Some(0),
         ..FwOptions::default()
-    }
-}
-
-/// The historical solver: scalar latency dispatch, full-sweep Dijkstra,
-/// the same full Frank–Wolfe budget as [`batched_opts`].
-fn baseline_opts() -> FwOptions {
-    FwOptions {
-        batch: false,
-        sp_mode: SpMode::Full,
-        ..batched_opts()
     }
 }
 
@@ -113,7 +83,7 @@ struct SolveNumbers {
     objective: f64,
 }
 
-fn solve_timed(inst: &NetworkInstance, opts: &FwOptions, reps: usize) -> (SolveNumbers, FwResult) {
+fn solve_timed(inst: &NetworkInstance, opts: &FwOptions, reps: usize) -> SolveNumbers {
     let mut secs = f64::INFINITY;
     let mut result = None;
     for _ in 0..reps.max(1) {
@@ -121,54 +91,57 @@ fn solve_timed(inst: &NetworkInstance, opts: &FwOptions, reps: usize) -> (SolveN
         result = Some(try_solve_assignment(inst, CostModel::Wardrop, opts).expect("grid solve"));
         secs = secs.min(t.elapsed().as_secs_f64());
     }
-    let r = result.unwrap();
-    (
-        SolveNumbers {
-            secs,
-            iters: r.iterations,
-            fw_iters: r.fw_iterations,
-            polish_rounds: r.polish_rounds,
-            rel_gap: r.rel_gap,
-            converged: r.converged,
-            objective: r.objective,
-        },
-        r,
-    )
+    let r = result.expect("at least one rep");
+    SolveNumbers {
+        secs,
+        iters: r.iterations,
+        fw_iters: r.fw_iterations,
+        polish_rounds: r.polish_rounds,
+        rel_gap: r.rel_gap,
+        converged: r.converged,
+        objective: r.objective,
+    }
 }
 
 struct SpNumbers {
     full_us: f64,
-    auto_us: f64,
+    targeted_us: f64,
     full_settled: usize,
-    auto_settled: usize,
+    targeted_settled: usize,
 }
 
-/// Times the corner-to-corner query at free-flow costs, full sweep vs.
-/// the target-aware auto mode.
+/// Best of `SP_REPS` timings of `query` in µs, with the settled-node count
+/// it leaves in `sp`.
+fn time_query(sp: &mut SpWorkspace, mut query: impl FnMut(&mut SpWorkspace)) -> (f64, usize) {
+    let mut best = f64::INFINITY;
+    for _ in 0..SP_REPS {
+        let t = Instant::now();
+        query(sp);
+        best = best.min(t.elapsed().as_secs_f64());
+    }
+    (best * 1e6, sp.settled_nodes())
+}
+
+/// Times the corner-to-corner query at free-flow costs: the full tree
+/// vs. the targeted query the solver runs.
 fn sp_micro(inst: &NetworkInstance) -> SpNumbers {
     let csr = Csr::new(&inst.graph);
     let rcsr = RevCsr::new(&inst.graph);
     let costs: Vec<f64> = inst.latencies.iter().map(|l| l.value(0.0)).collect();
     let mut sp = SpWorkspace::new();
-    let mut run = |mode: SpMode, rcsr: Option<&RevCsr>| {
-        let mut best = f64::INFINITY;
-        let mut settled = 0;
-        for _ in 0..SP_REPS {
-            let t = Instant::now();
-            let d = sp.shortest_to(&csr, rcsr, &costs, inst.source, inst.sink, mode);
-            best = best.min(t.elapsed().as_secs_f64());
-            assert!(d.is_some(), "grid sink unreachable");
-            settled = sp.settled_nodes();
-        }
-        (best * 1e6, settled)
-    };
-    let (full_us, full_settled) = run(SpMode::Full, None);
-    let (auto_us, auto_settled) = run(SpMode::Auto, Some(&rcsr));
+    let (full_us, full_settled) = time_query(&mut sp, |sp| {
+        sp.dijkstra(&csr, &costs, inst.source);
+        assert!(sp.reached(inst.sink), "grid sink unreachable");
+    });
+    let (targeted_us, targeted_settled) = time_query(&mut sp, |sp| {
+        let d = sp.shortest_to(&csr, Some(&rcsr), &costs, inst.source, inst.sink);
+        assert!(d.is_some(), "grid sink unreachable");
+    });
     SpNumbers {
         full_us,
-        auto_us,
+        targeted_us,
         full_settled,
-        auto_settled,
+        targeted_settled,
     }
 }
 
@@ -176,11 +149,10 @@ struct GridCase {
     side: usize,
     nodes: usize,
     edges: usize,
-    base: SolveNumbers,
-    fast: SolveNumbers,
+    /// The solve with the stall handover off.
+    pinned: SolveNumbers,
     /// The solve under `FwOptions::default()` (plateau handover on).
     default: SolveNumbers,
-    max_flow_dev: f64,
     sp: SpNumbers,
 }
 
@@ -189,24 +161,12 @@ fn measure(side: usize) -> GridCase {
     let inst = try_grid_city(side, 1.0, side as u64).expect("bench grid");
     // Best-of timing; big grids get one rep to keep CI affordable.
     let reps = if edges >= 50_000 { 1 } else { 3 };
-    let (base, base_r) = solve_timed(&inst, &baseline_opts(), reps);
-    let (fast, fast_r) = solve_timed(&inst, &batched_opts(), reps);
-    let (default, _) = solve_timed(&inst, &FwOptions::default(), reps);
-    let max_flow_dev = base_r
-        .flow
-        .0
-        .iter()
-        .zip(fast_r.flow.0.iter())
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0f64, f64::max);
     GridCase {
         side,
         nodes,
         edges,
-        base,
-        fast,
-        default,
-        max_flow_dev,
+        pinned: solve_timed(&inst, &pinned_opts(), reps),
+        default: solve_timed(&inst, &FwOptions::default(), reps),
         sp: sp_micro(&inst),
     }
 }
@@ -222,8 +182,8 @@ struct AonCase {
 }
 
 /// Times one all-or-nothing assignment of a many-commodity grid OD matrix
-/// at free-flow costs: the historical per-commodity target-aware query
-/// loop vs. the origin-grouped one-to-many tree, sequential and threaded.
+/// at free-flow costs: the per-commodity targeted query loop vs. the
+/// origin-grouped one-to-many tree, sequential and threaded.
 fn aon_micro() -> AonCase {
     let inst = try_grid_city_multi(AON_SIDE, 64.0, AON_K, 7).expect("aon bench grid");
     let m = inst.graph.num_edges();
@@ -238,7 +198,7 @@ fn aon_micro() -> AonCase {
     let mut groups = CommodityGroups::new();
     groups.rebuild(&demands);
 
-    // The PR-9 hot loop: one target-aware st query per commodity.
+    // One targeted s–t query per commodity.
     let mut sp = SpWorkspace::new();
     let mut seq = vec![EdgeFlow::zeros(m); demands.len()];
     let mut sequential_us = f64::INFINITY;
@@ -250,7 +210,6 @@ fn aon_micro() -> AonCase {
                 &csr,
                 Some(&rcsr),
                 &mut sp,
-                SpMode::Auto,
                 &costs,
                 s,
                 snk,
@@ -275,7 +234,6 @@ fn aon_micro() -> AonCase {
                 &mut ws,
                 &mut pool,
                 &groups,
-                SpMode::Auto,
                 mode,
                 &costs,
                 &demands,
@@ -345,34 +303,25 @@ fn sci(v: f64) -> String {
     }
 }
 
-/// Relative objective deviation of the default solve from the batched arm.
+/// Relative objective deviation of the default solve from the pinned one.
 fn default_objective_dev(c: &GridCase) -> f64 {
-    (c.default.objective - c.fast.objective).abs() / c.fast.objective.abs().max(1e-300)
+    (c.default.objective - c.pinned.objective).abs() / c.pinned.objective.abs().max(1e-300)
 }
 
 fn case_json(c: &GridCase) -> String {
-    let speedup = c.base.secs / c.fast.secs.max(1e-12);
     format!(
         "{{\"side\": {}, \"nodes\": {}, \"edges\": {}, \
-         \"baseline\": {{\"secs\": {}, \"iters\": {}, \"secs_per_iter\": {}}}, \
-         \"batched\": {{\"secs\": {}, \"iters\": {}, \"secs_per_iter\": {}}}, \
-         \"speedup\": {}, \"max_flow_dev\": {}, \"objective_dev\": {}, \
+         \"pinned\": {{\"secs\": {}, \"iters\": {}, \"secs_per_iter\": {}}}, \
          \"default\": {{\"secs\": {}, \"fw_iters\": {}, \"polish_rounds\": {}, \
          \"rel_gap\": {}, \"converged\": {}, \"objective_rel_dev\": {}}}, \
-         \"sp\": {{\"full_us\": {}, \"auto_us\": {}, \
-         \"full_settled\": {}, \"auto_settled\": {}}}}}",
+         \"sp\": {{\"full_us\": {}, \"targeted_us\": {}, \
+         \"full_settled\": {}, \"targeted_settled\": {}}}}}",
         c.side,
         c.nodes,
         c.edges,
-        num(c.base.secs),
-        c.base.iters,
-        sci(c.base.secs / c.base.iters.max(1) as f64),
-        num(c.fast.secs),
-        c.fast.iters,
-        sci(c.fast.secs / c.fast.iters.max(1) as f64),
-        num(speedup),
-        sci(c.max_flow_dev),
-        sci((c.base.objective - c.fast.objective).abs()),
+        num(c.pinned.secs),
+        c.pinned.iters,
+        sci(c.pinned.secs / c.pinned.iters.max(1) as f64),
         num(c.default.secs),
         c.default.fw_iters,
         c.default.polish_rounds,
@@ -380,9 +329,9 @@ fn case_json(c: &GridCase) -> String {
         c.default.converged,
         sci(default_objective_dev(c)),
         num(c.sp.full_us),
-        num(c.sp.auto_us),
+        num(c.sp.targeted_us),
         c.sp.full_settled,
-        c.sp.auto_settled,
+        c.sp.targeted_settled,
     )
 }
 
@@ -406,14 +355,12 @@ fn main() {
         .map(|&s| {
             let c = measure(s);
             eprintln!(
-                "side {}: {} edges, baseline {:.3}s, batched {:.3}s ({:.2}x), flow dev {:.2e}; \
+                "side {}: {} edges, pinned {:.3}s ({} iterations); \
                  default {:.3}s ({} FW iterations + {} polish rounds, gap {:.1e})",
                 c.side,
                 c.edges,
-                c.base.secs,
-                c.fast.secs,
-                c.base.secs / c.fast.secs.max(1e-12),
-                c.max_flow_dev,
+                c.pinned.secs,
+                c.pinned.iters,
                 c.default.secs,
                 c.default.fw_iters,
                 c.default.polish_rounds,
@@ -473,30 +420,12 @@ fn main() {
 
     for c in &cases {
         assert!(
-            c.max_flow_dev <= FLOW_TOL,
-            "side {}: batched flow deviates from baseline by {:.3e} > {FLOW_TOL:.1e}",
-            c.side,
-            c.max_flow_dev
-        );
-        assert!(
             c.default.converged && default_objective_dev(c) <= OBJECTIVE_TOL,
-            "side {}: default solve (converged: {}) deviates from the batched arm by {:.3e} > \
+            "side {}: default solve (converged: {}) deviates from the pinned solve by {:.3e} > \
              {OBJECTIVE_TOL:.1e}",
             c.side,
             c.default.converged,
             default_objective_dev(c)
-        );
-        let speedup = c.base.secs / c.fast.secs.max(1e-12);
-        let bar = if c.side >= SIDE_FULL {
-            FULL_MIN_SPEEDUP
-        } else {
-            MIN_SPEEDUP
-        };
-        assert!(
-            c.edges < SPEEDUP_MIN_EDGES || speedup >= bar,
-            "side {}: {} edges sped up only {speedup:.2}x < {bar}x",
-            c.side,
-            c.edges
         );
     }
     assert!(

@@ -2,8 +2,8 @@
 //!
 //! Equilibrium solvers spend most of their time in O(m) sweeps over all
 //! edges: the Frank–Wolfe linearization (`F'_e(f_e)` for every edge), the
-//! bisection line search (dozens of directional-derivative sweeps per
-//! iteration), and the conjugate-direction curvature weights. Evaluating
+//! line search (dozens of directional-derivative probes per iteration),
+//! and the conjugate-direction curvature weights. Evaluating
 //! those sweeps through [`LatencyFn`](crate::LatencyFn) costs an enum
 //! discriminant branch per edge and defeats vectorization.
 //!
@@ -18,7 +18,8 @@
 //! Every method mirrors the scalar arithmetic of the corresponding
 //! [`Latency`] closed form (same expressions, same operation order within
 //! an edge) so batched and scalar evaluation agree to rounding error; the
-//! solver's warm/cold parity guard and the proptests below pin this down.
+//! `batch_parity` proptests and the solver's scalar-certificate test
+//! (`tests/warm_start.rs`) pin this down.
 
 use crate::traits::Latency;
 use crate::LatencyFn;
@@ -417,136 +418,6 @@ impl LatencyBatch {
         total
     }
 
-    /// Directional derivative of the Beckmann potential along `d` at
-    /// `f + γ·d`: `Σ_{d_e ≠ 0} d_e·ℓ_e(max(f_e + γ·d_e, 0))`. Edges with
-    /// `d_e = 0` are skipped (their contribution is zero, and skipping
-    /// avoids evaluating diverging latencies at pinned flows), and the
-    /// evaluation point is clamped at zero exactly like the solver's
-    /// bisection line search does.
-    pub fn dir_value(&self, f: &[f64], d: &[f64], gamma: f64) -> f64 {
-        self.dir_sum(f, d, gamma, false)
-    }
-
-    /// Directional derivative of total cost along `d` at `f + γ·d`:
-    /// `Σ_{d_e ≠ 0} d_e·ℓ*_e(max(f_e + γ·d_e, 0))`.
-    pub fn dir_marginal(&self, f: &[f64], d: &[f64], gamma: f64) -> f64 {
-        self.dir_sum(f, d, gamma, true)
-    }
-
-    fn dir_sum(&self, f: &[f64], d: &[f64], gamma: f64, marginal: bool) -> f64 {
-        assert_eq!(f.len(), self.m, "flow slice length mismatch");
-        assert_eq!(d.len(), self.m, "direction slice length mismatch");
-        let mut total = 0.0;
-        let la = &self.affine;
-        for j in 0..la.idx.len() {
-            let e = la.idx[j] as usize;
-            let de = d[e];
-            if de == 0.0 {
-                continue;
-            }
-            let x = (f[e] + gamma * de).max(0.0);
-            let v = if marginal {
-                2.0 * la.a[j] * x + la.b[j]
-            } else {
-                la.a[j] * x + la.b[j]
-            };
-            total += de * v;
-        }
-        let lb = &self.bpr;
-        match (lb.uniform_p, marginal) {
-            (Some(p), false) => {
-                for j in 0..lb.idx.len() {
-                    let e = lb.idx[j] as usize;
-                    let de = d[e];
-                    if de == 0.0 {
-                        continue;
-                    }
-                    let x = (f[e] + gamma * de).max(0.0);
-                    total += de * (lb.t0[j] * (1.0 + lb.b[j] * rpow(x / lb.c[j], p)));
-                }
-            }
-            (Some(p), true) => {
-                let pf = p as f64 + 1.0;
-                for j in 0..lb.idx.len() {
-                    let e = lb.idx[j] as usize;
-                    let de = d[e];
-                    if de == 0.0 {
-                        continue;
-                    }
-                    let x = (f[e] + gamma * de).max(0.0);
-                    total += de * (lb.t0[j] * (1.0 + lb.b[j] * pf * rpow(x / lb.c[j], p)));
-                }
-            }
-            (None, _) => {
-                for j in 0..lb.idx.len() {
-                    let e = lb.idx[j] as usize;
-                    let de = d[e];
-                    if de == 0.0 {
-                        continue;
-                    }
-                    let x = (f[e] + gamma * de).max(0.0);
-                    let r_p = rpow(x / lb.c[j], lb.p[j]);
-                    let v = if marginal {
-                        lb.t0[j] * (1.0 + lb.b[j] * (lb.p[j] as f64 + 1.0) * r_p)
-                    } else {
-                        lb.t0[j] * (1.0 + lb.b[j] * r_p)
-                    };
-                    total += de * v;
-                }
-            }
-        }
-        let lm = &self.monomial;
-        for j in 0..lm.idx.len() {
-            let e = lm.idx[j] as usize;
-            let de = d[e];
-            if de == 0.0 {
-                continue;
-            }
-            let x = (f[e] + gamma * de).max(0.0);
-            let v = if marginal {
-                lm.c[j] * (lm.k[j] as f64 + 1.0) * x.powi(lm.k[j] as i32)
-            } else {
-                lm.c[j] * x.powi(lm.k[j] as i32)
-            };
-            total += de * v;
-        }
-        let lq = &self.mm1;
-        for j in 0..lq.idx.len() {
-            let e = lq.idx[j] as usize;
-            let de = d[e];
-            if de == 0.0 {
-                continue;
-            }
-            let s = lq.c[j] - (f[e] + gamma * de).max(0.0);
-            let v = if marginal { lq.c[j] / (s * s) } else { 1.0 / s };
-            total += de * v;
-        }
-        let lc = &self.constant;
-        for j in 0..lc.idx.len() {
-            let e = lc.idx[j] as usize;
-            let de = d[e];
-            if de != 0.0 {
-                total += de * lc.c[j];
-            }
-        }
-        let lg = &self.general;
-        for j in 0..lg.idx.len() {
-            let e = lg.idx[j] as usize;
-            let de = d[e];
-            if de == 0.0 {
-                continue;
-            }
-            let x = (f[e] + gamma * de).max(0.0);
-            let v = if marginal {
-                lg.fns[j].marginal(x)
-            } else {
-                lg.fns[j].value(x)
-            };
-            total += de * v;
-        }
-        total
-    }
-
     /// Gather the nonzero-`d_e` entries of every lane into `plan` for
     /// repeated directional evaluation along the fixed direction `d` from
     /// `f`. The exact line search evaluates `φ'(γ)` dozens of times per
@@ -669,13 +540,14 @@ impl LatencyBatch {
 /// nonzero-`d_e` entries of every lane, compacted with their coefficients,
 /// endpoint flows, and direction components into contiguous arrays.
 ///
-/// [`DirPlan::value`] and [`DirPlan::marginal`] then evaluate the same
-/// sums as [`LatencyBatch::dir_value`] / [`LatencyBatch::dir_marginal`]
-/// (per-edge arithmetic identical, including the zero clamp; only the
-/// order the constant-lane terms join the total differs, which is a
-/// rounding-level change), without touching the dense `f`/`d` slices or
-/// the lane index arrays again. A line search that probes one direction
-/// dozens of times builds the plan once and pays O(nonzero) per probe.
+/// [`DirPlan::value`] and [`DirPlan::marginal`] then evaluate the
+/// directional derivatives of the Beckmann potential and of total cost at
+/// `f + γ·d`, without touching the dense `f`/`d` slices or the lane index
+/// arrays again. Edges with `d_e = 0` are left out (their contribution is
+/// zero, and skipping them avoids evaluating diverging latencies at pinned
+/// flows), and each evaluation point is clamped at zero. A line search
+/// that probes one direction dozens of times builds the plan once and pays
+/// O(nonzero) per probe.
 #[derive(Clone, Debug, Default)]
 pub struct DirPlan {
     af_a: Vec<f64>,
@@ -736,15 +608,14 @@ impl DirPlan {
     }
 
     /// `Σ d_e·ℓ_e(max(x_e + γ·d_e, 0))` over the planned entries — the
-    /// Beckmann directional derivative [`LatencyBatch::dir_value`]
-    /// computes, against the `batch` the plan was built from.
+    /// Beckmann directional derivative, against the `batch` the plan was
+    /// built from.
     pub fn value(&self, batch: &LatencyBatch, gamma: f64) -> f64 {
         self.sum(batch, gamma, false)
     }
 
     /// `Σ d_e·ℓ*_e(max(x_e + γ·d_e, 0))` over the planned entries — the
-    /// total-cost directional derivative [`LatencyBatch::dir_marginal`]
-    /// computes.
+    /// total-cost directional derivative.
     pub fn marginal(&self, batch: &LatencyBatch, gamma: f64) -> f64 {
         self.sum(batch, gamma, true)
     }

@@ -6,7 +6,7 @@
 //! comparison here is pinned at `1e-12` relative.
 
 use proptest::prelude::*;
-use sopt_latency::{Latency, LatencyBatch, LatencyFn};
+use sopt_latency::{DirPlan, Latency, LatencyBatch, LatencyFn};
 
 /// Any latency kind, including the wrapped kinds that exercise the batch's
 /// scalar fallback lane (polynomial, piecewise, shifted, offset).
@@ -125,7 +125,9 @@ proptest! {
             .filter(|((de, _), _)| **de != 0.0)
             .map(|((&de, &x), l)| de * l.value((x + gamma * de).max(0.0)))
             .sum();
-        assert_close("dir_value", batch.dir_value(&f, &d, gamma), dir_value);
+        let mut plan = DirPlan::new();
+        batch.plan_dir(&f, &d, &mut plan);
+        assert_close("dir_value", plan.value(&batch, gamma), dir_value);
         let dir_marginal: f64 = d
             .iter()
             .zip(&f)
@@ -133,7 +135,7 @@ proptest! {
             .filter(|((de, _), _)| **de != 0.0)
             .map(|((&de, &x), l)| de * l.marginal((x + gamma * de).max(0.0)))
             .sum();
-        assert_close("dir_marginal", batch.dir_marginal(&f, &d, gamma), dir_marginal);
+        assert_close("dir_marginal", plan.marginal(&batch, gamma), dir_marginal);
     }
 }
 

@@ -2,11 +2,19 @@
 //!
 //! [`DiGraph`] stores adjacency as one `Vec<EdgeId>` per node — convenient
 //! to build incrementally, but a pointer chase per node when an algorithm
-//! walks the whole graph thousands of times (every Frank–Wolfe iteration
-//! runs one Dijkstra per commodity). [`Csr`] flattens that adjacency into
-//! two arrays (`offsets` into a slot array, original edge ids + head nodes
-//! per slot) built once per solve, and [`SpWorkspace`] owns the
-//! distance/parent/heap state so repeated Dijkstra calls allocate nothing.
+//! walks the graph thousands of times (every Frank–Wolfe iteration runs
+//! one shortest-path query per commodity or origin). [`Csr`] flattens that
+//! adjacency into two arrays (`offsets` into a slot array, original edge
+//! ids + head nodes per slot) built once per solve, [`RevCsr`] does the
+//! same for incoming edges, and [`SpWorkspace`] owns the distance/parent/
+//! heap state so repeated queries allocate nothing.
+//!
+//! The solver's queries are targeted: [`SpWorkspace::shortest_to`] (one
+//! sink; bidirectional with a [`RevCsr`] on 64 nodes or more, early-exit
+//! otherwise) and [`SpWorkspace::shortest_to_many`] (one origin, many
+//! sinks). [`SpWorkspace::dijkstra`] builds the full tree, which MOP's
+//! free-flow computation and the equilibrium certificates still need
+//! (through [`crate::spath::dijkstra`]).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -203,36 +211,19 @@ impl RevCsr {
     }
 }
 
-/// How a single-target query traverses the graph.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SpMode {
-    /// Pick per query: bidirectional when a [`RevCsr`] is supplied and the
-    /// graph is large enough to amortise the second frontier, early-exit
-    /// otherwise.
-    #[default]
-    Auto,
-    /// Full single-source Dijkstra (the pre-existing behaviour): settles
-    /// every reachable node, leaves a complete tree behind.
-    Full,
-    /// Forward Dijkstra that stops as soon as the target is settled.
-    EarlyExit,
-    /// Simultaneous forward/backward search meeting in the middle; needs a
-    /// [`RevCsr`]. Falls back to early-exit when none is supplied.
-    Bidirectional,
-}
-
-/// Node count below which `SpMode::Auto` keeps the single frontier (the
-/// second heap costs more than it saves on tiny graphs).
+/// Node count below which [`SpWorkspace::shortest_to`] keeps the single
+/// frontier even when given a [`RevCsr`] (the second heap costs more than
+/// it saves on tiny graphs).
 const BIDI_MIN_NODES: usize = 64;
 
 /// What the workspace's arrays currently describe (see
 /// [`SpWorkspace::walk_st_path`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 enum LastQuery {
+    /// No single-target answer: a fresh workspace or a full
+    /// [`SpWorkspace::dijkstra`] tree.
     #[default]
     None,
-    /// Full tree from `dijkstra`; `dist`/`parent` are dense and valid.
-    Full { t: Option<NodeId> },
     /// Early-exit forward query; `dist`/`parent` valid where stamped.
     Forward { t: NodeId },
     /// Bidirectional query; forward chain from `meet` + backward chain to
@@ -315,7 +306,7 @@ impl SpWorkspace {
                 }
             }
         }
-        self.last = LastQuery::Full { t: None };
+        self.last = LastQuery::None;
     }
 
     /// `dist[v]` from the last source (`f64::INFINITY` if unreachable).
@@ -381,9 +372,9 @@ impl SpWorkspace {
     }
 
     /// Single-target shortest-path distance `s → t`, or `None` when `t` is
-    /// unreachable. `mode` picks the traversal; [`SpMode::Bidirectional`]
-    /// (and [`SpMode::Auto`] on graphs with ≥ 64 nodes) needs `rcsr` and
-    /// degrades to early-exit without it. After a `Some` result,
+    /// unreachable. With a [`RevCsr`] on a graph of at least 64 nodes the
+    /// query runs bidirectionally; otherwise it is forward Dijkstra that
+    /// stops once `t` is settled. After a `Some` result,
     /// [`walk_st_path`](Self::walk_st_path) /
     /// [`st_path_edges`](Self::st_path_edges) expose one shortest `s–t`
     /// path.
@@ -399,7 +390,6 @@ impl SpWorkspace {
         edge_costs: &[f64],
         s: NodeId,
         t: NodeId,
-        mode: SpMode,
     ) -> Option<f64> {
         assert_eq!(edge_costs.len(), csr.num_edges());
         let n = csr.num_nodes();
@@ -413,24 +403,13 @@ impl SpWorkspace {
             self.parent[s.idx()] = None;
             return Some(0.0);
         }
-        let bidi = match mode {
-            SpMode::Full => {
-                self.dijkstra(csr, edge_costs, s);
-                self.last = LastQuery::Full { t: Some(t) };
-                return self.reached(t).then(|| self.dist[t.idx()]);
-            }
-            SpMode::EarlyExit => false,
-            SpMode::Bidirectional => rcsr.is_some(),
-            SpMode::Auto => rcsr.is_some() && n >= BIDI_MIN_NODES,
-        };
         debug_assert!(
             edge_costs.iter().all(|c| *c >= 0.0),
             "Dijkstra requires nonnegative edge costs"
         );
-        if bidi {
-            self.bidirectional(csr, rcsr.unwrap(), edge_costs, s, t)
-        } else {
-            self.forward_to(csr, edge_costs, s, t)
+        match rcsr {
+            Some(rcsr) if n >= BIDI_MIN_NODES => self.bidirectional(csr, rcsr, edge_costs, s, t),
+            _ => self.forward_to(csr, edge_costs, s, t),
         }
     }
 
@@ -713,8 +692,7 @@ impl SpWorkspace {
         mut visit: impl FnMut(EdgeId),
     ) -> bool {
         match self.last {
-            LastQuery::None | LastQuery::Full { t: None } | LastQuery::Many => false,
-            LastQuery::Full { t: Some(t) } => self.walk_path_to(csr, t, visit),
+            LastQuery::None | LastQuery::Many => false,
             LastQuery::Forward { t } => {
                 if self.seen[t.idx()] != self.gen || self.settled[t.idx()] != self.gen {
                     return false;
@@ -907,7 +885,7 @@ mod tests {
         let mut single = SpWorkspace::new();
         for t in [NodeId(2), NodeId(3)] {
             let d = single
-                .shortest_to(&csr, None, &costs, NodeId(0), t, SpMode::Full)
+                .shortest_to(&csr, None, &costs, NodeId(0), t)
                 .unwrap();
             assert_eq!(many.many_dist(t), Some(d), "target {t}");
             let mut edges = Vec::new();

@@ -22,7 +22,7 @@ pub mod maxflow;
 pub mod path;
 pub mod spath;
 
-pub use csr::{Csr, RevCsr, SpMode, SpWorkspace};
+pub use csr::{Csr, RevCsr, SpWorkspace};
 pub use flow::EdgeFlow;
 pub use graph::{DiGraph, Edge, EdgeId, NodeId};
 pub use instance::{Commodity, MultiCommodityInstance, NetworkInstance};

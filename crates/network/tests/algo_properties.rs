@@ -186,8 +186,8 @@ proptest! {
 }
 
 /// A random graph with NO guaranteed spine, so some targets are
-/// unreachable, at sizes straddling the `SpMode::Auto` bidirectional
-/// threshold.
+/// unreachable, at sizes straddling the 64-node threshold above which a
+/// query given a `RevCsr` runs bidirectionally.
 fn random_sparse_graph() -> impl Strategy<Value = (DiGraph, Vec<f64>)> {
     (2usize..120, 0usize..240, any::<u64>()).prop_map(|(n, extra, seed)| {
         let mut state = seed | 1;
@@ -216,29 +216,27 @@ proptest! {
 
     #[test]
     fn targeted_queries_match_full_dijkstra((g, costs) in random_sparse_graph()) {
-        use sopt_network::csr::{RevCsr, SpMode};
+        use sopt_network::csr::RevCsr;
         let csr = Csr::new(&g);
         let rcsr = RevCsr::new(&g);
         let mut full = SpWorkspace::new();
         full.dijkstra(&csr, &costs, NodeId(0));
         let reference = full.dist().to_vec();
-        // One shared workspace across every mode and target exercises the
-        // generation-stamped O(touched) reset.
+        // One shared workspace across both queries and every target
+        // exercises the generation-stamped O(touched) reset. Without a
+        // reverse view the query is forward early-exit; with one it is
+        // bidirectional on the graphs of 64 nodes or more.
         let mut ws = SpWorkspace::new();
         for (v, &ref_dist) in reference.iter().enumerate() {
             let t = NodeId(v as u32);
-            for (mode, rev) in [
-                (SpMode::EarlyExit, None),
-                (SpMode::Bidirectional, Some(&rcsr)),
-                (SpMode::Auto, Some(&rcsr)),
-                (SpMode::Full, None),
-            ] {
-                let got = ws.shortest_to(&csr, rev, &costs, NodeId(0), t, mode);
+            for rev in [None, Some(&rcsr)] {
+                let mode = if rev.is_some() { "reverse view" } else { "forward" };
+                let got = ws.shortest_to(&csr, rev, &costs, NodeId(0), t);
                 match got {
                     Some(d) => {
                         prop_assert!(
                             (d - ref_dist).abs() < 1e-9,
-                            "{mode:?} to {v}: {d} vs {}", ref_dist
+                            "{mode} to {v}: {d} vs {}", ref_dist
                         );
                         let edges = ws.st_path_edges(&csr, rev).expect("reached ⇒ path");
                         // The edge list is a contiguous 0→t walk realising d.
@@ -250,11 +248,11 @@ proptest! {
                             cost += costs[e.idx()];
                         }
                         prop_assert_eq!(at, t);
-                        prop_assert!((cost - d).abs() < 1e-9, "{mode:?}: path cost {cost} vs {d}");
+                        prop_assert!((cost - d).abs() < 1e-9, "{mode}: path cost {cost} vs {d}");
                     }
                     None => prop_assert!(
                         ref_dist.is_infinite(),
-                        "{mode:?} to {v}: None vs {}", ref_dist
+                        "{mode} to {v}: None vs {}", ref_dist
                     ),
                 }
             }
@@ -263,13 +261,12 @@ proptest! {
 
     #[test]
     fn early_exit_settles_no_more_than_full((g, costs) in random_sparse_graph()) {
-        use sopt_network::csr::SpMode;
         let csr = Csr::new(&g);
         let t = NodeId((g.num_nodes() - 1) as u32);
         let mut ws = SpWorkspace::new();
         ws.dijkstra(&csr, &costs, NodeId(0));
         let full_settled = ws.settled_nodes();
-        ws.shortest_to(&csr, None, &costs, NodeId(0), t, SpMode::EarlyExit);
+        ws.shortest_to(&csr, None, &costs, NodeId(0), t);
         prop_assert!(ws.settled_nodes() <= full_settled);
     }
 }

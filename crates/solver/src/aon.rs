@@ -7,11 +7,9 @@
 //! instead of one query per OD pair, and optionally fans the origin groups
 //! out across scoped threads ([`AonMode`]).
 
-use sopt_network::csr::{Csr, RevCsr, SpMode, SpPool, SpWorkspace};
+use sopt_network::csr::{Csr, RevCsr, SpPool, SpWorkspace};
 use sopt_network::flow::EdgeFlow;
 use sopt_network::graph::NodeId;
-use sopt_network::spath::{dijkstra, ShortestPaths};
-use sopt_network::DiGraph;
 
 use crate::error::SolverError;
 
@@ -180,14 +178,13 @@ pub(crate) fn timed_shortest_to(
     csr: &Csr,
     rcsr: Option<&RevCsr>,
     sp: &mut SpWorkspace,
-    mode: SpMode,
     edge_costs: &[f64],
     s: NodeId,
     t: NodeId,
 ) -> Option<f64> {
     let rec = sopt_obs::global();
     let started = rec.is_enabled().then(std::time::Instant::now);
-    let dist = sp.shortest_to(csr, rcsr, edge_costs, s, t, mode);
+    let dist = sp.shortest_to(csr, rcsr, edge_costs, s, t);
     if let Some(at) = started {
         rec.record_duration(sopt_obs::Phase::SpQuery, at.elapsed().as_micros() as u64);
         rec.add(sopt_obs::Counter::SpSettledNodes, sp.settled_nodes() as u64);
@@ -195,84 +192,25 @@ pub(crate) fn timed_shortest_to(
     dist
 }
 
-/// Route the whole `rate` along one shortest `s→t` path under `edge_costs`.
-///
-/// Returns the assignment and the shortest-path tree (reused by callers for
-/// gap computation), or [`SolverError::UnreachableSink`] when `t` is cut
-/// off from `s`.
-pub fn try_all_or_nothing(
-    g: &DiGraph,
-    edge_costs: &[f64],
-    s: NodeId,
-    t: NodeId,
-    rate: f64,
-) -> Result<(EdgeFlow, ShortestPaths), SolverError> {
-    let sp = dijkstra(g, edge_costs, s);
-    let path = sp.path_to(g, t).ok_or(SolverError::UnreachableSink {
-        commodity: 0,
-        source: s,
-        sink: t,
-    })?;
-    let mut flow = EdgeFlow::zeros(g.num_edges());
-    flow.add_path(&path, rate);
-    Ok((flow, sp))
-}
-
-/// Panicking shim over [`try_all_or_nothing`] for internal callers that
-/// pre-validate reachability.
-pub fn all_or_nothing(
-    g: &DiGraph,
-    edge_costs: &[f64],
-    s: NodeId,
-    t: NodeId,
-    rate: f64,
-) -> (EdgeFlow, ShortestPaths) {
-    try_all_or_nothing(g, edge_costs, s, t, rate).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Allocation-free all-or-nothing over a prebuilt [`Csr`] view: runs
-/// Dijkstra in `sp` and **adds** `rate` along one shortest `s→t` path into
-/// `out` (callers zero `out` when they want a pure assignment). The hot
-/// path of every Frank–Wolfe iteration.
-pub fn aon_into(
-    csr: &Csr,
-    sp: &mut SpWorkspace,
-    edge_costs: &[f64],
-    s: NodeId,
-    t: NodeId,
-    rate: f64,
-    out: &mut [f64],
-) -> Result<(), SolverError> {
-    sp.dijkstra(csr, edge_costs, s);
-    let reached = sp.walk_path_to(csr, t, |e| out[e.idx()] += rate);
-    if reached {
-        Ok(())
-    } else {
-        Err(SolverError::UnreachableSink {
-            commodity: 0,
-            source: s,
-            sink: t,
-        })
-    }
-}
-
-/// Target-aware [`aon_into`]: the shortest-path query runs in `mode`
-/// (early-exit or bidirectional under [`SpMode::Auto`]), settling only the
-/// nodes the single `s→t` answer needs instead of the whole graph.
-/// [`SpMode::Full`] reproduces `aon_into` exactly (full sweep + walk).
+/// Allocation-free all-or-nothing over prebuilt CSR views: one targeted
+/// shortest-path query (bidirectional when `rcsr` is supplied on a graph of
+/// 64 nodes or more, early-exit otherwise — see
+/// [`SpWorkspace::shortest_to`]) that **adds** `rate` along one shortest
+/// `s→t` path into `out` (callers zero `out` when they want a pure
+/// assignment). The hot path of every single-commodity Frank–Wolfe
+/// iteration.
 #[allow(clippy::too_many_arguments)]
 pub fn aon_st_into(
     csr: &Csr,
     rcsr: Option<&RevCsr>,
     sp: &mut SpWorkspace,
-    mode: SpMode,
     edge_costs: &[f64],
     s: NodeId,
     t: NodeId,
     rate: f64,
     out: &mut [f64],
 ) -> Result<(), SolverError> {
-    if timed_shortest_to(csr, rcsr, sp, mode, edge_costs, s, t).is_none() {
+    if timed_shortest_to(csr, rcsr, sp, edge_costs, s, t).is_none() {
         return Err(SolverError::UnreachableSink {
             commodity: 0,
             source: s,
@@ -362,7 +300,6 @@ pub fn aon_assign_targets(
     sp: &mut SpWorkspace,
     pool: &mut SpPool,
     groups: &CommodityGroups,
-    sp_mode: SpMode,
     aon_mode: AonMode,
     edge_costs: &[f64],
     demands: &[(NodeId, NodeId, f64)],
@@ -385,9 +322,7 @@ pub fn aon_assign_targets(
         AonMode::Auto | AonMode::Sequential => {
             let mut out = Ok(());
             for (ci, &(s, t, r)) in demands.iter().enumerate() {
-                if let Err(e) =
-                    aon_st_into(csr, rcsr, sp, sp_mode, edge_costs, s, t, r, &mut ys[ci].0)
-                {
+                if let Err(e) = aon_st_into(csr, rcsr, sp, edge_costs, s, t, r, &mut ys[ci].0) {
                     out = Err(e.with_commodity(ci));
                     break;
                 }
@@ -512,7 +447,7 @@ fn parallel_groups(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sopt_network::graph::EdgeId;
+    use sopt_network::DiGraph;
 
     /// Layered graph with two origins, a middle layer, and three sinks;
     /// square-root edge costs keep every path sum distinct, so shortest
@@ -562,7 +497,6 @@ mod tests {
             &mut sp,
             &mut pool,
             &groups,
-            SpMode::Auto,
             mode,
             costs,
             demands,
@@ -643,15 +577,32 @@ mod tests {
         }
     }
 
+    /// One `aon_st_into` call into a zero flow, with or without the
+    /// reverse view.
+    fn st(
+        g: &DiGraph,
+        costs: &[f64],
+        s: NodeId,
+        t: NodeId,
+        rate: f64,
+        reverse: bool,
+    ) -> Result<Vec<f64>, SolverError> {
+        let csr = Csr::new(g);
+        let rcsr = RevCsr::new(g);
+        let mut out = vec![0.0; g.num_edges()];
+        let rcsr = reverse.then_some(&rcsr);
+        let mut sp = SpWorkspace::new();
+        aon_st_into(&csr, rcsr, &mut sp, costs, s, t, rate, &mut out)?;
+        Ok(out)
+    }
+
     #[test]
     fn routes_everything_on_cheapest() {
         let mut g = DiGraph::with_nodes(2);
-        let e0 = g.add_edge(NodeId(0), NodeId(1));
-        let e1 = g.add_edge(NodeId(0), NodeId(1));
-        let (f, sp) = all_or_nothing(&g, &[2.0, 1.0], NodeId(0), NodeId(1), 3.0);
-        assert_eq!(f.get(e0), 0.0);
-        assert_eq!(f.get(e1), 3.0);
-        assert_eq!(sp.dist[1], 1.0);
+        g.add_edge(NodeId(0), NodeId(1));
+        g.add_edge(NodeId(0), NodeId(1));
+        let f = st(&g, &[2.0, 1.0], NodeId(0), NodeId(1), 3.0, false).unwrap();
+        assert_eq!(f, [0.0, 3.0]);
     }
 
     #[test]
@@ -660,35 +611,28 @@ mod tests {
         g.add_edge(NodeId(0), NodeId(1));
         g.add_edge(NodeId(1), NodeId(2));
         g.add_edge(NodeId(0), NodeId(2));
-        let (f, _) = all_or_nothing(&g, &[1.0, 1.0, 5.0], NodeId(0), NodeId(2), 1.0);
-        assert_eq!(f.get(EdgeId(0)), 1.0);
-        assert_eq!(f.get(EdgeId(1)), 1.0);
-        assert_eq!(f.get(EdgeId(2)), 0.0);
+        let f = st(&g, &[1.0, 1.0, 5.0], NodeId(0), NodeId(2), 1.0, false).unwrap();
+        assert_eq!(f, [1.0, 1.0, 0.0]);
     }
 
     #[test]
     fn unreachable_sink_is_typed() {
         let g = DiGraph::with_nodes(2);
-        let err = try_all_or_nothing(&g, &[], NodeId(0), NodeId(1), 1.0).unwrap_err();
-        assert_eq!(
-            err,
-            SolverError::UnreachableSink {
-                commodity: 0,
-                source: NodeId(0),
-                sink: NodeId(1),
-            }
-        );
+        for reverse in [false, true] {
+            let err = st(&g, &[], NodeId(0), NodeId(1), 1.0, reverse).unwrap_err();
+            assert_eq!(
+                err,
+                SolverError::UnreachableSink {
+                    commodity: 0,
+                    source: NodeId(0),
+                    sink: NodeId(1),
+                }
+            );
+        }
     }
 
     #[test]
-    #[should_panic(expected = "unreachable")]
-    fn unreachable_sink_panics_in_shim() {
-        let g = DiGraph::with_nodes(2);
-        let _ = all_or_nothing(&g, &[], NodeId(0), NodeId(1), 1.0);
-    }
-
-    #[test]
-    fn aon_into_adds_along_shortest() {
+    fn aon_st_into_adds_along_shortest() {
         let mut g = DiGraph::with_nodes(3);
         g.add_edge(NodeId(0), NodeId(1));
         g.add_edge(NodeId(1), NodeId(2));
@@ -696,88 +640,55 @@ mod tests {
         let csr = Csr::new(&g);
         let mut sp = SpWorkspace::new();
         let mut out = vec![0.0; 3];
-        aon_into(
-            &csr,
-            &mut sp,
-            &[1.0, 1.0, 5.0],
-            NodeId(0),
-            NodeId(2),
-            2.0,
-            &mut out,
-        )
-        .unwrap();
+        let (s, t) = (NodeId(0), NodeId(2));
+        let costs = [1.0, 1.0, 5.0];
+        aon_st_into(&csr, None, &mut sp, &costs, s, t, 2.0, &mut out).unwrap();
         assert_eq!(out, vec![2.0, 2.0, 0.0]);
         // Additive: a second call accumulates.
-        aon_into(
-            &csr,
-            &mut sp,
-            &[1.0, 1.0, 0.5],
-            NodeId(0),
-            NodeId(2),
-            1.0,
-            &mut out,
-        )
-        .unwrap();
+        let costs = [1.0, 1.0, 0.5];
+        aon_st_into(&csr, None, &mut sp, &costs, s, t, 1.0, &mut out).unwrap();
         assert_eq!(out, vec![2.0, 2.0, 1.0]);
     }
 
     #[test]
     fn aon_st_into_matches_full_across_modes() {
-        let mut g = DiGraph::with_nodes(4);
-        g.add_edge(NodeId(0), NodeId(1));
-        g.add_edge(NodeId(1), NodeId(3));
-        g.add_edge(NodeId(0), NodeId(2));
-        g.add_edge(NodeId(2), NodeId(3));
-        let csr = Csr::new(&g);
-        let rcsr = RevCsr::new(&g);
-        let costs = [1.0, 1.0, 0.5, 0.4];
-        let mut sp = SpWorkspace::new();
-        let mut want = vec![0.0; 4];
-        aon_into(&csr, &mut sp, &costs, NodeId(0), NodeId(3), 2.0, &mut want).unwrap();
-        for mode in [
-            SpMode::Auto,
-            SpMode::Full,
-            SpMode::EarlyExit,
-            SpMode::Bidirectional,
-        ] {
-            for rc in [None, Some(&rcsr)] {
-                let mut out = vec![0.0; 4];
-                aon_st_into(
-                    &csr,
-                    rc,
-                    &mut sp,
-                    mode,
-                    &costs,
-                    NodeId(0),
-                    NodeId(3),
-                    2.0,
-                    &mut out,
-                )
-                .unwrap();
-                assert_eq!(out, want, "{mode:?} rcsr={}", rc.is_some());
-            }
+        // A two-row ladder of 80 nodes: with the reverse view the query runs
+        // bidirectionally (≥ 64 nodes), without it forward early-exit. Both
+        // must route along the path the full Dijkstra tree gives; distinct
+        // square-root costs make that path unique.
+        const L: u32 = 40;
+        let mut g = DiGraph::with_nodes(2 * L as usize);
+        for i in 0..L - 1 {
+            g.add_edge(NodeId(i), NodeId(i + 1));
+            g.add_edge(NodeId(L + i), NodeId(L + i + 1));
         }
-        // Unreachable sink stays a typed error in targeted modes.
-        let mut out = vec![0.0; 4];
-        let err = aon_st_into(
-            &csr,
-            Some(&rcsr),
-            &mut sp,
-            SpMode::Auto,
-            &costs,
-            NodeId(3),
-            NodeId(0),
-            1.0,
-            &mut out,
-        )
-        .unwrap_err();
-        assert_eq!(
-            err,
-            SolverError::UnreachableSink {
-                commodity: 0,
-                source: NodeId(3),
-                sink: NodeId(0),
-            }
-        );
+        for i in 0..L {
+            g.add_edge(NodeId(i), NodeId(L + i));
+            g.add_edge(NodeId(L + i), NodeId(i));
+        }
+        let costs: Vec<f64> = (0..g.num_edges())
+            .map(|i| 0.5 + ((i + 2) as f64).sqrt())
+            .collect();
+        let (s, t) = (NodeId(0), NodeId(2 * L - 1));
+        let csr = Csr::new(&g);
+        let mut full = SpWorkspace::new();
+        full.dijkstra(&csr, &costs, s);
+        let mut want = vec![0.0; g.num_edges()];
+        assert!(full.walk_path_to(&csr, t, |e| want[e.idx()] += 2.0));
+        for reverse in [false, true] {
+            let got = st(&g, &costs, s, t, 2.0, reverse).unwrap();
+            assert_eq!(got, want, "reverse view: {reverse}");
+            // Unreachable sink stays a typed error: the rows run only
+            // rightwards, so the far corner cannot reach node 0.
+            let err = st(&g, &costs, t, s, 1.0, reverse).unwrap_err();
+            assert_eq!(
+                err,
+                SolverError::UnreachableSink {
+                    commodity: 0,
+                    source: t,
+                    sink: s,
+                }
+            );
+        }
     }
 }

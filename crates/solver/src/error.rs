@@ -4,9 +4,10 @@
 //! assignment; on a graph where a commodity's sink is cut off from its
 //! source there is no feasible flow at all, and the solvers report that as
 //! [`SolverError::UnreachableSink`] through the `try_` entry points
-//! ([`crate::frank_wolfe::try_solve_assignment`] and friends,
-//! [`crate::aon::try_all_or_nothing`]). The panicking wrappers remain as
-//! shims for internal callers that pre-validate reachability.
+//! ([`crate::frank_wolfe::try_solve_assignment`] and friends) and the
+//! all-or-nothing subroutines ([`crate::aon::aon_st_into`],
+//! [`crate::aon::aon_assign_targets`]). The panicking solve wrappers remain
+//! as shims for internal callers that pre-validate reachability.
 
 use sopt_network::graph::NodeId;
 

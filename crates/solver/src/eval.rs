@@ -1,42 +1,32 @@
-//! Batch-aware latency evaluation for the solver hot loops.
+//! Batched latency evaluation for the solver hot loops.
 //!
 //! Every O(m) sweep of the Frank–Wolfe family — gradient costs, curvature
-//! weights, line-search directional derivatives, the final objective — can
-//! run either through per-edge [`LatencyFn`] dispatch or through the
-//! kind-homogeneous struct-of-arrays lanes of a prebuilt
-//! [`LatencyBatch`]. [`Eval`] is the one switch point: solvers build it
-//! once per solve (the batch lives in the workspace, so construction
-//! amortises across iterations and warm polishes) and call the same
-//! methods either way. The scalar path is bit-for-bit the pre-batch
-//! arithmetic, which keeps it available as an A/B baseline for the scale
-//! bench and the parity guards.
+//! weights, the final objective — runs through the kind-homogeneous
+//! struct-of-arrays lanes of a prebuilt [`LatencyBatch`]. [`Eval`] pairs
+//! those lanes with the cost model's choice of lane kernel; solvers build
+//! it once per solve (the batch lives in the workspace, so construction
+//! amortises across iterations and warm polishes). The line search probes
+//! its derivative through a gathered `DirPlan` instead (see
+//! [`crate::line_search`]).
 
-use sopt_latency::{Latency, LatencyBatch, LatencyFn};
+use sopt_latency::{LatencyBatch, LatencyFn};
 
 use crate::objective::CostModel;
 
-/// A view over an edge-latency vector that evaluates the solver's O(m)
-/// sweeps through batched lanes when a [`LatencyBatch`] is supplied and
-/// through scalar dispatch otherwise.
+/// A view over an edge-latency vector and the [`LatencyBatch`] built over
+/// it, evaluating the solver's O(m) sweeps through the batched lanes.
 #[derive(Clone, Copy, Debug)]
 pub struct Eval<'a> {
     lats: &'a [LatencyFn],
-    batch: Option<&'a LatencyBatch>,
+    batch: &'a LatencyBatch,
 }
 
 impl<'a> Eval<'a> {
-    /// Wrap `lats`, routing through `batch` when it is `Some`. The batch
-    /// must have been built (or rebuilt) over exactly `lats`.
-    pub fn new(lats: &'a [LatencyFn], batch: Option<&'a LatencyBatch>) -> Self {
-        if let Some(b) = batch {
-            assert_eq!(b.len(), lats.len(), "batch/latency length mismatch");
-        }
+    /// Wrap `lats` and `batch`, which must have been built (or rebuilt)
+    /// over exactly `lats`.
+    pub fn new(lats: &'a [LatencyFn], batch: &'a LatencyBatch) -> Self {
+        assert_eq!(batch.len(), lats.len(), "batch/latency length mismatch");
         Self { lats, batch }
-    }
-
-    /// Scalar-only view (no batch acceleration).
-    pub fn scalar(lats: &'a [LatencyFn]) -> Self {
-        Self { lats, batch: None }
     }
 
     /// The underlying latency slice.
@@ -44,79 +34,38 @@ impl<'a> Eval<'a> {
         self.lats
     }
 
-    /// The batch, when this view is batched.
-    pub fn batch(&self) -> Option<&'a LatencyBatch> {
+    /// The batched lanes.
+    pub fn batch(&self) -> &'a LatencyBatch {
         self.batch
     }
 
     /// Capacity `sup { x : ℓ_e(x) < ∞ }` of edge `e`.
     #[inline]
     pub fn capacity(&self, e: usize) -> f64 {
-        match self.batch {
-            Some(b) => b.capacities()[e],
-            None => self.lats[e].capacity(),
-        }
+        self.batch.capacities()[e]
     }
 
     /// `out[e] = F'_e(f[e])` — the gradient costs Dijkstra prices with.
     pub fn gradient_into(&self, model: CostModel, f: &[f64], out: &mut [f64]) {
-        match (self.batch, model) {
-            (Some(b), CostModel::Wardrop) => b.value_into(f, out),
-            (Some(b), CostModel::SystemOptimum) => b.marginal_into(f, out),
-            (None, _) => {
-                for (o, (l, &x)) in out.iter_mut().zip(self.lats.iter().zip(f)) {
-                    *o = model.edge_gradient(l, x);
-                }
-            }
+        match model {
+            CostModel::Wardrop => self.batch.value_into(f, out),
+            CostModel::SystemOptimum => self.batch.marginal_into(f, out),
         }
     }
 
     /// `out[e] = F''_e(f[e])` — the curvature weights of conjugate FW.
     pub fn curvature_into(&self, model: CostModel, f: &[f64], out: &mut [f64]) {
-        match (self.batch, model) {
-            (Some(b), CostModel::Wardrop) => b.derivative_into(f, out),
-            (Some(b), CostModel::SystemOptimum) => b.marginal_derivative_into(f, out),
-            (None, _) => {
-                for (o, (l, &x)) in out.iter_mut().zip(self.lats.iter().zip(f)) {
-                    *o = model.edge_curvature(l, x);
-                }
-            }
+        match model {
+            CostModel::Wardrop => self.batch.derivative_into(f, out),
+            CostModel::SystemOptimum => self.batch.marginal_derivative_into(f, out),
         }
     }
 
     /// `Σ_e F_e(f[e])` — the objective value at `f`.
     pub fn objective_sum(&self, model: CostModel, f: &[f64]) -> f64 {
-        match (self.batch, model) {
-            (Some(b), CostModel::Wardrop) => b.beckmann_sum(f),
-            (Some(b), CostModel::SystemOptimum) => b.total_cost_sum(f),
-            (None, _) => self
-                .lats
-                .iter()
-                .zip(f)
-                .map(|(l, &x)| model.edge_objective(l, x))
-                .sum(),
-        }
-    }
-
-    /// `φ'(γ) = Σ_{d_e ≠ 0} d_e · F'_e(max(f_e + γ·d_e, 0))` — the
-    /// line-search derivative along `d`.
-    pub fn dir_deriv(&self, model: CostModel, f: &[f64], d: &[f64], gamma: f64) -> f64 {
-        match (self.batch, model) {
-            (Some(b), CostModel::Wardrop) => b.dir_value(f, d, gamma),
-            (Some(b), CostModel::SystemOptimum) => b.dir_marginal(f, d, gamma),
-            (None, _) => self
-                .lats
-                .iter()
-                .zip(f)
-                .zip(d)
-                .map(|((l, &fe), &de)| {
-                    if de == 0.0 {
-                        0.0
-                    } else {
-                        de * model.edge_gradient(l, (fe + gamma * de).max(0.0))
-                    }
-                })
-                .sum(),
+        match model {
+            CostModel::Wardrop => self.batch.beckmann_sum(f),
+            CostModel::SystemOptimum => self.batch.total_cost_sum(f),
         }
     }
 }
@@ -124,9 +73,12 @@ impl<'a> Eval<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sopt_latency::Latency;
 
     #[test]
     fn batched_and_scalar_views_agree() {
+        // The scalar reference is per-edge `LatencyFn` dispatch through the
+        // cost model's edge functions.
         let lats = vec![
             LatencyFn::bpr(1.0, 0.15, 10.0, 4),
             LatencyFn::mm1(6.0),
@@ -134,36 +86,29 @@ mod tests {
             LatencyFn::constant(2.0),
         ];
         let batch = LatencyBatch::new(&lats);
-        let batched = Eval::new(&lats, Some(&batch));
-        let scalar = Eval::scalar(&lats);
+        let batched = Eval::new(&lats, &batch);
         let f = [2.0, 1.5, 0.7, 3.0];
-        let d = [-1.0, 0.5, 0.0, 0.25];
-        let mut ob = [0.0; 4];
-        let mut os = [0.0; 4];
+        let mut out = [0.0; 4];
         for model in [CostModel::Wardrop, CostModel::SystemOptimum] {
-            batched.gradient_into(model, &f, &mut ob);
-            scalar.gradient_into(model, &f, &mut os);
+            batched.gradient_into(model, &f, &mut out);
             for e in 0..4 {
-                assert!((ob[e] - os[e]).abs() < 1e-12, "gradient edge {e}");
+                let want = model.edge_gradient(&lats[e], f[e]);
+                assert!((out[e] - want).abs() < 1e-12, "gradient edge {e}");
             }
-            batched.curvature_into(model, &f, &mut ob);
-            scalar.curvature_into(model, &f, &mut os);
+            batched.curvature_into(model, &f, &mut out);
             for e in 0..4 {
-                assert!((ob[e] - os[e]).abs() < 1e-12, "curvature edge {e}");
+                let want = model.edge_curvature(&lats[e], f[e]);
+                assert!((out[e] - want).abs() < 1e-12, "curvature edge {e}");
             }
-            let (a, b) = (
-                batched.objective_sum(model, &f),
-                scalar.objective_sum(model, &f),
+            let want: f64 = (0..4).map(|e| model.edge_objective(&lats[e], f[e])).sum();
+            let got = batched.objective_sum(model, &f);
+            assert!(
+                (got - want).abs() < 1e-12 * want.abs().max(1.0),
+                "objective"
             );
-            assert!((a - b).abs() < 1e-12 * b.abs().max(1.0), "objective");
-            let (a, b) = (
-                batched.dir_deriv(model, &f, &d, 0.3),
-                scalar.dir_deriv(model, &f, &d, 0.3),
-            );
-            assert!((a - b).abs() < 1e-12 * b.abs().max(1.0), "dir_deriv");
         }
-        for e in 0..4 {
-            assert_eq!(batched.capacity(e), scalar.capacity(e));
+        for (e, l) in lats.iter().enumerate() {
+            assert_eq!(batched.capacity(e), l.capacity());
         }
     }
 }

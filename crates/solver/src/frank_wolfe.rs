@@ -39,7 +39,7 @@
 use std::cell::RefCell;
 
 use sopt_latency::{DirPlan, Latency, LatencyBatch, LatencyFn};
-use sopt_network::csr::{Csr, RevCsr, SpMode, SpPool, SpWorkspace};
+use sopt_network::csr::{Csr, RevCsr, SpPool, SpWorkspace};
 use sopt_network::flow::EdgeFlow;
 use sopt_network::graph::NodeId;
 use sopt_network::instance::{MultiCommodityInstance, NetworkInstance};
@@ -48,7 +48,7 @@ use sopt_network::DiGraph;
 use crate::aon::{aon_assign_targets, aon_st_into, AonMode, CommodityGroups};
 use crate::error::SolverError;
 use crate::eval::Eval;
-use crate::line_search::{exact_step_eval, max_step_eval};
+use crate::line_search::{exact_step, max_step};
 use crate::objective::CostModel;
 
 /// Tuning knobs for the Frank–Wolfe solvers.
@@ -73,17 +73,6 @@ pub struct FwOptions {
     /// `None` (the default) applies [`DEFAULT_STALL_WINDOW`] — see
     /// [`FwOptions::effective_stall_window`].
     pub stall_window: Option<usize>,
-    /// Evaluate the O(m) latency sweeps (gradient costs, curvature, line
-    /// search, objective) through the struct-of-arrays
-    /// [`LatencyBatch`] lanes (recommended; `false` = per-edge scalar
-    /// dispatch, the historical path kept as an A/B baseline for
-    /// `scale_bench`).
-    pub batch: bool,
-    /// Shortest-path strategy for the all-or-nothing subproblems and the
-    /// polish columns. [`SpMode::Auto`] picks bidirectional search on
-    /// graphs large enough to pay for it and early-exit Dijkstra
-    /// otherwise; [`SpMode::Full`] is the historical full-sweep path.
-    pub sp_mode: SpMode,
     /// Strategy for the per-iteration multi-commodity all-or-nothing step.
     /// [`AonMode::Auto`] groups commodities by origin (one one-to-many
     /// Dijkstra per distinct source) and fans the groups out across
@@ -102,8 +91,6 @@ impl Default for FwOptions {
             conjugate: true,
             restart_period: 256,
             stall_window: None,
-            batch: true,
-            sp_mode: SpMode::Auto,
             aon: AonMode::Auto,
         }
     }
@@ -155,16 +142,14 @@ pub struct FwResult {
 #[derive(Clone, Debug, Default)]
 pub struct FwWorkspace {
     csr: Csr,
-    /// Reverse adjacency for bidirectional queries (valid iff `use_rcsr`).
+    /// Reverse adjacency for bidirectional queries.
     rcsr: RevCsr,
-    use_rcsr: bool,
     sp: SpWorkspace,
     /// Origin-grouping plan for the AON step (rebuilt on demand change).
     groups: CommodityGroups,
     /// Workspaces for the parallel AON workers, recycled across iterations.
     pool: SpPool,
-    /// Struct-of-arrays latency lanes (rebuilt per solve when
-    /// [`FwOptions::batch`] is on; empty otherwise).
+    /// Struct-of-arrays latency lanes (rebuilt per solve).
     batch: LatencyBatch,
     /// Gathered line-search direction, reused across iterations.
     dir_plan: DirPlan,
@@ -214,20 +199,12 @@ impl FwWorkspace {
         graph: &DiGraph,
         latencies: &[LatencyFn],
         demands: &[(NodeId, NodeId, f64)],
-        opts: &FwOptions,
     ) {
         let k = demands.len();
         self.csr.rebuild(graph);
+        self.rcsr.rebuild(graph);
         self.groups.rebuild(demands);
-        // The reverse view only pays off when a bidirectional query can
-        // run; skip the O(m) build otherwise.
-        self.use_rcsr = matches!(opts.sp_mode, SpMode::Auto | SpMode::Bidirectional);
-        if self.use_rcsr {
-            self.rcsr.rebuild(graph);
-        }
-        if opts.batch {
-            self.batch.rebuild(latencies);
-        }
+        self.batch.rebuild(latencies);
         let m = graph.num_edges();
         for buf in [
             &mut self.costs,
@@ -492,9 +469,9 @@ fn solve_inner(
         });
     }
 
-    ws.prepare(graph, latencies, demands, opts);
-    let rcsr = ws.use_rcsr.then_some(&ws.rcsr);
-    let eval = Eval::new(latencies, opts.batch.then_some(&ws.batch));
+    ws.prepare(graph, latencies, demands);
+    let rcsr = Some(&ws.rcsr);
+    let eval = Eval::new(latencies, &ws.batch);
 
     // Instrumentation is observed through the process-global recorder so
     // fleet callers need no extra plumbing; when it is disabled (the
@@ -543,7 +520,6 @@ fn solve_inner(
                             &ws.csr,
                             rcsr,
                             &mut ws.sp,
-                            opts.sp_mode,
                             &ws.costs,
                             s,
                             t,
@@ -590,7 +566,6 @@ fn solve_inner(
             &mut ws.sp,
             &mut ws.pool,
             &ws.groups,
-            opts.sp_mode,
             opts.aon,
             &ws.costs,
             demands,
@@ -636,15 +611,15 @@ fn solve_inner(
             *de = te - fe;
         }
 
-        let mut gamma_max = max_step_eval(&eval, &ws.f, &ws.d);
-        let mut gamma = exact_step_eval(&eval, model, &ws.f, &ws.d, gamma_max, &mut ws.dir_plan);
+        let mut gamma_max = max_step(&eval, &ws.f, &ws.d);
+        let mut gamma = exact_step(&eval, model, &ws.f, &ws.d, gamma_max, &mut ws.dir_plan);
         if gamma <= 0.0 && opts.conjugate {
             // Conjugate direction degenerated; fall back to plain FW.
             for ((de, &ye), &fe) in ws.d.iter_mut().zip(&ws.y).zip(&ws.f) {
                 *de = ye - fe;
             }
-            gamma_max = max_step_eval(&eval, &ws.f, &ws.d);
-            gamma = exact_step_eval(&eval, model, &ws.f, &ws.d, gamma_max, &mut ws.dir_plan);
+            gamma_max = max_step(&eval, &ws.f, &ws.d);
+            gamma = exact_step(&eval, model, &ws.f, &ws.d, gamma_max, &mut ws.dir_plan);
             ws.s_bar_set = false;
         } else {
             std::mem::swap(&mut ws.s_bar, &mut ws.target);
@@ -696,7 +671,6 @@ fn solve_inner(
             &ws.csr,
             rcsr,
             &mut ws.sp,
-            opts.sp_mode,
             graph,
             &eval,
             demands,

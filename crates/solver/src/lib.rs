@@ -13,9 +13,11 @@
 //! * **Frank–Wolfe family** ([`frank_wolfe`]) — convex-combinations method
 //!   for general (multi)networks, minimising either the Beckmann potential
 //!   `Σ ∫₀^{f_e} ℓ_e` (Wardrop/Nash) or the total cost `Σ f_e ℓ_e(f_e)`
-//!   (system optimum), with all-or-nothing subproblems via Dijkstra, an
-//!   exact Illinois line search, the conjugate direction acceleration of
-//!   Mitradjieva–Lindberg (ablation: `benches/frank_wolfe.rs`), and a
+//!   (system optimum), with all-or-nothing subproblems via targeted
+//!   (early-exit or bidirectional) Dijkstra ([`aon`]), every O(m) latency
+//!   sweep through struct-of-arrays lanes ([`eval`]), an exact Illinois
+//!   line search ([`line_search`]), the conjugate direction acceleration
+//!   of Mitradjieva–Lindberg (ablation: `benches/frank_wolfe.rs`), and a
 //!   path-based polish ([`path_polish`]) for the tail once FW plateaus.
 //! * **Path-based projected gradient** ([`pgd`]) — an independent
 //!   lower-precision solver over enumerated paths, used to cross-validate
@@ -41,11 +43,9 @@ pub use aon::{AonMode, CommodityGroups};
 pub use equalize::{equalize, EqualizeError, EqualizeResult};
 pub use error::SolverError;
 pub use eval::Eval;
-// Re-exported so FwOptions::sp_mode can be set without a sopt-network dep.
 pub use frank_wolfe::{
     solve_assignment, solve_multicommodity, solve_warm, solve_warm_multicommodity,
     try_solve_assignment, try_solve_multicommodity, try_solve_warm, try_solve_warm_multicommodity,
     FwOptions, FwResult, FwWorkspace,
 };
 pub use objective::CostModel;
-pub use sopt_network::csr::SpMode;

@@ -27,7 +27,7 @@
 use std::collections::HashMap;
 
 use sopt_latency::{Latency, LatencyFn};
-use sopt_network::csr::{Csr, RevCsr, SpMode, SpWorkspace};
+use sopt_network::csr::{Csr, RevCsr, SpWorkspace};
 use sopt_network::flow::{decompose, EdgeFlow};
 use sopt_network::graph::{EdgeId, NodeId};
 use sopt_network::DiGraph;
@@ -37,7 +37,7 @@ use crate::eval::Eval;
 use crate::objective::CostModel;
 use crate::roots::falsi_root;
 
-/// Outcome of [`polish_to_equilibrium`].
+/// Outcome of [`polish_with`].
 #[derive(Clone, Copy, Debug)]
 pub struct PolishResult {
     /// Final relative gap.
@@ -80,45 +80,17 @@ impl PathState {
 /// Polish per-commodity edge flows toward the exact equilibrium of `model`.
 /// `per` is updated in place; returns the achieved relative gap.
 ///
-/// Convenience wrapper over [`polish_with`] building a fresh CSR view and
-/// shortest-path workspace per call.
-pub fn polish_to_equilibrium(
-    graph: &DiGraph,
-    latencies: &[LatencyFn],
-    demands: &[(NodeId, NodeId, f64)],
-    model: CostModel,
-    per: &mut [EdgeFlow],
-    target_rel_gap: f64,
-    max_rounds: usize,
-) -> PolishResult {
-    polish_with(
-        &Csr::new(graph),
-        None,
-        &mut SpWorkspace::new(),
-        SpMode::Auto,
-        graph,
-        &Eval::scalar(latencies),
-        demands,
-        model,
-        per,
-        target_rel_gap,
-        max_rounds,
-    )
-}
-
-/// [`polish_to_equilibrium`] over a caller-owned CSR view and Dijkstra
-/// workspace (the Frank–Wolfe solver hands in its own, so the polish
-/// phase shares the solve's buffers). Column generation runs its
-/// single-sink queries in `sp_mode` (bidirectional when `rcsr` is
-/// supplied and the graph is large enough under [`SpMode::Auto`]), and
-/// the O(m) cost sweeps route through `eval`'s batch lanes when it is
-/// batched.
+/// Runs over a caller-owned CSR view and shortest-path workspace (the
+/// Frank–Wolfe solver hands in its own, so the polish phase shares the
+/// solve's buffers). Column generation runs one targeted single-sink query
+/// per commodity (bidirectional when `rcsr` is supplied on a graph of 64
+/// nodes or more), and the O(m) gradient sweeps route through `eval`'s
+/// batch lanes.
 #[allow(clippy::too_many_arguments)]
 pub fn polish_with(
     csr: &Csr,
     rcsr: Option<&RevCsr>,
     sp: &mut SpWorkspace,
-    sp_mode: SpMode,
     graph: &DiGraph,
     eval: &Eval,
     demands: &[(NodeId, NodeId, f64)],
@@ -185,7 +157,7 @@ pub fn polish_with(
             if st.rate <= 0.0 {
                 continue;
             }
-            match timed_shortest_to(csr, rcsr, sp, sp_mode, &edges.g, st.source, st.sink) {
+            match timed_shortest_to(csr, rcsr, sp, &edges.g, st.source, st.sink) {
                 Some(dist) => {
                     cy += st.rate * dist;
                     if let Some(path) = sp.st_path_edges(csr, rcsr) {
@@ -363,8 +335,8 @@ impl<'a> EdgeState<'a> {
         let delta = if dphi(delta_max) <= 0.0 {
             delta_max
         } else {
-            // To f64 resolution: Illinois lands on bisection's root in a
-            // fraction of the derivative evaluations.
+            // To f64 resolution (tol 0): a looser tolerance changes which
+            // transfers the equilibration makes.
             falsi_root(0.0, delta_max, 0.0, dphi)
         };
         if delta <= 0.0 {
@@ -387,7 +359,32 @@ impl<'a> EdgeState<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sopt_latency::LatencyFn;
+    use sopt_latency::{LatencyBatch, LatencyFn};
+
+    /// [`polish_with`] over fresh views of `g` and batch lanes over `lats`.
+    fn polish(
+        g: &DiGraph,
+        lats: &[LatencyFn],
+        demands: &[(NodeId, NodeId, f64)],
+        model: CostModel,
+        per: &mut [EdgeFlow],
+        target_rel_gap: f64,
+        max_rounds: usize,
+    ) -> PolishResult {
+        let batch = LatencyBatch::new(lats);
+        polish_with(
+            &Csr::new(g),
+            Some(&RevCsr::new(g)),
+            &mut SpWorkspace::new(),
+            g,
+            &Eval::new(lats, &batch),
+            demands,
+            model,
+            per,
+            target_rel_gap,
+            max_rounds,
+        )
+    }
 
     fn braess() -> (DiGraph, Vec<LatencyFn>) {
         let mut g = DiGraph::with_nodes(4);
@@ -412,7 +409,7 @@ mod tests {
         // Start far from equilibrium: everything on the outer path s→v→t.
         let mut per = vec![EdgeFlow(vec![1.0, 0.0, 0.0, 1.0, 0.0])];
         let demands = [(NodeId(0), NodeId(3), 1.0)];
-        let r = polish_to_equilibrium(
+        let r = polish(
             &g,
             &lats,
             &demands,
@@ -432,7 +429,7 @@ mod tests {
         let (g, lats) = braess();
         let mut per = vec![EdgeFlow(vec![1.0, 0.0, 1.0, 0.0, 1.0])];
         let demands = [(NodeId(0), NodeId(3), 1.0)];
-        let r = polish_to_equilibrium(
+        let r = polish(
             &g,
             &lats,
             &demands,
@@ -544,7 +541,7 @@ mod tests {
         let (g, lats) = braess();
         let mut per = vec![EdgeFlow::zeros(5)];
         let demands = [(NodeId(0), NodeId(3), 0.0)];
-        let r = polish_to_equilibrium(&g, &lats, &demands, CostModel::Wardrop, &mut per, 1e-10, 10);
+        let r = polish(&g, &lats, &demands, CostModel::Wardrop, &mut per, 1e-10, 10);
         assert!(r.converged);
         assert!(per[0].0.iter().all(|x| *x == 0.0));
     }

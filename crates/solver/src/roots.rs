@@ -1,4 +1,5 @@
-//! Scalar numeric kernels: monotone bisection and convex minimisation.
+//! Scalar numeric kernels: monotone bisection, root finding and convex
+//! minimisation.
 
 /// Iteration cap for all scalar searches (enough for f64 resolution).
 pub const MAX_ITER: usize = 200;
@@ -28,36 +29,11 @@ pub fn bisect_predicate(mut lo: f64, mut hi: f64, pred: impl Fn(f64) -> bool) ->
 }
 
 /// Root of a nondecreasing function `f` on `[lo, hi]` with `f(lo) ≤ 0 ≤
-/// f(hi)`; returns a point within `tol` of the sign change.
-pub fn bisect_root(mut lo: f64, mut hi: f64, tol: f64, f: impl Fn(f64) -> f64) -> f64 {
-    debug_assert!(lo <= hi);
-    if f(lo) > 0.0 {
-        return lo;
-    }
-    if f(hi) < 0.0 {
-        return hi;
-    }
-    for _ in 0..MAX_ITER {
-        let mid = 0.5 * (lo + hi);
-        if hi - lo <= tol || mid <= lo || mid >= hi {
-            break;
-        }
-        if f(mid) <= 0.0 {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    0.5 * (lo + hi)
-}
-
-/// Root of a nondecreasing function `f` on `[lo, hi]` with `f(lo) ≤ 0 ≤
 /// f(hi)`, by the Illinois variant of regula falsi: secant interpolation
 /// with the retained endpoint's value halved on stagnation, falling back
-/// to bisection when the interpolant leaves the bracket. Same bracket
-/// guarantee as [`bisect_root`] (the result is within `tol` of the sign
-/// change) in far fewer evaluations — superlinear on smooth `f` — which
-/// matters when each evaluation is an O(m) sweep.
+/// to bisection when the interpolant leaves the bracket. The result is
+/// within `tol` of the sign change; convergence is superlinear on smooth
+/// `f`, which matters when each evaluation is an O(m) sweep.
 pub fn falsi_root(mut lo: f64, mut hi: f64, tol: f64, f: impl Fn(f64) -> f64) -> f64 {
     debug_assert!(lo <= hi);
     let mut flo = f(lo);
@@ -164,47 +140,36 @@ mod tests {
 
     #[test]
     fn root_of_cubic() {
-        let r = bisect_root(0.0, 4.0, 1e-14, |x| x * x * x - 8.0);
+        let r = falsi_root(0.0, 4.0, 1e-14, |x| x * x * x - 8.0);
         assert!((r - 2.0).abs() < 1e-10);
     }
 
     #[test]
-    fn root_clamps_when_no_sign_change() {
-        assert_eq!(bisect_root(1.0, 2.0, 1e-12, |x| x), 1.0);
-        assert_eq!(bisect_root(-2.0, -1.0, 1e-12, |x| x), -1.0);
-    }
-
-    #[test]
-    fn falsi_matches_bisection() {
-        for f in [
-            (|x: f64| x * x * x - 8.0) as fn(f64) -> f64,
-            |x| x - std::f64::consts::PI,
-            |x| (x - 2.5).tanh(),
+    fn falsi_finds_known_roots() {
+        for (f, root) in [
+            (
+                (|x: f64| x - std::f64::consts::PI) as fn(f64) -> f64,
+                std::f64::consts::PI,
+            ),
+            (|x| (x - 2.5).tanh(), 2.5),
         ] {
-            let a = falsi_root(0.0, 4.0, 1e-14, f);
-            let b = bisect_root(0.0, 4.0, 1e-14, f);
-            assert!((a - b).abs() < 1e-10, "{a} vs {b}");
+            let r = falsi_root(0.0, 4.0, 1e-14, f);
+            assert!((r - root).abs() < 1e-10, "{r} vs {root}");
         }
     }
 
     #[test]
     fn falsi_counts_fewer_evaluations() {
+        // Bisection needs 54 evaluations for this bracket and tolerance;
+        // Illinois needs 33. The bar keeps two thirds of bisection's count.
         use std::cell::Cell;
-        let count = |root: fn(f64, f64, f64, &dyn Fn(f64) -> f64) -> f64| {
-            let n = Cell::new(0usize);
-            let f = |x: f64| {
-                n.set(n.get() + 1);
-                x * x * x - 8.0
-            };
-            root(0.0, 4.0, 1e-15, &f);
-            n.get()
+        let n = Cell::new(0usize);
+        let f = |x: f64| {
+            n.set(n.get() + 1);
+            x * x * x - 8.0
         };
-        let falsi = count(|lo, hi, tol, f| falsi_root(lo, hi, tol, f));
-        let bisect = count(|lo, hi, tol, f| bisect_root(lo, hi, tol, f));
-        assert!(
-            falsi * 3 < bisect * 2,
-            "falsi used {falsi} evaluations vs bisection's {bisect}"
-        );
+        falsi_root(0.0, 4.0, 1e-15, f);
+        assert!(n.get() <= 35, "falsi used {} evaluations", n.get());
     }
 
     #[test]

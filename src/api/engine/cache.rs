@@ -67,6 +67,8 @@ pub const DEFAULT_PROFILE_CAPACITY: usize = 16_384;
 
 /// Every [`FwOptions`] field, bit-exactly — the cached [`FwResult`] of a
 /// network profile depends on all of them, so all of them key the entry.
+/// [`FwKnobs::of`] destructures [`FwOptions`] exhaustively, so a field
+/// added there does not compile until it is keyed here.
 /// `pub(crate)` so the disk log ([`crate::api::serve::persist`]) can write
 /// and replay profile keys.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -87,13 +89,21 @@ pub(crate) struct FwKnobs {
 
 impl FwKnobs {
     fn of(fw: &FwOptions) -> Self {
+        let FwOptions {
+            rel_gap,
+            max_iters,
+            conjugate,
+            restart_period,
+            stall_window,
+            aon,
+        } = *fw;
         Self {
-            tolerance_bits: fw.rel_gap.to_bits(),
-            max_iters: fw.max_iters as u64,
-            conjugate: fw.conjugate,
-            restart_period: fw.restart_period as u64,
-            stall_window: fw.stall_window.map_or(u64::MAX, |w| w as u64),
-            aon: fw.aon.name(),
+            tolerance_bits: rel_gap.to_bits(),
+            max_iters: max_iters as u64,
+            conjugate,
+            restart_period: restart_period as u64,
+            stall_window: stall_window.map_or(u64::MAX, |w| w as u64),
+            aon: aon.name(),
         }
     }
 }

@@ -35,7 +35,7 @@ use sopt_equilibrium::network::{
 };
 use sopt_equilibrium::parallel::ParallelLinks;
 use sopt_latency::LatencyFn;
-use sopt_network::csr::{Csr, RevCsr, SpMode, SpWorkspace};
+use sopt_network::csr::{Csr, RevCsr, SpWorkspace};
 use sopt_network::flow::EdgeFlow;
 use sopt_network::instance::{MultiCommodityInstance, NetworkInstance};
 use sopt_solver::frank_wolfe::{FwOptions, FwResult};
@@ -586,28 +586,14 @@ impl ScenarioModel for NetworkInstance {
         let rcsr = RevCsr::new(&self.graph);
         let mut sp = SpWorkspace::new();
         let d_free = sp
-            .shortest_to(
-                &csr,
-                Some(&rcsr),
-                &costs,
-                self.source,
-                self.sink,
-                SpMode::Auto,
-            )
+            .shortest_to(&csr, Some(&rcsr), &costs, self.source, self.sink)
             .unwrap_or(f64::INFINITY);
         let mut blocked = costs;
         for &e in &priceable {
             blocked[e] = f64::INFINITY;
         }
         let d_block = sp
-            .shortest_to(
-                &csr,
-                Some(&rcsr),
-                &blocked,
-                self.source,
-                self.sink,
-                SpMode::Auto,
-            )
+            .shortest_to(&csr, Some(&rcsr), &blocked, self.source, self.sink)
             .unwrap_or(f64::INFINITY);
         if !d_block.is_finite() {
             return Err(SoptError::UnboundedRevenue {

@@ -121,30 +121,38 @@ fn perturbed_multicommodity_warm_start_is_equivalent_and_cheaper() {
 
 #[test]
 fn batched_evaluation_preserves_warm_and_cold_flows() {
-    // Regression guard for the struct-of-arrays fast path: the default
-    // options (batched lanes, target-aware shortest paths) and the
-    // historical scalar/full-Dijkstra configuration must agree on every
-    // edge flow, cold-started and warm-started alike.
+    // The solver runs its O(m) latency sweeps only through the
+    // struct-of-arrays lanes and its shortest paths only as targeted
+    // queries. Check its cold, warm and Nash answers against independent
+    // oracles: the equilibrium certificate (scalar `LatencyFn` gradients,
+    // full Dijkstra) and the scalar objective sum.
+    use stackopt::equilibrium::certify::certify_network;
     let inst = stackopt::instances::try_grid_city(6, 1.0, 42).unwrap();
-    let batched = FwOptions::default();
-    let scalar = FwOptions {
-        batch: false,
-        sp_mode: stackopt::solver::SpMode::Full,
-        ..FwOptions::default()
-    };
-    let cold_b = try_network_optimum(&inst, &batched, None).unwrap();
-    let cold_s = try_network_optimum(&inst, &scalar, None).unwrap();
-    assert!(cold_b.converged && cold_s.converged);
-    for (e, (a, b)) in cold_b.flow.0.iter().zip(&cold_s.flow.0).enumerate() {
-        assert!((a - b).abs() < 1e-5, "cold edge {e}: {a} vs {b}");
-    }
-
     let perturbed = with_rate(&inst, 1.1);
-    let warm_b = try_network_optimum(&perturbed, &batched, Some(&cold_b)).unwrap();
-    let warm_s = try_network_optimum(&perturbed, &scalar, Some(&cold_s)).unwrap();
-    assert!(warm_b.converged && warm_s.converged);
-    for (e, (a, b)) in warm_b.flow.0.iter().zip(&warm_s.flow.0).enumerate() {
-        assert!((a - b).abs() < 1e-5, "warm edge {e}: {a} vs {b}");
+    let opts = FwOptions::default();
+    let cold = try_network_optimum(&inst, &opts, None).unwrap();
+    let warm = try_network_optimum(&perturbed, &opts, Some(&cold)).unwrap();
+    let nash = try_network_nash(&inst, &opts, None).unwrap();
+    for (name, at, model, r) in [
+        ("cold optimum", &inst, CostModel::SystemOptimum, &cold),
+        ("warm optimum", &perturbed, CostModel::SystemOptimum, &warm),
+        ("cold nash", &inst, CostModel::Wardrop, &nash),
+    ] {
+        assert!(r.converged, "{name}: gap {}", r.rel_gap);
+        if let Err(e) = certify_network(at, &r.flow, model, 1e-8) {
+            panic!("{name}: {e}");
+        }
+        let scalar: f64 = at
+            .latencies
+            .iter()
+            .zip(&r.flow.0)
+            .map(|(l, &x)| model.edge_objective(l, x))
+            .sum();
+        let rel = (r.objective - scalar).abs() / scalar.abs();
+        assert!(
+            rel <= 1e-12,
+            "{name}: objective off the scalar sum by {rel:e}"
+        );
     }
 }
 
