@@ -45,9 +45,12 @@ use sopt_solver::frank_wolfe::FwOptions;
 const ALPHA_STEPS: usize = 10;
 /// Child processes; each contributes one disabled/enabled ratio.
 const REPS: usize = 10;
-/// Warm sweeps per instance per timed rep — ~1.5s per rep, long enough
-/// that 10ms CPU-time ticks and short blips stay well under a percent.
-const INNER: usize = 6;
+/// Warm sweeps per instance per timed rep — about 1 s of CPU per rep on a
+/// 2-vCPU VM, long enough that a 10 ms CPU-time tick is about a percent,
+/// well under the bar. Re-size it when the solver gets faster: at 0.1 s
+/// per rep a single tick is 10%, and the median ratio fails the bar on
+/// quantization alone.
+const INNER: usize = 48;
 /// Relative overhead bar: enabled ≤ disabled × (1 + bar).
 const OVERHEAD_BAR: f64 = 0.03;
 /// Env var marking the re-exec'd child; absent means "orchestrate".

@@ -100,8 +100,11 @@ impl Default for FwOptions {
 /// {8, 16, 32, 64} on 960-, 2,208- and 10,200-edge city grids and on small
 /// layered three-commodity nets found 16 fastest or tied at every size (8
 /// hands over too early on the largest grid, 64 idles everywhere) at the
-/// same objective to 1e-9. The earlier adaptive `max(64, 4·m)` reached the
-/// 2,000-iteration budget at 500 edges, so it never fired on a grid.
+/// same objective to 1e-9. That sweep predates the polish's Newton-step
+/// transfers, which favour an earlier handover; ROADMAP item 1 records why
+/// the window stays 16 until the warm-start bench bars are restated. The
+/// earlier adaptive `max(64, 4·m)` reached the 2,000-iteration budget at
+/// 500 edges, so it never fired on a grid.
 pub const DEFAULT_STALL_WINDOW: usize = 16;
 
 impl FwOptions {

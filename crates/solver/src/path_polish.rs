@@ -9,9 +9,11 @@
 //!
 //! 1. decompose the current flow into paths per commodity;
 //! 2. repeatedly shift flow from the most expensive loaded path to the
-//!    cheapest known path of the same commodity — each shift is an exact
-//!    1-D convex minimisation (Illinois root finding on the derivative over
-//!    the symmetric-difference edges);
+//!    cheapest known path of the same commodity — each shift is one
+//!    projected Newton step on the 1-D objective over the
+//!    symmetric-difference edges (the gradient-projection step of
+//!    Jayakrishnan et al., 1994, also taken by Dial's Algorithm B),
+//!    safeguarded by one secant step where Newton overshoots;
 //! 3. generate new shortest paths (Dijkstra columns) as the gradient moves;
 //! 4. stop at the target relative gap.
 //!
@@ -35,7 +37,6 @@ use sopt_network::DiGraph;
 use crate::aon::timed_shortest_to;
 use crate::eval::Eval;
 use crate::objective::CostModel;
-use crate::roots::falsi_root;
 
 /// Outcome of [`polish_with`].
 #[derive(Clone, Copy, Debug)]
@@ -180,7 +181,7 @@ pub fn polish_with(
             break;
         }
 
-        // Equilibration sweeps: pairwise exact transfers per commodity.
+        // Equilibration sweeps: pairwise Newton transfers per commodity.
         for st in &mut states {
             if st.rate <= 0.0 || st.paths.len() < 2 {
                 continue;
@@ -245,6 +246,8 @@ struct EdgeState<'a> {
     minus: Vec<usize>,
     /// Edges of `q` not on `p` (they gain flow).
     plus: Vec<usize>,
+    /// `F'_e` at a transfer's trial point, `plus` edges then `minus` edges.
+    trial: Vec<f64>,
 }
 
 impl<'a> EdgeState<'a> {
@@ -258,6 +261,7 @@ impl<'a> EdgeState<'a> {
             gen: 0,
             minus: Vec::new(),
             plus: Vec::new(),
+            trial: Vec::new(),
         }
     }
 
@@ -295,14 +299,42 @@ impl<'a> EdgeState<'a> {
             .extend(p.iter().map(|e| e.idx()).filter(|&e| mark[e] == on_p));
     }
 
-    /// Exact 1-D transfer of flow from path `ip` (edges `p`) to path `iq`
-    /// (edges `q`): minimise the objective along `δ ∈ [0, δ_max]` by
-    /// Illinois root finding on its derivative over the symmetric-difference
-    /// edges, then refresh the gradient cache on exactly those edges.
+    /// `φ'(δ)` for the transfer `split` set up, with `φ(δ)` the objective
+    /// after moving `δ` from `minus` to `plus`. Leaves the per-edge terms
+    /// in `trial`.
+    fn dphi(&mut self, delta: f64) -> f64 {
+        let (latencies, model, f) = (self.latencies, self.model, &self.f);
+        self.trial.clear();
+        self.trial.extend(
+            self.plus
+                .iter()
+                .map(|&e| model.edge_gradient(&latencies[e], f[e] + delta)),
+        );
+        self.trial.extend(
+            self.minus
+                .iter()
+                .map(|&e| model.edge_gradient(&latencies[e], (f[e] - delta).max(0.0))),
+        );
+        let (gain, lose) = self.trial.split_at(self.plus.len());
+        gain.iter().sum::<f64>() - lose.iter().sum::<f64>()
+    }
+
+    /// Move flow from path `ip` (edges `p`) to path `iq` (edges `q`) by one
+    /// projected Newton step on `φ(δ)`, the objective along the transfer,
+    /// over the two paths' symmetric difference: `δ = −φ'(0)/φ''(0)`,
+    /// clamped to `[0, δ_max]`, where `δ_max` is the flow on `ip` capped by
+    /// the room the receiving edges' capacities leave. `φ'(0)` comes from
+    /// the gradient cache and `φ''(0)` from the edge curvatures; a zero
+    /// `φ''(0)` tries `δ_max`. Newton overshoots where `φ'` is convex (BPR
+    /// powers, M/M/1 near its pole), so when `φ'` at the trial point is
+    /// positive the step falls back to the secant root of `φ'` on `[0, δ]`,
+    /// which still lowers `φ` for convex edge gradients. A non-finite `φ'`
+    /// or `φ''` moves nothing. The gradient terms at the accepted point
+    /// refresh the cache on exactly the moved edges.
     fn transfer(&mut self, p: &[EdgeId], q: &[EdgeId], flows: &mut [f64], ip: usize, iq: usize) {
         self.split(p, q);
         let (latencies, model) = (self.latencies, self.model);
-        let (minus, plus, f) = (&self.minus, &self.plus, &mut self.f);
+        let (minus, plus, f, g) = (&self.minus, &self.plus, &self.f, &self.g);
         if minus.is_empty() && plus.is_empty() {
             return;
         }
@@ -312,46 +344,58 @@ impl<'a> EdgeState<'a> {
         for &e in plus {
             let cap = latencies[e].capacity();
             if cap.is_finite() {
-                delta_max = delta_max.min((cap * 0.999_999 - f[e]).max(0.0));
+                let bound = cap * 0.999_999;
+                let mut room = (bound - f[e]).max(0.0);
+                // `f + (bound − f)` can round one ulp past `bound`; one ulp
+                // off the room always brings it back.
+                if f[e] + room > bound {
+                    room = room.next_down();
+                }
+                delta_max = delta_max.min(room);
             }
         }
         if delta_max <= 0.0 {
             return;
         }
 
-        let dphi = |delta: f64| -> f64 {
-            let mut v = 0.0;
-            for &e in plus {
-                v += model.edge_gradient(&latencies[e], (f[e] + delta).max(0.0));
-            }
-            for &e in minus {
-                v -= model.edge_gradient(&latencies[e], (f[e] - delta).max(0.0));
-            }
-            v
-        };
-        if dphi(0.0) >= 0.0 {
+        let d0 = plus.iter().map(|&e| g[e]).sum::<f64>() - minus.iter().map(|&e| g[e]).sum::<f64>();
+        if !(d0 < 0.0 && d0.is_finite()) {
             return; // not profitable
         }
-        let delta = if dphi(delta_max) <= 0.0 {
-            delta_max
-        } else {
-            // To f64 resolution (tol 0): a looser tolerance changes which
-            // transfers the equilibration makes.
-            falsi_root(0.0, delta_max, 0.0, dphi)
-        };
-        if delta <= 0.0 {
+        let curvature: f64 = plus
+            .iter()
+            .chain(minus)
+            .map(|&e| model.edge_curvature(&latencies[e], f[e]))
+            .sum();
+        if !curvature.is_finite() {
             return;
         }
+        let mut delta = if curvature > 0.0 {
+            (-d0 / curvature).min(delta_max)
+        } else {
+            delta_max
+        };
+        let mut d = self.dphi(delta);
+        if d.is_finite() && d > 0.0 {
+            // The secant root through (0, φ'(0)) and (δ, φ'(δ)).
+            delta *= d0 / (d0 - d);
+            d = self.dphi(delta);
+        }
+        if !d.is_finite() || delta <= 0.0 {
+            return;
+        }
+
         flows[ip] = (flows[ip] - delta).max(0.0);
         flows[iq] += delta;
-        let g = &mut self.g;
-        for &e in minus {
-            f[e] = (f[e] - delta).max(0.0);
-            g[e] = model.edge_gradient(&latencies[e], f[e]);
-        }
-        for &e in plus {
+        let (f, g) = (&mut self.f, &mut self.g);
+        let (gain, lose) = self.trial.split_at(self.plus.len());
+        for (&e, &ge) in self.plus.iter().zip(gain) {
             f[e] += delta;
-            g[e] = model.edge_gradient(&latencies[e], f[e]);
+            g[e] = ge;
+        }
+        for (&e, &ge) in self.minus.iter().zip(lose) {
+            f[e] = (f[e] - delta).max(0.0);
+            g[e] = ge;
         }
     }
 }
@@ -532,6 +576,112 @@ mod tests {
                     edges.f[1]
                 );
                 assert!((flows[0] + flows[1] - 5.0 - start).abs() < 1e-12);
+            }
+        }
+    }
+
+    #[test]
+    fn transfer_overshoot_takes_one_secant_step_short_of_the_minimiser() {
+        // φ'(δ) = ℓ_q(δ) − ℓ_p(1 − δ) = 0.15δ⁴ + δ − 1 vanishes at δ ≈ 0.901.
+        // φ''(0) = 1, so Newton lands on δ = 1, where φ' = 0.15 > 0; the
+        // secant through (0, −1) and (1, 0.15) gives δ = 1/1.15 ≈ 0.870.
+        let lats = vec![
+            LatencyFn::bpr(1.0, 0.15, 1.0, 4),
+            LatencyFn::affine(1.0, 1.0),
+        ];
+        let p = [EdgeId(1)];
+        let q = [EdgeId(0)];
+        let mut flows = [1.0, 0.0];
+        let mut edges = state_on(&lats, CostModel::Wardrop, &[&p, &q], &flows);
+        let dphi = |d: f64| lats[0].value(d) - lats[1].value(1.0 - d);
+        assert!((dphi(1.0) - 0.15).abs() < 1e-15);
+        edges.transfer(&p, &q, &mut flows, 0, 1);
+        let delta = flows[1];
+        assert!((delta - 1.0 / 1.15).abs() < 1e-15, "{delta}");
+        assert!(dphi(delta) < 0.0 && dphi(0.9) < 0.0 && dphi(0.902) > 0.0);
+        assert_eq!(flows, [1.0 - delta, delta]);
+        assert_eq!(edges.g, [lats[0].value(delta), lats[1].value(1.0 - delta)]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(4_096))]
+
+        /// Each lane is a family (affine, BPR, M/M/1, constant), four shape
+        /// draws in `[0, 1)`, a BPR power and whether it loses flow; `h` is
+        /// the losing path's flow.
+        #[test]
+        fn transfer_never_raises_the_objective(
+            lanes in proptest::collection::vec(
+                (
+                    0u8..4,
+                    (0.0..1.0f64, 0.0..1.0f64, 0.0..1.0f64, 0.0..1.0f64),
+                    1u32..7,
+                    proptest::arbitrary::any::<bool>(),
+                ),
+                2..8,
+            ),
+            h in 1e-3..5.0f64,
+            so in proptest::arbitrary::any::<bool>(),
+        ) {
+            proptest::prop_assume!(lanes.iter().any(|l| l.3) && lanes.iter().any(|l| !l.3));
+            let model = if so { CostModel::SystemOptimum } else { CostModel::Wardrop };
+            // A losing edge carries the path flow `h` plus background flow.
+            let mut lats = Vec::new();
+            let mut f = Vec::new();
+            for &(kind, (u, v, w, z), power, loses) in &lanes {
+                let base = if loses { h } else { 0.0 };
+                let (lat, x) = match kind {
+                    0 => (LatencyFn::affine(4.0 * v, 4.0 * w), base + 5.0 * u),
+                    1 => (
+                        LatencyFn::bpr(0.1 + 4.0 * v, 2.0 * w, 0.5 + 10.0 * z, power),
+                        base + 20.0 * u,
+                    ),
+                    // M/M/1 at up to 99.9% of capacity.
+                    2 => {
+                        let x = base + 5.0 * u;
+                        let load = 0.05 + 0.949 * v;
+                        let cap = if x > 0.0 { x / load } else { 0.5 + 10.0 * w };
+                        (LatencyFn::mm1(cap), x)
+                    }
+                    _ => (LatencyFn::constant(10.0 * v), base + 5.0 * u),
+                };
+                lats.push(lat);
+                f.push(x);
+            }
+            let ids = |loses: bool| -> Vec<EdgeId> {
+                let on_side = (0..lanes.len()).filter(|&e| lanes[e].3 == loses);
+                on_side.map(|e| EdgeId(e as u32)).collect()
+            };
+            let (p, q) = (ids(true), ids(false));
+            let mut edges = EdgeState::new(&lats, model, lats.len());
+            for (e, l) in lats.iter().enumerate() {
+                edges.f[e] = f[e];
+                edges.g[e] = model.edge_gradient(l, f[e]);
+            }
+            let objective = |f: &[f64]| -> (f64, f64) {
+                let terms = lats.iter().zip(f).map(|(l, &x)| model.edge_objective(l, x));
+                terms.fold((0.0, 0.0), |(s, a), t| (s + t, a + t.abs()))
+            };
+            let (before, scale) = objective(&edges.f);
+            let delta_max = q
+                .iter()
+                .map(|e| (lats[e.idx()].capacity() * 0.999_999 - f[e.idx()]).max(0.0))
+                .fold(h, f64::min);
+
+            let mut flows = [h, 0.0];
+            edges.transfer(&p, &q, &mut flows, 0, 1);
+            let delta = flows[1];
+            let (after, _) = objective(&edges.f);
+            proptest::prop_assert!(
+                (0.0..=delta_max).contains(&delta),
+                "δ {delta} ∉ [0, {delta_max}]"
+            );
+            proptest::prop_assert!(
+                after <= before + 1e-13 * scale,
+                "objective rose {before} → {after} (δ {delta}, {lanes:?})"
+            );
+            for e in &q {
+                proptest::prop_assert!(edges.f[e.idx()] <= lats[e.idx()].capacity() * 0.999_999);
             }
         }
     }

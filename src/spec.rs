@@ -82,25 +82,34 @@ pub fn parse_latency(s: &str) -> Result<LatencyFn, SoptError> {
         return Ok(LatencyFn::mm1(c));
     }
     if let Some(rest) = s.strip_prefix("bpr:") {
-        let parts: Vec<&str> = rest.split(',').map(str::trim).collect();
-        if parts.len() != 4 {
+        let mut parts = rest.split(',').map(str::trim);
+        let (Some(t0), Some(b), Some(c), Some(p), None) = (
+            parts.next(),
+            parts.next(),
+            parts.next(),
+            parts.next(),
+            parts.next(),
+        ) else {
             return Err(perr(
                 s,
-                format!("bpr needs t0,b,c,p — got {} fields", parts.len()),
+                format!(
+                    "bpr needs t0,b,c,p — got {} fields",
+                    rest.split(',').count()
+                ),
             ));
-        }
-        let t0 = parse_finite(parts[0], "bpr t0", s)?;
-        let b = parse_finite(parts[1], "bpr b", s)?;
-        let c = parse_finite(parts[2], "bpr c", s)?;
+        };
+        let t0 = parse_finite(t0, "bpr t0", s)?;
+        let b = parse_finite(b, "bpr b", s)?;
+        let c = parse_finite(c, "bpr c", s)?;
         if t0 <= 0.0 || b < 0.0 || c <= 0.0 {
             return Err(perr(
                 s,
                 format!("bpr needs t0 > 0, b ≥ 0, c > 0 — got {t0}, {b}, {c}"),
             ));
         }
-        let p: u32 = parts[3]
+        let p: u32 = p
             .parse()
-            .map_err(|e| perr(s, format!("bpr p '{}': {e}", parts[3])))?;
+            .map_err(|e| perr(s, format!("bpr p '{p}': {e}")))?;
         if p == 0 {
             return Err(perr(s, "bpr power p must be ≥ 1"));
         }
@@ -410,10 +419,8 @@ pub fn parse_network(spec: &str) -> Result<NetworkSpec, SoptError> {
         graph.add_edge(NodeId(a), NodeId(b));
     }
     // Every demand's sink must be reachable, or no feasible flow exists.
-    for (ci, com) in commodities.iter().enumerate() {
-        if !reachable(&graph, com.source, com.sink) {
-            return Err(SoptError::Unreachable { commodity: ci });
-        }
+    if let Some(commodity) = first_unreachable(&graph, &commodities) {
+        return Err(SoptError::Unreachable { commodity });
     }
     Ok(NetworkSpec {
         graph,
@@ -458,24 +465,52 @@ fn parse_arrow<'a>(s: &'a str, stmt: &str, n: usize) -> Result<(u32, u32, &'a st
     Ok((a, b, payload.trim()))
 }
 
-/// BFS reachability on the directed graph.
-fn reachable(g: &DiGraph, from: NodeId, to: NodeId) -> bool {
-    let mut seen = vec![false; g.num_nodes()];
-    let mut queue = std::collections::VecDeque::from([from]);
-    seen[from.idx()] = true;
-    while let Some(v) = queue.pop_front() {
-        if v == to {
-            return true;
-        }
-        for &e in g.out_edges(v) {
-            let w = g.edge(e).to;
-            if !seen[w.idx()] {
-                seen[w.idx()] = true;
-                queue.push_back(w);
+/// The first demand, in declaration order, whose sink its source cannot
+/// reach. Demands that share an origin share one breadth-first search,
+/// which stops as soon as every sink of that origin is reached.
+fn first_unreachable(g: &DiGraph, commodities: &[Commodity]) -> Option<usize> {
+    let mut order: Vec<usize> = (0..commodities.len()).collect();
+    // Stable: each origin's demands stay in declaration order.
+    order.sort_by_key(|&i| commodities[i].source);
+    let groups = order.chunk_by(|&a, &b| commodities[a].source == commodities[b].source);
+    // Generation stamps, one per origin: reached nodes and sinks to reach.
+    let mut seen = vec![0u32; g.num_nodes()];
+    let mut sink = vec![0u32; g.num_nodes()];
+    let mut queue = std::collections::VecDeque::new();
+    (1..)
+        .zip(groups)
+        .filter_map(|(stamp, group)| {
+            let mut left = 0;
+            for &i in group {
+                let t = commodities[i].sink.idx();
+                if sink[t] != stamp {
+                    sink[t] = stamp;
+                    left += 1;
+                }
             }
-        }
-    }
-    false
+            let origin = commodities[group[0]].source;
+            seen[origin.idx()] = stamp;
+            queue.clear();
+            queue.push_back(origin);
+            while left > 0 {
+                let Some(v) = queue.pop_front() else {
+                    break;
+                };
+                for &e in g.out_edges(v) {
+                    let w = g.edge(e).to;
+                    if seen[w.idx()] != stamp {
+                        seen[w.idx()] = stamp;
+                        left -= usize::from(sink[w.idx()] == stamp);
+                        queue.push_back(w);
+                    }
+                }
+            }
+            group
+                .iter()
+                .copied()
+                .find(|&i| seen[commodities[i].sink.idx()] != stamp)
+        })
+        .min()
 }
 
 /// Format a latency back into the spec language; `None` for families the
@@ -827,6 +862,23 @@ mod tests {
             parse_network("nodes=3; 0->1: x; demand 0->2: 1").unwrap_err(),
             SoptError::Unreachable { commodity: 0 }
         );
+    }
+
+    #[test]
+    fn unreachable_names_the_first_demand_in_declaration_order() {
+        let err = |s: &str| parse_network(s).unwrap_err();
+        // Three demands from one origin; the second cannot reach its sink.
+        assert_eq!(
+            err("nodes=4; 0->1: x; 0->2: x; demand 0->1: 1; demand 0->3: 1; demand 0->2: 1"),
+            SoptError::Unreachable { commodity: 1 }
+        );
+        // Origin 0 is searched first, yet demand 1 (from origin 2) comes
+        // first in declaration order.
+        assert_eq!(
+            err("nodes=5; 0->1: x; 2->3: x; demand 0->1: 1; demand 2->4: 1; demand 0->4: 1"),
+            SoptError::Unreachable { commodity: 1 }
+        );
+        assert!(parse_network("nodes=3; 0->1: x; 1->2: x; demand 0->2: 1; demand 1->2: 1").is_ok());
     }
 
     #[test]
