@@ -8,13 +8,21 @@
 //! its optimal flow `O^i` routable inside its shortest-path subnetwork
 //! (max-flow with capacities `o^i_e`). The result is a *strong* Stackelberg
 //! strategy: per-commodity portions `α_i` with overall `β = Σ α_i r_i / r`.
+//!
+//! Commodities that share an origin share its shortest-path tree: the plan
+//! runs one Dijkstra per distinct origin on one [`SpWorkspace`] and every
+//! commodity's max-flow on one [`ResidualGraph`], with the same per-commodity
+//! answers as one tree and one fresh max-flow graph per commodity.
 
 use crate::error::CoreError;
 use sopt_equilibrium::network::try_multicommodity_optimum;
+use sopt_network::csr::{Csr, SpWorkspace};
 use sopt_network::flow::EdgeFlow;
+use sopt_network::graph::NodeId;
 use sopt_network::instance::MultiCommodityInstance;
-use sopt_network::maxflow::max_flow;
-use sopt_network::spath::{dijkstra, shortest_dag_edges};
+use sopt_network::maxflow::ResidualGraph;
+use sopt_network::spath::on_shortest_dag;
+use sopt_solver::aon::CommodityGroups;
 use sopt_solver::frank_wolfe::{FwOptions, FwResult};
 
 /// Per-commodity share of the [`MopMultiResult`].
@@ -90,43 +98,78 @@ pub fn try_mop_multi_with_optimum(
         .collect();
 
     let m = inst.graph.num_edges();
-    let mut commodities = Vec::with_capacity(inst.commodities.len());
+    let k = inst.commodities.len();
+    let demands: Vec<(NodeId, NodeId, f64)> = inst
+        .commodities
+        .iter()
+        .map(|c| (c.source, c.sink, c.rate))
+        .collect();
+    let mut groups = CommodityGroups::new();
+    groups.rebuild(&demands);
+
+    // One shortest-path tree per origin and one residual graph for every
+    // commodity's max-flow; each commodity keeps its own DAG tolerance.
+    let csr = Csr::new(&inst.graph);
+    let mut sp = SpWorkspace::new();
+    let mut residual = ResidualGraph::new(&inst.graph);
+    let mut caps = vec![0.0; m];
+    let mut slots: Vec<Option<MopCommodity>> = vec![None; k];
+    let mut unreachable: Option<usize> = None;
+    for g in 0..groups.num_groups() {
+        let (source, members) = groups.group(g);
+        sp.dijkstra(&csr, &edge_costs, source);
+        for &ci in members {
+            let ci = ci as usize;
+            let com = &inst.commodities[ci];
+            let dist = sp.dist()[com.sink.idx()];
+            if !dist.is_finite() {
+                unreachable = Some(unreachable.map_or(ci, |u| u.min(ci)));
+            }
+            if unreachable.is_some() {
+                // Only the lowest failing index matters from here on.
+                continue;
+            }
+            let tol = DAG_TOL * dist.abs().max(1.0);
+            let o_i = &opt.per_commodity[ci];
+            for e in inst.graph.edge_ids() {
+                caps[e.idx()] = if on_shortest_dag(&inst.graph, &edge_costs, sp.dist(), e, tol) {
+                    o_i.get(e)
+                } else {
+                    0.0
+                };
+            }
+            let free = residual.max_flow(&caps, com.source, com.sink);
+            let leader = EdgeFlow(
+                o_i.as_slice()
+                    .iter()
+                    .zip(free.flow.as_slice())
+                    .map(|(o, f)| (o - f).max(0.0))
+                    .collect(),
+            );
+            let leader_value = (com.rate - free.value).max(0.0);
+            slots[ci] = Some(MopCommodity {
+                optimum: o_i.clone(),
+                free_value: free.value,
+                free_flow: free.flow,
+                leader,
+                leader_value,
+                alpha: leader_value / com.rate,
+            });
+        }
+    }
+    if let Some(commodity) = unreachable {
+        return Err(CoreError::Unreachable { commodity });
+    }
+    let commodities: Vec<MopCommodity> = slots
+        .into_iter()
+        .map(|c| c.expect("every commodity belongs to one origin group"))
+        .collect();
+    // Summed in commodity order, whatever the group order.
     let mut leader_total = EdgeFlow::zeros(m);
-
-    for (ci, com) in inst.commodities.iter().enumerate() {
-        let o_i = &opt.per_commodity[ci];
-        let sp = dijkstra(&inst.graph, &edge_costs, com.source);
-        let dist = sp.dist[com.sink.idx()];
-        if !dist.is_finite() {
-            return Err(CoreError::Unreachable { commodity: ci });
+    for c in &commodities {
+        for (lt, l) in leader_total.0.iter_mut().zip(&c.leader.0) {
+            *lt += l;
         }
-        let tol = DAG_TOL * dist.abs().max(1.0);
-        let dag = shortest_dag_edges(&inst.graph, &edge_costs, &sp, tol);
-
-        let mut caps = vec![0.0; m];
-        for &e in &dag {
-            caps[e.idx()] = o_i.get(e);
-        }
-        let free = max_flow(&inst.graph, &caps, com.source, com.sink);
-        let leader = EdgeFlow(
-            o_i.as_slice()
-                .iter()
-                .zip(free.flow.as_slice())
-                .map(|(o, f)| (o - f).max(0.0))
-                .collect(),
-        );
-        let leader_value = (com.rate - free.value).max(0.0);
-        for e in 0..m {
-            leader_total.0[e] += leader.0[e];
-        }
-        commodities.push(MopCommodity {
-            optimum: o_i.clone(),
-            free_value: free.value,
-            free_flow: free.flow,
-            leader,
-            leader_value,
-            alpha: leader_value / com.rate,
-        });
     }
 
     let controlled: f64 = commodities.iter().map(|c| c.leader_value).sum();

@@ -8,7 +8,7 @@
 //! subnetwork with capacities `o_e` — computed here.
 
 use crate::flow::EdgeFlow;
-use crate::graph::{DiGraph, EdgeId, NodeId};
+use crate::graph::{DiGraph, NodeId};
 
 /// Result of [`max_flow`].
 #[derive(Clone, Debug)]
@@ -24,115 +24,158 @@ struct Arc {
     to: u32,
     /// Remaining capacity.
     cap: f64,
-    /// Index of the original edge (None for reverse arcs).
-    orig: Option<EdgeId>,
+}
+
+/// Dinic's residual graph over one [`DiGraph`], built once and re-capped
+/// by every [`ResidualGraph::max_flow`] run. Callers that solve many
+/// max-flow problems on one graph (Theorem 2.1's plan runs one per
+/// commodity) build the arc arrays once; each run returns exactly what a
+/// fresh [`max_flow`] returns, since the arcs, their order and the search
+/// are the same.
+#[derive(Clone, Debug)]
+pub struct ResidualGraph {
+    /// Edge `e`'s forward arc at `2e`, its reverse arc at `2e + 1`.
+    arcs: Vec<Arc>,
+    /// Node `v`'s arc indices are `adj_arcs[adj_off[v]..adj_off[v + 1]]`:
+    /// flat CSR-style lists, so the BFS/DFS walks touch two flat arrays
+    /// instead of chasing one heap allocation per node.
+    adj_off: Vec<u32>,
+    adj_arcs: Vec<u32>,
+    level: Vec<i32>,
+    it: Vec<usize>,
+    queue: std::collections::VecDeque<u32>,
+}
+
+impl ResidualGraph {
+    /// The residual arcs of `g`, every capacity zero until a run sets them.
+    pub fn new(g: &DiGraph) -> Self {
+        let n = g.num_nodes();
+        let mut arcs: Vec<Arc> = Vec::with_capacity(2 * g.num_edges());
+        let mut adj_off: Vec<u32> = vec![0; n + 1];
+        for e in g.edge_ids() {
+            let edge = g.edge(e);
+            arcs.push(Arc {
+                to: edge.to.0,
+                cap: 0.0,
+            });
+            arcs.push(Arc {
+                to: edge.from.0,
+                cap: 0.0,
+            });
+            adj_off[edge.from.idx() + 1] += 1;
+            adj_off[edge.to.idx() + 1] += 1;
+        }
+        for v in 0..n {
+            adj_off[v + 1] += adj_off[v];
+        }
+        let mut adj_arcs: Vec<u32> = vec![0; arcs.len()];
+        let mut cursor: Vec<u32> = adj_off[..n].to_vec();
+        for (ai, e) in g.edge_ids().enumerate().map(|(i, e)| (2 * i as u32, e)) {
+            let edge = g.edge(e);
+            adj_arcs[cursor[edge.from.idx()] as usize] = ai;
+            cursor[edge.from.idx()] += 1;
+            adj_arcs[cursor[edge.to.idx()] as usize] = ai + 1;
+            cursor[edge.to.idx()] += 1;
+        }
+        Self {
+            arcs,
+            adj_off,
+            adj_arcs,
+            level: vec![-1; n],
+            it: vec![0; n],
+            queue: std::collections::VecDeque::new(),
+        }
+    }
+
+    /// Dinic's algorithm from `s` to `t` under `caps` (one entry per edge
+    /// of the graph this was built from), with the contract of
+    /// [`max_flow`].
+    pub fn max_flow(&mut self, caps: &[f64], s: NodeId, t: NodeId) -> MaxFlowResult {
+        assert_eq!(caps.len(), self.arcs.len() / 2);
+        assert!(caps.iter().all(|c| *c >= 0.0), "capacities must be ≥ 0");
+        assert_ne!(s, t, "source and sink must differ");
+
+        // Tolerance scaled to the instance.
+        let cap_scale = caps
+            .iter()
+            .cloned()
+            .filter(|c| c.is_finite())
+            .fold(0.0f64, f64::max);
+        let eps = 1e-12 * cap_scale.max(1.0);
+
+        for (pair, &c) in self.arcs.chunks_exact_mut(2).zip(caps) {
+            pair[0].cap = c;
+            pair[1].cap = 0.0;
+        }
+        let adj = FlatAdj {
+            off: &self.adj_off,
+            arcs: &self.adj_arcs,
+        };
+        let (arcs, level, it, queue) = (
+            &mut self.arcs,
+            &mut self.level,
+            &mut self.it,
+            &mut self.queue,
+        );
+
+        let mut total = 0.0;
+        loop {
+            // BFS level graph on arcs with residual capacity > eps.
+            level.iter_mut().for_each(|l| *l = -1);
+            level[s.idx()] = 0;
+            queue.clear();
+            queue.push_back(s.0);
+            while let Some(u) = queue.pop_front() {
+                for &ai in adj.of(u) {
+                    let arc = arcs[ai as usize];
+                    if arc.cap > eps && level[arc.to as usize] < 0 {
+                        level[arc.to as usize] = level[u as usize] + 1;
+                        queue.push_back(arc.to);
+                    }
+                }
+            }
+            if level[t.idx()] < 0 {
+                break;
+            }
+            it.iter_mut().for_each(|i| *i = 0);
+            // Blocking flow via iterative DFS.
+            loop {
+                let pushed = dfs_push(arcs, adj, level, it, s.0, t.0, f64::INFINITY, eps);
+                if pushed <= eps {
+                    break;
+                }
+                total += pushed;
+            }
+        }
+
+        // Recover per-original-edge flow: flow = initial cap − residual cap.
+        let flow = caps
+            .iter()
+            .zip(arcs.iter().step_by(2))
+            .map(|(&c, arc)| {
+                let sent = c - arc.cap;
+                if sent > eps {
+                    sent
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        MaxFlowResult {
+            value: total,
+            flow: EdgeFlow(flow),
+        }
+    }
 }
 
 /// Dinic's algorithm. `caps[e]` may be `0` (edge absent) but not negative;
 /// infinite capacities are allowed only if `t` is not reachable from `s`
 /// through exclusively-infinite paths (otherwise the value diverges — the
-/// caller guards this; MOP capacities are finite optimal flows).
+/// caller guards this; MOP capacities are finite optimal flows). Builds a
+/// one-off [`ResidualGraph`]; reuse one for many runs on one graph.
 pub fn max_flow(g: &DiGraph, caps: &[f64], s: NodeId, t: NodeId) -> MaxFlowResult {
     assert_eq!(caps.len(), g.num_edges());
-    assert!(caps.iter().all(|c| *c >= 0.0), "capacities must be ≥ 0");
-    assert_ne!(s, t, "source and sink must differ");
-
-    let n = g.num_nodes();
-    // Tolerance scaled to the instance.
-    let cap_scale = caps
-        .iter()
-        .cloned()
-        .filter(|c| c.is_finite())
-        .fold(0.0f64, f64::max);
-    let eps = 1e-12 * cap_scale.max(1.0);
-
-    // Build residual arcs: forward at even indices, reverse at odd. The
-    // per-node arc lists are flattened CSR-style (`adj_off`/`adj_arcs`) so
-    // the BFS/DFS walks touch two flat arrays instead of chasing one heap
-    // allocation per node.
-    let mut arcs: Vec<Arc> = Vec::with_capacity(2 * g.num_edges());
-    let mut adj_off: Vec<u32> = vec![0; n + 1];
-    for e in g.edge_ids() {
-        let edge = g.edge(e);
-        arcs.push(Arc {
-            to: edge.to.0,
-            cap: caps[e.idx()],
-            orig: Some(e),
-        });
-        arcs.push(Arc {
-            to: edge.from.0,
-            cap: 0.0,
-            orig: None,
-        });
-        adj_off[edge.from.idx() + 1] += 1;
-        adj_off[edge.to.idx() + 1] += 1;
-    }
-    for v in 0..n {
-        adj_off[v + 1] += adj_off[v];
-    }
-    let mut adj_arcs: Vec<u32> = vec![0; arcs.len()];
-    let mut cursor: Vec<u32> = adj_off[..n].to_vec();
-    for (ai, e) in g.edge_ids().enumerate().map(|(i, e)| (2 * i as u32, e)) {
-        let edge = g.edge(e);
-        adj_arcs[cursor[edge.from.idx()] as usize] = ai;
-        cursor[edge.from.idx()] += 1;
-        adj_arcs[cursor[edge.to.idx()] as usize] = ai + 1;
-        cursor[edge.to.idx()] += 1;
-    }
-    let adj = FlatAdj {
-        off: &adj_off,
-        arcs: &adj_arcs,
-    };
-
-    let mut total = 0.0;
-    let mut level = vec![-1i32; n];
-    let mut it = vec![0usize; n];
-    loop {
-        // BFS level graph on arcs with residual capacity > eps.
-        level.iter_mut().for_each(|l| *l = -1);
-        level[s.idx()] = 0;
-        let mut queue = std::collections::VecDeque::from([s.0]);
-        while let Some(u) = queue.pop_front() {
-            for &ai in adj.of(u) {
-                let arc = arcs[ai as usize];
-                if arc.cap > eps && level[arc.to as usize] < 0 {
-                    level[arc.to as usize] = level[u as usize] + 1;
-                    queue.push_back(arc.to);
-                }
-            }
-        }
-        if level[t.idx()] < 0 {
-            break;
-        }
-        it.iter_mut().for_each(|i| *i = 0);
-        // Blocking flow via iterative DFS.
-        loop {
-            let pushed = dfs_push(
-                &mut arcs,
-                adj,
-                &level,
-                &mut it,
-                s.0,
-                t.0,
-                f64::INFINITY,
-                eps,
-            );
-            if pushed <= eps {
-                break;
-            }
-            total += pushed;
-        }
-    }
-
-    // Recover per-original-edge flow: flow = initial cap − residual cap.
-    let mut flow = EdgeFlow::zeros(g.num_edges());
-    for arc in &arcs {
-        if let Some(e) = arc.orig {
-            let sent = caps[e.idx()] - arc.cap;
-            flow.0[e.idx()] = if sent > eps { sent } else { 0.0 };
-        }
-    }
-    MaxFlowResult { value: total, flow }
+    ResidualGraph::new(g).max_flow(caps, s, t)
 }
 
 /// Flat per-node arc lists: `arcs[off[v]..off[v+1]]` are node `v`'s

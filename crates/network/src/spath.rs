@@ -98,12 +98,17 @@ pub fn shortest_dag_edges(
     tol: f64,
 ) -> Vec<EdgeId> {
     g.edge_ids()
-        .filter(|&e| {
-            let Edge { from, to } = g.edge(e);
-            let (du, dv) = (sp.dist[from.idx()], sp.dist[to.idx()]);
-            du.is_finite() && dv.is_finite() && (du + edge_costs[e.idx()] - dv).abs() <= tol
-        })
+        .filter(|&e| on_shortest_dag(g, edge_costs, &sp.dist, e, tol))
         .collect()
+}
+
+/// Whether edge `e` belongs to [`shortest_dag_edges`] of the tree whose
+/// distances are `dist` (for callers that keep the tree in an
+/// [`SpWorkspace`] rather than an owned [`ShortestPaths`]).
+pub fn on_shortest_dag(g: &DiGraph, edge_costs: &[f64], dist: &[f64], e: EdgeId, tol: f64) -> bool {
+    let Edge { from, to } = g.edge(e);
+    let (du, dv) = (dist[from.idx()], dist[to.idx()]);
+    du.is_finite() && dv.is_finite() && (du + edge_costs[e.idx()] - dv).abs() <= tol
 }
 
 /// Does `path` realise the shortest `s→t` distance under `edge_costs`?

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use sopt_network::csr::{Csr, SpWorkspace};
 use sopt_network::flow::{decompose, EdgeFlow};
 use sopt_network::graph::{DiGraph, NodeId};
-use sopt_network::maxflow::max_flow;
+use sopt_network::maxflow::{max_flow, ResidualGraph};
 use sopt_network::path::all_simple_paths;
 use sopt_network::spath::{bellman_ford, dijkstra};
 
@@ -134,6 +134,39 @@ proptest! {
         // Flow respects capacities.
         for e in g.edge_ids() {
             prop_assert!(r.flow.get(e) <= caps[e.idx()] + 1e-9);
+        }
+    }
+
+    #[test]
+    fn residual_graph_reuse_matches_fresh_max_flow(
+        (g, _) in random_graph(),
+        seed in any::<u64>(),
+        runs in 1usize..6,
+    ) {
+        // One residual graph re-capped run after run (capacities with
+        // zeros, varying endpoints) answers exactly like a fresh one.
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let n = g.num_nodes() as u64;
+        let mut residual = ResidualGraph::new(&g);
+        for _ in 0..runs {
+            let caps: Vec<f64> = (0..g.num_edges())
+                .map(|_| match next() % 4 {
+                    0 => 0.0,
+                    _ => (next() % 1000) as f64 / 64.0,
+                })
+                .collect();
+            let s = NodeId((next() % n) as u32);
+            let t = NodeId(((s.0 as u64 + 1 + next() % (n - 1)) % n) as u32);
+            let reused = residual.max_flow(&caps, s, t);
+            let fresh = max_flow(&g, &caps, s, t);
+            prop_assert_eq!(reused.value, fresh.value);
+            prop_assert_eq!(reused.flow, fresh.flow);
         }
     }
 

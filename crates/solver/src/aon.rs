@@ -5,7 +5,9 @@
 //! [`aon_assign_targets`], which groups commodities by origin
 //! ([`CommodityGroups`]) so each origin costs one one-to-many Dijkstra
 //! instead of one query per OD pair, and optionally fans the origin groups
-//! out across scoped threads ([`AonMode`]).
+//! out across scoped threads ([`AonMode`]). The Frank–Wolfe cold start
+//! (see [`crate::frank_wolfe`]) walks the same groups: each of its chunks
+//! costs one gradient sweep and one search per origin, whatever the mode.
 
 use sopt_network::csr::{Csr, RevCsr, SpPool, SpWorkspace};
 use sopt_network::flow::EdgeFlow;
@@ -15,8 +17,7 @@ use crate::error::SolverError;
 
 /// How the per-iteration multi-commodity all-or-nothing step runs.
 ///
-/// `Sequential` is the historical per-commodity loop (one targeted query
-/// per OD pair) and reproduces the pre-grouping solver exactly. `Grouped`
+/// `Sequential` runs one targeted query per OD pair. `Grouped`
 /// runs one one-to-many Dijkstra per distinct origin and extracts every
 /// member commodity's path from the shared tree. `Parallel` additionally
 /// fans the origin groups out across scoped threads, each worker owning a
@@ -30,6 +31,11 @@ use crate::error::SolverError;
 /// *equal-cost* shortest paths carries the flow (ties are broken by a
 /// different traversal order), which line search and convergence are
 /// indifferent to.
+///
+/// The mode governs only the per-iteration step. The cold start before
+/// the first iteration is origin-grouped under every mode (see
+/// [`crate::frank_wolfe`]), so no mode replays the solver from before
+/// origin grouping.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum AonMode {
     /// Pick per solve: `Sequential` when every commodity has its own
@@ -37,8 +43,8 @@ pub enum AonMode {
     /// than one hardware thread is available, `Grouped` otherwise.
     #[default]
     Auto,
-    /// One targeted shortest-path query per commodity (the historical
-    /// solver, kept for honest A/B comparison).
+    /// One targeted shortest-path query per commodity per iteration (kept
+    /// for A/B comparison).
     Sequential,
     /// One one-to-many Dijkstra per distinct origin, single-threaded.
     Grouped,
@@ -80,7 +86,10 @@ const AON_PARALLEL_MIN_WORK: usize = 1 << 15;
 /// bucketed by source node (first-appearance order, so the plan — and
 /// every assignment derived from it — is deterministic in the input
 /// order). Cached in `FwWorkspace` and rebuilt only when the demands
-/// change, so the per-iteration AON step pays nothing for planning.
+/// change, so the per-iteration AON step pays nothing for planning. The
+/// Frank–Wolfe cold start loads commodities group by group from the same
+/// plan, and Theorem 2.1's plan (`sopt-core`'s `mop_multi`) builds one to
+/// run one shortest-path tree per origin.
 #[derive(Clone, Debug, Default)]
 pub struct CommodityGroups {
     /// One entry per group: the shared source node.
@@ -223,7 +232,7 @@ pub fn aon_st_into(
 
 /// [`SpWorkspace::shortest_to_many`] under the same observability surface
 /// as [`timed_shortest_to`]: one `sp_query` span per one-to-many sweep.
-fn timed_shortest_to_many(
+pub(crate) fn timed_shortest_to_many(
     csr: &Csr,
     sp: &mut SpWorkspace,
     edge_costs: &[f64],

@@ -35,6 +35,17 @@
 //! induced solve) skips the all-or-nothing bootstrap and typically
 //! converges in a handful of iterations instead of tens — `fw_bench`
 //! (`BENCH_fw.json`) measures the cold/warm iteration ratio.
+//!
+//! ## The cold start
+//!
+//! Without a seed, each commodity is loaded in eight equal slices, each
+//! routed at the pole-guarded gradient costs of the flow loaded so far.
+//! Commodities sharing an origin share the work: per origin and slice, one
+//! gradient sweep and one one-to-many tree carry every member's slice
+//! ([`CommodityGroups`]), so a 64-commodity, 16-origin profile takes 128
+//! sweeps and trees instead of 512 sweeps and queries. With one commodity
+//! per origin (every single-commodity solve) each slice gets its own sweep
+//! and targeted query, in commodity order.
 
 use std::cell::RefCell;
 
@@ -45,7 +56,9 @@ use sopt_network::graph::NodeId;
 use sopt_network::instance::{MultiCommodityInstance, NetworkInstance};
 use sopt_network::DiGraph;
 
-use crate::aon::{aon_assign_targets, aon_st_into, AonMode, CommodityGroups};
+use crate::aon::{
+    aon_assign_targets, aon_st_into, timed_shortest_to_many, AonMode, CommodityGroups,
+};
 use crate::error::SolverError;
 use crate::eval::Eval;
 use crate::line_search::{exact_step, max_step};
@@ -76,8 +89,9 @@ pub struct FwOptions {
     /// Strategy for the per-iteration multi-commodity all-or-nothing step.
     /// [`AonMode::Auto`] groups commodities by origin (one one-to-many
     /// Dijkstra per distinct source) and fans the groups out across
-    /// threads when the work pays for it; [`AonMode::Sequential`] is the
-    /// historical one-query-per-commodity loop kept for honest A/B.
+    /// threads when the work pays for it; [`AonMode::Sequential`] runs one
+    /// query per commodity, kept for A/B. The cold start does not consult
+    /// it: it is origin-grouped under every mode.
     pub aon: AonMode,
 }
 
@@ -225,6 +239,137 @@ impl FwWorkspace {
         resize_flows(&mut self.target, k, m);
         resize_flows(&mut self.s_bar, k, m);
         self.s_bar_set = false;
+    }
+
+    /// The cold start: every commodity loaded in [`CHUNKS`] equal slices,
+    /// each routed at pole-guarded gradient costs of the running combined
+    /// flow (see [`guarded_costs`]), so no slice steps over an M/M/1 pole
+    /// while another path exists. Walks the origin groups in order: a
+    /// one-member group takes one sweep and one targeted query per chunk;
+    /// a larger group shares one sweep and one one-to-many tree per chunk
+    /// among its members. A member whose tree path crosses an edge that this
+    /// chunk's earlier slices pushed to ≥ 99.99% of capacity waits until
+    /// the chunk's tree slices are in, then gets a sweep and a query of its
+    /// own. Returns the per-commodity flows; `self.f` holds their sum.
+    ///
+    /// With one commodity per origin every slice gets its own sweep and
+    /// targeted query, in commodity order.
+    fn cold_start(
+        &mut self,
+        latencies: &[LatencyFn],
+        model: CostModel,
+        demands: &[(NodeId, NodeId, f64)],
+    ) -> Result<Vec<EdgeFlow>, SolverError> {
+        let (csr, rcsr, groups) = (&self.csr, Some(&self.rcsr), &self.groups);
+        let (sp, f, costs) = (&mut self.sp, &mut self.f, &mut self.costs);
+        let eval = Eval::new(latencies, &self.batch);
+        let m = f.len();
+        let mut per = vec![EdgeFlow::zeros(m); demands.len()];
+        f.fill(0.0);
+
+        // One slice routed by a sweep of its own, added into `out` and `f`.
+        let fresh_slice = |sp: &mut SpWorkspace,
+                           f: &mut [f64],
+                           costs: &mut [f64],
+                           (s, t, r): (NodeId, NodeId, f64),
+                           out: &mut [f64]| {
+            guarded_costs(&eval, model, f, costs);
+            let slice = r / CHUNKS as f64;
+            aon_st_into(csr, rcsr, sp, costs, s, t, slice, out)?;
+            sp.walk_st_path(csr, rcsr, |e| f[e.idx()] += slice);
+            Ok::<(), SolverError>(())
+        };
+
+        let mut targets: Vec<NodeId> = Vec::new();
+        let mut deferred: Vec<usize> = Vec::new();
+        for g in 0..groups.num_groups() {
+            let (source, members) = groups.group(g);
+            if let &[ci] = members {
+                let ci = ci as usize;
+                for _ in 0..CHUNKS {
+                    if fresh_slice(sp, f, costs, demands[ci], &mut per[ci].0).is_err() {
+                        return Err(lowest_unreachable(csr, sp, costs, demands, ci));
+                    }
+                }
+                continue;
+            }
+            targets.clear();
+            targets.extend(members.iter().map(|&ci| demands[ci as usize].1));
+            for _ in 0..CHUNKS {
+                guarded_costs(&eval, model, f, costs);
+                timed_shortest_to_many(csr, sp, costs, source, &targets);
+                deferred.clear();
+                for &ci in members {
+                    let ci = ci as usize;
+                    let (_, t, r) = demands[ci];
+                    let mut pushed = false;
+                    let reached = sp.walk_many_path_to(csr, t, |e| {
+                        let (e, cap) = (e.idx(), eval.capacity(e.idx()));
+                        pushed |= cap.is_finite() && f[e] >= cap * 0.9999 && costs[e] != SATURATED;
+                    });
+                    if !reached {
+                        return Err(lowest_unreachable(csr, sp, costs, demands, ci));
+                    }
+                    if pushed {
+                        deferred.push(ci);
+                        continue;
+                    }
+                    let slice = r / CHUNKS as f64;
+                    let out = &mut per[ci].0;
+                    sp.walk_many_path_to(csr, t, |e| {
+                        out[e.idx()] += slice;
+                        f[e.idx()] += slice;
+                    });
+                }
+                for &ci in &deferred {
+                    fresh_slice(sp, f, costs, demands[ci], &mut per[ci].0)
+                        .map_err(|e| e.with_commodity(ci))?;
+                }
+            }
+        }
+        Ok(per)
+    }
+}
+
+/// Equal slices per commodity in the cold start ([`FwWorkspace::cold_start`]).
+const CHUNKS: usize = 8;
+
+/// The cold start's price for an edge at ≥ 99.99% of its capacity.
+const SATURATED: f64 = f64::MAX / 1e6;
+
+/// Gradient costs at `f` into `costs`, with every edge at ≥ 99.99% of its
+/// capacity priced at [`SATURATED`].
+fn guarded_costs(eval: &Eval<'_>, model: CostModel, f: &[f64], costs: &mut [f64]) {
+    eval.gradient_into(model, f, costs);
+    for (e, (c, &fe)) in costs.iter_mut().zip(f).enumerate() {
+        let cap = eval.capacity(e);
+        if cap.is_finite() && fe >= cap * 0.9999 {
+            *c = SATURATED;
+        }
+    }
+}
+
+/// The cold start's unreachable-sink error once commodity `ci` failed: it
+/// names the lowest-index commodity whose origin cannot reach its sink,
+/// which a later origin group may hold.
+fn lowest_unreachable(
+    csr: &Csr,
+    sp: &mut SpWorkspace,
+    costs: &[f64],
+    demands: &[(NodeId, NodeId, f64)],
+    ci: usize,
+) -> SolverError {
+    let lowest = (0..ci)
+        .find(|&j| {
+            let (s, t, _) = demands[j];
+            sp.shortest_to(csr, None, costs, s, t).is_none()
+        })
+        .unwrap_or(ci);
+    let (source, sink, _) = demands[lowest];
+    SolverError::UnreachableSink {
+        commodity: lowest,
+        source,
+        sink,
     }
 }
 
@@ -473,8 +618,6 @@ fn solve_inner(
     }
 
     ws.prepare(graph, latencies, demands);
-    let rcsr = Some(&ws.rcsr);
-    let eval = Eval::new(latencies, &ws.batch);
 
     // Instrumentation is observed through the process-global recorder so
     // fleet callers need no extra plumbing; when it is disabled (the
@@ -482,10 +625,7 @@ fn solve_inner(
     let rec = sopt_obs::global();
     let solve_started = rec.is_enabled().then(std::time::Instant::now);
 
-    // Initial point: a validated warm-start seed, or all-or-nothing at
-    // empty-network costs. The cold path maintains the running combined
-    // flow in `ws.f` instead of rebuilding it per chunk, and routes
-    // through the workspace Dijkstra — no per-chunk allocation.
+    // Initial point: a validated warm-start seed, or the chunked cold start.
     let mut warm = false;
     let mut per: Vec<EdgeFlow> =
         match seed.and_then(|s| warm_start_per(s, graph, latencies, demands)) {
@@ -494,49 +634,10 @@ fn solve_inner(
                 warm = true;
                 per
             }
-            None => {
-                let mut per = Vec::with_capacity(k);
-                ws.f.fill(0.0);
-                for (ci, &(s, t, r)) in demands.iter().enumerate() {
-                    // Guard M/M/1 poles: if the single cheapest path cannot
-                    // carry the whole commodity within capacities, split the
-                    // initial assignment by short capacity-respecting steps
-                    // from zero instead. Simplest robust init: route greedily
-                    // in `CHUNKS` equal slices, recomputing costs.
-                    per.push(EdgeFlow::zeros(m));
-                    const CHUNKS: usize = 8;
-                    for _ in 0..CHUNKS {
-                        eval.gradient_into(model, &ws.f, &mut ws.costs);
-                        // Saturated edges (≥99.99% of capacity) get
-                        // prohibitive cost so the init never steps over a
-                        // pole.
-                        for (e, (c, &fe)) in ws.costs.iter_mut().zip(&ws.f).enumerate() {
-                            let cap = eval.capacity(e);
-                            if cap.is_finite() && fe >= cap * 0.9999 {
-                                *c = f64::MAX / 1e6;
-                            }
-                        }
-                        let last = per.last_mut().expect("pushed above");
-                        let slice = r / CHUNKS as f64;
-                        let f = &mut ws.f;
-                        aon_st_into(
-                            &ws.csr,
-                            rcsr,
-                            &mut ws.sp,
-                            &ws.costs,
-                            s,
-                            t,
-                            slice,
-                            &mut last.0,
-                        )
-                        .map_err(|e| e.with_commodity(ci))?;
-                        // Mirror the slice into the running combined flow.
-                        ws.sp.walk_st_path(&ws.csr, rcsr, |e| f[e.idx()] += slice);
-                    }
-                }
-                per
-            }
+            None => ws.cold_start(latencies, model, demands)?,
         };
+    let rcsr = Some(&ws.rcsr);
+    let eval = Eval::new(latencies, &ws.batch);
 
     let mut rel_gap = f64::INFINITY;
     let mut iterations = 0;
@@ -958,6 +1059,133 @@ mod tests {
                 sink: NodeId(2),
             }
         );
+    }
+
+    /// Two commodities from one origin whose cheap first hop is an M/M/1
+    /// edge that one slice fills to ≥ 99.99%: the second member's tree
+    /// path crosses it and must be re-routed by a fresh sweep, or the next
+    /// sweep prices an overloaded M/M/1 edge.
+    #[test]
+    fn shared_origin_bootstrap_reroutes_around_a_pole_it_just_filled() {
+        let mut g = DiGraph::with_nodes(4);
+        g.add_edge(NodeId(0), NodeId(1)); // M/M/1, capacity just over a slice
+        g.add_edge(NodeId(0), NodeId(1)); // bypass
+        g.add_edge(NodeId(1), NodeId(2));
+        g.add_edge(NodeId(1), NodeId(3));
+        let (pole, bypass) = (LatencyFn::mm1(1.00005), LatencyFn::affine(0.001, 1000.0));
+        let inst = MultiCommodityInstance::new(
+            g,
+            vec![
+                pole.clone(),
+                bypass.clone(),
+                LatencyFn::identity(),
+                LatencyFn::identity(),
+            ],
+            vec![
+                Commodity {
+                    source: NodeId(0),
+                    sink: NodeId(2),
+                    rate: 8.0,
+                },
+                Commodity {
+                    source: NodeId(0),
+                    sink: NodeId(3),
+                    rate: 8.0,
+                },
+            ],
+        );
+        let r = try_solve_multicommodity(&inst, CostModel::Wardrop, &FwOptions::default()).unwrap();
+        assert!(r.converged, "rel_gap {}", r.rel_gap);
+        let f = r.flow.as_slice();
+        assert!(f[0] < pole.capacity(), "{f:?}");
+        let (l0, l1) = (pole.value(f[0]), bypass.value(f[1]));
+        assert!((l0 - l1).abs() < 1e-6 * l1, "{l0} vs {l1}");
+    }
+
+    /// Origin A serves commodities 0 (reachable) and 2 (unreachable),
+    /// origin B commodity 1 (unreachable): the error names commodity 1,
+    /// the lowest failing index, although A's group loads first.
+    #[test]
+    fn bootstrap_names_the_lowest_unreachable_commodity() {
+        let mut g = DiGraph::with_nodes(4);
+        g.add_edge(NodeId(0), NodeId(2));
+        g.add_edge(NodeId(1), NodeId(2));
+        let c = |source: u32, sink: u32| Commodity {
+            source: NodeId(source),
+            sink: NodeId(sink),
+            rate: 1.0,
+        };
+        let inst = MultiCommodityInstance::new(
+            g,
+            vec![LatencyFn::identity(), LatencyFn::identity()],
+            vec![c(0, 2), c(1, 3), c(0, 3)],
+        );
+        let err =
+            try_solve_multicommodity(&inst, CostModel::Wardrop, &FwOptions::default()).unwrap_err();
+        assert_eq!(
+            err,
+            SolverError::UnreachableSink {
+                commodity: 1,
+                source: NodeId(1),
+                sink: NodeId(3),
+            }
+        );
+    }
+
+    /// With one commodity per origin the cold start is eight guarded
+    /// sweeps and targeted queries per commodity, in commodity order, bit
+    /// for bit.
+    #[test]
+    fn distinct_origin_bootstrap_is_the_per_commodity_loop() {
+        // Two origins into a shared M/M/1 middle edge, so the guard and the
+        // running combined flow both matter.
+        let mut g = DiGraph::with_nodes(5);
+        g.add_edge(NodeId(0), NodeId(2));
+        g.add_edge(NodeId(1), NodeId(2));
+        g.add_edge(NodeId(2), NodeId(3)); // M/M/1
+        g.add_edge(NodeId(2), NodeId(3)); // bypass
+        g.add_edge(NodeId(3), NodeId(4));
+        g.add_edge(NodeId(0), NodeId(4));
+        let lats = vec![
+            LatencyFn::affine(0.5, 0.1),
+            LatencyFn::affine(0.3, 0.2),
+            LatencyFn::mm1(2.5),
+            LatencyFn::bpr(1.0, 0.15, 2.0, 4),
+            LatencyFn::identity(),
+            LatencyFn::affine(0.2, 4.0),
+        ];
+        let demands = [(NodeId(0), NodeId(4), 2.0), (NodeId(1), NodeId(4), 1.5)];
+        for model in [CostModel::Wardrop, CostModel::SystemOptimum] {
+            let mut ws = FwWorkspace::new();
+            ws.prepare(&g, &lats, &demands);
+            let got = ws.cold_start(&lats, model, &demands).unwrap();
+            let got_f = ws.f.clone();
+
+            // The reference loop, on a fresh workspace.
+            let mut ws = FwWorkspace::new();
+            ws.prepare(&g, &lats, &demands);
+            let eval = Eval::new(&lats, &ws.batch);
+            let mut want = Vec::new();
+            for &(s, t, r) in &demands {
+                let mut out = EdgeFlow::zeros(g.num_edges());
+                for _ in 0..CHUNKS {
+                    guarded_costs(&eval, model, &ws.f, &mut ws.costs);
+                    let slice = r / CHUNKS as f64;
+                    let rcsr = Some(&ws.rcsr);
+                    aon_st_into(
+                        &ws.csr, rcsr, &mut ws.sp, &ws.costs, s, t, slice, &mut out.0,
+                    )
+                    .unwrap();
+                    let f = &mut ws.f;
+                    ws.sp.walk_st_path(&ws.csr, rcsr, |e| f[e.idx()] += slice);
+                }
+                want.push(out);
+            }
+            for (a, b) in got.iter().zip(&want) {
+                assert_eq!(a.0, b.0, "{model:?}");
+            }
+            assert_eq!(got_f, ws.f, "{model:?}");
+        }
     }
 
     #[test]

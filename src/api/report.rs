@@ -284,9 +284,24 @@ pub fn json_str(s: &str) -> String {
     out
 }
 
+/// A JSON array of [`json_num`]s, written into one buffer. Flow vectors
+/// are mostly exact zeros, which skip `json_num`'s format-and-parse round
+/// trip: it maps ±0 to `0` anyway.
 fn json_arr(vals: &[f64]) -> String {
-    let parts: Vec<String> = vals.iter().map(|&v| json_num(v)).collect();
-    format!("[{}]", parts.join(", "))
+    let mut out = String::with_capacity(2 + 3 * vals.len());
+    out.push('[');
+    for (i, &v) in vals.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        if v == 0.0 {
+            out.push('0');
+        } else {
+            out.push_str(&json_num(v));
+        }
+    }
+    out.push(']');
+    out
 }
 
 impl Report {
@@ -618,6 +633,52 @@ impl std::fmt::Display for Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    mod json_arr_bytes {
+        use super::super::{json_arr, json_num};
+        use proptest::prelude::*;
+
+        /// ±0, non-finite values, subnormals, arbitrary bit patterns,
+        /// plain decimals, and 13-digit decimals ending in 5 (ties at
+        /// `json_num`'s 12 significant digits).
+        fn any_f64() -> impl Strategy<Value = f64> {
+            prop_oneof![
+                Just(0.0),
+                Just(-0.0),
+                Just(f64::NAN),
+                Just(f64::INFINITY),
+                Just(f64::NEG_INFINITY),
+                (1u64..1 << 52).prop_map(f64::from_bits),
+                any::<u64>().prop_map(f64::from_bits),
+                -1e6..1e6f64,
+                (
+                    100_000_000_000u64..1_000_000_000_000,
+                    -30i32..30,
+                    any::<bool>()
+                )
+                    .prop_map(|(d, e, neg)| {
+                        let tie: f64 = format!("{d}5e{e}").parse().unwrap();
+                        if neg {
+                            -tie
+                        } else {
+                            tie
+                        }
+                    }),
+            ]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// The buffered writer emits exactly the bytes of the joined
+            /// per-number `json_num` strings.
+            #[test]
+            fn json_arr_matches_joined_json_nums(vals in proptest::collection::vec(any_f64(), 0..40)) {
+                let joined: Vec<String> = vals.iter().map(|&v| json_num(v)).collect();
+                prop_assert_eq!(json_arr(&vals), format!("[{}]", joined.join(", ")));
+            }
+        }
+    }
 
     #[test]
     fn json_num_absorbs_solver_noise() {

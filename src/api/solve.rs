@@ -115,8 +115,9 @@ pub struct SolveOptions {
     pub price_rounds: usize,
     /// Multi-commodity all-or-nothing strategy: origin-grouped one-to-many
     /// Dijkstra, optionally fanned across threads. Default
-    /// [`AonMode::Auto`]; [`AonMode::Sequential`] reproduces the
-    /// per-commodity query loop for honest A/B.
+    /// [`AonMode::Auto`]; [`AonMode::Sequential`] runs the per-iteration
+    /// step as one query per commodity, for A/B. The cold start is
+    /// origin-grouped under every mode.
     pub aon: AonMode,
 }
 
@@ -253,8 +254,8 @@ macro_rules! impl_solve_knobs {
             }
 
             /// Multi-commodity all-or-nothing strategy (default
-            /// [`sopt_solver::AonMode::Auto`]; `Sequential` reproduces the
-            /// per-commodity query loop).
+            /// [`sopt_solver::AonMode::Auto`]; `Sequential` runs the
+            /// per-iteration step as one query per commodity).
             pub fn aon(mut self, aon: sopt_solver::AonMode) -> Self {
                 self.options.aon = aon;
                 self

@@ -2,7 +2,7 @@
 //! `AonMode` resolves the per-iteration all-or-nothing targets —
 //! sequential per-commodity queries, origin-grouped one-to-many queries,
 //! or the threaded fan-out — every per-commodity edge flow of the solved
-//! optimum must agree to ≤1e-12 with the historical sequential solver.
+//! optimum must agree to ≤1e-12 with the sequential per-commodity loop.
 //! Forcing `Grouped` and `Parallel` explicitly exercises both sides of
 //! the `Auto` work threshold without needing city-scale instances per
 //! proptest case.

@@ -112,3 +112,85 @@ fn scaled_down_mop_strategy_misses_optimum() {
         );
     }
 }
+
+/// Theorem 2.1's plan shares one tree per origin and one residual graph
+/// per plan; it must answer exactly like the per-commodity loop it
+/// replaced (a full Dijkstra, the shortest-path DAG and a fresh max-flow
+/// per commodity), built here as the oracle.
+#[test]
+fn per_origin_plan_matches_the_per_commodity_loop() {
+    use stackopt::core::mop_multi::try_mop_multi_with_optimum;
+    use stackopt::equilibrium::network::try_multicommodity_optimum;
+    use stackopt::instances::random::try_random_multicommodity;
+    use stackopt::instances::try_grid_city_multi;
+    use stackopt::network::maxflow::max_flow;
+    use stackopt::network::spath::{dijkstra, shortest_dag_edges};
+
+    // OD grids: the first three have one origin per commodity (k ≤ 16),
+    // the last two share 16 origins among 40 and 24 commodities.
+    let grids = [
+        (4, 2.0, 6, 1),
+        (5, 20.0, 10, 0),
+        (6, 60.0, 12, 2),
+        (5, 20.0, 40, 0),
+        (5, 60.0, 24, 1),
+    ];
+    let mut cases: Vec<(String, _)> = grids
+        .into_iter()
+        .map(|(side, rate, k, seed)| {
+            let inst = try_grid_city_multi(side, rate, k, seed).unwrap();
+            (format!("grid {side} {rate} {k} {seed}"), inst)
+        })
+        .collect();
+    for seed in 0..3 {
+        let inst = try_random_multicommodity(3, 3, 3, 4.0, seed).unwrap();
+        cases.push((format!("layered {seed}"), inst));
+    }
+    let origins = |inst: &stackopt::network::MultiCommodityInstance| {
+        let mut o: Vec<_> = inst.commodities.iter().map(|c| c.source).collect();
+        o.sort();
+        o.dedup();
+        o.len()
+    };
+    assert!(origins(&cases[3].1) < cases[3].1.commodities.len());
+    assert!(origins(&cases[4].1) < cases[4].1.commodities.len());
+
+    for (name, inst) in &cases {
+        let opt = try_multicommodity_optimum(inst, &opts(), None).unwrap();
+        let plan = try_mop_multi_with_optimum(inst, &opt).unwrap();
+        assert!(plan.beta > 1e-3, "{name}: β = {}", plan.beta);
+
+        let m = inst.graph.num_edges();
+        let mut leader_total = vec![0.0; m];
+        let mut controlled = 0.0;
+        for (ci, com) in inst.commodities.iter().enumerate() {
+            let o_i = &opt.per_commodity[ci];
+            let sp = dijkstra(&inst.graph, &plan.edge_costs, com.source);
+            let dist = sp.dist[com.sink.idx()];
+            let tol = 1e-6 * dist.abs().max(1.0);
+            let mut caps = vec![0.0; m];
+            for e in shortest_dag_edges(&inst.graph, &plan.edge_costs, &sp, tol) {
+                caps[e.idx()] = o_i.get(e);
+            }
+            let free = max_flow(&inst.graph, &caps, com.source, com.sink);
+            let leader: Vec<f64> = o_i
+                .as_slice()
+                .iter()
+                .zip(free.flow.as_slice())
+                .map(|(o, f)| (o - f).max(0.0))
+                .collect();
+            let leader_value = (com.rate - free.value).max(0.0);
+            for (lt, l) in leader_total.iter_mut().zip(&leader) {
+                *lt += l;
+            }
+            controlled += leader_value;
+
+            let got = &plan.commodities[ci];
+            assert_eq!(got.alpha, leader_value / com.rate, "{name}: α_{ci}");
+            assert_eq!(got.free_flow, free.flow, "{name}: free flow {ci}");
+            assert_eq!(got.leader.0, leader, "{name}: leader {ci}");
+        }
+        assert_eq!(plan.beta, controlled / inst.total_rate(), "{name}: β");
+        assert_eq!(plan.leader_total.0, leader_total, "{name}: leader total");
+    }
+}

@@ -191,8 +191,8 @@ fn cold_grid_solves_hand_over_at_the_plateau() {
 fn grouped_aon_preserves_warm_and_cold_multicommodity_flows() {
     // Regression guard for the origin-grouped AON path: the default
     // options (AonMode::Auto, which groups demands by origin and may
-    // thread the fan-out) and the historical per-commodity sequential
-    // loop must agree on every edge flow, cold- and warm-started alike.
+    // thread the fan-out) and the per-commodity sequential loop must
+    // agree on every edge flow, cold- and warm-started alike.
     use stackopt::solver::AonMode;
     let base = random_multicommodity(3, 3, 2, 6.0, 11);
     let auto = FwOptions::default();
