@@ -247,10 +247,13 @@ impl FwWorkspace {
     /// while another path exists. Walks the origin groups in order: a
     /// one-member group takes one sweep and one targeted query per chunk;
     /// a larger group shares one sweep and one one-to-many tree per chunk
-    /// among its members. A member whose tree path crosses an edge that this
-    /// chunk's earlier slices pushed to ≥ 99.99% of capacity waits until
-    /// the chunk's tree slices are in, then gets a sweep and a query of its
-    /// own. Returns the per-commodity flows; `self.f` holds their sum.
+    /// among its members. The tree's prices predate the chunk's earlier
+    /// slices, so a member whose own slice would take an edge the tree
+    /// priced below the guard to ≥ 99.99% of its capacity waits until the
+    /// chunk's tree slices are in, then gets a sweep and a query of its
+    /// own: only a slice priced at the current flow steps onto the guard,
+    /// as in the one-member case. Returns the per-commodity flows; `self.f`
+    /// holds their sum.
     ///
     /// With one commodity per origin every slice gets its own sweep and
     /// targeted query, in commodity order.
@@ -302,19 +305,21 @@ impl FwWorkspace {
                 for &ci in members {
                     let ci = ci as usize;
                     let (_, t, r) = demands[ci];
-                    let mut pushed = false;
+                    let slice = r / CHUNKS as f64;
+                    let mut reaches_guard = false;
                     let reached = sp.walk_many_path_to(csr, t, |e| {
                         let (e, cap) = (e.idx(), eval.capacity(e.idx()));
-                        pushed |= cap.is_finite() && f[e] >= cap * 0.9999 && costs[e] != SATURATED;
+                        reaches_guard |= cap.is_finite()
+                            && f[e] + slice >= cap * 0.9999
+                            && costs[e] != SATURATED;
                     });
                     if !reached {
                         return Err(lowest_unreachable(csr, sp, costs, demands, ci));
                     }
-                    if pushed {
+                    if reaches_guard {
                         deferred.push(ci);
                         continue;
                     }
-                    let slice = r / CHUNKS as f64;
                     let out = &mut per[ci].0;
                     sp.walk_many_path_to(csr, t, |e| {
                         out[e.idx()] += slice;
@@ -1062,44 +1067,62 @@ mod tests {
     }
 
     /// Two commodities from one origin whose cheap first hop is an M/M/1
-    /// edge that one slice fills to ≥ 99.99%: the second member's tree
-    /// path crosses it and must be re-routed by a fresh sweep, or the next
-    /// sweep prices an overloaded M/M/1 edge.
+    /// edge beside a bypass. The first member's slice loads the pole; the
+    /// second member's tree path, priced before that slice, crosses it too
+    /// and must be re-routed by a fresh sweep, or the cold start ends over
+    /// the pole and the next sweep prices an overloaded M/M/1 edge. One
+    /// slice fills capacity 1.00005 to ≥ 99.99%; it leaves capacity 1.1
+    /// partly loaded, and a second slice would overrun it.
     #[test]
     fn shared_origin_bootstrap_reroutes_around_a_pole_it_just_filled() {
-        let mut g = DiGraph::with_nodes(4);
-        g.add_edge(NodeId(0), NodeId(1)); // M/M/1, capacity just over a slice
-        g.add_edge(NodeId(0), NodeId(1)); // bypass
-        g.add_edge(NodeId(1), NodeId(2));
-        g.add_edge(NodeId(1), NodeId(3));
-        let (pole, bypass) = (LatencyFn::mm1(1.00005), LatencyFn::affine(0.001, 1000.0));
-        let inst = MultiCommodityInstance::new(
-            g,
-            vec![
-                pole.clone(),
-                bypass.clone(),
-                LatencyFn::identity(),
-                LatencyFn::identity(),
-            ],
-            vec![
-                Commodity {
-                    source: NodeId(0),
-                    sink: NodeId(2),
-                    rate: 8.0,
-                },
-                Commodity {
-                    source: NodeId(0),
-                    sink: NodeId(3),
-                    rate: 8.0,
-                },
-            ],
-        );
-        let r = try_solve_multicommodity(&inst, CostModel::Wardrop, &FwOptions::default()).unwrap();
-        assert!(r.converged, "rel_gap {}", r.rel_gap);
-        let f = r.flow.as_slice();
-        assert!(f[0] < pole.capacity(), "{f:?}");
-        let (l0, l1) = (pole.value(f[0]), bypass.value(f[1]));
-        assert!((l0 - l1).abs() < 1e-6 * l1, "{l0} vs {l1}");
+        for (cap, bypass_b) in [(1.00005, 1000.0), (1.1, 5.0)] {
+            let mut g = DiGraph::with_nodes(4);
+            g.add_edge(NodeId(0), NodeId(1)); // M/M/1
+            g.add_edge(NodeId(0), NodeId(1)); // bypass
+            g.add_edge(NodeId(1), NodeId(2));
+            g.add_edge(NodeId(1), NodeId(3));
+            let (pole, bypass) = (LatencyFn::mm1(cap), LatencyFn::affine(0.001, bypass_b));
+            let inst = MultiCommodityInstance::new(
+                g,
+                vec![
+                    pole.clone(),
+                    bypass.clone(),
+                    LatencyFn::identity(),
+                    LatencyFn::identity(),
+                ],
+                vec![
+                    Commodity {
+                        source: NodeId(0),
+                        sink: NodeId(2),
+                        rate: 8.0,
+                    },
+                    Commodity {
+                        source: NodeId(0),
+                        sink: NodeId(3),
+                        rate: 8.0,
+                    },
+                ],
+            );
+            let demands: Vec<_> = inst
+                .commodities
+                .iter()
+                .map(|c| (c.source, c.sink, c.rate))
+                .collect();
+            for model in [CostModel::Wardrop, CostModel::SystemOptimum] {
+                let mut ws = FwWorkspace::new();
+                ws.prepare(&inst.graph, &inst.latencies, &demands);
+                ws.cold_start(&inst.latencies, model, &demands).unwrap();
+                assert!(ws.f[0] < cap, "cap {cap} {model:?}: start {:?}", ws.f);
+            }
+
+            let r =
+                try_solve_multicommodity(&inst, CostModel::Wardrop, &FwOptions::default()).unwrap();
+            assert!(r.converged, "cap {cap}: rel_gap {}", r.rel_gap);
+            let f = r.flow.as_slice();
+            assert!(f[0] < cap, "cap {cap}: {f:?}");
+            let (l0, l1) = (pole.value(f[0]), bypass.value(f[1]));
+            assert!((l0 - l1).abs() < 1e-6 * l1, "cap {cap}: {l0} vs {l1}");
+        }
     }
 
     /// Origin A serves commodities 0 (reachable) and 2 (unreachable),

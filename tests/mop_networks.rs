@@ -123,8 +123,10 @@ fn per_origin_plan_matches_the_per_commodity_loop() {
     use stackopt::equilibrium::network::try_multicommodity_optimum;
     use stackopt::instances::random::try_random_multicommodity;
     use stackopt::instances::try_grid_city_multi;
+    use stackopt::latency::LatencyFn;
     use stackopt::network::maxflow::max_flow;
     use stackopt::network::spath::{dijkstra, shortest_dag_edges};
+    use stackopt::network::{Commodity, DiGraph, MultiCommodityInstance, NodeId};
 
     // OD grids: the first three have one origin per commodity (k ≤ 16),
     // the last two share 16 origins among 40 and 24 commodities.
@@ -146,7 +148,27 @@ fn per_origin_plan_matches_the_per_commodity_loop() {
         let inst = try_random_multicommodity(3, 3, 3, 4.0, seed).unwrap();
         cases.push((format!("layered {seed}"), inst));
     }
-    let origins = |inst: &stackopt::network::MultiCommodityInstance| {
+    // One origin, two members whose sink distances differ a millionfold
+    // (about 0.1 and 1e6), each behind a Pigou pair whose slower edge
+    // carries optimal flow at a latency slack of about 0.1: inside the far
+    // member's DAG tolerance (1e-6 · 1e6), outside the near one's (1e-6).
+    // One tolerance for the whole origin would misjudge one of the two.
+    let mut g = DiGraph::with_nodes(4);
+    g.add_edge(NodeId(0), NodeId(1));
+    g.add_edge(NodeId(0), NodeId(1));
+    g.add_edge(NodeId(0), NodeId(2));
+    g.add_edge(NodeId(2), NodeId(3));
+    g.add_edge(NodeId(2), NodeId(3));
+    let pigou = [LatencyFn::identity(), LatencyFn::constant(0.2)];
+    let lats = [&pigou[..], &[LatencyFn::constant(1e6)], &pigou[..]].concat();
+    let od = |sink| Commodity {
+        source: NodeId(0),
+        sink: NodeId(sink),
+        rate: 1.0,
+    };
+    let two_tolerances = MultiCommodityInstance::new(g, lats, vec![od(1), od(3)]);
+    cases.push(("two tolerances".to_string(), two_tolerances));
+    let origins = |inst: &MultiCommodityInstance| {
         let mut o: Vec<_> = inst.commodities.iter().map(|c| c.source).collect();
         o.sort();
         o.dedup();
@@ -159,6 +181,11 @@ fn per_origin_plan_matches_the_per_commodity_loop() {
         let opt = try_multicommodity_optimum(inst, &opts(), None).unwrap();
         let plan = try_mop_multi_with_optimum(inst, &opt).unwrap();
         assert!(plan.beta > 1e-3, "{name}: β = {}", plan.beta);
+        if name == "two tolerances" {
+            // The near member controls its slow edge; the far one none.
+            let alphas: Vec<f64> = plan.commodities.iter().map(|c| c.alpha).collect();
+            assert!(alphas[0] > 0.5 && alphas[1] == 0.0, "{alphas:?}");
+        }
 
         let m = inst.graph.num_edges();
         let mut leader_total = vec![0.0; m];
