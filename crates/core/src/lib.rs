@@ -46,5 +46,8 @@ pub use curve::{
 };
 pub use error::CoreError;
 pub use mop::{mop, try_mop, try_mop_with_optimum, MopResult};
-pub use mop_multi::{mop_multi, try_mop_multi, try_mop_multi_with_optimum, MopMultiResult};
+pub use mop_multi::{
+    mop_multi, try_mop_multi, try_mop_multi_plan_with_optimum, try_mop_multi_with_optimum,
+    MopMultiPlan, MopMultiResult,
+};
 pub use optop::{optop, try_optop, OpTopResult};

@@ -13,6 +13,11 @@
 //! runs one Dijkstra per distinct origin on one [`SpWorkspace`] and every
 //! commodity's max-flow on one [`ResidualGraph`], with the same per-commodity
 //! answers as one tree and one fresh max-flow graph per commodity.
+//!
+//! [`try_mop_multi_plan_with_optimum`] stops at the free parts and the
+//! combined Leader flow ([`MopMultiPlan`]); [`MopMultiResult`] adds
+//! per-commodity copies of the optimum and of the Leader flow, 2·k·m
+//! floats that the β task does not read.
 
 use crate::error::CoreError;
 use sopt_equilibrium::network::try_multicommodity_optimum;
@@ -20,7 +25,7 @@ use sopt_network::csr::{Csr, SpWorkspace};
 use sopt_network::flow::EdgeFlow;
 use sopt_network::graph::NodeId;
 use sopt_network::instance::MultiCommodityInstance;
-use sopt_network::maxflow::ResidualGraph;
+use sopt_network::maxflow::{MaxFlowResult, ResidualGraph};
 use sopt_network::spath::on_shortest_dag;
 use sopt_solver::aon::CommodityGroups;
 use sopt_solver::frank_wolfe::{FwOptions, FwResult};
@@ -59,7 +64,39 @@ pub struct MopMultiResult {
     pub optimum_cost: f64,
 }
 
+/// Theorem 2.1's plan without the per-commodity copies of
+/// [`MopMultiResult`]: each commodity's free part and controlled value,
+/// and the combined Leader flow.
+#[derive(Clone, Debug)]
+pub struct MopMultiPlan {
+    /// Overall price of optimum `β = Σ (r_i − r'_i) / Σ r_i`.
+    pub beta: f64,
+    /// Per commodity, the free part riding its shortest paths: value `r'_i`
+    /// and edge flow.
+    pub free: Vec<MaxFlowResult>,
+    /// Per commodity, the controlled value `r_i − r'_i`.
+    pub leader_values: Vec<f64>,
+    /// Per commodity, `α_i = (r_i − r'_i)/r_i`.
+    pub alphas: Vec<f64>,
+    /// The combined Leader edge flow `Σ_i (O^i − free_i)`, summed in
+    /// commodity order.
+    pub leader_total: EdgeFlow,
+    /// Edge costs `ℓ_e(o_e)` at the combined optimum.
+    pub edge_costs: Vec<f64>,
+    /// `C(O)`.
+    pub optimum_cost: f64,
+}
+
 const DAG_TOL: f64 = 1e-6;
+
+/// The Leader's flow of one commodity: its optimum less its free part.
+fn leader_part<'a>(optimum: &'a EdgeFlow, free: &'a EdgeFlow) -> impl Iterator<Item = f64> + 'a {
+    optimum
+        .as_slice()
+        .iter()
+        .zip(free.as_slice())
+        .map(|(o, f)| (o - f).max(0.0))
+}
 
 /// Run the k-commodity MOP of Theorem 2.1. Panics where [`try_mop_multi`]
 /// errors.
@@ -84,6 +121,39 @@ pub fn try_mop_multi_with_optimum(
     inst: &MultiCommodityInstance,
     opt: &FwResult,
 ) -> Result<MopMultiResult, CoreError> {
+    let plan = try_mop_multi_plan_with_optimum(inst, opt)?;
+    let commodities = plan
+        .free
+        .into_iter()
+        .enumerate()
+        .map(|(ci, free)| {
+            let o_i = &opt.per_commodity[ci];
+            MopCommodity {
+                optimum: o_i.clone(),
+                leader: EdgeFlow(leader_part(o_i, &free.flow).collect()),
+                free_value: free.value,
+                free_flow: free.flow,
+                leader_value: plan.leader_values[ci],
+                alpha: plan.alphas[ci],
+            }
+        })
+        .collect();
+    Ok(MopMultiResult {
+        beta: plan.beta,
+        commodities,
+        optimum_total: opt.flow.clone(),
+        leader_total: plan.leader_total,
+        edge_costs: plan.edge_costs,
+        optimum_cost: plan.optimum_cost,
+    })
+}
+
+/// [`try_mop_multi_with_optimum`] up to the free parts and the combined
+/// Leader flow, with the same answers and errors.
+pub fn try_mop_multi_plan_with_optimum(
+    inst: &MultiCommodityInstance,
+    opt: &FwResult,
+) -> Result<MopMultiPlan, CoreError> {
     if !opt.converged {
         return Err(CoreError::NotConverged {
             what: "multicommodity optimum",
@@ -113,7 +183,7 @@ pub fn try_mop_multi_with_optimum(
     let mut sp = SpWorkspace::new();
     let mut residual = ResidualGraph::new(&inst.graph);
     let mut caps = vec![0.0; m];
-    let mut slots: Vec<Option<MopCommodity>> = vec![None; k];
+    let mut slots: Vec<Option<MaxFlowResult>> = vec![None; k];
     let mut unreachable: Option<usize> = None;
     for g in 0..groups.num_groups() {
         let (source, members) = groups.group(g);
@@ -138,48 +208,45 @@ pub fn try_mop_multi_with_optimum(
                     0.0
                 };
             }
-            let free = residual.max_flow(&caps, com.source, com.sink);
-            let leader = EdgeFlow(
-                o_i.as_slice()
-                    .iter()
-                    .zip(free.flow.as_slice())
-                    .map(|(o, f)| (o - f).max(0.0))
-                    .collect(),
-            );
-            let leader_value = (com.rate - free.value).max(0.0);
-            slots[ci] = Some(MopCommodity {
-                optimum: o_i.clone(),
-                free_value: free.value,
-                free_flow: free.flow,
-                leader,
-                leader_value,
-                alpha: leader_value / com.rate,
-            });
+            slots[ci] = Some(residual.max_flow(&caps, com.source, com.sink));
         }
     }
     if let Some(commodity) = unreachable {
         return Err(CoreError::Unreachable { commodity });
     }
-    let commodities: Vec<MopCommodity> = slots
+    let free: Vec<MaxFlowResult> = slots
         .into_iter()
         .map(|c| c.expect("every commodity belongs to one origin group"))
         .collect();
     // Summed in commodity order, whatever the group order.
     let mut leader_total = EdgeFlow::zeros(m);
-    for c in &commodities {
-        for (lt, l) in leader_total.0.iter_mut().zip(&c.leader.0) {
+    for (o_i, f) in opt.per_commodity.iter().zip(&free) {
+        for (lt, l) in leader_total.0.iter_mut().zip(leader_part(o_i, &f.flow)) {
             *lt += l;
         }
     }
+    let leader_values: Vec<f64> = inst
+        .commodities
+        .iter()
+        .zip(&free)
+        .map(|(com, f)| (com.rate - f.value).max(0.0))
+        .collect();
+    let alphas = inst
+        .commodities
+        .iter()
+        .zip(&leader_values)
+        .map(|(com, v)| v / com.rate)
+        .collect();
 
-    let controlled: f64 = commodities.iter().map(|c| c.leader_value).sum();
-    Ok(MopMultiResult {
+    let controlled: f64 = leader_values.iter().sum();
+    Ok(MopMultiPlan {
         beta: controlled / inst.total_rate(),
-        commodities,
-        optimum_cost: inst.cost(opt.flow.as_slice()),
-        optimum_total: opt.flow.clone(),
+        free,
+        leader_values,
+        alphas,
         leader_total,
         edge_costs,
+        optimum_cost: inst.cost(opt.flow.as_slice()),
     })
 }
 

@@ -27,7 +27,7 @@ use sopt_core::tolls::{
     try_marginal_cost_tolls_multi_with_optimum, try_marginal_cost_tolls_network_with_optimum,
     try_marginal_cost_tolls_with_optimum,
 };
-use sopt_core::{try_mop_multi_with_optimum, try_mop_with_optimum, try_optop};
+use sopt_core::{try_mop_multi_plan_with_optimum, try_mop_with_optimum, try_optop};
 use sopt_equilibrium::network::{
     try_induced_multicommodity, try_induced_network, try_multicommodity_nash,
     try_multicommodity_optimum, try_network_nash, try_network_optimum, warm_seed_from,
@@ -737,19 +737,23 @@ impl ScenarioModel for MultiCommodityInstance {
     }
 
     fn beta_plan(&self, optimum: Option<&ModelProfile>) -> Result<BetaPlan, SoptError> {
-        let r = try_mop_multi_with_optimum(self, ModelProfile::require_flow(optimum, "optimum")?)?;
+        let opt = ModelProfile::require_flow(optimum, "optimum")?;
+        // No per-commodity copies of the optimum and the Leader flows,
+        // which the β task does not read, and the free flows move into the
+        // seed uncloned: 3·k·m fewer floats allocated per plan.
+        let r = try_mop_multi_plan_with_optimum(self, opt)?;
         Ok(BetaPlan {
             beta: r.beta,
-            commodity_alphas: r.commodities.iter().map(|c| c.alpha).collect(),
-            leader: r.leader_total.as_slice().to_vec(),
-            leader_values: r.commodities.iter().map(|c| c.leader_value).collect(),
-            optimum: r.optimum_total.as_slice().to_vec(),
+            commodity_alphas: r.alphas,
+            leader: r.leader_total.0,
+            leader_values: r.leader_values,
+            optimum: opt.flow.as_slice().to_vec(),
             optimum_cost: r.optimum_cost,
             nash_cost: None,
             // Per-commodity free flows are the follower equilibria the
             // strategy induces — the exact warm seed.
             induced_seed: Some(warm_seed_from_per(
-                r.commodities.iter().map(|c| c.free_flow.clone()).collect(),
+                r.free.into_iter().map(|f| f.flow).collect(),
             )),
         })
     }

@@ -119,7 +119,7 @@ fn scaled_down_mop_strategy_misses_optimum() {
 /// per commodity), built here as the oracle.
 #[test]
 fn per_origin_plan_matches_the_per_commodity_loop() {
-    use stackopt::core::mop_multi::try_mop_multi_with_optimum;
+    use stackopt::core::mop_multi::{try_mop_multi_plan_with_optimum, try_mop_multi_with_optimum};
     use stackopt::equilibrium::network::try_multicommodity_optimum;
     use stackopt::instances::random::try_random_multicommodity;
     use stackopt::instances::try_grid_city_multi;
@@ -219,5 +219,18 @@ fn per_origin_plan_matches_the_per_commodity_loop() {
         }
         assert_eq!(plan.beta, controlled / inst.total_rate(), "{name}: β");
         assert_eq!(plan.leader_total.0, leader_total, "{name}: leader total");
+
+        // The lean plan the β task runs gives the same answers.
+        let lean = try_mop_multi_plan_with_optimum(inst, &opt).unwrap();
+        assert_eq!(lean.beta, plan.beta, "{name}: lean β");
+        assert_eq!(lean.leader_total, plan.leader_total, "{name}: lean total");
+        assert_eq!(lean.optimum_cost, plan.optimum_cost, "{name}: lean C(O)");
+        assert_eq!(lean.edge_costs, plan.edge_costs, "{name}: lean costs");
+        for (ci, c) in plan.commodities.iter().enumerate() {
+            assert_eq!(lean.free[ci].flow, c.free_flow, "{name}: lean free {ci}");
+            assert_eq!(lean.free[ci].value, c.free_value, "{name}: lean r'_{ci}");
+            assert_eq!(lean.leader_values[ci], c.leader_value, "{name}: lean {ci}");
+            assert_eq!(lean.alphas[ci], c.alpha, "{name}: lean α_{ci}");
+        }
     }
 }
