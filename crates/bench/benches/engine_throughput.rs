@@ -1,19 +1,18 @@
 //! Engine throughput: scenarios/sec for uniform vs skewed fleets, cold vs
-//! warm cache, against the PR 2 chunked baseline.
+//! warm cache.
 //!
 //! The skewed fleet front-loads four 512-link scenarios before 124 tiny
-//! ones — exactly the shape that pins one contiguous chunk while the other
-//! seven threads idle. The cache axis re-runs an identical fleet against a
-//! pre-warmed [`SolveCache`]. On a single-core host the scheduler
-//! comparison degenerates (both variants serialize); the checked-in
-//! `BENCH_engine.json` baseline (see the `engine_bench` binary) therefore
+//! ones — the shape that would pin one contiguous chunk while the other
+//! seven threads idle; the engine's longest-first queue starts the four
+//! first. The cache axis re-runs an identical fleet against a pre-warmed
+//! [`SolveCache`]. Wall times depend on the host's core count; the
+//! checked-in `BENCH_engine.json` baseline (see the `engine_bench` binary)
 //! also records the machine-independent model makespans.
 
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use stackopt::api::engine::run_chunked_reference;
-use stackopt::api::{parse_batch_file, Engine, Scenario, SolveCache, SolveOptions, Task};
+use stackopt::api::{parse_batch_file, Engine, Scenario, SolveCache, Task};
 use stackopt::fleet::{generate_fleet, Family};
 use std::hint::black_box;
 
@@ -46,10 +45,6 @@ fn bench_scheduler(c: &mut Criterion) {
                     .no_cache()
                     .run()
             })
-        });
-        group.bench_with_input(BenchmarkId::new(name, "chunked8"), &fleet, |b, fleet| {
-            let options = SolveOptions::default();
-            b.iter(|| run_chunked_reference(black_box(fleet.clone()), &options, THREADS))
         });
     }
     group.finish();

@@ -1,26 +1,28 @@
 //! `engine-bench` — the engine's checked-in perf baseline.
 //!
-//! Measures the `stackopt::api::engine` scheduler and cache against the
-//! PR 2 chunked baseline and writes the numbers to `BENCH_engine.json`
-//! (first CLI argument overrides the path):
+//! Measures the `stackopt::api::engine` worker pool and cache and writes
+//! the numbers to `BENCH_engine.json` (first CLI argument overrides the
+//! path):
 //!
-//! * **wall speedup** — wall-clock chunked/engine ratio on a skewed fleet
-//!   at 8 threads. Machine-dependent: it approaches the model speedup on
-//!   ≥ 8 cores and degenerates toward 1 on a single-core host, where every
-//!   schedule serializes.
+//! * **engine wall time** — best-of-3 wall seconds and scenarios per
+//!   second for a uniform and a skewed fleet at 8 threads, cache off.
+//!   Machine-dependent: on fewer than 8 cores the workers share them.
 //! * **model speedup** — per-scenario solve durations are measured once,
-//!   then replayed through both schedules *analytically*: the chunked
-//!   makespan is the heaviest contiguous chunk, the engine makespan the
-//!   heaviest worker under longest-processing-time-first assignment (what
-//!   the work-stealing scheduler converges to). Machine-independent, and
-//!   the number the ≥ 2× acceptance bar is judged on.
+//!   then replayed through two schedules *analytically*: contiguous
+//!   equal-count chunks (makespan: the heaviest chunk) and the pool's
+//!   longest-first queue (makespan: the heaviest worker when each job, in
+//!   descending duration, goes to the worker that frees up first — LPT
+//!   list scheduling, which is what popping the costliest job left does
+//!   while the cost model ranks jobs as their durations do).
+//!   Machine-independent, and the number the ≥ 2× acceptance bar is judged
+//!   on.
 //! * **cache** — cold vs warm wall time on an identical fleet, hit rate,
 //!   and a bit-identical check of the replayed reports.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use stackopt::api::engine::{run_chunked_reference, scenario_cost};
+use stackopt::api::engine::scenario_cost;
 use stackopt::api::{
     parse_batch_file, Engine, Report, Scenario, SolveCache, SolveOptions, SoptError, Task,
 };
@@ -65,7 +67,7 @@ fn durations(fleet: &[Scenario], options: &SolveOptions) -> Vec<f64> {
             (0..REPS)
                 .map(|_| {
                     let t = Instant::now();
-                    let _ = run_chunked_reference(vec![sc.clone()], options, 1);
+                    let _ = sc.clone().solve().options(options.clone()).run();
                     t.elapsed().as_secs_f64()
                 })
                 .fold(f64::INFINITY, f64::min)
@@ -73,7 +75,8 @@ fn durations(fleet: &[Scenario], options: &SolveOptions) -> Vec<f64> {
         .collect()
 }
 
-/// Makespan of the PR 2 schedule: the heaviest contiguous equal-count chunk.
+/// Makespan of contiguous equal-count chunks, one per thread: the heaviest
+/// chunk.
 fn chunked_makespan(durations: &[f64], threads: usize) -> f64 {
     let chunk = durations.len().div_ceil(threads);
     durations
@@ -83,7 +86,7 @@ fn chunked_makespan(durations: &[f64], threads: usize) -> f64 {
 }
 
 /// Makespan of the engine's schedule: longest-processing-time-first onto
-/// the least-loaded worker — the balance work stealing converges to.
+/// the least-loaded worker, i.e. the worker that frees up first.
 fn lpt_makespan(durations: &[f64], threads: usize) -> f64 {
     let mut order: Vec<usize> = (0..durations.len()).collect();
     order.sort_by(|&a, &b| durations[b].total_cmp(&durations[a]));
@@ -118,7 +121,6 @@ fn num(v: f64) -> String {
 struct FleetNumbers {
     scenarios: usize,
     engine_secs: f64,
-    chunked_secs: f64,
     engine_sps: f64,
     model_speedup: f64,
 }
@@ -133,14 +135,10 @@ fn measure_fleet(fleet: Vec<Scenario>, options: &SolveOptions) -> FleetNumbers {
             .no_cache()
             .run();
     });
-    let chunked_secs = wall(|| {
-        run_chunked_reference(fleet.clone(), options, THREADS);
-    });
     let d = durations(&fleet, options);
     FleetNumbers {
         scenarios: n,
         engine_secs,
-        chunked_secs,
         engine_sps: n as f64 / engine_secs,
         model_speedup: chunked_makespan(&d, THREADS) / lpt_makespan(&d, THREADS),
     }
@@ -148,13 +146,11 @@ fn measure_fleet(fleet: Vec<Scenario>, options: &SolveOptions) -> FleetNumbers {
 
 fn fleet_json(f: &FleetNumbers) -> String {
     format!(
-        "{{\"scenarios\": {}, \"engine_secs\": {}, \"chunked_secs\": {}, \
-         \"engine_scenarios_per_sec\": {}, \"wall_speedup\": {}, \"model_speedup\": {}}}",
+        "{{\"scenarios\": {}, \"engine_secs\": {}, \
+         \"engine_scenarios_per_sec\": {}, \"model_speedup\": {}}}",
         f.scenarios,
         num(f.engine_secs),
-        num(f.chunked_secs),
         num(f.engine_sps),
-        num(f.chunked_secs / f.engine_secs),
         num(f.model_speedup)
     )
 }

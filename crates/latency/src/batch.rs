@@ -4,7 +4,7 @@
 //! edges: the Frank–Wolfe linearization (`F'_e(f_e)` for every edge), the
 //! line search (dozens of directional-derivative probes per iteration),
 //! and the conjugate-direction curvature weights. Evaluating
-//! those sweeps through [`LatencyFn`](crate::LatencyFn) costs an enum
+//! those sweeps through [`crate::LatencyFn`] costs an enum
 //! discriminant branch per edge and defeats vectorization.
 //!
 //! A `LatencyBatch` is built once per instance: edges are grouped by kind

@@ -37,7 +37,7 @@ use std::time::Instant;
 const SUB: usize = 8;
 
 /// Total bucket count: values `0..8` get exact buckets, then 61 octaves
-/// (`2^3..=2^63`) of [`SUB`] sub-buckets each.
+/// (`2^3..=2^63`) of 8 sub-buckets each.
 pub const BUCKETS: usize = 8 + 61 * SUB;
 
 /// Bucket index for a sample. Values below 8 are exact; larger values map

@@ -8,8 +8,8 @@
 //! Reproduces the §2 claim: systems with a small group of highly appealing
 //! links, or large groups of identical links, have significantly small β_M;
 //! a mild capacity spread at high utilisation does not. The whole family
-//! sweep runs as one `api::batch` fleet — the batch runner keeps results
-//! in input order, so the table rows match the scenario list.
+//! sweep runs as one `api::Engine` fleet — `Engine::run` keeps results in
+//! input order, so the table rows match the scenario list.
 
 use stackopt::core::llf::llf;
 use stackopt::core::optop::optop;
@@ -44,7 +44,7 @@ fn main() -> Result<(), SoptError> {
         .iter()
         .map(|(_, links)| Scenario::from(links.clone()))
         .collect();
-    let reports = Batch::new(scenarios).task(Task::Beta).run();
+    let reports = Engine::new(scenarios).task(Task::Beta).run();
     for ((name, _), report) in families.iter().zip(&reports) {
         let report = report.as_ref().map_err(|e| e.clone())?;
         let b = report.data.as_beta().unwrap();

@@ -1,15 +1,14 @@
-//! [`Engine`] — the streaming, work-stealing, memoizing execution engine
-//! for scenario fleets.
+//! [`Engine`] — the streaming, memoizing execution engine for scenario
+//! fleets.
 //!
-//! `api::batch` (PR 2) proved the fleet contract — one result per input, in
-//! input order, panics contained per scenario — but its equal-count
-//! contiguous chunks buffer every report and stall on skewed fleets. The
-//! engine keeps the contract and replaces the machinery:
+//! A fleet run keeps one contract — one result per input, panics contained
+//! per scenario — and streams results out as they complete:
 //!
-//! * **[`scheduler`]** — a size-aware cost model (edge count × solver class
-//!   × task) seeds per-worker deques longest-job-first; idle workers steal
-//!   the back half of the richest queue. One 500-edge network among ten
-//!   thousand Pigou instances no longer pins a single thread.
+//! * **[`scheduler`]** — the one worker pool: every scenario waits in one
+//!   priority queue at its estimated cost (edge count × solver class ×
+//!   task), and each idle worker pops the costliest one left. One 500-edge
+//!   network among ten thousand Pigou instances starts first instead of
+//!   pinning a thread at the end. The serve daemon runs on the same pool.
 //! * **[`cache`]** — a sharded memo table keyed by the canonical spec
 //!   round-trip ([`fingerprint`]): identical scenarios solve once, warm
 //!   re-runs replay bit-identical reports, and the Nash/optimum profiles
@@ -22,8 +21,6 @@
 //!   adapter ([`Ordered`] / [`Engine::run_ordered`]), or a pull-based
 //!   iterator over a bounded channel ([`Engine::stream`]). A
 //!   million-scenario batch never holds more than the in-flight window.
-//!
-//! [`super::Batch`] is now a thin compatibility wrapper over [`Engine::run`].
 //!
 //! ```
 //! use stackopt::api::{Engine, Scenario, Task};
@@ -57,10 +54,10 @@ use super::solve::{impl_solve_knobs, SolveOptions, Task};
 
 pub use cache::{CacheCounters, SolveCache, DEFAULT_PROFILE_CAPACITY, DEFAULT_REPORT_CAPACITY};
 pub use fingerprint::Fingerprint;
-pub use scheduler::{run_chunked_reference, scenario_cost};
+pub use scheduler::scenario_cost;
 pub use stream::{EngineStream, Ordered, StreamItem};
 
-/// What one engine run did: delivery counts, cache traffic, steal count.
+/// What one engine run did: delivery counts and cache traffic.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Scenarios in the fleet.
@@ -90,8 +87,6 @@ pub struct EngineStats {
     pub profile_evictions: u64,
     /// Report-table entries evicted by the capacity bound.
     pub report_evictions: u64,
-    /// Jobs moved between worker queues by stealing.
-    pub steals: u64,
     /// Serve requests shed for an unmeetable deadline (each answered with a
     /// typed `dropped` response). Always 0 on the fleet entry points.
     pub dropped: u64,
@@ -130,11 +125,9 @@ enum CacheMode {
     Off,
 }
 
-/// A configured fleet run: scenarios + shared solve knobs + engine knobs.
-///
-/// Construction mirrors [`super::Batch`] (whose `run` now delegates here);
-/// the additional surface is cache control ([`Engine::cache`],
-/// [`Engine::no_cache`]) and the streaming entry points.
+/// A configured fleet run: scenarios, shared solve knobs and engine knobs
+/// (thread count, cache control via [`Engine::cache`] and
+/// [`Engine::no_cache`]), with buffered and streaming entry points.
 #[derive(Clone, Debug)]
 pub struct Engine {
     scenarios: Vec<Scenario>,
@@ -202,7 +195,7 @@ impl Engine {
     }
 
     /// Solves the fleet, returning exactly one result per input, in input
-    /// order — the [`super::Batch::run`] contract.
+    /// order, whatever the thread interleaving.
     pub fn run(self) -> Vec<Result<Report, SoptError>> {
         self.run_stats().0
     }
@@ -230,16 +223,14 @@ impl Engine {
         });
         let results = slots
             .into_iter()
-            .enumerate()
-            .map(|(index, slot)| slot.unwrap_or(Err(SoptError::WorkerPanic { index })))
+            .map(|slot| slot.expect("an uncancelled run delivers every index"))
             .collect();
         (results, stats)
     }
 
     /// Solves the fleet, delivering each `(input index, result)` to `sink`
     /// **as it completes** (completion order, calling thread). Nothing is
-    /// buffered; barring a dead worker thread, every index is delivered
-    /// exactly once.
+    /// buffered; every index is delivered exactly once.
     pub fn run_streamed<F>(self, sink: F) -> EngineStats
     where
         F: FnMut(usize, Result<Report, SoptError>),
@@ -299,12 +290,12 @@ impl Engine {
 impl_solve_knobs!(Engine);
 
 /// One builder for every way the engine runs — fleet batches, single
-/// solves, and the serve daemon. It gathers the knobs that used to be
-/// plumbed positionally (`SolveCache::with_capacity(a, b)`) or re-declared
-/// per entry point: worker threads, the two cache capacities, the optional
-/// disk-persistence path, the serve shed policy, and the full solve knob
-/// set (task/tolerance/α/steps/max_iters/strategy via the same
-/// `impl_solve_knobs!` surface as [`Engine`] and [`super::Batch`]).
+/// solves, and the serve daemon. It gathers the knobs that would otherwise
+/// be re-declared per entry point: worker threads, the two cache
+/// capacities, the optional disk-persistence path, the serve shed policy,
+/// and the full solve knob set (task/tolerance/α/steps/max_iters/strategy
+/// via the same `impl_solve_knobs!` surface as [`Engine`] and
+/// [`Solve`](super::Solve)).
 ///
 /// ```no_run
 /// use stackopt::api::{EngineBuilder, Scenario, Task};
@@ -453,6 +444,12 @@ mod tests {
             .map(|r| r.as_ref().unwrap().data.as_beta().unwrap().beta)
             .collect();
         assert!((betas[0] - 0.5).abs() < 1e-9, "{betas:?}");
+        // No constant link: β = 0.
+        assert!(betas[1].abs() < 1e-9, "{betas:?}");
+        // Pigou as a network, through MOP.
+        assert!((betas[2] - 0.5).abs() < 1e-4, "{betas:?}");
+        // Rate-2 Pigou has a different β than rate-1 (the Leader freezes
+        // the constant link at o₂ = 3/2 of r = 2) — slot order is observable.
         assert!((betas[3] - 0.75).abs() < 1e-9, "{betas:?}");
         assert_eq!(betas[0], betas[4]);
     }

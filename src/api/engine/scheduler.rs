@@ -1,43 +1,38 @@
-//! The engine's work-stealing scheduler.
+//! The engine's one worker pool.
 //!
-//! ## Why not equal-count chunks
+//! Every executor in stackopt is the same pool (`run_pool`): work waits in
+//! one closable `PriorityQueue`, and each of `threads` workers runs one
+//! loop — pop the highest-priority item left, work it, send the result to
+//! the calling thread — until the queue is closed and drained or a send
+//! fails. Fleet runs ([`Engine`](super::Engine)),
+//! [`Server::run_requests`](super::super::Server::run_requests) and
+//! [`Server::serve`](super::super::Server::serve) differ only in what they
+//! push and where the results go.
 //!
-//! The PR 2 batch runner split a fleet into contiguous equal-count chunks,
-//! one thread per chunk. Real fleets are *skewed* — a handful of 500-edge
-//! networks among thousands of 2-link Pigou instances — and whichever chunk
-//! drew the big scenarios runs long after every other thread went idle.
+//! ## Fleets: longest first
 //!
-//! ## What this module does instead
-//!
-//! 1. **Cost model.** Every scenario gets an a-priori cost estimate from
-//!    its size, class, and task ([`scenario_cost`]): the parallel-link
-//!    equalizer is near-linear in links, Frank–Wolfe networks pay per-edge
-//!    per-iteration, curve tasks multiply by their α samples.
-//! 2. **LPT seeding.** Jobs are assigned longest-processing-time-first to
-//!    the least-loaded worker queue, so the initial split is already
-//!    balanced *by estimated cost*, not by count.
-//! 3. **Work stealing.** Cost estimates are estimates. A worker that drains
-//!    its own deque steals the back half of the richest victim's deque and
-//!    keeps going; all cores stay busy until the global tail.
+//! Real fleets are *skewed* — a handful of 500-edge networks among
+//! thousands of 2-link Pigou instances — so equal-count chunks leave
+//! whichever thread drew the big scenarios running long after the others
+//! went idle. A fleet therefore pushes every scenario at priority
+//! [`scenario_cost`], an a-priori estimate from its size, class and task:
+//! the parallel-link equalizer is near-linear in links, Frank–Wolfe
+//! networks pay per edge per iteration, curve tasks multiply by their α
+//! samples. Each idle worker pops the costliest job left. That is LPT
+//! (longest-processing-time-first) list scheduling on actual finish times:
+//! the long jobs start first, and the short ones fill in around them.
 //!
 //! Results are pushed to the caller's sink **on the calling thread** as
-//! they complete (workers send over a channel), so sinks need neither
-//! `Send` nor locking, and a million-scenario run holds at most the
-//! in-flight window in memory. Barring cancellation, the sink is invoked
+//! they complete, so sinks need neither `Send` nor locking, and the
+//! bounded channel means a million-scenario run holds at most the
+//! in-flight window of reports in memory. Barring cancellation, the sink is invoked
 //! exactly once per input index; a scenario whose solve panics is
-//! delivered as [`SoptError::WorkerPanic`], and its worker survives to take
-//! the next job.
-//!
-//! [`run_chunked_reference`] preserves the PR 2 algorithm verbatim — it is
-//! the baseline the `engine_throughput` bench measures the scheduler
-//! against, and deliberately receives no cache and no cost model.
+//! delivered as [`SoptError::WorkerPanic`], and its worker goes on to the
+//! next job.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
-
-use parking_lot::Mutex;
 
 use super::super::error::SoptError;
 use super::super::report::Report;
@@ -51,16 +46,9 @@ use super::EngineStats;
 /// completed-but-undelivered reports the engine holds for a slow sink.
 const SINK_WINDOW: usize = 64;
 
-/// One schedulable unit: an input scenario with its position and cost.
-struct Job {
-    index: usize,
-    scenario: Scenario,
-    cost: u64,
-}
-
 /// Estimated solve cost of one scenario under the engine's cost model:
 /// `size × class weight × task weight`, in arbitrary units. Only relative
-/// magnitudes matter — the scheduler uses this to seed balanced queues.
+/// magnitudes matter — a fleet run pops its costliest scenarios first.
 pub fn scenario_cost(scenario: &Scenario, options: &SolveOptions) -> u64 {
     let m = scenario.size().max(1) as u64;
     // Class weight: the parallel-link equalizer bisects in ~linear work per
@@ -97,9 +85,9 @@ pub(crate) struct RunCounters {
 }
 
 /// Solves one scenario, consulting and feeding the memo cache. Shared by
-/// the fleet scheduler below and the serve pool
-/// ([`super::super::serve`]), so both paths hit (and persist through) the
-/// same first- and second-level caches.
+/// fleet runs and the serve daemon ([`super::super::serve`]), so both
+/// paths hit (and persist through) the same first- and second-level
+/// caches.
 pub(crate) fn cached_solve(
     scenario: Scenario,
     options: &SolveOptions,
@@ -124,90 +112,54 @@ pub(crate) fn cached_solve(
     run_with(scenario, options)
 }
 
-/// Solves one job with per-scenario panic containment.
-fn solve_job(
-    job: Job,
-    options: &SolveOptions,
-    cache: Option<&SolveCache>,
-    counters: &RunCounters,
-) -> (usize, Result<Report, SoptError>) {
-    let index = job.index;
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        cached_solve(job.scenario, options, cache, counters)
-    }))
-    .unwrap_or(Err(SoptError::WorkerPanic { index }));
-    (index, result)
-}
-
-/// Pops the next job for worker `me`: its own deque front first, then the
-/// back half of the richest victim. Returns `None` only when every deque
-/// was observed empty — jobs are never re-enqueued from outside, so that
-/// observation is final.
-fn take_job(me: usize, queues: &[Mutex<VecDeque<Job>>], steals: &AtomicU64) -> Option<Job> {
-    if let Some(job) = queues[me].lock().pop_front() {
-        return Some(job);
-    }
-    loop {
-        // Pick the victim with the most remaining work.
-        let victim = queues
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != me)
-            .map(|(i, q)| (i, q.lock().len()))
-            .max_by_key(|&(_, len)| len)?;
-        if victim.1 == 0 {
-            return None;
-        }
-        // Steal the back half (one to run now, the rest into our deque).
-        // Victim and own locks are never held together, so no ordering
-        // deadlock is possible.
-        let mut stolen: Vec<Job> = {
-            let mut vq = queues[victim.0].lock();
-            let len = vq.len();
-            if len == 0 {
-                continue; // raced with the victim finishing; rescan
-            }
-            let keep = len / 2;
-            vq.split_off(keep).into_iter().collect()
-        };
-        steals.fetch_add(stolen.len() as u64, Ordering::Relaxed);
-        let first = stolen.pop().expect("stole at least one job");
-        if !stolen.is_empty() {
-            let mut mine = queues[me].lock();
-            for job in stolen {
-                mine.push_back(job);
-            }
-        }
-        return Some(first);
-    }
-}
-
-/// Seeds `threads` worker deques longest-processing-time-first: jobs in
-/// descending cost order, each to the currently least-loaded queue.
-fn seed_queues(jobs: Vec<Job>, threads: usize) -> Vec<Mutex<VecDeque<Job>>> {
-    let mut order: Vec<usize> = (0..jobs.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(jobs[i].cost));
-    let mut queues: Vec<VecDeque<Job>> = (0..threads).map(|_| VecDeque::new()).collect();
-    let mut loads = vec![0u64; threads];
-    let mut slots: Vec<Option<Job>> = jobs.into_iter().map(Some).collect();
-    for i in order {
-        let job = slots[i].take().expect("each job assigned once");
-        let w = (0..threads)
-            .min_by_key(|&w| loads[w])
-            .expect("threads >= 1");
-        loads[w] += job.cost;
-        queues[w].push_back(job);
-    }
-    queues.into_iter().map(Mutex::new).collect()
-}
-
-/// Runs a fleet through the scheduler, delivering every result to `sink`
-/// as `(input index, result)` in completion order on the calling thread.
+/// The one worker pool. Runs `threads` workers over `queue` until it is
+/// closed and drained, while `consume` takes the channel's receiving end
+/// on the calling thread; returns what `consume` returns.
 ///
-/// `cancel` (when provided) is polled between jobs: once set, workers stop
-/// taking new jobs and the run winds down without delivering the remainder.
-/// Absent cancellation, every index in `0..scenarios.len()` is delivered
-/// exactly once.
+/// Every worker runs the same loop: pop the highest-priority item left,
+/// `work` it, `send` the result over its own clone of the channel's
+/// sender, and stop once a send fails — the consumer is gone, or the
+/// caller's `send` refused (a cancelled fleet run). The caller picks the
+/// channel: bounded for fleets, so a stalled sink blocks the workers
+/// instead of buffering reports; unbounded for serve, so its reader never
+/// blocks while answering a bad line.
+pub(crate) fn run_pool<T, R, S, C>(
+    threads: usize,
+    queue: &PriorityQueue<T>,
+    (tx, rx): (S, mpsc::Receiver<R>),
+    work: impl Fn(T) -> R + Sync,
+    send: impl Fn(&S, R) -> bool + Sync,
+    consume: impl FnOnce(mpsc::Receiver<R>) -> C,
+) -> C
+where
+    T: Send,
+    S: Clone + Send,
+{
+    crossbeam::thread::scope(|s| {
+        for _ in 0..threads {
+            let tx = tx.clone();
+            let (work, send) = (&work, &send);
+            s.spawn(move |_| {
+                while let Some(item) = queue.pop() {
+                    if !send(&tx, work(item)) {
+                        break;
+                    }
+                }
+            });
+        }
+        drop(tx); // the workers hold the remaining senders
+        consume(rx)
+    })
+    .expect("pool workers contain panics per job")
+}
+
+/// Runs a fleet through the pool, delivering every result to `sink` as
+/// `(input index, result)` in completion order on the calling thread.
+///
+/// `cancel` (when provided) is tested before each result is sent: once
+/// set, every worker stops after its in-flight job and the run winds down
+/// without delivering the remainder. Absent cancellation, every index in
+/// `0..scenarios.len()` is delivered exactly once.
 pub(crate) fn execute<F>(
     scenarios: Vec<Scenario>,
     options: &SolveOptions,
@@ -229,88 +181,34 @@ where
     }
     let before = cache.map(|c| c.counters()).unwrap_or_default();
     let threads = threads.clamp(1, n);
-    let cancelled = || cancel.is_some_and(|c| c.load(Ordering::Relaxed));
     let counters = RunCounters::default();
-
-    if threads == 1 {
-        // Sequential fast path: no queues, no channel — and completion
-        // order equals input order, which the streaming tests rely on.
-        for (index, scenario) in scenarios.into_iter().enumerate() {
-            if cancelled() {
-                break;
-            }
-            let (index, result) = solve_job(
-                Job {
-                    index,
-                    scenario,
-                    cost: 0,
-                },
-                options,
-                cache,
-                &counters,
-            );
-            stats.delivered += 1;
-            sink(index, result);
-        }
-    } else {
-        let jobs: Vec<Job> = scenarios
-            .into_iter()
-            .enumerate()
-            .map(|(index, scenario)| {
-                let cost = scenario_cost(&scenario, options);
-                Job {
-                    index,
-                    scenario,
-                    cost,
-                }
-            })
-            .collect();
-        let queues = seed_queues(jobs, threads);
-        let steals = AtomicU64::new(0);
-        // Bounded: a sink that stalls (a blocked downstream pipe, a
-        // consumer that stops pulling) blocks the workers instead of
-        // buffering the fleet's reports — the engine's streaming memory
-        // contract. The bound is the in-flight window per worker.
-        let (tx, rx) =
-            mpsc::sync_channel::<(usize, Result<Report, SoptError>)>(threads * SINK_WINDOW);
-        let mut delivered = vec![false; n];
-        crossbeam::thread::scope(|s| {
-            for me in 0..threads {
-                let tx = tx.clone();
-                let queues = &queues;
-                let steals = &steals;
-                let counters = &counters;
-                s.spawn(move |_| {
-                    while !cancelled() {
-                        let Some(job) = take_job(me, queues, steals) else {
-                            break;
-                        };
-                        if tx.send(solve_job(job, options, cache, counters)).is_err() {
-                            break; // receiver gone: the run was abandoned
-                        }
-                    }
-                });
-            }
-            drop(tx); // the workers hold the remaining senders
+    let queue = PriorityQueue::new();
+    for (index, scenario) in scenarios.into_iter().enumerate() {
+        let cost = scenario_cost(&scenario, options);
+        queue.push(i64::try_from(cost).unwrap_or(i64::MAX), (index, scenario));
+    }
+    queue.close();
+    stats.delivered = run_pool(
+        threads,
+        &queue,
+        mpsc::sync_channel(threads * SINK_WINDOW),
+        |(index, scenario)| {
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                cached_solve(scenario, options, cache, &counters)
+            }))
+            .unwrap_or(Err(SoptError::WorkerPanic { index }));
+            (index, result)
+        },
+        |tx, done| !cancel.is_some_and(|c| c.load(Ordering::Relaxed)) && tx.send(done).is_ok(),
+        |rx| {
+            let mut delivered = 0;
             for (index, result) in rx {
-                delivered[index] = true;
-                stats.delivered += 1;
+                delivered += 1;
                 sink(index, result);
             }
-        })
-        .expect("engine workers contain panics per scenario");
-        // Belt and braces: should a worker thread die outside the per-job
-        // catch, its undelivered indices still reach the sink.
-        if !cancelled() {
-            for (index, seen) in delivered.iter().enumerate() {
-                if !seen {
-                    stats.delivered += 1;
-                    sink(index, Err(SoptError::WorkerPanic { index }));
-                }
-            }
-        }
-        stats.steals = steals.load(Ordering::Relaxed);
-    }
+            delivered
+        },
+    );
 
     // Report-table traffic is counted per run (exact under concurrent
     // sharing); the equilibrium numbers are before/after deltas of the
@@ -331,82 +229,10 @@ where
     stats
 }
 
-/// The PR 2 batch algorithm, kept verbatim as the scheduler's benchmark
-/// baseline: contiguous equal-count chunks, one scoped thread per chunk,
-/// per-chunk result vectors concatenated in spawn order. No cost model, no
-/// stealing, no cache — exactly what `Batch::run` did before the engine.
-pub fn run_chunked_reference(
-    scenarios: Vec<Scenario>,
-    options: &SolveOptions,
-    threads: usize,
-) -> Vec<Result<Report, SoptError>> {
-    let n = scenarios.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = threads.clamp(1, n);
-    if threads == 1 {
-        return scenarios
-            .into_iter()
-            .enumerate()
-            .map(|(index, sc)| {
-                catch_unwind(AssertUnwindSafe(|| run_with(sc, options)))
-                    .unwrap_or(Err(SoptError::WorkerPanic { index }))
-            })
-            .collect();
-    }
-    let chunk_size = n.div_ceil(threads);
-    let mut chunks: Vec<(usize, Vec<Scenario>)> = Vec::new();
-    let mut scenarios = scenarios;
-    let mut start = 0usize;
-    while !scenarios.is_empty() {
-        let rest = scenarios.split_off(chunk_size.min(scenarios.len()));
-        let len = scenarios.len();
-        chunks.push((start, std::mem::replace(&mut scenarios, rest)));
-        start += len;
-    }
-    let per_chunk: Vec<Vec<Result<Report, SoptError>>> = crossbeam::thread::scope(|s| {
-        let handles: Vec<(usize, usize, _)> = chunks
-            .into_iter()
-            .map(|(chunk_start, items)| {
-                let len = items.len();
-                let handle = s.spawn(move |_| {
-                    items
-                        .into_iter()
-                        .enumerate()
-                        .map(|(j, sc)| {
-                            catch_unwind(AssertUnwindSafe(|| run_with(sc, options))).unwrap_or(Err(
-                                SoptError::WorkerPanic {
-                                    index: chunk_start + j,
-                                },
-                            ))
-                        })
-                        .collect::<Vec<_>>()
-                });
-                (chunk_start, len, handle)
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|(chunk_start, len, handle)| {
-                handle.join().unwrap_or_else(|_| {
-                    (chunk_start..chunk_start + len)
-                        .map(|index| Err(SoptError::WorkerPanic { index }))
-                        .collect()
-                })
-            })
-            .collect()
-    })
-    .expect("all chunk workers are joined; their panics are handled per chunk");
-    per_chunk.into_iter().flatten().collect()
-}
-
-/// A closable, blocking max-priority queue — the serve daemon's work
-/// source. Higher [`priority`](PriorityQueue::push) pops first; ties pop
-/// in arrival order (FIFO), so equal-priority requests are never starved
-/// or reordered. Unlike the fleet path above (whole fleet known up front,
-/// LPT + stealing), serve work arrives over time, so ordering lives in one
-/// shared heap instead of per-worker deques.
+/// A closable, blocking max-priority queue — the pool's one work source.
+/// Higher [`priority`](PriorityQueue::push) pops first; ties pop in
+/// arrival order (FIFO), so equal-priority work is never starved or
+/// reordered.
 pub(crate) struct PriorityQueue<T> {
     inner: std::sync::Mutex<QueueInner<T>>,
     cv: std::sync::Condvar,
@@ -531,25 +357,6 @@ mod tests {
     }
 
     #[test]
-    fn lpt_seeding_balances_skew() {
-        // One huge job + 7 tiny on 2 workers: the huge job must sit alone.
-        let jobs: Vec<Job> = (0..8)
-            .map(|i| Job {
-                index: i,
-                scenario: Scenario::parse("x, 1.0").unwrap(),
-                cost: if i == 0 { 1000 } else { 1 },
-            })
-            .collect();
-        let queues = seed_queues(jobs, 2);
-        let loads: Vec<u64> = queues
-            .iter()
-            .map(|q| q.lock().iter().map(|j| j.cost).sum())
-            .collect();
-        assert!(loads.contains(&1000), "{loads:?}");
-        assert!(loads.contains(&7), "{loads:?}");
-    }
-
-    #[test]
     fn priority_queue_orders_by_priority_then_fifo() {
         let q: PriorityQueue<&'static str> = PriorityQueue::new();
         q.push(0, "first-default");
@@ -584,34 +391,5 @@ mod tests {
         q.close();
         let got = consumer.join().unwrap();
         assert_eq!(got.iter().sum::<u32>(), 30);
-    }
-
-    #[test]
-    fn stealing_drains_a_lopsided_queue() {
-        let jobs: Vec<Job> = (0..10)
-            .map(|i| Job {
-                index: i,
-                scenario: Scenario::parse("x, 1.0").unwrap(),
-                cost: 1,
-            })
-            .collect();
-        // All jobs on queue 0; worker 1 must steal to make progress.
-        let queues: Vec<Mutex<VecDeque<Job>>> = vec![
-            Mutex::new(jobs.into_iter().collect()),
-            Mutex::new(VecDeque::new()),
-        ];
-        let steals = AtomicU64::new(0);
-        let mut got = 0;
-        while take_job(1, &queues, &steals).is_some() {
-            got += 1;
-        }
-        assert!(got >= 5, "worker 1 took {got} jobs");
-        assert!(steals.load(Ordering::Relaxed) >= 5);
-        // Worker 0 still drains the rest.
-        let mut rest = 0;
-        while take_job(0, &queues, &steals).is_some() {
-            rest += 1;
-        }
-        assert_eq!(got + rest, 10);
     }
 }

@@ -17,9 +17,8 @@
 //! * [`Report`] — the typed result, with hand-rolled JSON/CSV/text
 //!   serializers (offline-safe, no serde);
 //! * [`SoptError`] — the single error enum behind every fallible path;
-//! * [`engine`] — the streaming, work-stealing, memoizing fleet runner
-//!   ([`Engine`]), with [`batch`] kept as its input-ordered, buffered
-//!   compatibility wrapper.
+//! * [`engine`] — the streaming, memoizing fleet runner ([`Engine`]), fed
+//!   by [`batch`] files.
 //!
 //! ```
 //! use stackopt::prelude::*;
@@ -56,7 +55,7 @@ pub mod scenario;
 pub mod serve;
 pub mod solve;
 
-pub use batch::{parse_batch_file, run_batch, Batch};
+pub use batch::parse_batch_file;
 pub use engine::{Engine, EngineBuilder, EngineStats, EngineStream, Ordered, SolveCache};
 pub use error::SoptError;
 pub use model::{BetaPlan, EqKind, InducedOutcome, ModelProfile, ScenarioModel};

@@ -948,8 +948,8 @@ pub(crate) fn stats_json(s: &EngineStats) -> String {
          \"cache_misses\": {}, \"eq_hits\": {}, \"eq_misses\": {}, \
          \"net_profile_hits\": {}, \"net_profile_misses\": {}, \
          \"disk_hits\": {}, \"profile_evictions\": {}, \
-         \"report_evictions\": {}, \"steals\": {}, \"dropped\": {}, \
-         \"cancelled\": {}, \"uptime_ms\": {}, \"queue_depth\": {}}}",
+         \"report_evictions\": {}, \"dropped\": {}, \"cancelled\": {}, \
+         \"uptime_ms\": {}, \"queue_depth\": {}}}",
         s.scenarios,
         s.delivered,
         s.cache_hits,
@@ -961,7 +961,6 @@ pub(crate) fn stats_json(s: &EngineStats) -> String {
         s.disk_hits,
         s.profile_evictions,
         s.report_evictions,
-        s.steals,
         s.dropped,
         s.cancelled,
         s.uptime_ms,

@@ -1,19 +1,19 @@
 //! `sopt serve` — the persistent solve daemon behind one typed
 //! [`Request`]/[`Response`] envelope.
 //!
-//! The engine (PR 4) solves a *fleet*: the whole workload is known up
-//! front, so scheduling is LPT seeding plus work stealing. A daemon's
-//! workload arrives over time, with per-request priorities and deadlines,
-//! so this module adds the missing half: a [`Server`] that owns a warm
-//! [`SolveCache`] (optionally disk-backed, so warmth survives restarts),
-//! pulls requests from a closable priority queue
-//! ([`PriorityQueue`](super::engine::scheduler::PriorityQueue)), and
-//! answers every line it reads — solved, typed error, or typed `dropped`.
+//! A fleet run knows its whole workload up front. A daemon's workload
+//! arrives over time, with per-request priorities and deadlines, so this
+//! module adds a [`Server`] that owns a warm [`SolveCache`] (optionally
+//! disk-backed, so warmth survives restarts), feeds requests into the same
+//! worker pool as fleet runs ([`super::engine::scheduler`]) at their own
+//! priorities, and answers every line it reads — solved, typed error, or
+//! typed `dropped`.
 //!
-//! The wire format lives in [`codec`]; the disk log in [`persist`]. Both
-//! `sopt serve` (socket or stdin/stdout pipe) and `sopt batch --stream`
-//! are thin clients of this module, and the typed structs are the public
-//! submission API ([`Server::handle`], [`Server::run_requests`]).
+//! The wire format lives in [`codec`]; the disk log in the private
+//! `persist` module. Both `sopt serve` (socket or stdin/stdout pipe) and
+//! `sopt batch --stream` are thin clients of this module, and the typed
+//! structs are the public submission API ([`Server::handle`],
+//! [`Server::run_requests`]).
 //!
 //! ## Scheduling semantics
 //!
@@ -54,11 +54,11 @@ pub(crate) mod persist;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
 use super::engine::cache::CacheCounters;
-use super::engine::scheduler::{cached_solve, PriorityQueue, RunCounters};
+use super::engine::scheduler::{cached_solve, run_pool, PriorityQueue, RunCounters};
 use super::engine::{EngineBuilder, EngineStats, SolveCache};
 use super::error::SoptError;
 use super::report::Report;
@@ -216,8 +216,6 @@ impl Server {
     /// The server's cumulative [`EngineStats`]: request counts and
     /// report-table traffic since construction, profile-table and
     /// disk-hit deltas against the cache's state at construction.
-    /// `steals` is always 0 — serve scheduling is a shared priority
-    /// queue, not per-worker deques.
     pub fn stats(&self) -> EngineStats {
         let after = self.cache.counters();
         EngineStats {
@@ -232,7 +230,6 @@ impl Server {
             disk_hits: after.disk_hits - self.base.disk_hits,
             profile_evictions: after.profile_evictions - self.base.profile_evictions,
             report_evictions: after.report_evictions - self.base.report_evictions,
-            steals: 0,
             dropped: self.dropped.load(Ordering::Relaxed),
             cancelled: self.cancelled.load(Ordering::Relaxed),
             uptime_ms: self.started.elapsed().as_millis() as u64,
@@ -252,45 +249,17 @@ impl Server {
     /// each [`Response`] to `sink` on the calling thread as it completes
     /// (completion order; echo [`Request::index`] to reorder). All
     /// requests share one receipt instant — they are "received" together.
-    pub fn run_requests<F>(&self, requests: Vec<Request>, mut sink: F)
+    pub fn run_requests<F>(&self, requests: Vec<Request>, sink: F)
     where
         F: FnMut(Response),
     {
-        let queue: PriorityQueue<(Request, Instant)> = PriorityQueue::new();
+        let queue = PriorityQueue::new();
         let arrival = Instant::now();
         for request in requests {
-            let priority = request.priority;
-            queue.push(priority, (request, arrival));
-            self.queue_depth.fetch_add(1, Ordering::Relaxed);
+            self.enqueue(&queue, request, arrival);
         }
         queue.close();
-        if self.threads == 1 {
-            while let Some((request, arrival)) = queue.pop() {
-                self.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                sink(self.process(request, arrival));
-            }
-            return;
-        }
-        let (tx, rx) = std::sync::mpsc::channel::<Response>();
-        crossbeam::thread::scope(|s| {
-            for _ in 0..self.threads {
-                let tx = tx.clone();
-                let queue = &queue;
-                s.spawn(move |_| {
-                    while let Some((request, arrival)) = queue.pop() {
-                        self.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                        if tx.send(self.process(request, arrival)).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-            drop(tx);
-            for response in rx {
-                sink(response);
-            }
-        })
-        .expect("serve workers contain panics per request");
+        self.run_workers(&queue, mpsc::channel(), |rx| rx.into_iter().for_each(sink));
     }
 
     /// The daemon session loop: reads JSONL requests from `reader` until
@@ -305,75 +274,98 @@ impl Server {
         R: std::io::BufRead + Send,
         W: std::io::Write,
     {
-        let queue: PriorityQueue<(Request, Instant)> = PriorityQueue::new();
-        let (tx, rx) = std::sync::mpsc::channel::<Response>();
-        let mut write_err: Option<std::io::Error> = None;
-        crossbeam::thread::scope(|s| {
-            {
-                let tx = tx.clone();
-                let queue = &queue;
-                s.spawn(move |_| {
-                    let mut reader = reader;
-                    // Bytes, so that a line that is not UTF-8 gets a typed
-                    // rejection like any other bad line: `read_line` fails
-                    // on it, which would end the session.
-                    let mut line = Vec::new();
-                    loop {
-                        line.clear();
-                        match reader.read_until(b'\n', &mut line) {
-                            Ok(0) | Err(_) => break,
-                            Ok(_) => {}
-                        }
-                        let parsed = match std::str::from_utf8(&line) {
-                            Ok(text) if text.trim().is_empty() => continue,
-                            Ok(text) => Request::parse(text.trim()),
-                            Err(e) => Err(Rejection::not_utf8(&line, e)),
-                        };
-                        match parsed {
-                            Ok(request) => {
-                                let priority = request.priority;
-                                queue.push(priority, (request, Instant::now()));
-                                self.queue_depth.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Err(rejection) => {
-                                if tx.send(Response::rejection(rejection)).is_err() {
-                                    break;
-                                }
+        let queue = PriorityQueue::new();
+        let (tx, rx) = mpsc::channel::<Response>();
+        let write_err = crossbeam::thread::scope(|s| {
+            let rejections = tx.clone();
+            let queue = &queue;
+            s.spawn(move |_| {
+                let mut reader = reader;
+                // Bytes, so that a line that is not UTF-8 gets a typed
+                // rejection like any other bad line: `read_line` fails on
+                // it, which would end the session.
+                let mut line = Vec::new();
+                loop {
+                    line.clear();
+                    match reader.read_until(b'\n', &mut line) {
+                        Ok(0) | Err(_) => break,
+                        Ok(_) => {}
+                    }
+                    let parsed = match std::str::from_utf8(&line) {
+                        Ok(text) if text.trim().is_empty() => continue,
+                        Ok(text) => Request::parse(text.trim()),
+                        Err(e) => Err(Rejection::not_utf8(&line, e)),
+                    };
+                    match parsed {
+                        Ok(request) => self.enqueue(queue, request, Instant::now()),
+                        Err(rejection) => {
+                            if rejections.send(Response::rejection(rejection)).is_err() {
+                                break;
                             }
                         }
                     }
-                    queue.close();
-                });
-            }
-            for _ in 0..self.threads {
-                let tx = tx.clone();
-                let queue = &queue;
-                s.spawn(move |_| {
-                    while let Some((request, arrival)) = queue.pop() {
-                        self.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                        if tx.send(self.process(request, arrival)).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-            drop(tx);
-            for response in rx {
-                let wrote =
-                    writeln!(writer, "{}", response.to_json()).and_then(|()| writer.flush());
-                if let Err(e) = wrote {
-                    write_err = Some(e);
-                    break; // sends still succeed (unbounded); we just stop echoing
                 }
-            }
+                queue.close();
+            });
+            self.run_workers(queue, (tx, rx), |rx| {
+                for response in rx {
+                    let wrote =
+                        writeln!(writer, "{}", response.to_json()).and_then(|()| writer.flush());
+                    if let Err(e) = wrote {
+                        // Dropping the receiver makes the workers' sends
+                        // fail, so they stop; the reader runs on to EOF.
+                        return Some(e);
+                    }
+                }
+                None
+            })
         })
-        .expect("serve workers contain panics per request");
+        .expect("serve threads contain panics per request");
         match write_err {
             None => Ok(()),
             Some(e) => Err(SoptError::Io {
                 context: format!("writing response: {e}"),
             }),
         }
+    }
+
+    /// Counts `request` in the `queue_depth` gauge, then pushes it — in
+    /// that order, so a worker that pops it at once cannot take the gauge
+    /// below zero. Both serve loops enqueue through here. `Relaxed` is
+    /// enough: the push releases the queue's mutex and the pop acquires
+    /// it, so the worker's decrement follows this increment.
+    fn enqueue(
+        &self,
+        queue: &PriorityQueue<(Request, Instant)>,
+        request: Request,
+        arrival: Instant,
+    ) {
+        self.queue_depth.fetch_add(1, Ordering::Relaxed);
+        queue.push(request.priority, (request, arrival));
+    }
+
+    /// Runs this server's workers over `queue` on the engine's pool: each
+    /// dequeued request leaves the `queue_depth` gauge and is answered by
+    /// [`Server::process`]; `consume` receives the responses on the calling
+    /// thread. The channel is unbounded, so a slow consumer never blocks
+    /// the serve reader's rejections.
+    fn run_workers<C>(
+        &self,
+        queue: &PriorityQueue<(Request, Instant)>,
+        channel: (mpsc::Sender<Response>, mpsc::Receiver<Response>),
+        consume: impl FnOnce(mpsc::Receiver<Response>) -> C,
+    ) -> C {
+        run_pool(
+            self.threads,
+            queue,
+            channel,
+            |(request, arrival)| {
+                self.queue_depth.fetch_sub(1, Ordering::Relaxed);
+                self.process(request, arrival)
+            },
+            |tx, response| tx.send(response).is_ok(),
+            consume,
+        )
     }
 
     /// Binds a Unix socket at `path` (replacing a stale file) and serves

@@ -91,7 +91,7 @@ impl std::str::FromStr for Task {
 }
 
 /// Shared solve knobs ([`Solve`] holds them per scenario,
-/// [`super::batch::Batch`] per fleet).
+/// [`Engine`](super::Engine) per fleet).
 #[derive(Clone, Debug)]
 pub struct SolveOptions {
     /// What to compute. Default [`Task::Beta`].
@@ -197,8 +197,9 @@ impl SolveOptions {
 }
 
 /// Implements the shared solver-knob setters for a builder carrying an
-/// `options: SolveOptions` field — keeps [`Solve`] and
-/// [`super::batch::Batch`] from drifting apart as knobs are added.
+/// `options: SolveOptions` field — keeps [`Solve`],
+/// [`Engine`](super::Engine) and [`EngineBuilder`](super::EngineBuilder)
+/// from drifting apart as knobs are added.
 macro_rules! impl_solve_knobs {
     ($ty:ty) => {
         impl $ty {

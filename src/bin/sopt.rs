@@ -488,7 +488,7 @@ fn run() -> Result<(), String> {
                 eprintln!(
                     "engine: {} scenarios, {} delivered, cache {}/{} hits, \
                      eq-profiles {}/{} hits, net-profiles {}/{} hits, \
-                     {} evictions, {} steals",
+                     {} evictions",
                     stats.scenarios,
                     stats.delivered,
                     stats.cache_hits,
@@ -497,8 +497,7 @@ fn run() -> Result<(), String> {
                     stats.eq_hits + stats.eq_misses,
                     stats.net_profile_hits,
                     stats.net_profile_hits + stats.net_profile_misses,
-                    stats.profile_evictions + stats.report_evictions,
-                    stats.steals
+                    stats.profile_evictions + stats.report_evictions
                 );
                 let snap = server.metrics();
                 if let Some(lat) = snap.phase("solve_latency") {

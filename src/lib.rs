@@ -13,8 +13,7 @@
 //!
 //! * [`api`] — `Scenario` (all three instance classes), the builder-style
 //!   `Solve` session, typed `Report`s with JSON/CSV/text serializers, the
-//!   single `SoptError` enum, and the streaming, work-stealing, memoizing
-//!   fleet `engine` (with `batch` as its buffered compatibility wrapper);
+//!   single `SoptError` enum, and the streaming, memoizing fleet `engine`;
 //! * [`fleet`] — deterministic fleet generation from the random instance
 //!   families (the `sopt gen` backend);
 //! * [`spec`] — the text spec language: parallel-links lists (`"x, 1.0"`)
@@ -68,7 +67,7 @@ pub mod spec;
 /// Convenient glob-import surface for examples and downstream users.
 pub mod prelude {
     pub use crate::api::{
-        Batch, Engine, EngineStats, Report, ReportData, Scenario, ScenarioClass, Solve, SolveCache,
+        Engine, EngineStats, Report, ReportData, Scenario, ScenarioClass, Solve, SolveCache,
         SoptError, Task,
     };
     pub use sopt_core::linear_optimal::linear_optimal_strategy;

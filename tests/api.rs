@@ -2,7 +2,7 @@
 //! every scenario class where defined, every `SoptError` variant, batch
 //! ordering, and serializer validity.
 
-use stackopt::api::{parse_batch_file, Batch, Report, Scenario, ScenarioClass, SoptError, Task};
+use stackopt::api::{parse_batch_file, Engine, Report, Scenario, ScenarioClass, SoptError, Task};
 use stackopt::prelude::*;
 
 const PIGOU: &str = "x, 1.0";
@@ -257,7 +257,7 @@ fn batch_returns_input_order_for_all_tasks() {
     assert_eq!(scenarios.len(), 3);
     let n = scenarios.len();
     for task in [Task::Beta, Task::Equilib] {
-        let reports = Batch::new(scenarios.clone()).task(task).threads(2).run();
+        let reports = Engine::new(scenarios.clone()).task(task).threads(2).run();
         assert_eq!(reports.len(), n);
         // Input order: rates 1, 1, 2 and sizes 2, 3, 2 identify each slot.
         let sizes: Vec<usize> = reports

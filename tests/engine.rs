@@ -1,16 +1,15 @@
-//! Engine correctness: element-wise parity with sequential solves, cache
-//! semantics (warm runs bit-identical to cold, in-fleet dedup), and
-//! exactly-once streaming delivery.
+//! Engine correctness — the worker pool's contract: element-wise parity
+//! with sequential solves at 1, 2 and 8 threads, cache semantics (warm runs
+//! bit-identical to cold, in-fleet dedup), exactly-once streaming delivery,
+//! longest-first order, and cancellation when a stream is dropped.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use stackopt::api::engine::run_chunked_reference;
-use stackopt::api::{
-    parse_batch_file, Batch, Engine, Report, Scenario, SolveCache, SoptError, Task,
-};
+use stackopt::api::{parse_batch_file, Engine, Report, Scenario, SolveCache, SoptError, Task};
 use stackopt::fleet::{generate_fleet, Family};
+use stackopt::instances::grid::try_grid_city;
 use stackopt::instances::random::random_layered_network;
 
 /// A *uniform* fleet: same-shaped small parallel scenarios, distinct seeds.
@@ -72,13 +71,17 @@ fn engine_matches_sequential_solves_on_skewed_fleets() {
 }
 
 #[test]
-fn engine_matches_the_chunked_reference_and_batch_wrapper() {
-    let fleet = skewed_fleet(12);
-    let engine = rendered(&Engine::new(fleet.clone()).threads(4).run());
-    let batch = rendered(&Batch::new(fleet.clone()).threads(4).run());
-    let chunked = rendered(&run_chunked_reference(fleet, &Default::default(), 4));
-    assert_eq!(engine, batch);
-    assert_eq!(engine, chunked);
+fn one_thread_delivers_the_costliest_scenario_first() {
+    // The layered network comes last in input order and costs far more
+    // than the equal-size parallel scenarios ahead of it: the queue pops it
+    // first, then the rest in input order.
+    let mut fleet = uniform_fleet(8);
+    fleet.push(Scenario::from(random_layered_network(3, 4, 2.0, 5)));
+    let mut order = Vec::new();
+    Engine::new(fleet)
+        .threads(1)
+        .run_streamed(|i, _| order.push(i));
+    assert_eq!(order, [8, 0, 1, 2, 3, 4, 5, 6, 7]);
 }
 
 proptest! {
@@ -278,6 +281,26 @@ fn stream_iterator_yields_input_order_and_supports_early_drop() {
         .map(|(i, _)| i)
         .collect();
     assert_eq!(first, vec![0, 1]);
+}
+
+#[test]
+fn dropping_a_stream_early_stops_the_run() {
+    // Equal-size grids cost the same, so the queue pops them in input order
+    // and index 0 is among the first solves. Had the drop not cancelled the
+    // run, the pool would solve all 64 before the drop returns.
+    let fleet: Vec<Scenario> = (0..64)
+        .map(|seed| Scenario::from(try_grid_city(6, 1.0, seed).unwrap()))
+        .collect();
+    let cache = Arc::new(SolveCache::new());
+    let first: Vec<usize> = Engine::new(fleet)
+        .cache(Arc::clone(&cache))
+        .threads(2)
+        .stream()
+        .take(1)
+        .map(|(i, _)| i)
+        .collect();
+    assert_eq!(first, vec![0]);
+    assert!(cache.len() < 16, "{} of 64 solved", cache.len());
 }
 
 #[test]

@@ -355,6 +355,40 @@ fn a_line_that_is_not_utf8_gets_a_typed_error_and_the_session_goes_on() {
     }
 }
 
+#[test]
+fn queue_depth_never_reads_below_zero_under_load() {
+    // A worker can pop a request the moment it is pushed. Were the gauge
+    // counted after the push, the worker's decrement could land first and
+    // a `stats` answer would read 2^64 - 1.
+    const LINES: usize = 20_000;
+    let server = EngineBuilder::new().threads(2).server().unwrap();
+    let mut input = String::new();
+    for i in 0..LINES / 2 {
+        input.push_str(&format!(
+            "{{\"v\": 1, \"id\": {}, \"spec\": \"x, 1.0\"}}\n",
+            2 * i
+        ));
+        input.push_str(&format!(
+            "{{\"v\": 1, \"id\": {}, \"kind\": \"stats\"}}\n",
+            2 * i + 1
+        ));
+    }
+    let mut out = Vec::new();
+    server.serve(input.as_bytes(), &mut out).unwrap();
+    let out = String::from_utf8(out).unwrap();
+    assert_eq!(out.lines().count(), LINES);
+    let depths: Vec<u64> = out
+        .lines()
+        .filter_map(|line| {
+            let rest = &line[line.find("\"queue_depth\": ")? + "\"queue_depth\": ".len()..];
+            Some(rest[..rest.find('}')?].parse().unwrap())
+        })
+        .collect();
+    assert_eq!(depths.len(), LINES / 2);
+    let worst = depths.iter().max().copied().unwrap_or(0);
+    assert!(worst <= LINES as u64, "queue_depth read {worst}");
+}
+
 /// Deterministic xorshift, as in `spec_roundtrip.rs` — the vendored
 /// proptest stub favours scalar strategies, so each case derives a whole
 /// request from one seed.
