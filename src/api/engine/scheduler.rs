@@ -37,7 +37,7 @@ use std::sync::mpsc;
 use super::super::error::SoptError;
 use super::super::report::Report;
 use super::super::scenario::{Scenario, ScenarioClass};
-use super::super::solve::{run_with, run_with_memo, SolveOptions};
+use super::super::solve::{run_with, run_with_memo, SolveOptions, Task};
 use super::cache::{SolveCache, SubMemo};
 use super::fingerprint::Fingerprint;
 use super::EngineStats;
@@ -61,16 +61,14 @@ pub fn scenario_cost(scenario: &Scenario, options: &SolveOptions) -> u64 {
     };
     // Task weight: how many equilibrium-grade solves the task performs.
     let task = match options.task {
-        super::super::solve::Task::Beta => 4,
-        super::super::solve::Task::Curve => 2 * (options.steps as u64 + 1),
-        super::super::solve::Task::Equilib => 2,
-        super::super::solve::Task::Tolls => 3,
-        super::super::solve::Task::Llf => 2,
+        Task::Beta => 4,
+        Task::Curve => 2 * (options.steps as u64 + 1),
+        Task::Equilib => 2,
+        Task::Tolls => 3,
+        Task::Llf => 2,
         // Candidate/grid evaluations plus the revenue-vs-β sweep, each an
         // equilibrium-grade induced solve.
-        super::super::solve::Task::Pricing => {
-            (options.price_steps as u64).saturating_add(options.steps as u64) + 2
-        }
+        Task::Pricing => (options.price_steps as u64).saturating_add(options.steps as u64) + 2,
     };
     class.saturating_mul(task).max(1)
 }
@@ -270,12 +268,6 @@ impl<T> Ord for QueueEntry<T> {
     }
 }
 
-impl<T> Default for PriorityQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl<T> PriorityQueue<T> {
     pub(crate) fn new() -> Self {
         PriorityQueue {
@@ -337,7 +329,6 @@ impl<T> PriorityQueue<T> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::super::solve::Task;
     use super::*;
 
     #[test]

@@ -69,6 +69,9 @@ pub use codec::{
     Outcome, Rejection, Request, RequestId, RequestKind, Response, SolveRequest, SolveTelemetry,
 };
 
+/// Parsed requests waiting for a worker, each with its receipt instant.
+type RequestQueue = PriorityQueue<(Request, Instant)>;
+
 /// One-shot compaction of a `soptcache` log at `path` (`sopt cache
 /// compact`): drops torn or undecodable records, keeps only the newest
 /// record per cache key, and atomically replaces the file. Returns
@@ -253,7 +256,7 @@ impl Server {
     where
         F: FnMut(Response),
     {
-        let queue = PriorityQueue::new();
+        let queue = RequestQueue::new();
         let arrival = Instant::now();
         for request in requests {
             self.enqueue(&queue, request, arrival);
@@ -274,7 +277,7 @@ impl Server {
         R: std::io::BufRead + Send,
         W: std::io::Write,
     {
-        let queue = PriorityQueue::new();
+        let queue = RequestQueue::new();
         let (tx, rx) = mpsc::channel::<Response>();
         let write_err = crossbeam::thread::scope(|s| {
             let rejections = tx.clone();
@@ -334,12 +337,7 @@ impl Server {
     /// below zero. Both serve loops enqueue through here. `Relaxed` is
     /// enough: the push releases the queue's mutex and the pop acquires
     /// it, so the worker's decrement follows this increment.
-    fn enqueue(
-        &self,
-        queue: &PriorityQueue<(Request, Instant)>,
-        request: Request,
-        arrival: Instant,
-    ) {
+    fn enqueue(&self, queue: &RequestQueue, request: Request, arrival: Instant) {
         self.queue_depth.fetch_add(1, Ordering::Relaxed);
         queue.push(request.priority, (request, arrival));
     }
@@ -351,7 +349,7 @@ impl Server {
     /// the serve reader's rejections.
     fn run_workers<C>(
         &self,
-        queue: &PriorityQueue<(Request, Instant)>,
+        queue: &RequestQueue,
         channel: (mpsc::Sender<Response>, mpsc::Receiver<Response>),
         consume: impl FnOnce(mpsc::Receiver<Response>) -> C,
     ) -> C {
