@@ -514,9 +514,10 @@ pub fn anarchy_curve_network(
             rel_gap: optimum.rel_gap,
         });
     }
-    // The Nash anchor is solved cold even in warm mode: anchors are the
-    // values the engine memoizes per (spec, kind, knobs), and memo entries
-    // must not depend on which task computed them first.
+    // The Nash anchor is solved cold in both modes, so the two sweeps
+    // differ only in their chained induced solves (what `fw_bench`
+    // measures). The session layer's `curve` task passes its memoized
+    // anchors to `anarchy_curve_network_with` instead.
     let nash = try_network_nash(inst, opts, None)?;
     if !nash.converged {
         return Err(CoreError::NotConverged {
@@ -578,8 +579,7 @@ pub fn anarchy_curve_multi(
             rel_gap: optimum.rel_gap,
         });
     }
-    // Anchors are solved cold even in warm mode (memo determinism; see
-    // `anarchy_curve_network`).
+    // Anchors are solved cold in both modes (see `anarchy_curve_network`).
     let nash = try_multicommodity_nash(inst, opts, None)?;
     if !nash.converged {
         return Err(CoreError::NotConverged {

@@ -277,6 +277,10 @@ pub enum Counter {
     WarmStarts,
     /// Solves that bootstrapped cold.
     ColdStarts,
+    /// Warm seeds the solver rejected (wrong shape, no s→t value, broken
+    /// conservation, or a load at an M/M/1 pole). Each such solve started
+    /// cold instead, so `ColdStarts` counts it too.
+    SeedsRejected,
     /// Nodes settled across all shortest-path queries (the work an
     /// early-exit or bidirectional traversal saves shows up here).
     SpSettledNodes,
@@ -291,11 +295,12 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in display order.
-    pub const ALL: [Counter; 7] = [
+    pub const ALL: [Counter; 8] = [
         Counter::FwIterations,
         Counter::PolishRounds,
         Counter::WarmStarts,
         Counter::ColdStarts,
+        Counter::SeedsRejected,
         Counter::SpSettledNodes,
         Counter::AonGroups,
         Counter::AonQueriesSaved,
@@ -308,6 +313,7 @@ impl Counter {
             Counter::PolishRounds => "polish_rounds",
             Counter::WarmStarts => "warm_starts",
             Counter::ColdStarts => "cold_starts",
+            Counter::SeedsRejected => "seeds_rejected",
             Counter::SpSettledNodes => "sp_settled_nodes",
             Counter::AonGroups => "aon_groups",
             Counter::AonQueriesSaved => "aon_queries_saved",

@@ -413,8 +413,8 @@ pub fn try_solve_assignment(
 /// (`init`) when one is supplied: the initial point is `init`'s
 /// per-commodity flow rescaled to this instance's rate. A seed that does
 /// not fit (wrong shape, zero value, capacity violation after rescaling)
-/// silently falls back to the cold start. Panics where [`try_solve_warm`]
-/// errors.
+/// falls back to the cold start and bumps the `seeds_rejected` counter.
+/// Panics where [`try_solve_warm`] errors.
 pub fn solve_warm(
     inst: &NetworkInstance,
     model: CostModel,
@@ -632,15 +632,18 @@ fn solve_inner(
 
     // Initial point: a validated warm-start seed, or the chunked cold start.
     let mut warm = false;
-    let mut per: Vec<EdgeFlow> =
-        match seed.and_then(|s| warm_start_per(s, graph, latencies, demands)) {
-            Some(per) => {
-                combined_into(&per, &mut ws.f);
-                warm = true;
-                per
-            }
-            None => ws.cold_start(latencies, model, demands)?,
-        };
+    let mut per: Vec<EdgeFlow> = match seed.map(|s| warm_start_per(s, graph, latencies, demands)) {
+        Some(Some(per)) => {
+            combined_into(&per, &mut ws.f);
+            warm = true;
+            per
+        }
+        Some(None) => {
+            rec.add(sopt_obs::Counter::SeedsRejected, 1);
+            ws.cold_start(latencies, model, demands)?
+        }
+        None => ws.cold_start(latencies, model, demands)?,
+    };
     let rcsr = Some(&ws.rcsr);
     let eval = Eval::new(latencies, &ws.batch);
 

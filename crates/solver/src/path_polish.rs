@@ -187,7 +187,12 @@ pub fn polish_with(
                 continue;
             }
             let h_eps = H_EPS_REL * st.rate.max(1.0);
-            // A few passes of most-expensive → cheapest transfers.
+            // A few passes of most-expensive → cheapest transfers. Where an
+            // empty path ties a loaded one for cheapest, the loaded one
+            // receives: feeding the empty one re-splits the commodity, and
+            // at a degenerate equilibrium (Braess, polished from its
+            // optimum) each pass then only halves the stray flow, leaving
+            // C(N) off by about √gap when the gap target is met.
             for _ in 0..(2 * st.paths.len()).max(8) {
                 let mut hi: Option<(usize, f64)> = None;
                 let mut lo: Option<(usize, f64)> = None;
@@ -196,7 +201,12 @@ pub fn polish_with(
                     if st.flows[i] > h_eps && hi.map(|(_, ch)| c > ch).unwrap_or(true) {
                         hi = Some((i, c));
                     }
-                    if lo.map(|(_, cl)| c < cl).unwrap_or(true) {
+                    if lo
+                        .map(|(j, cl)| {
+                            c < cl || (c == cl && st.flows[j] <= h_eps && st.flows[i] > h_eps)
+                        })
+                        .unwrap_or(true)
+                    {
                         lo = Some((i, c));
                     }
                 }
@@ -466,6 +476,29 @@ mod tests {
         // Nash floods the middle path (flow accuracy ~ √gap for linear
         // latencies; the cost is exact to the gap).
         assert!((per[0].0[2] - 1.0).abs() < 1e-5, "{:?}", per[0]);
+    }
+
+    #[test]
+    fn polish_from_the_optimum_clears_the_outer_paths() {
+        // Braess's Nash is a vertex where all three paths cost 2. From the
+        // optimum, the first transfers leave an emptied outer path tied
+        // with the loaded middle path; moving the rest onto the empty one
+        // would halve the stray flow per pass and stop near √gap. The
+        // loaded path receives instead, so the polish lands on the vertex.
+        let (g, lats) = braess();
+        let mut per = vec![EdgeFlow(vec![0.5, 0.5, 0.0, 0.5, 0.5])];
+        let demands = [(NodeId(0), NodeId(3), 1.0)];
+        let r = polish(
+            &g,
+            &lats,
+            &demands,
+            CostModel::Wardrop,
+            &mut per,
+            1e-10,
+            200,
+        );
+        assert!(r.converged, "gap {}", r.rel_gap);
+        assert_eq!(per[0].0, vec![1.0, 0.0, 1.0, 0.0, 1.0]);
     }
 
     #[test]

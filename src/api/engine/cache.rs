@@ -21,9 +21,13 @@
 //!   `beta`'s MOP optimum and `llf`/`tolls`' optimum all share entries, so
 //!   an α-sweep over one scenario solves each equilibrium once.
 //!
-//! Profile entries are always computed **cold** (never warm-started), so an
-//! entry's value depends only on its key — never on which task or fleet
-//! populated it first. That is what keeps warm re-runs bit-identical.
+//! The optimum entry is solved **cold**; the Nash entry of a Frank–Wolfe
+//! class is polished from that cold optimum (its per-commodity flows seed
+//! the Wardrop solve, which skips the Frank–Wolfe phase). A task that
+//! already holds the optimum passes it in (`SolveCache::model_nash_from`);
+//! a plain Nash miss solves the cold optimum first. Either way an entry's
+//! value depends only on its key — never on which task or fleet populated
+//! it first. That is what keeps warm re-runs bit-identical.
 //!
 //! Both tables are sharded 16 ways by the key's FNV digest so concurrent
 //! workers rarely contend on one lock, and **bounded**: each table has a
@@ -461,15 +465,46 @@ impl SolveCache {
 
     /// Looks up or computes the `kind` equilibrium of any scenario class
     /// through its [`ScenarioModel`], memoizing under the thin
-    /// `(class, spec, kind, knobs)` key. Misses are always solved **cold**
-    /// ([`ScenarioModel::solve_profile`]), so an entry's value depends only
-    /// on its key — never on which task or fleet populated it first.
+    /// `(class, spec, kind, knobs)` key. Misses are solved from scratch
+    /// ([`ScenarioModel::solve_profile`]: the optimum cold, the Nash
+    /// profile polished from a cold optimum), so an entry's value depends
+    /// only on its key — never on which task or fleet populated it first.
     pub(crate) fn model_profile(
         &self,
         spec: &str,
         kind: EqKind,
         model: &dyn ScenarioModel,
         fw: &FwOptions,
+    ) -> Result<ModelProfile, SoptError> {
+        self.keyed_profile(spec, kind, model, fw, || model.solve_profile(kind, fw))
+    }
+
+    /// The Nash entry of [`Self::model_profile`], computed on a miss by
+    /// polishing `optimum` — this scenario's optimum entry under the same
+    /// knobs, which the caller already holds — instead of solving that
+    /// optimum a second time. The stored value is the one a plain miss
+    /// computes, so the entry still depends only on its key.
+    pub(crate) fn model_nash_from(
+        &self,
+        spec: &str,
+        optimum: &ModelProfile,
+        model: &dyn ScenarioModel,
+        fw: &FwOptions,
+    ) -> Result<ModelProfile, SoptError> {
+        self.keyed_profile(spec, EqKind::Nash, model, fw, || {
+            model.nash_from_optimum(optimum, fw)
+        })
+    }
+
+    /// Builds the `(class, spec, kind, knobs)` key and looks it up,
+    /// computing a miss with `compute`.
+    fn keyed_profile(
+        &self,
+        spec: &str,
+        kind: EqKind,
+        model: &dyn ScenarioModel,
+        fw: &FwOptions,
+        compute: impl FnOnce() -> Result<ModelProfile, SoptError>,
     ) -> Result<ModelProfile, SoptError> {
         let fw_key = model.fw_keyed().then(|| FwKnobs::of(fw));
         let (hits, misses) = if fw_key.is_some() {
@@ -483,7 +518,7 @@ impl SolveCache {
             kind,
             fw: fw_key,
         };
-        self.profile_entry(key, hits, misses, || model.solve_profile(kind, fw))
+        self.profile_entry(key, hits, misses, compute)
     }
 
     /// Number of memoized reports.
@@ -545,6 +580,17 @@ impl SubMemo<'_> {
         fw: &FwOptions,
     ) -> Result<ModelProfile, SoptError> {
         self.cache.model_profile(self.spec, kind, model, fw)
+    }
+
+    /// Memoized Nash profile, polished on a miss from the optimum the
+    /// caller holds (see [`SolveCache::model_nash_from`]).
+    pub(crate) fn nash_from(
+        &self,
+        optimum: &ModelProfile,
+        model: &dyn ScenarioModel,
+        fw: &FwOptions,
+    ) -> Result<ModelProfile, SoptError> {
+        self.cache.model_nash_from(self.spec, optimum, model, fw)
     }
 }
 

@@ -177,9 +177,22 @@ pub trait ScenarioModel {
     /// [`SoptError::Unsupported`] without touching a solver.
     fn supports(&self, task: Task) -> bool;
 
-    /// Solve one equilibrium **cold** (the memo-miss path — never
-    /// warm-started, so an entry's value depends only on its key).
+    /// Solve one equilibrium from scratch (the memo-miss path). The
+    /// optimum is solved cold; on Frank–Wolfe classes the Nash profile is
+    /// the one [`ScenarioModel::nash_from_optimum`] polishes from that cold
+    /// optimum, so either value depends only on `(self, kind, fw)`.
     fn solve_profile(&self, kind: EqKind, fw: &FwOptions) -> Result<ModelProfile, SoptError>;
+
+    /// The Nash profile [`ScenarioModel::solve_profile`] returns, given the
+    /// cold optimum `optimum` of this scenario under the same `fw`, so a
+    /// caller that already holds the optimum does not solve it again.
+    /// Frank–Wolfe classes hand the optimum's per-commodity flows to the
+    /// Wardrop solve as its warm seed; the parallel equalizer ignores it.
+    fn nash_from_optimum(
+        &self,
+        optimum: &ModelProfile,
+        fw: &FwOptions,
+    ) -> Result<ModelProfile, SoptError>;
 
     /// Whether [`ScenarioModel::beta_plan`] consumes the memoized optimum
     /// profile (OpTop derives its own equilibria internally).
@@ -339,6 +352,14 @@ impl ScenarioModel for ParallelLinks {
         })
     }
 
+    fn nash_from_optimum(
+        &self,
+        _optimum: &ModelProfile,
+        fw: &FwOptions,
+    ) -> Result<ModelProfile, SoptError> {
+        self.solve_profile(EqKind::Nash, fw)
+    }
+
     fn plan_needs_optimum(&self) -> bool {
         // OpTop's recursion equalizes its own subsystems; a pre-solved
         // global optimum would be redundant work on memo-less fleets.
@@ -494,11 +515,19 @@ impl ScenarioModel for NetworkInstance {
     }
 
     fn solve_profile(&self, kind: EqKind, fw: &FwOptions) -> Result<ModelProfile, SoptError> {
-        let r = match kind {
-            EqKind::Nash => try_network_nash(self, fw, None),
-            EqKind::Optimum => try_network_optimum(self, fw, None),
-        }?;
-        checked_profile(r, kind)
+        match kind {
+            EqKind::Nash => self.nash_from_optimum(&self.solve_profile(EqKind::Optimum, fw)?, fw),
+            EqKind::Optimum => checked_profile(try_network_optimum(self, fw, None)?, kind),
+        }
+    }
+
+    fn nash_from_optimum(
+        &self,
+        optimum: &ModelProfile,
+        fw: &FwOptions,
+    ) -> Result<ModelProfile, SoptError> {
+        let seed = ModelProfile::require_flow(Some(optimum), "optimum")?;
+        checked_profile(try_network_nash(self, fw, Some(seed))?, EqKind::Nash)
     }
 
     fn beta_plan(&self, optimum: Option<&ModelProfile>) -> Result<BetaPlan, SoptError> {
@@ -729,11 +758,19 @@ impl ScenarioModel for MultiCommodityInstance {
     }
 
     fn solve_profile(&self, kind: EqKind, fw: &FwOptions) -> Result<ModelProfile, SoptError> {
-        let r = match kind {
-            EqKind::Nash => try_multicommodity_nash(self, fw, None),
-            EqKind::Optimum => try_multicommodity_optimum(self, fw, None),
-        }?;
-        checked_profile(r, kind)
+        match kind {
+            EqKind::Nash => self.nash_from_optimum(&self.solve_profile(EqKind::Optimum, fw)?, fw),
+            EqKind::Optimum => checked_profile(try_multicommodity_optimum(self, fw, None)?, kind),
+        }
+    }
+
+    fn nash_from_optimum(
+        &self,
+        optimum: &ModelProfile,
+        fw: &FwOptions,
+    ) -> Result<ModelProfile, SoptError> {
+        let seed = ModelProfile::require_flow(Some(optimum), "optimum")?;
+        checked_profile(try_multicommodity_nash(self, fw, Some(seed))?, EqKind::Nash)
     }
 
     fn beta_plan(&self, optimum: Option<&ModelProfile>) -> Result<BetaPlan, SoptError> {

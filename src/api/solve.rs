@@ -337,9 +337,10 @@ pub(crate) fn run_with_memo(
 }
 
 /// An equilibrium profile, served from the engine's memo table when a
-/// handle is present, computed cold otherwise. Memo entries are always
-/// computed cold (see the cache module's determinism note); warm starts
-/// apply only to derived, non-memoized solves.
+/// handle is present, computed from scratch otherwise. The optimum is
+/// solved cold and the Nash profile is polished from a cold optimum (see
+/// the cache module's determinism note), so both depend only on the spec
+/// and the knobs.
 fn profile(
     model: &dyn ScenarioModel,
     kind: EqKind,
@@ -350,6 +351,22 @@ fn profile(
     match memo {
         Some(m) => m.profile(kind, model, &fw),
         None => model.solve_profile(kind, &fw),
+    }
+}
+
+/// The Nash [`profile`], polished from `optimum` — the optimum profile the
+/// caller already fetched for this scenario and knobs — so a miss does not
+/// solve the optimum a second time.
+fn nash_profile(
+    model: &dyn ScenarioModel,
+    optimum: &ModelProfile,
+    options: &SolveOptions,
+    memo: Option<&SubMemo<'_>>,
+) -> Result<ModelProfile, SoptError> {
+    let fw = options.fw();
+    match memo {
+        Some(m) => m.nash_from(optimum, model, &fw),
+        None => model.nash_from_optimum(optimum, &fw),
     }
 }
 
@@ -385,7 +402,7 @@ fn solve_task(
             // also gate feasibility before the per-α solves); warm chaining
             // between adjacent α points happens inside the model's sweep.
             let optimum = profile(model, EqKind::Optimum, options, memo)?;
-            let nash = profile(model, EqKind::Nash, options, memo)?;
+            let nash = nash_profile(model, &optimum, options, memo)?;
             ReportData::Curve(model.anarchy_curve(
                 &alpha_grid(options.steps),
                 options.strategy,
@@ -395,8 +412,8 @@ fn solve_task(
             )?)
         }
         Task::Equilib => {
-            let nash = profile(model, EqKind::Nash, options, memo)?;
             let optimum = profile(model, EqKind::Optimum, options, memo)?;
+            let nash = nash_profile(model, &optimum, options, memo)?;
             ReportData::Equilib(super::report::EquilibReport {
                 nash_cost: model.cost(nash.flows()),
                 nash_level: nash.level(),
@@ -447,7 +464,10 @@ fn solve_beta(
     let nash_cost = match plan.nash_cost {
         Some(c) => c,
         None => {
-            let nash = profile(model, EqKind::Nash, options, memo)?;
+            let nash = match &optimum {
+                Some(o) => nash_profile(model, o, options, memo)?,
+                None => profile(model, EqKind::Nash, options, memo)?,
+            };
             model.cost(nash.flows())
         }
     };

@@ -231,13 +231,150 @@ fn grouped_aon_preserves_warm_and_cold_multicommodity_flows() {
 fn unusable_seed_falls_back_to_cold_and_still_solves() {
     let inst = random_layered_network(3, 3, 4.0, 3);
     let opts = FwOptions::default();
-    // A zero flow has no s→t value: silently ignored.
+    // A zero flow has no s→t value: rejected, and the rejection counted.
+    let rejected = || {
+        stackopt::obs::enable()
+            .snapshot()
+            .counter("seeds_rejected")
+            .unwrap()
+    };
+    let before = rejected();
     let zero = warm_seed_from(&EdgeFlow::zeros(inst.num_edges()));
     let warm = try_network_nash(&inst, &opts, Some(&zero)).unwrap();
+    assert!(rejected() > before, "the rejected seed was not counted");
     let cold = try_network_nash(&inst, &opts, None).unwrap();
     assert!(warm.converged && cold.converged);
     assert_eq!(warm.iterations, cold.iterations);
     for (a, b) in warm.flow.0.iter().zip(&cold.flow.0) {
         assert_eq!(a, b, "fallback must reproduce the cold solve bit-exactly");
+    }
+}
+
+#[test]
+fn nash_profile_is_polished_from_the_cold_optimum() {
+    // Every task reads the Nash profile that the Wardrop solve polishes
+    // from the cold optimum. It must skip Frank–Wolfe, land on the cold
+    // Nash cost, leave β and the plan exactly where a cold optimum puts
+    // them, and reach the reports bit for bit with or without a memo.
+    use stackopt::api::{Engine, EqKind, ModelProfile, Report, Scenario, SolveCache, Task};
+    use stackopt::equilibrium::network::try_multicommodity_nash;
+    use stackopt::instances::braess::braess_topology;
+    use stackopt::instances::random::try_random_multicommodity;
+    use stackopt::instances::{braess_classic, roughgarden_651, try_grid_city_multi};
+    use stackopt::latency::LatencyFn;
+    use std::sync::Arc;
+
+    // Braess with M/M/1 rims: the cut {s→v, w→t} holds 2.0, so rate 1.9
+    // loads it to 95%.
+    let mm1_braess = braess_topology(
+        [
+            LatencyFn::mm1(1.0),
+            LatencyFn::mm1(1.5),
+            LatencyFn::constant(0.0),
+            LatencyFn::mm1(1.5),
+            LatencyFn::mm1(1.0),
+        ],
+        1.9,
+    );
+    // Braess and Roughgarden's Example 6.5.1 have degenerate Nash vertices,
+    // where a polish that stops at the gap target can leave C(N) off by
+    // about the square root of the gap.
+    let mut cases = vec![
+        ("braess".to_string(), Scenario::Network(braess_classic())),
+        (
+            "roughgarden 6.5.1".to_string(),
+            Scenario::Network(roughgarden_651(3)),
+        ),
+        (
+            "pigou".to_string(),
+            Scenario::parse("nodes=2; 0->1: x; 0->1: 1.0; demand 0->1: 1.0").unwrap(),
+        ),
+        ("mm1 braess".to_string(), Scenario::Network(mm1_braess)),
+    ];
+    for seed in 0..3 {
+        let inst = try_random_multicommodity(3, 3, 3, 1.0, seed).unwrap();
+        cases.push((format!("layered {seed}"), Scenario::Multi(inst)));
+    }
+    // 24 commodities on 16 origins, congested enough for β > 0.
+    let grid = try_grid_city_multi(5, 60.0, 24, 1).unwrap();
+    cases.push(("grid".to_string(), Scenario::Multi(grid)));
+
+    // The knobs `Solve` runs with by default.
+    let fw = FwOptions::default();
+    for (name, sc) in &cases {
+        let model = sc.model();
+        let (cold_nash, cold_opt) = match sc {
+            Scenario::Network(i) => (
+                try_network_nash(i, &fw, None).unwrap(),
+                try_network_optimum(i, &fw, None).unwrap(),
+            ),
+            Scenario::Multi(i) => (
+                try_multicommodity_nash(i, &fw, None).unwrap(),
+                try_multicommodity_optimum(i, &fw, None).unwrap(),
+            ),
+            Scenario::Parallel(_) => unreachable!("{name}"),
+        };
+
+        // (a) The profile skips Frank–Wolfe and matches the cold Nash.
+        let nash = model.solve_profile(EqKind::Nash, &fw).unwrap();
+        let r = nash.flow_result().unwrap();
+        assert_eq!(r.fw_iterations, 0, "{name}: the optimum seed was rejected");
+        let cost = model.cost(nash.flows());
+        let cold_cost = model.cost(cold_nash.flow.as_slice());
+        let rel = (cost - cold_cost).abs() / cold_cost.abs();
+        assert!(rel <= 1e-9, "{name}: C(N) off the cold Nash by {rel:e}");
+
+        // (b) β and the plan are those of a cold optimum.
+        let plan = model
+            .beta_plan(Some(&ModelProfile::Flow(cold_opt)))
+            .unwrap();
+        let induced = model
+            .induced(
+                &plan.leader,
+                &plan.leader_values,
+                &fw,
+                plan.induced_seed.as_ref(),
+            )
+            .unwrap();
+        let total: Vec<f64> = plan
+            .leader
+            .iter()
+            .zip(&induced.follower)
+            .map(|(a, b)| a + b)
+            .collect();
+        let report = sc.clone().solve().task(Task::Beta).run().unwrap();
+        let b = report.data.as_beta().unwrap();
+        assert_eq!(b.beta, plan.beta, "{name}: β");
+        assert_eq!(b.optimum_cost, plan.optimum_cost, "{name}: C(O)");
+        assert_eq!(b.induced_cost, model.cost(&total), "{name}: induced cost");
+        assert_eq!(b.strategy, plan.leader, "{name}: strategy");
+        assert_eq!(b.commodity_alphas, plan.commodity_alphas, "{name}: α_i");
+        assert_eq!(b.nash_cost.to_bits(), cost.to_bits(), "{name}: Solve C(N)");
+
+        // (c) Every route to a report carries the profile's C(N) exactly:
+        // no memo, and a shared memo populated by either task first.
+        let nash_cost = |rep: Report| match rep.data.as_beta() {
+            Some(b) => b.nash_cost,
+            None => rep.data.as_equilib().unwrap().nash_cost,
+        };
+        for order in [[Task::Beta, Task::Equilib], [Task::Equilib, Task::Beta]] {
+            let cache = Arc::new(SolveCache::new());
+            for task in order {
+                for memo in [false, true] {
+                    let engine = Engine::new(vec![sc.clone()]).task(task);
+                    let engine = if memo {
+                        engine.cache(Arc::clone(&cache))
+                    } else {
+                        engine.no_cache()
+                    };
+                    let rep = engine.run().remove(0).unwrap();
+                    assert_eq!(
+                        nash_cost(rep).to_bits(),
+                        cost.to_bits(),
+                        "{name}: {task} C(N), memo {memo}"
+                    );
+                }
+            }
+        }
     }
 }
