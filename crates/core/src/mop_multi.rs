@@ -201,12 +201,15 @@ pub fn try_mop_multi_plan_with_optimum(
             }
             let tol = DAG_TOL * dist.abs().max(1.0);
             let o_i = &opt.per_commodity[ci];
+            // Off the commodity's support the cap is 0 on or off the DAG.
             for e in inst.graph.edge_ids() {
-                caps[e.idx()] = if on_shortest_dag(&inst.graph, &edge_costs, sp.dist(), e, tol) {
-                    o_i.get(e)
-                } else {
-                    0.0
-                };
+                let o = o_i.get(e);
+                caps[e.idx()] =
+                    if o != 0.0 && on_shortest_dag(&inst.graph, &edge_costs, sp.dist(), e, tol) {
+                        o
+                    } else {
+                        0.0
+                    };
             }
             slots[ci] = Some(residual.max_flow(&caps, com.source, com.sink));
         }

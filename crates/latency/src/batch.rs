@@ -94,6 +94,17 @@ struct GeneralLane {
     fns: Vec<LatencyFn>,
 }
 
+/// Where one edge lives in the lanes: its kind and its index in that lane.
+#[derive(Clone, Copy, Debug)]
+enum Slot {
+    Affine(u32),
+    Bpr(u32),
+    Monomial(u32),
+    Mm1(u32),
+    Constant(u32),
+    General(u32),
+}
+
 /// Struct-of-arrays view of an edge latency vector, grouped by kind.
 ///
 /// Built via [`LatencyBatch::new`] (or refreshed in place with
@@ -111,6 +122,8 @@ pub struct LatencyBatch {
     general: GeneralLane,
     /// Per-edge capacity `sup { x : ℓ_e(x) < ∞ }` (dense, `m` entries).
     caps: Vec<f64>,
+    /// Per-edge lane slot (dense, `m` entries), for the `*_at` methods.
+    slots: Vec<Slot>,
 }
 
 impl LatencyBatch {
@@ -143,13 +156,16 @@ impl LatencyBatch {
         self.general.fns.clear();
         self.caps.clear();
         self.caps.reserve(latencies.len());
+        self.slots.clear();
+        self.slots.reserve(latencies.len());
         for (e, l) in latencies.iter().enumerate() {
             let e = e as u32;
-            match l {
+            let slot = match l {
                 LatencyFn::Affine(l) => {
                     self.affine.idx.push(e);
                     self.affine.a.push(l.a);
                     self.affine.b.push(l.b);
+                    Slot::Affine(self.affine.idx.len() as u32 - 1)
                 }
                 LatencyFn::Bpr(l) => {
                     self.bpr.idx.push(e);
@@ -157,25 +173,31 @@ impl LatencyBatch {
                     self.bpr.b.push(l.b);
                     self.bpr.c.push(l.c);
                     self.bpr.p.push(l.p);
+                    Slot::Bpr(self.bpr.idx.len() as u32 - 1)
                 }
                 LatencyFn::Monomial(l) => {
                     self.monomial.idx.push(e);
                     self.monomial.c.push(l.c);
                     self.monomial.k.push(l.k);
+                    Slot::Monomial(self.monomial.idx.len() as u32 - 1)
                 }
                 LatencyFn::MM1(l) => {
                     self.mm1.idx.push(e);
                     self.mm1.c.push(l.c);
+                    Slot::Mm1(self.mm1.idx.len() as u32 - 1)
                 }
                 LatencyFn::Constant(l) => {
                     self.constant.idx.push(e);
                     self.constant.c.push(l.c);
+                    Slot::Constant(self.constant.idx.len() as u32 - 1)
                 }
                 other => {
                     self.general.idx.push(e);
                     self.general.fns.push(other.clone());
+                    Slot::General(self.general.idx.len() as u32 - 1)
                 }
-            }
+            };
+            self.slots.push(slot);
             self.caps.push(l.capacity());
         }
         self.bpr.uniform_p = match self.bpr.p.first() {
@@ -205,18 +227,18 @@ impl LatencyBatch {
         let la = &self.affine;
         for j in 0..la.idx.len() {
             let e = la.idx[j] as usize;
-            out[e] = la.a[j] * f[e] + la.b[j];
+            out[e] = affine_value(la.a[j], la.b[j], f[e]);
         }
-        self.bpr_loop(f, out, |t0, b, _c, _p, r_p, _r_pm1| t0 * (1.0 + b * r_p));
+        self.bpr_loop(f, out, bpr_value);
         let lm = &self.monomial;
         for j in 0..lm.idx.len() {
             let e = lm.idx[j] as usize;
-            out[e] = lm.c[j] * f[e].powi(lm.k[j] as i32);
+            out[e] = monomial_value(lm.c[j], lm.k[j], f[e]);
         }
         let lq = &self.mm1;
         for j in 0..lq.idx.len() {
             let e = lq.idx[j] as usize;
-            out[e] = 1.0 / (lq.c[j] - f[e]);
+            out[e] = mm1_value(lq.c[j], f[e]);
         }
         let lc = &self.constant;
         for j in 0..lc.idx.len() {
@@ -235,21 +257,18 @@ impl LatencyBatch {
         let la = &self.affine;
         for j in 0..la.idx.len() {
             let e = la.idx[j] as usize;
-            out[e] = 2.0 * la.a[j] * f[e] + la.b[j];
+            out[e] = affine_marginal(la.a[j], la.b[j], f[e]);
         }
-        self.bpr_loop(f, out, |t0, b, _c, p, r_p, _r_pm1| {
-            t0 * (1.0 + b * (p + 1.0) * r_p)
-        });
+        self.bpr_loop(f, out, bpr_marginal);
         let lm = &self.monomial;
         for j in 0..lm.idx.len() {
             let e = lm.idx[j] as usize;
-            out[e] = lm.c[j] * (lm.k[j] as f64 + 1.0) * f[e].powi(lm.k[j] as i32);
+            out[e] = monomial_marginal(lm.c[j], lm.k[j], f[e]);
         }
         let lq = &self.mm1;
         for j in 0..lq.idx.len() {
             let e = lq.idx[j] as usize;
-            let s = lq.c[j] - f[e];
-            out[e] = lq.c[j] / (s * s);
+            out[e] = mm1_marginal(lq.c[j], f[e]);
         }
         let lc = &self.constant;
         for j in 0..lc.idx.len() {
@@ -259,6 +278,44 @@ impl LatencyBatch {
         for j in 0..lg.idx.len() {
             let e = lg.idx[j] as usize;
             out[e] = lg.fns[j].marginal(f[e]);
+        }
+    }
+
+    /// `ℓ_e(x)` for the single edge `e`, by the per-edge arithmetic of
+    /// [`LatencyBatch::value_into`]: the two agree bit for bit.
+    pub fn value_at(&self, e: usize, x: f64) -> f64 {
+        match self.slots[e] {
+            Slot::Affine(j) => {
+                let j = j as usize;
+                affine_value(self.affine.a[j], self.affine.b[j], x)
+            }
+            Slot::Bpr(j) => self.bpr_at(j as usize, x, bpr_value),
+            Slot::Monomial(j) => {
+                let j = j as usize;
+                monomial_value(self.monomial.c[j], self.monomial.k[j], x)
+            }
+            Slot::Mm1(j) => mm1_value(self.mm1.c[j as usize], x),
+            Slot::Constant(j) => self.constant.c[j as usize],
+            Slot::General(j) => self.general.fns[j as usize].value(x),
+        }
+    }
+
+    /// `ℓ*_e(x)` for the single edge `e`, by the per-edge arithmetic of
+    /// [`LatencyBatch::marginal_into`]: the two agree bit for bit.
+    pub fn marginal_at(&self, e: usize, x: f64) -> f64 {
+        match self.slots[e] {
+            Slot::Affine(j) => {
+                let j = j as usize;
+                affine_marginal(self.affine.a[j], self.affine.b[j], x)
+            }
+            Slot::Bpr(j) => self.bpr_at(j as usize, x, bpr_marginal),
+            Slot::Monomial(j) => {
+                let j = j as usize;
+                monomial_marginal(self.monomial.c[j], self.monomial.k[j], x)
+            }
+            Slot::Mm1(j) => mm1_marginal(self.mm1.c[j as usize], x),
+            Slot::Constant(j) => self.constant.c[j as usize],
+            Slot::General(j) => self.general.fns[j as usize].marginal(x),
         }
     }
 
@@ -518,22 +575,80 @@ impl LatencyBatch {
             let pf = p as f64;
             for j in 0..lb.idx.len() {
                 let e = lb.idx[j] as usize;
-                let r = f[e] / lb.c[j];
-                let r_pm1 = if p == 1 { 1.0 } else { rpow(r, p - 1) };
-                let r_p = r_pm1 * r;
+                let (r_p, r_pm1) = bpr_powers(f[e], lb.c[j], p);
                 out[e] = op(lb.t0[j], lb.b[j], lb.c[j], pf, r_p, r_pm1);
             }
         } else {
             for j in 0..lb.idx.len() {
                 let e = lb.idx[j] as usize;
                 let p = lb.p[j];
-                let r = f[e] / lb.c[j];
-                let r_pm1 = if p == 1 { 1.0 } else { rpow(r, p - 1) };
-                let r_p = r_pm1 * r;
+                let (r_p, r_pm1) = bpr_powers(f[e], lb.c[j], p);
                 out[e] = op(lb.t0[j], lb.b[j], lb.c[j], p as f64, r_p, r_pm1);
             }
         }
     }
+
+    /// [`LatencyBatch::bpr_loop`]'s arithmetic for BPR lane entry `j` at `x`.
+    #[inline]
+    fn bpr_at(&self, j: usize, x: f64, op: impl Fn(f64, f64, f64, f64, f64, f64) -> f64) -> f64 {
+        let lb = &self.bpr;
+        let (r_p, r_pm1) = bpr_powers(x, lb.c[j], lb.p[j]);
+        op(lb.t0[j], lb.b[j], lb.c[j], lb.p[j] as f64, r_p, r_pm1)
+    }
+}
+
+// Per-edge kernels shared by the lane sweeps and the `*_at` methods, so a
+// single edge prices bit for bit as its lane does.
+
+#[inline(always)]
+fn affine_value(a: f64, b: f64, x: f64) -> f64 {
+    a * x + b
+}
+
+#[inline(always)]
+fn affine_marginal(a: f64, b: f64, x: f64) -> f64 {
+    2.0 * a * x + b
+}
+
+/// `((x/c)^p, (x/c)^(p−1))` as every BPR lane computes them.
+#[inline(always)]
+fn bpr_powers(x: f64, c: f64, p: u32) -> (f64, f64) {
+    let r = x / c;
+    let r_pm1 = if p == 1 { 1.0 } else { rpow(r, p - 1) };
+    (r_pm1 * r, r_pm1)
+}
+
+/// The [`LatencyBatch::bpr_loop`] operator for `ℓ_e`.
+#[inline(always)]
+fn bpr_value(t0: f64, b: f64, _c: f64, _p: f64, r_p: f64, _r_pm1: f64) -> f64 {
+    t0 * (1.0 + b * r_p)
+}
+
+/// The [`LatencyBatch::bpr_loop`] operator for `ℓ*_e`.
+#[inline(always)]
+fn bpr_marginal(t0: f64, b: f64, _c: f64, p: f64, r_p: f64, _r_pm1: f64) -> f64 {
+    t0 * (1.0 + b * (p + 1.0) * r_p)
+}
+
+#[inline(always)]
+fn monomial_value(c: f64, k: u32, x: f64) -> f64 {
+    c * x.powi(k as i32)
+}
+
+#[inline(always)]
+fn monomial_marginal(c: f64, k: u32, x: f64) -> f64 {
+    c * (k as f64 + 1.0) * x.powi(k as i32)
+}
+
+#[inline(always)]
+fn mm1_value(c: f64, x: f64) -> f64 {
+    1.0 / (c - x)
+}
+
+#[inline(always)]
+fn mm1_marginal(c: f64, x: f64) -> f64 {
+    let s = c - x;
+    c / (s * s)
 }
 
 /// A gathered directional sweep, built by [`LatencyBatch::plan_dir`]: the

@@ -64,26 +64,35 @@ impl EdgeFlow {
     }
 
     /// Is this a feasible `s → t` flow of value `r` (conservation elsewhere,
-    /// nonnegative everywhere)?
+    /// nonnegative everywhere)? Node balances accumulate in one pass over
+    /// the edges.
     pub fn is_st_flow(&self, g: &DiGraph, s: NodeId, t: NodeId, r: f64, eps: f64) -> bool {
         if self.0.iter().any(|&f| f < -eps) {
             return false;
         }
-        for v in g.nodes() {
-            let ex = self.excess(g, v);
-            let want = if v == s {
-                -r
-            } else if v == t {
-                r
-            } else {
-                0.0
-            };
-            if (ex - want).abs() > eps {
-                return false;
-            }
+        let mut balance = vec![0.0; g.num_nodes()];
+        for (edge, &x) in g.edges().iter().zip(&self.0) {
+            balance[edge.from.idx()] -= x;
+            balance[edge.to.idx()] += x;
         }
-        true
+        is_st_balance(&balance, s, t, r, eps)
     }
+}
+
+/// Do the node balances (inflow − outflow per node) of a flow match an
+/// `s → t` flow of value `r` to within `eps`: `−r` at `s`, `r` at `t` and
+/// `0` elsewhere?
+pub fn is_st_balance(balance: &[f64], s: NodeId, t: NodeId, r: f64, eps: f64) -> bool {
+    balance.iter().enumerate().all(|(v, &ex)| {
+        let want = if v == s.idx() {
+            -r
+        } else if v == t.idx() {
+            r
+        } else {
+            0.0
+        };
+        (ex - want).abs() <= eps
+    })
 }
 
 impl From<Vec<f64>> for EdgeFlow {

@@ -281,6 +281,10 @@ pub enum Counter {
     /// conservation, or a load at an M/M/1 pole). Each such solve started
     /// cold instead, so `ColdStarts` counts it too.
     SeedsRejected,
+    /// Validated warm seeds whose gap, measured before any path
+    /// decomposition, missed the solve's target, so the seed was decomposed
+    /// and polished. A seed that meets the target returns as it is.
+    SeedChecksFailed,
     /// Nodes settled across all shortest-path queries (the work an
     /// early-exit or bidirectional traversal saves shows up here).
     SpSettledNodes,
@@ -295,12 +299,13 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in display order.
-    pub const ALL: [Counter; 8] = [
+    pub const ALL: [Counter; 9] = [
         Counter::FwIterations,
         Counter::PolishRounds,
         Counter::WarmStarts,
         Counter::ColdStarts,
         Counter::SeedsRejected,
+        Counter::SeedChecksFailed,
         Counter::SpSettledNodes,
         Counter::AonGroups,
         Counter::AonQueriesSaved,
@@ -314,6 +319,7 @@ impl Counter {
             Counter::WarmStarts => "warm_starts",
             Counter::ColdStarts => "cold_starts",
             Counter::SeedsRejected => "seeds_rejected",
+            Counter::SeedChecksFailed => "seed_checks_failed",
             Counter::SpSettledNodes => "sp_settled_nodes",
             Counter::AonGroups => "aon_groups",
             Counter::AonQueriesSaved => "aon_queries_saved",
@@ -750,6 +756,31 @@ mod tests {
         assert!(text.contains("sopt_solve_latency_us_count 2"));
         assert!(text.contains("sopt_solve_latency_us{quantile=\"0.5\"}"));
         assert!(text.contains("sopt_warm_starts_total 3"));
+    }
+
+    #[test]
+    fn every_counter_is_exposed_under_its_own_name() {
+        let r = Recorder::enabled();
+        for (i, &c) in Counter::ALL.iter().enumerate() {
+            r.add(c, i as u64 + 1);
+        }
+        let snap = r.snapshot();
+        let (json, text) = (snap.to_json(), snap.to_text());
+        for (i, &c) in Counter::ALL.iter().enumerate() {
+            let (name, n) = (c.name(), i as u64 + 1);
+            assert_eq!(counter_idx(c), i);
+            assert_eq!(snap.counter(name), Some(n), "{name}");
+            assert!(json.contains(&format!("\"{name}\": {n}")), "{name}: {json}");
+            assert!(
+                text.contains(&format!("sopt_{name}_total {n}")),
+                "{name}: {text}"
+            );
+        }
+        let mut names: Vec<&str> = Counter::ALL.iter().map(|c| c.name()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), Counter::ALL.len());
+        assert!(names.contains(&"seed_checks_failed"));
     }
 
     proptest! {

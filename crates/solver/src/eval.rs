@@ -53,6 +53,16 @@ impl<'a> Eval<'a> {
         }
     }
 
+    /// `F'_e(x)` for the single edge `e`, bit for bit what
+    /// [`Eval::gradient_into`] writes for `e` at flow `x`.
+    #[inline]
+    pub fn gradient_at(&self, model: CostModel, e: usize, x: f64) -> f64 {
+        match model {
+            CostModel::Wardrop => self.batch.value_at(e, x),
+            CostModel::SystemOptimum => self.batch.marginal_at(e, x),
+        }
+    }
+
     /// `out[e] = F''_e(f[e])` — the curvature weights of conjugate FW.
     pub fn curvature_into(&self, model: CostModel, f: &[f64], out: &mut [f64]) {
         match model {
@@ -109,6 +119,65 @@ mod tests {
         }
         for (e, l) in lats.iter().enumerate() {
             assert_eq!(batched.capacity(e), l.capacity());
+        }
+    }
+
+    /// One latency of each lane kind, drawn from `(kind, u, v, w, p)`:
+    /// affine, BPR with power `p` in 1..=6, monomial, M/M/1, constant, and
+    /// the general lane (polynomial, preloaded and tolled BPR).
+    fn lane(kind: u8, u: f64, v: f64, w: f64, p: u32) -> LatencyFn {
+        match kind {
+            0 => LatencyFn::affine(4.0 * u, 4.0 * v),
+            1 => LatencyFn::bpr(0.1 + 4.0 * u, 2.0 * v, 0.5 + 10.0 * w, p),
+            2 => LatencyFn::monomial(0.1 + 3.0 * u, p),
+            3 => LatencyFn::mm1(0.5 + 10.0 * u),
+            4 => LatencyFn::constant(10.0 * u),
+            5 => LatencyFn::polynomial(vec![u, v, w]),
+            6 => LatencyFn::bpr(0.1 + u, 0.15, 0.5 + 10.0 * w, p).preloaded(v),
+            _ => LatencyFn::bpr(0.1 + u, 0.15, 0.5 + 10.0 * w, p).tolled(v),
+        }
+    }
+
+    proptest::proptest! {
+        /// [`Eval::gradient_at`] prices one edge bit for bit as the lane
+        /// sweep of [`Eval::gradient_into`] does, under both cost models and
+        /// for every lane kind; M/M/1 loads reach 0.99999 of capacity, and
+        /// `uniform` gives every BPR edge one power (the hoisted lane loop).
+        #[test]
+        fn gradient_at_matches_the_lane_sweep(
+            edges in proptest::collection::vec(
+                (0u8..8, (0.0..1.0f64, 0.0..1.0f64, 0.0..1.0f64), 1u32..7, 0.0..1.0f64),
+                1..24,
+            ),
+            uniform in proptest::arbitrary::any::<bool>(),
+        ) {
+            let lats: Vec<LatencyFn> = edges
+                .iter()
+                .map(|&(kind, (u, v, w), p, _)| lane(kind, u, v, w, if uniform { 4 } else { p }))
+                .collect();
+            let f: Vec<f64> = lats
+                .iter()
+                .zip(&edges)
+                .map(|(l, &(.., x))| {
+                    let cap = l.capacity();
+                    if cap.is_finite() { x * 0.99999 * cap } else { 20.0 * x }
+                })
+                .collect();
+            let batch = LatencyBatch::new(&lats);
+            let eval = Eval::new(&lats, &batch);
+            let mut out = vec![0.0; lats.len()];
+            for model in [CostModel::Wardrop, CostModel::SystemOptimum] {
+                eval.gradient_into(model, &f, &mut out);
+                for (e, &x) in f.iter().enumerate() {
+                    let at = eval.gradient_at(model, e, x);
+                    proptest::prop_assert!(
+                        at.to_bits() == out[e].to_bits(),
+                        "{model:?} edge {e} ({:?} at {x}): {at} vs lane {}",
+                        lats[e],
+                        out[e]
+                    );
+                }
+            }
         }
     }
 }

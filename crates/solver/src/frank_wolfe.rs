@@ -32,32 +32,41 @@
 //! [`solve_warm`] / [`try_solve_warm`] additionally accept a previous
 //! [`FwResult`] as the starting point. Seeding a solve with a nearby flow
 //! (the previous α of an anarchy-curve sweep, MOP's free flow for an
-//! induced solve) skips the all-or-nothing bootstrap and typically
-//! converges in a handful of iterations instead of tens — `fw_bench`
-//! (`BENCH_fw.json`) measures the cold/warm iteration ratio.
+//! induced solve, the cold optimum for a Nash profile) skips the
+//! all-or-nothing bootstrap and the Frank–Wolfe loop. The seed is
+//! validated and rescaled in one pass per commodity; then its relative gap
+//! is measured on its edge flow, with one gradient sweep and one search
+//! per origin group (a targeted query for a lone commodity, one
+//! one-to-many tree otherwise). A seed that already meets the target
+//! returns as it is, with no polish round; any other is path-decomposed
+//! and polished. `fw_bench` (`BENCH_fw.json`) measures the cold/warm
+//! iteration ratio.
 //!
 //! ## The cold start
 //!
 //! Without a seed, each commodity is loaded in eight equal slices, each
 //! routed at the pole-guarded gradient costs of the flow loaded so far.
 //! Commodities sharing an origin share the work: per origin and slice, one
-//! gradient sweep and one one-to-many tree carry every member's slice
+//! pricing and one one-to-many tree carry every member's slice
 //! ([`CommodityGroups`]), so a 64-commodity, 16-origin profile takes 128
-//! sweeps and trees instead of 512 sweeps and queries. With one commodity
-//! per origin (every single-commodity solve) each slice gets its own sweep
-//! and targeted query, in commodity order.
+//! pricings and trees instead of 512 pricings and queries. With one commodity
+//! per origin (every single-commodity solve) each slice gets its own
+//! pricing and targeted query, in commodity order. Only the zero flow is
+//! priced by a full gradient sweep; each later pricing re-prices just the
+//! edges the slices moved, bit for bit as a full sweep would.
 
 use std::cell::RefCell;
 
-use sopt_latency::{DirPlan, Latency, LatencyBatch, LatencyFn};
+use sopt_latency::{DirPlan, LatencyBatch, LatencyFn};
 use sopt_network::csr::{Csr, RevCsr, SpPool, SpWorkspace};
-use sopt_network::flow::EdgeFlow;
+use sopt_network::flow::{is_st_balance, EdgeFlow};
 use sopt_network::graph::NodeId;
 use sopt_network::instance::{MultiCommodityInstance, NetworkInstance};
 use sopt_network::DiGraph;
 
 use crate::aon::{
-    aon_assign_targets, aon_st_into, timed_shortest_to_many, AonMode, CommodityGroups,
+    aon_assign_targets, aon_st_into, timed_shortest_to, timed_shortest_to_many, AonMode,
+    CommodityGroups,
 };
 use crate::error::SolverError;
 use crate::eval::Eval;
@@ -141,12 +150,14 @@ pub struct FwResult {
     pub objective: f64,
     /// Final relative gap.
     pub rel_gap: f64,
-    /// Iterations performed (Frank–Wolfe iterations plus polish rounds).
+    /// Iterations performed (Frank–Wolfe iterations plus polish rounds) —
+    /// 0 for a warm seed whose gap already met the target.
     pub iterations: usize,
     /// The Frank–Wolfe share of [`FwResult::iterations`] — 0 for a
-    /// warm-seeded solve, which hands the seed straight to the polish.
+    /// warm-seeded solve, which skips the Frank–Wolfe loop.
     pub fw_iterations: usize,
-    /// The path-polish share of [`FwResult::iterations`].
+    /// The path-polish share of [`FwResult::iterations`] — 0 for a warm
+    /// seed whose gap already met the target, which returns unpolished.
     pub polish_rounds: usize,
     /// Whether `rel_gap` reached the target.
     pub converged: bool,
@@ -193,31 +204,20 @@ pub struct FwWorkspace {
     s_bar_set: bool,
 }
 
-fn resize_flows(v: &mut Vec<EdgeFlow>, k: usize, m: usize) {
-    v.truncate(k);
-    for fl in v.iter_mut() {
-        fl.0.clear();
-        fl.0.resize(m, 0.0);
-    }
-    while v.len() < k {
-        v.push(EdgeFlow::zeros(m));
-    }
-}
-
 impl FwWorkspace {
     /// An empty workspace (buffers grow on first use).
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Size every buffer for a solve of `demands` over `graph`.
+    /// Size every per-edge buffer for a solve of `demands` over `graph`.
+    /// The per-commodity loop buffers wait for [`FwWorkspace::size_loop`].
     fn prepare(
         &mut self,
         graph: &DiGraph,
         latencies: &[LatencyFn],
         demands: &[(NodeId, NodeId, f64)],
     ) {
-        let k = demands.len();
         self.csr.rebuild(graph);
         self.rcsr.rebuild(graph);
         self.groups.rebuild(demands);
@@ -235,28 +235,107 @@ impl FwWorkspace {
             buf.clear();
             buf.resize(m, 0.0);
         }
-        resize_flows(&mut self.ys, k, m);
-        resize_flows(&mut self.target, k, m);
-        resize_flows(&mut self.s_bar, k, m);
         self.s_bar_set = false;
+    }
+
+    /// Size the per-commodity Frank–Wolfe loop buffers (`3·k·m` floats),
+    /// which only a solve that runs the loop reads. They are not zeroed:
+    /// the loop writes each before reading it (the AON step clears `ys`,
+    /// every iteration overwrites `target`, and `s_bar` is read only once
+    /// a swap with `target` has set it).
+    fn size_loop(&mut self, k: usize, m: usize) {
+        for v in [&mut self.ys, &mut self.target, &mut self.s_bar] {
+            v.truncate(k);
+            for fl in v.iter_mut() {
+                fl.0.resize(m, 0.0);
+            }
+            v.resize_with(k, || EdgeFlow::zeros(m));
+        }
+    }
+
+    /// Storage for a warm solve's per-commodity result. A warm solve skips
+    /// the Frank–Wolfe loop, so it builds its flows in the loop buffers the
+    /// last cold solve sized (`ys`, else `target`, else `s_bar`), and the
+    /// next cold solve sizes fresh ones: a β op's Nash and induced solves
+    /// then allocate no per-commodity flows of their own.
+    fn idle_flows(&mut self) -> Vec<EdgeFlow> {
+        [&mut self.ys, &mut self.target, &mut self.s_bar]
+            .into_iter()
+            .find(|v| !v.is_empty())
+            .map(std::mem::take)
+            .unwrap_or_default()
+    }
+
+    /// The relative gap `Σc·(f−y) / Σc·f` of the flow in `self.f` (a
+    /// validated warm seed): one gradient sweep, then one search per
+    /// origin group for its members of positive rate, a targeted query for
+    /// a lone member and one one-to-many tree otherwise. It is the gap the
+    /// polish measures in its first round, without the path decomposition.
+    /// An unreachable sink makes it `+∞`.
+    fn seed_gap(
+        &mut self,
+        latencies: &[LatencyFn],
+        model: CostModel,
+        demands: &[(NodeId, NodeId, f64)],
+    ) -> f64 {
+        let (csr, rcsr, sp) = (&self.csr, Some(&self.rcsr), &mut self.sp);
+        Eval::new(latencies, &self.batch).gradient_into(model, &self.f, &mut self.costs);
+        let costs = &self.costs;
+        let cf: f64 = costs.iter().zip(&self.f).map(|(c, x)| c * x).sum();
+        let mut cy = 0.0;
+        let (mut live, mut targets) = (Vec::new(), Vec::new());
+        for g in 0..self.groups.num_groups() {
+            let (source, members) = self.groups.group(g);
+            live.clear();
+            live.extend(members.iter().filter_map(|&ci| {
+                let (_, t, r) = demands[ci as usize];
+                (r > 0.0).then_some((t, r))
+            }));
+            if let &[(t, r)] = live.as_slice() {
+                match timed_shortest_to(csr, rcsr, sp, costs, source, t) {
+                    Some(dist) => cy += r * dist,
+                    None => return f64::INFINITY,
+                }
+            } else if !live.is_empty() {
+                targets.clear();
+                targets.extend(live.iter().map(|&(t, _)| t));
+                timed_shortest_to_many(csr, sp, costs, source, &targets);
+                for &(t, r) in &live {
+                    match sp.many_dist(t) {
+                        Some(dist) => cy += r * dist,
+                        None => return f64::INFINITY,
+                    }
+                }
+            }
+        }
+        if cf.abs() > 1e-300 {
+            (cf - cy) / cf
+        } else {
+            0.0
+        }
     }
 
     /// The cold start: every commodity loaded in [`CHUNKS`] equal slices,
     /// each routed at pole-guarded gradient costs of the running combined
     /// flow (see [`guarded_costs`]), so no slice steps over an M/M/1 pole
     /// while another path exists. Walks the origin groups in order: a
-    /// one-member group takes one sweep and one targeted query per chunk;
-    /// a larger group shares one sweep and one one-to-many tree per chunk
+    /// one-member group takes one pricing and one targeted query per chunk;
+    /// a larger group shares one pricing and one one-to-many tree per chunk
     /// among its members. The tree's prices predate the chunk's earlier
     /// slices, so a member whose own slice would take an edge the tree
     /// priced below the guard to ≥ 99.99% of its capacity waits until the
-    /// chunk's tree slices are in, then gets a sweep and a query of its
+    /// chunk's tree slices are in, then gets a pricing and a query of its
     /// own: only a slice priced at the current flow steps onto the guard,
     /// as in the one-member case. Returns the per-commodity flows; `self.f`
     /// holds their sum.
     ///
-    /// With one commodity per origin every slice gets its own sweep and
+    /// With one commodity per origin every slice gets its own pricing and
     /// targeted query, in commodity order.
+    ///
+    /// Only the zero flow is priced by a full sweep. Each later pricing
+    /// re-prices just the edges the slices moved since the one before
+    /// ([`Moved`]), with the per-edge arithmetic of the batch lanes, so
+    /// the prices are bit for bit those of a full [`guarded_costs`] sweep.
     fn cold_start(
         &mut self,
         latencies: &[LatencyFn],
@@ -269,17 +348,23 @@ impl FwWorkspace {
         let m = f.len();
         let mut per = vec![EdgeFlow::zeros(m); demands.len()];
         f.fill(0.0);
+        guarded_costs(&eval, model, f, costs);
+        let mut moved = Moved::new(m);
 
-        // One slice routed by a sweep of its own, added into `out` and `f`.
+        // One slice routed at fresh prices, added into `out` and `f`.
         let fresh_slice = |sp: &mut SpWorkspace,
                            f: &mut [f64],
                            costs: &mut [f64],
+                           moved: &mut Moved,
                            (s, t, r): (NodeId, NodeId, f64),
                            out: &mut [f64]| {
-            guarded_costs(&eval, model, f, costs);
+            moved.reprice(&eval, model, f, costs);
             let slice = r / CHUNKS as f64;
             aon_st_into(csr, rcsr, sp, costs, s, t, slice, out)?;
-            sp.walk_st_path(csr, rcsr, |e| f[e.idx()] += slice);
+            sp.walk_st_path(csr, rcsr, |e| {
+                f[e.idx()] += slice;
+                moved.push(e.idx());
+            });
             Ok::<(), SolverError>(())
         };
 
@@ -290,7 +375,8 @@ impl FwWorkspace {
             if let &[ci] = members {
                 let ci = ci as usize;
                 for _ in 0..CHUNKS {
-                    if fresh_slice(sp, f, costs, demands[ci], &mut per[ci].0).is_err() {
+                    let slice = fresh_slice(sp, f, costs, &mut moved, demands[ci], &mut per[ci].0);
+                    if slice.is_err() {
                         return Err(lowest_unreachable(csr, sp, costs, demands, ci));
                     }
                 }
@@ -299,7 +385,7 @@ impl FwWorkspace {
             targets.clear();
             targets.extend(members.iter().map(|&ci| demands[ci as usize].1));
             for _ in 0..CHUNKS {
-                guarded_costs(&eval, model, f, costs);
+                moved.reprice(&eval, model, f, costs);
                 timed_shortest_to_many(csr, sp, costs, source, &targets);
                 deferred.clear();
                 for &ci in members {
@@ -324,10 +410,11 @@ impl FwWorkspace {
                     sp.walk_many_path_to(csr, t, |e| {
                         out[e.idx()] += slice;
                         f[e.idx()] += slice;
+                        moved.push(e.idx());
                     });
                 }
                 for &ci in &deferred {
-                    fresh_slice(sp, f, costs, demands[ci], &mut per[ci].0)
+                    fresh_slice(sp, f, costs, &mut moved, demands[ci], &mut per[ci].0)
                         .map_err(|e| e.with_commodity(ci))?;
                 }
             }
@@ -351,6 +438,45 @@ fn guarded_costs(eval: &Eval<'_>, model: CostModel, f: &[f64], costs: &mut [f64]
         if cap.is_finite() && fe >= cap * 0.9999 {
             *c = SATURATED;
         }
+    }
+}
+
+/// The edges whose flow the cold start moved since it last priced them.
+struct Moved {
+    edges: Vec<u32>,
+    listed: Vec<bool>,
+}
+
+impl Moved {
+    fn new(m: usize) -> Self {
+        Self {
+            edges: Vec::new(),
+            listed: vec![false; m],
+        }
+    }
+
+    fn push(&mut self, e: usize) {
+        if !self.listed[e] {
+            self.listed[e] = true;
+            self.edges.push(e as u32);
+        }
+    }
+
+    /// Re-price every listed edge as [`guarded_costs`] would at `f`, then
+    /// empty the list. Unlisted edges kept their flow, so their prices
+    /// stand.
+    fn reprice(&mut self, eval: &Eval<'_>, model: CostModel, f: &[f64], costs: &mut [f64]) {
+        for &e in &self.edges {
+            let (e, fe) = (e as usize, f[e as usize]);
+            let cap = eval.capacity(e);
+            costs[e] = if cap.is_finite() && fe >= cap * 0.9999 {
+                SATURATED
+            } else {
+                eval.gradient_at(model, e, fe)
+            };
+            self.listed[e] = false;
+        }
+        self.edges.clear();
     }
 }
 
@@ -548,27 +674,40 @@ fn combined_into(per: &[EdgeFlow], out: &mut [f64]) {
 }
 
 /// Validate and rescale a warm-start seed into per-commodity starting
-/// flows. Returns `None` (→ cold start) when the seed does not fit: wrong
-/// commodity count or edge count, non-finite or negative entries, zero
-/// s→t value for a positive demand, broken conservation, or a capacity
-/// violation after rescaling to the new rates.
+/// flows, built in the buffers of `spare` where it has them, and sum them
+/// into `f`. Returns `None` (→ cold start) when the seed does not fit:
+/// wrong commodity count or edge count, non-finite or negative entries,
+/// zero s→t value for a positive demand, broken conservation, or a
+/// capacity violation after rescaling to the new rates. One pass per
+/// commodity scans, rescales, sums and balances its flow.
 fn warm_start_per(
     seed: &[EdgeFlow],
     graph: &DiGraph,
-    latencies: &[LatencyFn],
+    caps: &[f64],
     demands: &[(NodeId, NodeId, f64)],
+    f: &mut [f64],
+    mut spare: Vec<EdgeFlow>,
 ) -> Option<Vec<EdgeFlow>> {
     let m = graph.num_edges();
     if seed.len() != demands.len() {
         return None;
     }
+    let unusable = |x: f64| !x.is_finite() || x < -1e-9;
+    f.fill(0.0);
+    let mut balance = vec![0.0; graph.num_nodes()];
     let mut per = Vec::with_capacity(seed.len());
     for (sf, &(s, t, r)) in seed.iter().zip(demands) {
-        if sf.0.len() != m || sf.0.iter().any(|x| !x.is_finite() || *x < -1e-9) {
+        if sf.0.len() != m {
             return None;
         }
+        let mut flow = spare.pop().unwrap_or_else(|| EdgeFlow(Vec::new()));
+        flow.0.clear();
         if r <= 0.0 {
-            per.push(EdgeFlow::zeros(m));
+            if sf.0.iter().any(|&x| unusable(x)) {
+                return None;
+            }
+            flow.0.resize(m, 0.0);
+            per.push(flow);
             continue;
         }
         let value = sf.excess(graph, t);
@@ -576,23 +715,30 @@ fn warm_start_per(
             return None;
         }
         let scale = r / value;
-        let flow = EdgeFlow(sf.0.iter().map(|x| (x * scale).max(0.0)).collect());
-        if !flow.is_st_flow(graph, s, t, r, 1e-7 * r.max(1.0)) {
+        balance.fill(0.0);
+        flow.0.reserve(m);
+        for ((&x, edge), fe) in sf.0.iter().zip(graph.edges()).zip(f.iter_mut()) {
+            if unusable(x) {
+                return None;
+            }
+            let y = (x * scale).max(0.0);
+            flow.0.push(y);
+            *fe += y;
+            balance[edge.from.idx()] -= y;
+            balance[edge.to.idx()] += y;
+        }
+        if !is_st_balance(&balance, s, t, r, 1e-7 * r.max(1.0)) {
             return None;
         }
         per.push(flow);
     }
     // Combined capacity check: the line search assumes a strictly interior
     // start w.r.t. M/M/1 poles.
-    let mut f = vec![0.0; m];
-    combined_into(&per, &mut f);
-    for (l, &fe) in latencies.iter().zip(&f) {
-        let cap = l.capacity();
-        if cap.is_finite() && fe >= cap * 0.9999 {
-            return None;
-        }
-    }
-    Some(per)
+    let at_pole = f
+        .iter()
+        .zip(caps)
+        .any(|(&fe, &cap)| cap.is_finite() && fe >= cap * 0.9999);
+    (!at_pole).then_some(per)
 }
 
 fn solve_inner(
@@ -631,22 +777,21 @@ fn solve_inner(
     let solve_started = rec.is_enabled().then(std::time::Instant::now);
 
     // Initial point: a validated warm-start seed, or the chunked cold start.
-    let mut warm = false;
-    let mut per: Vec<EdgeFlow> = match seed.map(|s| warm_start_per(s, graph, latencies, demands)) {
-        Some(Some(per)) => {
-            combined_into(&per, &mut ws.f);
-            warm = true;
-            per
-        }
-        Some(None) => {
-            rec.add(sopt_obs::Counter::SeedsRejected, 1);
+    let seeded = seed.map(|s| {
+        let spare = ws.idle_flows();
+        warm_start_per(s, graph, ws.batch.capacities(), demands, &mut ws.f, spare)
+    });
+    if matches!(seeded, Some(None)) {
+        rec.add(sopt_obs::Counter::SeedsRejected, 1);
+    }
+    let warm = matches!(seeded, Some(Some(_)));
+    let mut per: Vec<EdgeFlow> = match seeded.flatten() {
+        Some(per) => per,
+        None => {
+            ws.size_loop(k, m);
             ws.cold_start(latencies, model, demands)?
         }
-        None => ws.cold_start(latencies, model, demands)?,
     };
-    let rcsr = Some(&ws.rcsr);
-    let eval = Eval::new(latencies, &ws.batch);
-
     let mut rel_gap = f64::INFINITY;
     let mut iterations = 0;
     let mut converged = false;
@@ -658,10 +803,23 @@ fn solve_inner(
     // A validated warm seed already carries the equilibrium's path
     // structure, which is exactly what the (linearly convergent) polish
     // phase exploits — running the sublinear FW loop first would only burn
-    // iterations rediscovering it. Hand the seed straight to the polish;
-    // its first column-generation round certifies the gap, so an
-    // already-converged seed costs one round.
-    let fw_budget = if warm { 0 } else { opts.max_iters };
+    // iterations rediscovering it. So a warm solve skips the loop: its gap
+    // is measured on the seed's edge flow with one search per origin, a
+    // seed that meets the target returns as it is, and any other goes
+    // straight to the polish.
+    let tail_started = (warm && rec.is_enabled()).then(std::time::Instant::now);
+    let fw_budget = if warm {
+        rel_gap = ws.seed_gap(latencies, model, demands);
+        converged = rel_gap <= opts.rel_gap;
+        if !converged {
+            rec.add(sopt_obs::Counter::SeedChecksFailed, 1);
+        }
+        0
+    } else {
+        opts.max_iters
+    };
+    let eval = Eval::new(latencies, &ws.batch);
+    let rcsr = Some(&ws.rcsr);
 
     for iter in 0..fw_budget {
         iterations = iter + 1;
@@ -774,8 +932,10 @@ fn solve_inner(
     // optimal faces; finish with path-based column generation + pairwise
     // equilibration, warm-started from the FW point (see `path_polish`).
     let mut polish_rounds = 0;
-    if !converged {
-        let polish_started = rec.is_enabled().then(std::time::Instant::now);
+    let polish = !converged;
+    let tail_started =
+        tail_started.or_else(|| (polish && rec.is_enabled()).then(std::time::Instant::now));
+    if polish {
         // The polish honours the same iteration budget as the FW phase, so
         // `max_iters` caps total work end to end (the session API relies on
         // this to surface NotConverged instead of spinning).
@@ -796,12 +956,13 @@ fn solve_inner(
         iterations += pr.rounds;
         polish_rounds = pr.rounds;
         combined_into(&per, &mut ws.f);
-        if let Some(started) = polish_started {
-            rec.record_duration(
-                sopt_obs::Phase::WarmPolish,
-                started.elapsed().as_micros() as u64,
-            );
-        }
+    }
+    if let Some(started) = tail_started {
+        // A warm solve's seed check and any polish, or a cold solve's polish.
+        rec.record_duration(
+            sopt_obs::Phase::WarmPolish,
+            started.elapsed().as_micros() as u64,
+        );
     }
 
     if rec.is_enabled() {
@@ -856,6 +1017,7 @@ fn conjugate_weight(h: &[f64], f: &[f64], s_prev: &[f64], y: &[f64]) -> f64 {
 mod tests {
     use super::*;
     use crate::equalize::equalize;
+    use sopt_latency::Latency;
     use sopt_network::instance::Commodity;
 
     fn two_node(lats: Vec<LatencyFn>, rate: f64) -> NetworkInstance {
@@ -1076,41 +1238,47 @@ mod tests {
     /// the pole and the next sweep prices an overloaded M/M/1 edge. One
     /// slice fills capacity 1.00005 to ≥ 99.99%; it leaves capacity 1.1
     /// partly loaded, and a second slice would overrun it.
+    /// The two inputs of
+    /// `shared_origin_bootstrap_reroutes_around_a_pole_it_just_filled`: an
+    /// M/M/1 edge of capacity `cap` beside an affine bypass out of one
+    /// origin, shared by two rate-8 commodities.
+    const POLE_CASES: [(f64, f64); 2] = [(1.00005, 1000.0), (1.1, 5.0)];
+
+    fn pole_pair(cap: f64, bypass_b: f64) -> MultiCommodityInstance {
+        let mut g = DiGraph::with_nodes(4);
+        g.add_edge(NodeId(0), NodeId(1)); // M/M/1
+        g.add_edge(NodeId(0), NodeId(1)); // bypass
+        g.add_edge(NodeId(1), NodeId(2));
+        g.add_edge(NodeId(1), NodeId(3));
+        let od = |sink| Commodity {
+            source: NodeId(0),
+            sink: NodeId(sink),
+            rate: 8.0,
+        };
+        MultiCommodityInstance::new(
+            g,
+            vec![
+                LatencyFn::mm1(cap),
+                LatencyFn::affine(0.001, bypass_b),
+                LatencyFn::identity(),
+                LatencyFn::identity(),
+            ],
+            vec![od(2), od(3)],
+        )
+    }
+
+    fn demands_of(inst: &MultiCommodityInstance) -> Vec<(NodeId, NodeId, f64)> {
+        inst.commodities
+            .iter()
+            .map(|c| (c.source, c.sink, c.rate))
+            .collect()
+    }
+
     #[test]
     fn shared_origin_bootstrap_reroutes_around_a_pole_it_just_filled() {
-        for (cap, bypass_b) in [(1.00005, 1000.0), (1.1, 5.0)] {
-            let mut g = DiGraph::with_nodes(4);
-            g.add_edge(NodeId(0), NodeId(1)); // M/M/1
-            g.add_edge(NodeId(0), NodeId(1)); // bypass
-            g.add_edge(NodeId(1), NodeId(2));
-            g.add_edge(NodeId(1), NodeId(3));
-            let (pole, bypass) = (LatencyFn::mm1(cap), LatencyFn::affine(0.001, bypass_b));
-            let inst = MultiCommodityInstance::new(
-                g,
-                vec![
-                    pole.clone(),
-                    bypass.clone(),
-                    LatencyFn::identity(),
-                    LatencyFn::identity(),
-                ],
-                vec![
-                    Commodity {
-                        source: NodeId(0),
-                        sink: NodeId(2),
-                        rate: 8.0,
-                    },
-                    Commodity {
-                        source: NodeId(0),
-                        sink: NodeId(3),
-                        rate: 8.0,
-                    },
-                ],
-            );
-            let demands: Vec<_> = inst
-                .commodities
-                .iter()
-                .map(|c| (c.source, c.sink, c.rate))
-                .collect();
+        for (cap, bypass_b) in POLE_CASES {
+            let inst = pole_pair(cap, bypass_b);
+            let demands = demands_of(&inst);
             for model in [CostModel::Wardrop, CostModel::SystemOptimum] {
                 let mut ws = FwWorkspace::new();
                 ws.prepare(&inst.graph, &inst.latencies, &demands);
@@ -1123,8 +1291,148 @@ mod tests {
             assert!(r.converged, "cap {cap}: rel_gap {}", r.rel_gap);
             let f = r.flow.as_slice();
             assert!(f[0] < cap, "cap {cap}: {f:?}");
-            let (l0, l1) = (pole.value(f[0]), bypass.value(f[1]));
+            let (l0, l1) = (inst.latencies[0].value(f[0]), inst.latencies[1].value(f[1]));
             assert!((l0 - l1).abs() < 1e-6 * l1, "cap {cap}: {l0} vs {l1}");
+        }
+    }
+
+    /// The cold start with a full [`guarded_costs`] sweep before every
+    /// search, as it ran before incremental pricing.
+    fn full_sweep_cold_start(
+        ws: &mut FwWorkspace,
+        lats: &[LatencyFn],
+        model: CostModel,
+        demands: &[(NodeId, NodeId, f64)],
+    ) -> Vec<EdgeFlow> {
+        let (csr, rcsr, groups) = (&ws.csr, Some(&ws.rcsr), &ws.groups);
+        let (sp, f, costs) = (&mut ws.sp, &mut ws.f, &mut ws.costs);
+        let eval = Eval::new(lats, &ws.batch);
+        let mut per = vec![EdgeFlow::zeros(f.len()); demands.len()];
+        f.fill(0.0);
+        let fresh_slice = |sp: &mut SpWorkspace,
+                           f: &mut [f64],
+                           costs: &mut [f64],
+                           (s, t, r): (NodeId, NodeId, f64),
+                           out: &mut [f64]| {
+            guarded_costs(&eval, model, f, costs);
+            let slice = r / CHUNKS as f64;
+            aon_st_into(csr, rcsr, sp, costs, s, t, slice, out).unwrap();
+            sp.walk_st_path(csr, rcsr, |e| f[e.idx()] += slice);
+        };
+        for g in 0..groups.num_groups() {
+            let (source, members) = groups.group(g);
+            if let &[ci] = members {
+                for _ in 0..CHUNKS {
+                    fresh_slice(sp, f, costs, demands[ci as usize], &mut per[ci as usize].0);
+                }
+                continue;
+            }
+            let targets: Vec<NodeId> = members.iter().map(|&ci| demands[ci as usize].1).collect();
+            for _ in 0..CHUNKS {
+                guarded_costs(&eval, model, f, costs);
+                sp.shortest_to_many(csr, costs, source, &targets);
+                let mut deferred = Vec::new();
+                for &ci in members {
+                    let ci = ci as usize;
+                    let (_, t, r) = demands[ci];
+                    let slice = r / CHUNKS as f64;
+                    let mut reaches_guard = false;
+                    assert!(sp.walk_many_path_to(csr, t, |e| {
+                        let (e, cap) = (e.idx(), eval.capacity(e.idx()));
+                        reaches_guard |= cap.is_finite()
+                            && f[e] + slice >= cap * 0.9999
+                            && costs[e] != SATURATED;
+                    }));
+                    if reaches_guard {
+                        deferred.push(ci);
+                        continue;
+                    }
+                    let out = &mut per[ci].0;
+                    sp.walk_many_path_to(csr, t, |e| {
+                        out[e.idx()] += slice;
+                        f[e.idx()] += slice;
+                    });
+                }
+                for ci in deferred {
+                    fresh_slice(sp, f, costs, demands[ci], &mut per[ci].0);
+                }
+            }
+        }
+        per
+    }
+
+    /// A `side × side` street grid, both directions on every block, with
+    /// every lane kind the batch has (BPR at mixed powers, affine,
+    /// monomial, M/M/1, constant, and a general polynomial), and twelve
+    /// commodities from three origins.
+    fn mixed_grid(side: u32) -> MultiCommodityInstance {
+        let mut g = DiGraph::with_nodes((side * side) as usize);
+        let node = |r: u32, c: u32| NodeId(r * side + c);
+        for r in 0..side {
+            for c in 0..side {
+                if c + 1 < side {
+                    g.add_edge(node(r, c), node(r, c + 1));
+                    g.add_edge(node(r, c + 1), node(r, c));
+                }
+                if r + 1 < side {
+                    g.add_edge(node(r, c), node(r + 1, c));
+                    g.add_edge(node(r + 1, c), node(r, c));
+                }
+            }
+        }
+        let lats = (0..g.num_edges())
+            .map(|e| {
+                let u = 1.0 + (e % 7) as f64 / 7.0;
+                match e % 6 {
+                    0 | 1 => LatencyFn::bpr(u, 0.15, 2.0 * u, 1 + (e % 5) as u32),
+                    2 => LatencyFn::affine(0.3 * u, u),
+                    3 => LatencyFn::monomial(0.2 * u, 2),
+                    4 => LatencyFn::mm1(3.0 + u),
+                    _ if e % 12 == 5 => LatencyFn::constant(2.0 * u),
+                    _ => LatencyFn::polynomial(vec![u, 0.1, 0.05]),
+                }
+            })
+            .collect();
+        let origins = [node(0, 0), node(side - 1, 0), node(side / 2, side - 1)];
+        let commodities = (0..12u32)
+            .map(|i| Commodity {
+                source: origins[(i % 3) as usize],
+                sink: node((i * 5 + 3) % side, (i * 3 + 1) % side),
+                rate: 0.6 + 0.1 * i as f64,
+            })
+            .filter(|c| c.source != c.sink)
+            .collect();
+        MultiCommodityInstance::new(g, lats, commodities)
+    }
+
+    /// Re-pricing only the edges the slices moved gives the cold start of
+    /// full sweeps bit for bit: the same prices at the last pricing, the
+    /// same per-commodity flows and the same combined flow.
+    #[test]
+    fn incremental_cold_start_prices_match_full_sweeps() {
+        let mut cases: Vec<(String, MultiCommodityInstance)> = POLE_CASES
+            .iter()
+            .map(|&(cap, b)| (format!("pole {cap}"), pole_pair(cap, b)))
+            .collect();
+        cases.push(("mixed grid".to_string(), mixed_grid(7)));
+        for (name, inst) in &cases {
+            let demands = demands_of(inst);
+            let lats = &inst.latencies;
+            for model in [CostModel::Wardrop, CostModel::SystemOptimum] {
+                let mut ws = FwWorkspace::new();
+                ws.prepare(&inst.graph, lats, &demands);
+                let got = ws.cold_start(lats, model, &demands).unwrap();
+
+                let mut full = FwWorkspace::new();
+                full.prepare(&inst.graph, lats, &demands);
+                let want = full_sweep_cold_start(&mut full, lats, model, &demands);
+                assert!(got.iter().any(|p| p.0.iter().any(|&x| x > 0.0)), "{name}");
+                for (ci, (a, b)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(a.0, b.0, "{name} {model:?}: commodity {ci}");
+                }
+                assert_eq!(ws.f, full.f, "{name} {model:?}: combined flow");
+                assert_eq!(ws.costs, full.costs, "{name} {model:?}: prices");
+            }
         }
     }
 

@@ -154,6 +154,7 @@ pub fn polish_with(
         eval.gradient_into(model, &edges.f, &mut edges.g);
         let cf: f64 = edges.g.iter().zip(&edges.f).map(|(c, x)| c * x).sum();
         let mut cy = 0.0;
+        let mut unreachable = false;
         for st in &mut states {
             if st.rate <= 0.0 {
                 continue;
@@ -165,13 +166,15 @@ pub fn polish_with(
                         st.add_path(path);
                     }
                 }
-                // Unreachable under the current costs: mirror the full
-                // sweep's infinite label (the gap check then fails and the
-                // round budget runs out instead of panicking).
-                None => cy += st.rate * f64::INFINITY,
+                // Unreachable under the current costs: the gap is +∞, so
+                // the check fails and the round budget runs out instead of
+                // panicking.
+                None => unreachable = true,
             }
         }
-        rel_gap = if cf.abs() > 1e-300 {
+        rel_gap = if unreachable {
+            f64::INFINITY
+        } else if cf.abs() > 1e-300 {
             (cf - cy) / cf
         } else {
             0.0
@@ -717,6 +720,21 @@ mod tests {
                 proptest::prop_assert!(edges.f[e.idx()] <= lats[e.idx()].capacity() * 0.999_999);
             }
         }
+    }
+
+    #[test]
+    fn unreachable_sink_fails_the_gap() {
+        // Commodity 0 rides 0→1; commodity 1 wants node 2, which no edge
+        // reaches. Its infinite distance must not read as a negative gap.
+        let mut g = DiGraph::with_nodes(3);
+        g.add_edge(NodeId(0), NodeId(1));
+        let lats = vec![LatencyFn::identity()];
+        let demands = [(NodeId(0), NodeId(1), 1.0), (NodeId(0), NodeId(2), 1.0)];
+        let mut per = vec![EdgeFlow(vec![1.0]), EdgeFlow::zeros(1)];
+        let r = polish(&g, &lats, &demands, CostModel::Wardrop, &mut per, 1e-10, 1);
+        assert!(!r.converged, "converged with gap {}", r.rel_gap);
+        assert_eq!(r.rel_gap, f64::INFINITY);
+        assert_eq!(r.rounds, 1);
     }
 
     #[test]

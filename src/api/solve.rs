@@ -450,26 +450,30 @@ fn solve_task(
 
 /// The β task: plan (OpTop / MOP / Theorem 2.1), then verify by solving the
 /// induced equilibrium the plan's strategy actually produces.
+///
+/// Where the plan reads the optimum, C(N) is priced from the Nash profile
+/// before the plan is built, and the optimum is dropped once the plan has
+/// read it. So a k-commodity op holds at most two per-commodity flow sets
+/// at once (the optimum beside the Nash profile, then beside the plan's
+/// free flows, then those beside the induced flows), not four.
 fn solve_beta(
     model: &dyn ScenarioModel,
     options: &SolveOptions,
     memo: Option<&SubMemo<'_>>,
 ) -> Result<BetaReport, SoptError> {
-    let optimum = if model.plan_needs_optimum() {
-        Some(profile(model, EqKind::Optimum, options, memo)?)
+    let (optimum, optimum_nash_cost) = if model.plan_needs_optimum() {
+        let optimum = profile(model, EqKind::Optimum, options, memo)?;
+        let nash = nash_profile(model, &optimum, options, memo)?;
+        let nash_cost = model.cost(nash.flows());
+        (Some(optimum), Some(nash_cost))
     } else {
-        None
+        (None, None)
     };
     let plan = model.beta_plan(optimum.as_ref())?;
-    let nash_cost = match plan.nash_cost {
+    drop(optimum);
+    let nash_cost = match plan.nash_cost.or(optimum_nash_cost) {
         Some(c) => c,
-        None => {
-            let nash = match &optimum {
-                Some(o) => nash_profile(model, o, options, memo)?,
-                None => profile(model, EqKind::Nash, options, memo)?,
-            };
-            model.cost(nash.flows())
-        }
+        None => model.cost(profile(model, EqKind::Nash, options, memo)?.flows()),
     };
     let induced = model.induced(
         &plan.leader,

@@ -2,17 +2,44 @@
 //! converge to the same flow (within tolerance) in strictly fewer
 //! iterations on perturbed instances — the contract `anarchy_curve`
 //! sweeps and the engine's Beta/Tolls seeding rely on. Also guards the
-//! cold path's Frank–Wolfe → polish handover on city grids.
+//! cold path's Frank–Wolfe → polish handover on city grids, and the seed
+//! check that returns a seed already at the gap target unpolished.
+//!
+//! The obs counters are process-global, so every test here holds
+//! [`serial`] while it solves: the seed-check tests read exact counter
+//! deltas.
+
+use std::sync::{Mutex, MutexGuard};
 
 use stackopt::equilibrium::network::{
-    try_induced_network, try_multicommodity_optimum, try_network_nash, try_network_optimum,
-    warm_seed_from,
+    try_induced_network, try_multicommodity_nash, try_multicommodity_optimum, try_network_nash,
+    try_network_optimum, warm_seed_from,
 };
-use stackopt::instances::random::{random_layered_network, random_multicommodity};
+use stackopt::instances::random::{
+    random_layered_network, random_multicommodity, try_random_multicommodity,
+};
+use stackopt::instances::{braess_classic, try_grid_city_multi};
+use stackopt::latency::LatencyFn;
 use stackopt::network::instance::{MultiCommodityInstance, NetworkInstance};
-use stackopt::network::EdgeFlow;
-use stackopt::solver::frank_wolfe::{try_solve_assignment, FwOptions};
+use stackopt::network::{DiGraph, EdgeFlow, NodeId};
+use stackopt::solver::frank_wolfe::{try_solve_assignment, FwOptions, FwResult};
 use stackopt::solver::CostModel;
+
+/// Holds off the other tests of this file, whose warm solves would move
+/// the global counters under a test that reads them.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// The global `seed_checks_failed` counter (the recorder is enabled on
+/// first use).
+fn seed_checks_failed() -> u64 {
+    stackopt::obs::enable()
+        .snapshot()
+        .counter("seed_checks_failed")
+        .unwrap()
+}
 
 fn with_rate(inst: &NetworkInstance, rate: f64) -> NetworkInstance {
     NetworkInstance::new(
@@ -26,6 +53,7 @@ fn with_rate(inst: &NetworkInstance, rate: f64) -> NetworkInstance {
 
 #[test]
 fn perturbed_rate_warm_start_is_equivalent_and_strictly_cheaper() {
+    let _serial = serial();
     let base = random_layered_network(4, 4, 8.0, 7);
     let opts = FwOptions::default();
     let cold_base = try_network_optimum(&base, &opts, None).unwrap();
@@ -50,6 +78,7 @@ fn perturbed_rate_warm_start_is_equivalent_and_strictly_cheaper() {
 
 #[test]
 fn perturbed_leader_warm_start_chains_like_a_curve_sweep() {
+    let _serial = serial();
     let inst = random_layered_network(4, 4, 8.0, 7);
     let opts = FwOptions::default();
     let optimum = try_network_optimum(&inst, &opts, None).unwrap();
@@ -84,6 +113,7 @@ fn perturbed_leader_warm_start_chains_like_a_curve_sweep() {
 
 #[test]
 fn perturbed_multicommodity_warm_start_is_equivalent_and_cheaper() {
+    let _serial = serial();
     // A rate-perturbed k-commodity instance: the seed rescales per
     // commodity and must land on the same equilibrium within 1e-5.
     let base = random_multicommodity(3, 3, 2, 6.0, 11);
@@ -121,6 +151,7 @@ fn perturbed_multicommodity_warm_start_is_equivalent_and_cheaper() {
 
 #[test]
 fn batched_evaluation_preserves_warm_and_cold_flows() {
+    let _serial = serial();
     // The solver runs its O(m) latency sweeps only through the
     // struct-of-arrays lanes and its shortest paths only as targeted
     // queries. Check its cold, warm and Nash answers against independent
@@ -158,6 +189,7 @@ fn batched_evaluation_preserves_warm_and_cold_flows() {
 
 #[test]
 fn cold_grid_solves_hand_over_at_the_plateau() {
+    let _serial = serial();
     // The default stall window must fire on a city grid: Frank–Wolfe stops
     // at its plateau inside the iteration budget, and the polish lands on
     // the objective of a solve that spends the whole budget in FW. Both
@@ -189,6 +221,7 @@ fn cold_grid_solves_hand_over_at_the_plateau() {
 
 #[test]
 fn grouped_aon_preserves_warm_and_cold_multicommodity_flows() {
+    let _serial = serial();
     // Regression guard for the origin-grouped AON path: the default
     // options (AonMode::Auto, which groups demands by origin and may
     // thread the fan-out) and the per-commodity sequential loop must
@@ -229,6 +262,7 @@ fn grouped_aon_preserves_warm_and_cold_multicommodity_flows() {
 
 #[test]
 fn unusable_seed_falls_back_to_cold_and_still_solves() {
+    let _serial = serial();
     let inst = random_layered_network(3, 3, 4.0, 3);
     let opts = FwOptions::default();
     // A zero flow has no s→t value: rejected, and the rejection counted.
@@ -252,6 +286,7 @@ fn unusable_seed_falls_back_to_cold_and_still_solves() {
 
 #[test]
 fn nash_profile_is_polished_from_the_cold_optimum() {
+    let _serial = serial();
     // Every task reads the Nash profile that the Wardrop solve polishes
     // from the cold optimum. It must skip Frank–Wolfe, land on the cold
     // Nash cost, leave β and the plan exactly where a cold optimum puts
@@ -377,4 +412,165 @@ fn nash_profile_is_polished_from_the_cold_optimum() {
             }
         }
     }
+}
+
+/// The network Pigou example: `x` beside a constant 1, rate 1.
+fn network_pigou() -> NetworkInstance {
+    let mut g = DiGraph::with_nodes(2);
+    g.add_edge(NodeId(0), NodeId(1));
+    g.add_edge(NodeId(0), NodeId(1));
+    let lats = vec![LatencyFn::identity(), LatencyFn::constant(1.0)];
+    NetworkInstance::new(g, lats, NodeId(0), NodeId(1), 1.0)
+}
+
+/// The seed the solver validates: each commodity's flow rescaled to its
+/// rate by its value at the sink, clamped at zero.
+fn validated(seed: &FwResult, graph: &DiGraph, demands: &[(NodeId, NodeId, f64)]) -> Vec<Vec<f64>> {
+    seed.per_commodity
+        .iter()
+        .zip(demands)
+        .map(|(flow, &(_, t, r))| {
+            let scale = r / flow.excess(graph, t);
+            flow.0.iter().map(|x| (x * scale).max(0.0)).collect()
+        })
+        .collect()
+}
+
+#[test]
+fn seed_at_the_target_returns_unpolished() {
+    let _serial = serial();
+    // A converged Nash seeds its own instance: the check passes, so the
+    // validated seed comes back as the answer with no polish round.
+    let fw = FwOptions::default();
+    let braess = braess_classic();
+    let nash = try_network_nash(&braess, &fw, None).unwrap();
+    let before = seed_checks_failed();
+    let warm = try_network_nash(&braess, &fw, Some(&nash)).unwrap();
+    assert!(
+        warm.converged && warm.rel_gap <= fw.rel_gap,
+        "gap {}",
+        warm.rel_gap
+    );
+    assert_eq!((warm.iterations, warm.polish_rounds), (0, 0));
+    let demands = [(braess.source, braess.sink, braess.rate)];
+    assert_eq!(
+        vec![warm.per_commodity[0].0.clone()],
+        validated(&nash, &braess.graph, &demands)
+    );
+    assert_eq!(seed_checks_failed(), before, "a passing check was counted");
+
+    for (name, inst) in [
+        (
+            "layered",
+            try_random_multicommodity(3, 3, 3, 1.0, 0).unwrap(),
+        ),
+        ("grid", try_grid_city_multi(5, 60.0, 24, 1).unwrap()),
+    ] {
+        let nash = try_multicommodity_nash(&inst, &fw, None).unwrap();
+        let before = seed_checks_failed();
+        let warm = try_multicommodity_nash(&inst, &fw, Some(&nash)).unwrap();
+        assert!(warm.converged, "{name}: gap {}", warm.rel_gap);
+        assert_eq!((warm.iterations, warm.polish_rounds), (0, 0), "{name}");
+        let demands: Vec<_> = inst
+            .commodities
+            .iter()
+            .map(|c| (c.source, c.sink, c.rate))
+            .collect();
+        let got: Vec<Vec<f64>> = warm.per_commodity.iter().map(|f| f.0.clone()).collect();
+        assert_eq!(got, validated(&nash, &inst.graph, &demands), "{name}");
+        assert_eq!(
+            seed_checks_failed(),
+            before,
+            "{name}: a passing check was counted"
+        );
+    }
+}
+
+#[test]
+fn seed_off_the_target_is_polished_and_counted() {
+    let _serial = serial();
+    // Optima seeding the Nash solve: each check fails once, and the polish
+    // lands on the cold Nash cost.
+    let fw = FwOptions::default();
+    for (name, inst) in [("braess", braess_classic()), ("pigou", network_pigou())] {
+        let optimum = try_network_optimum(&inst, &fw, None).unwrap();
+        let cold = try_network_nash(&inst, &fw, None).unwrap();
+        let before = seed_checks_failed();
+        let warm = try_network_nash(&inst, &fw, Some(&optimum)).unwrap();
+        assert_eq!(seed_checks_failed(), before + 1, "{name}");
+        assert!(warm.converged && warm.polish_rounds >= 1, "{name}");
+        let (c, want) = (
+            inst.cost(warm.flow.as_slice()),
+            inst.cost(cold.flow.as_slice()),
+        );
+        assert!(
+            (c - want).abs() <= 1e-9 * want,
+            "{name}: C(N) {c} vs cold {want}"
+        );
+    }
+    for seed in 0..3 {
+        let inst = try_random_multicommodity(3, 3, 3, 1.0, seed).unwrap();
+        let optimum = try_multicommodity_optimum(&inst, &fw, None).unwrap();
+        let cold = try_multicommodity_nash(&inst, &fw, None).unwrap();
+        let before = seed_checks_failed();
+        let warm = try_multicommodity_nash(&inst, &fw, Some(&optimum)).unwrap();
+        assert_eq!(seed_checks_failed(), before + 1, "layered {seed}");
+        assert!(warm.converged && warm.polish_rounds >= 1, "layered {seed}");
+        let (c, want) = (
+            inst.cost(warm.flow.as_slice()),
+            inst.cost(cold.flow.as_slice()),
+        );
+        assert!(
+            (c - want).abs() <= 1e-9 * want,
+            "layered {seed}: C(N) {c} vs {want}"
+        );
+    }
+}
+
+#[test]
+fn seed_check_gap_is_the_polish_round_zero_gap() {
+    let _serial = serial();
+    // A target of 1 passes every seed, so the solve reports the check's
+    // gap; a target of −1 fails every seed, and a one-round budget leaves
+    // the polish's round-0 gap as the answer.
+    let check = FwOptions {
+        rel_gap: 1.0,
+        ..FwOptions::default()
+    };
+    let round0 = FwOptions {
+        rel_gap: -1.0,
+        max_iters: 1,
+        ..FwOptions::default()
+    };
+    // Both gaps are `(Σc·f − Σc·y) / Σc·f`, the check's on the seed's edge
+    // flow and the polish's on its path decomposition, so they agree to
+    // 1e-12 of Σc·f.
+    let agree = |name: &str, a: &FwResult, b: &FwResult| {
+        assert_eq!((a.polish_rounds, b.polish_rounds), (0, 1), "{name}");
+        assert!(a.rel_gap > 1e-9, "{name}: seed gap {}", a.rel_gap);
+        let diff = (a.rel_gap - b.rel_gap).abs();
+        assert!(
+            diff <= 1e-12,
+            "{name}: check {} vs polish {}",
+            a.rel_gap,
+            b.rel_gap
+        );
+    };
+    for (name, inst) in [
+        ("grid", try_grid_city_multi(5, 60.0, 24, 1).unwrap()),
+        (
+            "layered",
+            try_random_multicommodity(3, 3, 3, 1.0, 1).unwrap(),
+        ),
+    ] {
+        let optimum = try_multicommodity_optimum(&inst, &FwOptions::default(), None).unwrap();
+        let a = try_multicommodity_nash(&inst, &check, Some(&optimum)).unwrap();
+        let b = try_multicommodity_nash(&inst, &round0, Some(&optimum)).unwrap();
+        agree(name, &a, &b);
+    }
+    let single = random_layered_network(4, 4, 8.0, 7);
+    let optimum = try_network_optimum(&single, &FwOptions::default(), None).unwrap();
+    let a = try_network_nash(&single, &check, Some(&optimum)).unwrap();
+    let b = try_network_nash(&single, &round0, Some(&optimum)).unwrap();
+    agree("single commodity", &a, &b);
 }
