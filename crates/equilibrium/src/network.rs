@@ -8,11 +8,13 @@
 //! induced solve) that skips the all-or-nothing bootstrap when the previous
 //! solution is close to the new one.
 
+use sopt_latency::LatencyFn;
 use sopt_network::flow::EdgeFlow;
+use sopt_network::graph::NodeId;
 use sopt_network::instance::{MultiCommodityInstance, NetworkInstance};
 use sopt_solver::error::SolverError;
 use sopt_solver::frank_wolfe::{
-    try_solve_warm, try_solve_warm_multicommodity, FwOptions, FwResult,
+    try_solve_parts, try_solve_warm, try_solve_warm_multicommodity, FwOptions, FwResult,
 };
 use sopt_solver::objective::CostModel;
 
@@ -108,8 +110,23 @@ pub fn try_induced_network(
     opts: &FwOptions,
     seed: WarmSeed<'_>,
 ) -> Result<FwResult, SolverError> {
-    let sub = inst.preloaded_with_value(leader.as_slice(), leader_value);
-    try_solve_warm(&sub, CostModel::Wardrop, opts, seed)
+    assert_eq!(leader.as_slice().len(), inst.num_edges());
+    assert!(leader_value >= -1e-12 && leader_value <= inst.rate + 1e-9);
+    let latencies: Vec<LatencyFn> = inst
+        .latencies
+        .iter()
+        .zip(leader.as_slice())
+        .map(|(l, &s)| l.preloaded(s))
+        .collect();
+    let demands = [(inst.source, inst.sink, (inst.rate - leader_value).max(0.0))];
+    try_solve_parts(
+        &inst.graph,
+        &latencies,
+        &demands,
+        CostModel::Wardrop,
+        opts,
+        seed,
+    )
 }
 
 /// Nash flow of a k-commodity instance. Panics where
@@ -165,37 +182,32 @@ pub fn try_induced_multicommodity(
     seed: WarmSeed<'_>,
 ) -> Result<FwResult, SolverError> {
     assert_eq!(leader_values.len(), inst.commodities.len());
-    let latencies = inst
+    let latencies: Vec<LatencyFn> = inst
         .latencies
         .iter()
         .zip(leader.as_slice())
         .map(|(l, &s)| l.preloaded(s.max(0.0)))
         .collect();
-    let commodities = inst
+    // Fully-controlled commodities legitimately drop to rate 0.
+    let demands: Vec<(NodeId, NodeId, f64)> = inst
         .commodities
         .iter()
         .zip(leader_values)
-        .map(|(c, &v)| {
-            let mut c = *c;
-            c.rate = (c.rate - v).max(0.0);
-            c
-        })
-        .collect::<Vec<_>>();
-    // Rebuild without the >0-rate validation: fully-controlled commodities
-    // legitimately drop to rate 0.
-    let sub = MultiCommodityInstance {
-        graph: inst.graph.clone(),
-        latencies,
-        commodities,
-    };
-    try_solve_warm_multicommodity(&sub, CostModel::Wardrop, opts, seed)
+        .map(|(c, &v)| (c.source, c.sink, (c.rate - v).max(0.0)))
+        .collect();
+    try_solve_parts(
+        &inst.graph,
+        &latencies,
+        &demands,
+        CostModel::Wardrop,
+        opts,
+        seed,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sopt_latency::LatencyFn;
-    use sopt_network::graph::NodeId;
     use sopt_network::DiGraph;
 
     /// Classic Braess instance (edges: s→v:x, s→w:1, v→w:0, v→t:1, w→t:x).

@@ -12,9 +12,11 @@
 //! The solver's queries are targeted: [`SpWorkspace::shortest_to`] (one
 //! sink; bidirectional with a [`RevCsr`] on 64 nodes or more, early-exit
 //! otherwise) and [`SpWorkspace::shortest_to_many`] (one origin, many
-//! sinks). [`SpWorkspace::dijkstra`] builds the full tree, which MOP's
-//! free-flow computation and the equilibrium certificates still need
-//! (through [`crate::spath::dijkstra`]).
+//! sinks). After costs rose, [`SpWorkspace::many_paths_hold`] certifies
+//! that a one-to-many tree still gives every sink the path a fresh search
+//! would, so a caller may keep it. [`SpWorkspace::dijkstra`] builds the
+//! full tree, which MOP's free-flow computation and the equilibrium
+//! certificates still need (through [`crate::spath::dijkstra`]).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -259,6 +261,8 @@ pub struct SpWorkspace {
     seen_b: Vec<u32>,
     settled_b: Vec<u32>,
     heap_b: BinaryHeap<Reverse<(Cost, u32)>>,
+    /// Reused buffer for [`SpWorkspace::many_paths_hold`]'s path walks.
+    path: Vec<EdgeId>,
     gen: u32,
     settled_count: usize,
     last: LastQuery,
@@ -482,9 +486,9 @@ impl SpWorkspace {
     }
 
     /// One-to-many shortest paths: forward Dijkstra from `source` that
-    /// stops the moment every *distinct* node in `targets` is settled
-    /// (remaining-targets early exit), leaving one shared tree behind.
-    /// Returns the number of distinct targets reached.
+    /// stops once every *distinct* node in `targets` is settled and has
+    /// relaxed its out-edges (remaining-targets early exit), leaving one
+    /// shared tree behind. Returns the number of distinct targets reached.
     ///
     /// After the call, [`many_dist`](Self::many_dist) and
     /// [`walk_many_path_to`](Self::walk_many_path_to) answer per-target
@@ -534,14 +538,8 @@ impl SpWorkspace {
             }
             self.settled[u.idx()] = gen;
             self.settled_count += 1;
-            if self.target_stamp[u.idx()] == gen {
-                // Nodes settle at most once per generation, so this cannot
-                // double-count a target.
-                reached += 1;
-                if reached == remaining {
-                    return reached;
-                }
-            }
+            // Relax before the early exit, so every node left unsettled has
+            // its best label on the heap (see `many_paths_hold`).
             for (e, v) in csr.out(u) {
                 let nd = d + edge_costs[e.idx()];
                 if self.seen[v.idx()] != gen || nd < self.dist[v.idx()] {
@@ -551,8 +549,68 @@ impl SpWorkspace {
                     self.heap.push(Reverse((Cost(nd), v.0)));
                 }
             }
+            if self.target_stamp[u.idx()] == gen {
+                // Nodes settle at most once per generation, so this cannot
+                // double-count a target.
+                reached += 1;
+                if reached == remaining {
+                    return reached;
+                }
+            }
         }
         reached
+    }
+
+    /// Whether a fresh [`shortest_to_many`](Self::shortest_to_many) from
+    /// the last one's source, at `edge_costs`, would return the tree's
+    /// path to every node of `targets`, with that path's cost summed from
+    /// the source as its distance. `false` if a target is not settled.
+    ///
+    /// Sound only if no entry of `edge_costs` is below that edge's cost
+    /// when the tree was grown; the caller guarantees it. A path's
+    /// left-to-right floating-point sum never falls when an addend rises,
+    /// so every node's fresh distance is at least its bound `lb`: its label
+    /// if the tree settled it, else the smallest key left on the heap
+    /// (`+∞` if the heap ran dry). The check walks each target's path from
+    /// the source, summing `edge_costs` into π(v) in the search's order,
+    /// and passes only if every other edge (u, v) into a path node v has
+    /// `lb(u) + c(u, v) > π(v)` by a relative margin of 4·n·ε that covers
+    /// rounding in the path sums. A fresh search then can neither undercut
+    /// nor tie the path edge into v, so it labels v with π(v) through that
+    /// edge. An exact tie fails the check, because a fresh search keeps
+    /// whichever edge it relaxed first.
+    pub fn many_paths_hold(
+        &mut self,
+        csr: &Csr,
+        rcsr: &RevCsr,
+        edge_costs: &[f64],
+        targets: &[NodeId],
+    ) -> bool {
+        let gen = self.gen;
+        let frontier = self.heap.peek().map_or(f64::INFINITY, |r| r.0 .0 .0);
+        let margin = 1.0 + 4.0 * csr.num_nodes() as f64 * f64::EPSILON;
+        let lb = |u: NodeId| {
+            if self.settled[u.idx()] == gen {
+                self.dist[u.idx()]
+            } else {
+                frontier
+            }
+        };
+        let mut path = std::mem::take(&mut self.path);
+        let holds = targets.iter().all(|&t| {
+            path.clear();
+            self.walk_many_path_to(csr, t, |e| path.push(e)) && {
+                let mut pi = 0.0;
+                path.iter().rev().all(|&e| {
+                    pi += edge_costs[e.idx()];
+                    let bar = pi * margin;
+                    rcsr.inc(rcsr.head(e))
+                        .all(|(other, u)| other == e || lb(u) + edge_costs[other.idx()] > bar)
+                })
+            }
+        });
+        self.path = path;
+        holds
     }
 
     /// Distance to `t` in the tree left by the last
@@ -933,6 +991,25 @@ mod tests {
         assert_eq!(reached, 1);
         assert_eq!(ws.many_dist(NodeId(1)), Some(1.0));
         assert_eq!(ws.many_dist(NodeId(2)), None);
+    }
+
+    #[test]
+    fn tree_certificate_bounds_nodes_past_the_last_target() {
+        // 0 → 1 (1.0), 0 → 2 (2.0), 2 → 3 (0.1), 3 → 1 (0.1). The search
+        // to {1, 2} stops at 2, and node 3 is reached only through it.
+        let mut g = DiGraph::with_nodes(4);
+        g.add_edge(NodeId(0), NodeId(1));
+        g.add_edge(NodeId(0), NodeId(2));
+        g.add_edge(NodeId(2), NodeId(3));
+        g.add_edge(NodeId(3), NodeId(1));
+        let (csr, rcsr) = (Csr::new(&g), RevCsr::new(&g));
+        let targets = [NodeId(1), NodeId(2)];
+        let mut ws = SpWorkspace::new();
+        ws.shortest_to_many(&csr, &[1.0, 2.0, 0.1, 0.1], NodeId(0), &targets);
+        assert!(ws.many_paths_hold(&csr, &rcsr, &[1.0, 2.5, 0.1, 0.1], &targets));
+        // Once 0 → 1 costs 3, the route through unsettled node 3 (2.2)
+        // undercuts it.
+        assert!(!ws.many_paths_hold(&csr, &rcsr, &[3.0, 2.0, 0.1, 0.1], &targets));
     }
 
     #[test]

@@ -93,30 +93,6 @@ impl NetworkInstance {
             .map(|(&f, l)| l.value(f))
             .collect()
     }
-
-    /// The instance seen by Followers after a Leader preload: the
-    /// a-posteriori latencies `ℓ̃_e(x) = ℓ_e(x + s_e)` with the follower
-    /// rate reduced by the *value* of the Leader's s→t flow (`value` is the
-    /// flow shipped from `s` to `t`, not the sum of edge entries, which
-    /// would double-count multi-edge paths).
-    pub fn preloaded_with_value(&self, preload: &[f64], value: f64) -> NetworkInstance {
-        assert_eq!(preload.len(), self.num_edges());
-        assert!(value >= -1e-12 && value <= self.rate + 1e-9);
-        let latencies = self
-            .latencies
-            .iter()
-            .zip(preload)
-            .map(|(l, &s)| l.preloaded(s))
-            .collect();
-        NetworkInstance {
-            graph: self.graph.clone(),
-            latencies,
-            source: self.source,
-            sink: self.sink,
-            rate: (self.rate - value).max(0.0),
-            priceable: self.priceable.clone(),
-        }
-    }
 }
 
 /// One demand pair of a multicommodity instance.
@@ -215,16 +191,6 @@ mod tests {
         let inst = two_link();
         let costs = inst.edge_costs(&[0.5, 0.5]);
         assert_eq!(costs, vec![0.5, 1.0]);
-    }
-
-    #[test]
-    fn preloaded_shifts_and_reduces_rate() {
-        let inst = two_link();
-        let sub = inst.preloaded_with_value(&[0.0, 0.5], 0.5);
-        assert!((sub.rate - 0.5).abs() < 1e-12);
-        // Constant latency unchanged; identity unchanged at zero preload.
-        assert_eq!(sub.latency(EdgeId(0), 0.3), 0.3);
-        assert_eq!(sub.latency(EdgeId(1), 0.3), 1.0);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Cross-algorithm property tests: Dijkstra vs Bellman–Ford, Dinic vs a
-//! brute-force max-flow oracle, and decomposition round-trips on random
+//! brute-force max-flow oracle, decomposition round-trips, and the kept
+//! one-to-many tree's certificate against a fresh search, on random
 //! graphs.
 
 use proptest::prelude::*;
-use sopt_network::csr::{Csr, SpWorkspace};
+use sopt_network::csr::{Csr, RevCsr, SpWorkspace};
 use sopt_network::flow::{decompose, EdgeFlow};
 use sopt_network::graph::{DiGraph, NodeId};
 use sopt_network::maxflow::{max_flow, ResidualGraph};
@@ -249,7 +250,6 @@ proptest! {
 
     #[test]
     fn targeted_queries_match_full_dijkstra((g, costs) in random_sparse_graph()) {
-        use sopt_network::csr::RevCsr;
         let csr = Csr::new(&g);
         let rcsr = RevCsr::new(&g);
         let mut full = SpWorkspace::new();
@@ -301,5 +301,104 @@ proptest! {
         let full_settled = ws.settled_nodes();
         ws.shortest_to(&csr, None, &costs, NodeId(0), t);
         prop_assert!(ws.settled_nodes() <= full_settled);
+    }
+}
+
+/// A random graph with a spine from node 0 and parallel edges, and costs
+/// on a coarse grid (zero included) beside fine ones, so that shortest
+/// paths tie often; plus a seed for the rises.
+fn tied_graph() -> impl Strategy<Value = (DiGraph, Vec<f64>, u64)> {
+    (2usize..16, 0usize..60, any::<u64>()).prop_map(|(n, extra, seed)| {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut g = DiGraph::with_nodes(n);
+        let mut costs = Vec::new();
+        let cost = |r: u64| match r % 3 {
+            0 => (r / 3 % 1000) as f64 / 100.0,
+            _ => (r / 3 % 5) as f64 * 0.25,
+        };
+        for v in 0..n - 1 {
+            g.add_edge(NodeId(v as u32), NodeId(v as u32 + 1));
+            costs.push(cost(next()));
+        }
+        for _ in 0..extra {
+            let a = (next() % n as u64) as u32;
+            let b = (next() % n as u64) as u32;
+            if a != b {
+                g.add_edge(NodeId(a), NodeId(b));
+                costs.push(cost(next()));
+            }
+        }
+        (g, costs, next())
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Whenever the certificate passes after rises (on random edges and on
+    /// the kept paths; one ulp, onto the coarse grid, or large), a fresh
+    /// one-to-many search returns every target's kept path, with that
+    /// path's cost summed from the source as its distance, bit for bit.
+    /// The rises accumulate over rounds against the one kept tree, as in
+    /// the Frank–Wolfe cold start.
+    #[test]
+    fn kept_tree_certificate_is_sound((g, costs, seed) in tied_graph()) {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let rise = |x: f64, r: u64| match r % 4 {
+            0 => x.next_up(),
+            1 | 2 => x + (r / 4 % 8) as f64 * 0.25,
+            _ => x + (r / 4 % 2000) as f64 / 100.0,
+        };
+        let (csr, rcsr) = (Csr::new(&g), RevCsr::new(&g));
+        let n = g.num_nodes() as u64;
+        let targets: Vec<NodeId> = (0..1 + next() % 4)
+            .map(|_| NodeId((next() % n) as u32))
+            .collect();
+        let mut kept = SpWorkspace::new();
+        kept.shortest_to_many(&csr, &costs, NodeId(0), &targets);
+        let mut risen = costs.clone();
+        let mut fresh = SpWorkspace::new();
+        for _ in 0..8 {
+            for c in risen.iter_mut() {
+                if next() % 4 == 0 {
+                    *c = rise(*c, next());
+                }
+            }
+            for &t in &targets {
+                kept.walk_many_path_to(&csr, t, |e| {
+                    if next() % 3 == 0 {
+                        risen[e.idx()] = rise(risen[e.idx()], next());
+                    }
+                });
+            }
+            if !kept.many_paths_hold(&csr, &rcsr, &risen, &targets) {
+                continue;
+            }
+            fresh.shortest_to_many(&csr, &risen, NodeId(0), &targets);
+            for &t in &targets {
+                let (mut want, mut got) = (Vec::new(), Vec::new());
+                prop_assert!(kept.walk_many_path_to(&csr, t, |e| want.push(e)));
+                prop_assert!(fresh.walk_many_path_to(&csr, t, |e| got.push(e)));
+                prop_assert!(got == want, "target {t}: fresh {got:?}, kept {want:?}");
+                let sum = want.iter().rev().fold(0.0, |d, e| d + risen[e.idx()]);
+                let dist = fresh.many_dist(t);
+                prop_assert!(
+                    dist.map(f64::to_bits) == Some(sum.to_bits()),
+                    "target {t}: fresh {dist:?}, kept path {sum}"
+                );
+            }
+        }
     }
 }

@@ -285,6 +285,10 @@ pub enum Counter {
     /// decomposition, missed the solve's target, so the seed was decomposed
     /// and polished. A seed that meets the target returns as it is.
     SeedChecksFailed,
+    /// Cold solves whose Frank–Wolfe loop handed over to the path polish
+    /// because its gap stopped improving for a stall window, not because
+    /// it met the target or ran out of iterations.
+    StallHandovers,
     /// Nodes settled across all shortest-path queries (the work an
     /// early-exit or bidirectional traversal saves shows up here).
     SpSettledNodes,
@@ -299,13 +303,14 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in display order.
-    pub const ALL: [Counter; 9] = [
+    pub const ALL: [Counter; 10] = [
         Counter::FwIterations,
         Counter::PolishRounds,
         Counter::WarmStarts,
         Counter::ColdStarts,
         Counter::SeedsRejected,
         Counter::SeedChecksFailed,
+        Counter::StallHandovers,
         Counter::SpSettledNodes,
         Counter::AonGroups,
         Counter::AonQueriesSaved,
@@ -320,6 +325,7 @@ impl Counter {
             Counter::ColdStarts => "cold_starts",
             Counter::SeedsRejected => "seeds_rejected",
             Counter::SeedChecksFailed => "seed_checks_failed",
+            Counter::StallHandovers => "stall_handovers",
             Counter::SpSettledNodes => "sp_settled_nodes",
             Counter::AonGroups => "aon_groups",
             Counter::AonQueriesSaved => "aon_queries_saved",
@@ -781,6 +787,7 @@ mod tests {
         names.dedup();
         assert_eq!(names.len(), Counter::ALL.len());
         assert!(names.contains(&"seed_checks_failed"));
+        assert!(names.contains(&"stall_handovers"));
     }
 
     proptest! {

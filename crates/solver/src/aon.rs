@@ -6,8 +6,10 @@
 //! ([`CommodityGroups`]) so each origin costs one one-to-many Dijkstra
 //! instead of one query per OD pair, and optionally fans the origin groups
 //! out across scoped threads ([`AonMode`]). The Frank–Wolfe cold start
-//! (see [`crate::frank_wolfe`]) walks the same groups: each of its chunks
-//! costs one gradient sweep and one search per origin, whatever the mode.
+//! (see [`crate::frank_wolfe`]) walks the same groups, whatever the mode:
+//! each of its chunks costs one pricing per origin, and a shared origin
+//! grows a new tree only when the certificate
+//! ([`SpWorkspace::many_paths_hold`]) cannot keep the last one.
 
 use sopt_network::csr::{Csr, RevCsr, SpPool, SpWorkspace};
 use sopt_network::flow::EdgeFlow;

@@ -48,12 +48,17 @@
 //! routed at the pole-guarded gradient costs of the flow loaded so far.
 //! Commodities sharing an origin share the work: per origin and slice, one
 //! pricing and one one-to-many tree carry every member's slice
-//! ([`CommodityGroups`]), so a 64-commodity, 16-origin profile takes 128
-//! pricings and trees instead of 512 pricings and queries. With one commodity
-//! per origin (every single-commodity solve) each slice gets its own
-//! pricing and targeted query, in commodity order. Only the zero flow is
-//! priced by a full gradient sweep; each later pricing re-prices just the
-//! edges the slices moved, bit for bit as a full sweep would.
+//! ([`CommodityGroups`]). The slices barely move prices on a city grid, so
+//! the group keeps its tree for the next slice while no price fell and a
+//! certificate ([`SpWorkspace::many_paths_hold`]) proves that a fresh
+//! search would return the same path to every member's sink; only when it
+//! fails does the group grow a new tree. A 64-commodity, 16-origin profile
+//! takes 128 pricings and at most 128 trees (about 17 on `city-od`)
+//! instead of 512 pricings and queries. With one commodity per origin
+//! (every single-commodity solve) each slice gets its own pricing and
+//! targeted query, in commodity order. Only the zero flow is priced by a
+//! full gradient sweep; each later pricing re-prices just the edges the
+//! slices moved, bit for bit as a full sweep would.
 
 use std::cell::RefCell;
 
@@ -320,7 +325,7 @@ impl FwWorkspace {
     /// flow (see [`guarded_costs`]), so no slice steps over an M/M/1 pole
     /// while another path exists. Walks the origin groups in order: a
     /// one-member group takes one pricing and one targeted query per chunk;
-    /// a larger group shares one pricing and one one-to-many tree per chunk
+    /// a larger group shares one pricing per chunk and a one-to-many tree
     /// among its members. The tree's prices predate the chunk's earlier
     /// slices, so a member whose own slice would take an edge the tree
     /// priced below the guard to ≥ 99.99% of its capacity waits until the
@@ -328,6 +333,13 @@ impl FwWorkspace {
     /// own: only a slice priced at the current flow steps onto the guard,
     /// as in the one-member case. Returns the per-commodity flows; `self.f`
     /// holds their sum.
+    ///
+    /// A group keeps its tree from one chunk to the next while no
+    /// re-priced edge got cheaper and [`SpWorkspace::many_paths_hold`]
+    /// proves that a fresh tree would give every member the same path, so
+    /// members walk the paths a fresh tree would give them, in the same
+    /// order. A deferred member's query overwrites the tree, so the next
+    /// chunk grows a new one.
     ///
     /// With one commodity per origin every slice gets its own pricing and
     /// targeted query, in commodity order.
@@ -384,9 +396,16 @@ impl FwWorkspace {
             }
             targets.clear();
             targets.extend(members.iter().map(|&ci| demands[ci as usize].1));
+            // Whether `sp` holds this group's tree, grown at prices that no
+            // later pricing has undercut.
+            let mut tree = false;
             for _ in 0..CHUNKS {
-                moved.reprice(&eval, model, f, costs);
-                timed_shortest_to_many(csr, sp, costs, source, &targets);
+                let cheaper = moved.reprice(&eval, model, f, costs);
+                tree = tree && !cheaper && sp.many_paths_hold(csr, &self.rcsr, costs, &targets);
+                if !tree {
+                    timed_shortest_to_many(csr, sp, costs, source, &targets);
+                    tree = true;
+                }
                 deferred.clear();
                 for &ci in members {
                     let ci = ci as usize;
@@ -417,6 +436,8 @@ impl FwWorkspace {
                     fresh_slice(sp, f, costs, &mut moved, demands[ci], &mut per[ci].0)
                         .map_err(|e| e.with_commodity(ci))?;
                 }
+                // A deferred member's query has overwritten the tree.
+                tree &= deferred.is_empty();
             }
         }
         Ok(per)
@@ -464,19 +485,23 @@ impl Moved {
 
     /// Re-price every listed edge as [`guarded_costs`] would at `f`, then
     /// empty the list. Unlisted edges kept their flow, so their prices
-    /// stand.
-    fn reprice(&mut self, eval: &Eval<'_>, model: CostModel, f: &[f64], costs: &mut [f64]) {
+    /// stand. Returns whether any re-priced edge got cheaper.
+    fn reprice(&mut self, eval: &Eval<'_>, model: CostModel, f: &[f64], costs: &mut [f64]) -> bool {
+        let mut cheaper = false;
         for &e in &self.edges {
             let (e, fe) = (e as usize, f[e as usize]);
             let cap = eval.capacity(e);
-            costs[e] = if cap.is_finite() && fe >= cap * 0.9999 {
+            let price = if cap.is_finite() && fe >= cap * 0.9999 {
                 SATURATED
             } else {
                 eval.gradient_at(model, e, fe)
             };
+            cheaper |= price < costs[e];
+            costs[e] = price;
             self.listed[e] = false;
         }
         self.edges.clear();
+        cheaper
     }
 }
 
@@ -557,15 +582,26 @@ pub fn try_solve_warm(
     opts: &FwOptions,
     init: Option<&FwResult>,
 ) -> Result<FwResult, SolverError> {
-    with_tls_workspace(|ws| {
-        try_solve_warm_with(
-            ws,
-            inst,
-            model,
-            opts,
-            init.map(|r| r.per_commodity.as_slice()),
-        )
-    })
+    let demands = [(inst.source, inst.sink, inst.rate)];
+    try_solve_parts(&inst.graph, &inst.latencies, &demands, model, opts, init)
+}
+
+/// Solve over the parts of an instance: `graph`, one latency per edge, and
+/// one `(source, sink, rate)` demand per commodity, where a rate may be 0
+/// (a commodity its Leader fully controls). Induced solves route their
+/// followers through it over the instance's own graph, with preloaded
+/// latencies and reduced rates, without copying the graph. `init` seeds
+/// the solve as in [`try_solve_warm_multicommodity`].
+pub fn try_solve_parts(
+    graph: &DiGraph,
+    latencies: &[LatencyFn],
+    demands: &[(NodeId, NodeId, f64)],
+    model: CostModel,
+    opts: &FwOptions,
+    init: Option<&FwResult>,
+) -> Result<FwResult, SolverError> {
+    let seed = init.map(|r| r.per_commodity.as_slice());
+    with_tls_workspace(|ws| solve_inner(ws, graph, latencies, demands, model, opts, seed))
 }
 
 /// [`try_solve_warm`] over a caller-owned workspace, seeded by raw
@@ -627,15 +663,8 @@ pub fn try_solve_warm_multicommodity(
     opts: &FwOptions,
     init: Option<&FwResult>,
 ) -> Result<FwResult, SolverError> {
-    with_tls_workspace(|ws| {
-        try_solve_warm_multicommodity_with(
-            ws,
-            inst,
-            model,
-            opts,
-            init.map(|r| r.per_commodity.as_slice()),
-        )
-    })
+    let demands = demands_of(inst);
+    try_solve_parts(&inst.graph, &inst.latencies, &demands, model, opts, init)
 }
 
 /// [`try_solve_warm_multicommodity`] over a caller-owned workspace, seeded
@@ -647,11 +676,7 @@ pub fn try_solve_warm_multicommodity_with(
     opts: &FwOptions,
     seed: Option<&[EdgeFlow]>,
 ) -> Result<FwResult, SolverError> {
-    let demands: Vec<(NodeId, NodeId, f64)> = inst
-        .commodities
-        .iter()
-        .map(|c| (c.source, c.sink, c.rate))
-        .collect();
+    let demands = demands_of(inst);
     solve_inner(
         ws,
         &inst.graph,
@@ -661,6 +686,14 @@ pub fn try_solve_warm_multicommodity_with(
         opts,
         seed,
     )
+}
+
+/// The `(source, sink, rate)` demand of every commodity, in order.
+fn demands_of(inst: &MultiCommodityInstance) -> Vec<(NodeId, NodeId, f64)> {
+    inst.commodities
+        .iter()
+        .map(|c| (c.source, c.sink, c.rate))
+        .collect()
 }
 
 /// Sum per-commodity flows into `out`.
@@ -799,6 +832,7 @@ fn solve_inner(
     let stall_window = opts.effective_stall_window();
     let mut best_gap = f64::INFINITY;
     let mut best_iter = 0usize;
+    let mut stalled = false;
 
     // A validated warm seed already carries the equilibrium's path
     // structure, which is exactly what the (linearly convergent) polish
@@ -857,6 +891,7 @@ fn solve_inner(
             best_iter = iter;
         } else if stall_window > 0 && iter - best_iter >= stall_window {
             // Plateaued: let the polish finish the tail.
+            stalled = true;
             break;
         }
 
@@ -967,6 +1002,7 @@ fn solve_inner(
 
     if rec.is_enabled() {
         rec.add(sopt_obs::Counter::FwIterations, fw_iterations as u64);
+        rec.add(sopt_obs::Counter::StallHandovers, u64::from(stalled));
         rec.add(sopt_obs::Counter::PolishRounds, polish_rounds as u64);
         let kind = if warm {
             sopt_obs::Counter::WarmStarts
@@ -1267,13 +1303,6 @@ mod tests {
         )
     }
 
-    fn demands_of(inst: &MultiCommodityInstance) -> Vec<(NodeId, NodeId, f64)> {
-        inst.commodities
-            .iter()
-            .map(|c| (c.source, c.sink, c.rate))
-            .collect()
-    }
-
     #[test]
     fn shared_origin_bootstrap_reroutes_around_a_pole_it_just_filled() {
         for (cap, bypass_b) in POLE_CASES {
@@ -1361,11 +1390,8 @@ mod tests {
         per
     }
 
-    /// A `side × side` street grid, both directions on every block, with
-    /// every lane kind the batch has (BPR at mixed powers, affine,
-    /// monomial, M/M/1, constant, and a general polynomial), and twelve
-    /// commodities from three origins.
-    fn mixed_grid(side: u32) -> MultiCommodityInstance {
+    /// A `side × side` street grid, both directions on every block.
+    fn street_grid(side: u32) -> DiGraph {
         let mut g = DiGraph::with_nodes((side * side) as usize);
         let node = |r: u32, c: u32| NodeId(r * side + c);
         for r in 0..side {
@@ -1380,6 +1406,15 @@ mod tests {
                 }
             }
         }
+        g
+    }
+
+    /// A [`street_grid`] with every lane kind the batch has (BPR at mixed
+    /// powers, affine, monomial, M/M/1, constant, and a general
+    /// polynomial), and twelve commodities from three origins.
+    fn mixed_grid(side: u32) -> MultiCommodityInstance {
+        let g = street_grid(side);
+        let node = |r: u32, c: u32| NodeId(r * side + c);
         let lats = (0..g.num_edges())
             .map(|e| {
                 let u = 1.0 + (e % 7) as f64 / 7.0;
@@ -1405,9 +1440,66 @@ mod tests {
         MultiCommodityInstance::new(g, lats, commodities)
     }
 
-    /// Re-pricing only the edges the slices moved gives the cold start of
-    /// full sweeps bit for bit: the same prices at the last pricing, the
-    /// same per-commodity flows and the same combined flow.
+    /// A [`street_grid`] carrying 32 commodities from 8 random origins to
+    /// random sinks, their rates summing to `load`, over BPR streets drawn
+    /// as in a city grid (`t0` in [0.5, 2.5], capacity in [0.3, 1.5]) or,
+    /// with `mm1`, over M/M/1 queues of capacity `load`·[0.3, 1.5].
+    fn od_grid(side: u32, load: f64, mm1: bool, seed: u64) -> MultiCommodityInstance {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let g = street_grid(side);
+        let lats = (0..g.num_edges())
+            .map(|_| {
+                let (t0, cap) = (0.5 + 2.0 * next(), 0.3 + 1.2 * next());
+                if mm1 {
+                    LatencyFn::mm1(load * cap)
+                } else {
+                    LatencyFn::bpr(t0, 0.15, cap, 4)
+                }
+            })
+            .collect();
+        let n = (side * side) as f64;
+        let mut origins: Vec<NodeId> = Vec::new();
+        while origins.len() < 8 {
+            let o = NodeId((next() * n) as u32);
+            if !origins.contains(&o) {
+                origins.push(o);
+            }
+        }
+        let weights: Vec<f64> = (0..32).map(|_| 0.5 + 1.5 * next()).collect();
+        let total: f64 = weights.iter().sum();
+        let commodities = weights
+            .iter()
+            .enumerate()
+            .map(|(i, w)| {
+                let source = origins[i % 8];
+                let sink = loop {
+                    let t = NodeId((next() * n) as u32);
+                    if t != source {
+                        break t;
+                    }
+                };
+                Commodity {
+                    source,
+                    sink,
+                    rate: load * w / total,
+                }
+            })
+            .collect();
+        MultiCommodityInstance::new(g, lats, commodities)
+    }
+
+    /// Re-pricing only the edges the slices moved, and keeping a group's
+    /// tree while its certificate holds, give the cold start of full
+    /// sweeps and fresh trees bit for bit: the same prices at the last
+    /// pricing, the same per-commodity flows and the same combined flow.
+    /// The congested (×4, ×16) and M/M/1 grids move prices far between
+    /// slices, at times past nodes a kept tree left unsettled.
     #[test]
     fn incremental_cold_start_prices_match_full_sweeps() {
         let mut cases: Vec<(String, MultiCommodityInstance)> = POLE_CASES
@@ -1415,6 +1507,14 @@ mod tests {
             .map(|&(cap, b)| (format!("pole {cap}"), pole_pair(cap, b)))
             .collect();
         cases.push(("mixed grid".to_string(), mixed_grid(7)));
+        for side in [6, 12] {
+            for load in [4.0, 16.0] {
+                for (mm1, seed) in [(false, 1), (false, 2), (true, 1), (true, 2)] {
+                    let name = format!("od grid {side} x{load} mm1 {mm1} seed {seed}");
+                    cases.push((name, od_grid(side, load, mm1, seed)));
+                }
+            }
+        }
         for (name, inst) in &cases {
             let demands = demands_of(inst);
             let lats = &inst.latencies;
@@ -1433,6 +1533,33 @@ mod tests {
                 assert_eq!(ws.f, full.f, "{name} {model:?}: combined flow");
                 assert_eq!(ws.costs, full.costs, "{name} {model:?}: prices");
             }
+        }
+    }
+
+    /// Two commodities share an origin and a sink over a constant 1.25
+    /// edge, added first, and `1 + x`. The first slices take `1 + x` to
+    /// 1.25, an exact tie that a fresh search breaks towards the edge it
+    /// relaxes first, the constant one; the kept tree's certificate must
+    /// refuse the tie, so every later slice takes the constant edge.
+    #[test]
+    fn cold_start_regrows_its_tree_on_an_exact_tie() {
+        let mut g = DiGraph::with_nodes(2);
+        g.add_edge(NodeId(0), NodeId(1));
+        g.add_edge(NodeId(0), NodeId(1));
+        let od = Commodity {
+            source: NodeId(0),
+            sink: NodeId(1),
+            rate: 1.0,
+        };
+        let lats = vec![LatencyFn::constant(1.25), LatencyFn::affine(1.0, 1.0)];
+        let inst = MultiCommodityInstance::new(g, lats, vec![od, od]);
+        let opts = FwOptions {
+            max_iters: 0,
+            ..FwOptions::default()
+        };
+        let r = try_solve_multicommodity(&inst, CostModel::Wardrop, &opts).unwrap();
+        for p in &r.per_commodity {
+            assert_eq!(p.0, [0.875, 0.125]);
         }
     }
 

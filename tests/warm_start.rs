@@ -22,7 +22,9 @@ use stackopt::instances::{braess_classic, try_grid_city_multi};
 use stackopt::latency::LatencyFn;
 use stackopt::network::instance::{MultiCommodityInstance, NetworkInstance};
 use stackopt::network::{DiGraph, EdgeFlow, NodeId};
-use stackopt::solver::frank_wolfe::{try_solve_assignment, FwOptions, FwResult};
+use stackopt::solver::frank_wolfe::{
+    try_solve_assignment, try_solve_multicommodity, FwOptions, FwResult,
+};
 use stackopt::solver::CostModel;
 
 /// Holds off the other tests of this file, whose warm solves would move
@@ -32,13 +34,9 @@ fn serial() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// The global `seed_checks_failed` counter (the recorder is enabled on
-/// first use).
-fn seed_checks_failed() -> u64 {
-    stackopt::obs::enable()
-        .snapshot()
-        .counter("seed_checks_failed")
-        .unwrap()
+/// A global obs counter by name (the recorder is enabled on first use).
+fn counter(name: &str) -> u64 {
+    stackopt::obs::enable().snapshot().counter(name).unwrap()
 }
 
 fn with_rate(inst: &NetworkInstance, rate: f64) -> NetworkInstance {
@@ -202,8 +200,16 @@ fn cold_grid_solves_hand_over_at_the_plateau() {
     for seed in [3, 7] {
         let inst = stackopt::instances::try_grid_city(16, 1.0, seed).unwrap();
         for model in [CostModel::Wardrop, CostModel::SystemOptimum] {
+            let before = counter("stall_handovers");
             let handed = try_solve_assignment(&inst, model, &default).unwrap();
+            let after_handed = counter("stall_handovers");
             let full = try_solve_assignment(&inst, model, &pinned).unwrap();
+            // One handover under the default window, none with it off.
+            assert_eq!(
+                (after_handed, counter("stall_handovers")),
+                (before + 1, before + 1),
+                "seed {seed} {model:?}"
+            );
             assert!(handed.converged && full.converged, "seed {seed} {model:?}");
             assert!(
                 handed.fw_iterations < default.max_iters,
@@ -216,6 +222,44 @@ fn cold_grid_solves_hand_over_at_the_plateau() {
                 "seed {seed} {model:?}: objective off by {rel:e}"
             );
         }
+    }
+    // Network Pigou's optimum meets the target inside the Frank–Wolfe loop
+    // within two iterations: no handover, no polish.
+    let before = counter("stall_handovers");
+    let pigou = try_network_optimum(&network_pigou(), &default, None).unwrap();
+    assert!(pigou.converged && pigou.fw_iterations <= 2 && pigou.polish_rounds == 0);
+    assert_eq!(counter("stall_handovers"), before);
+}
+
+/// A cold solve whose only searches are the cold start's (no Frank–Wolfe
+/// iteration, no polish round) on a grid whose 16 origins serve two
+/// commodities each: each origin keeps its one-to-many tree from slice to
+/// slice while the tree's certificate holds, so it grows fewer than its
+/// eight slices' worth.
+#[test]
+fn shared_origin_cold_start_keeps_its_trees() {
+    let _serial = serial();
+    let inst = try_grid_city_multi(12, 4.0, 32, 1).unwrap();
+    let mut origins: Vec<u32> = inst.commodities.iter().map(|c| c.source.0).collect();
+    origins.sort_unstable();
+    origins.dedup();
+    assert_eq!(origins.len(), 16);
+    let trees = || {
+        let snap = stackopt::obs::enable().snapshot();
+        snap.phase("sp_query").map_or(0, |h| h.count)
+    };
+    let opts = FwOptions {
+        max_iters: 0,
+        ..FwOptions::default()
+    };
+    for model in [CostModel::Wardrop, CostModel::SystemOptimum] {
+        let before = trees();
+        try_solve_multicommodity(&inst, model, &opts).unwrap();
+        let grown = trees() - before;
+        assert!(
+            (16..8 * 16).contains(&grown),
+            "{model:?}: {grown} trees for 16 origins"
+        );
     }
 }
 
@@ -444,7 +488,7 @@ fn seed_at_the_target_returns_unpolished() {
     let fw = FwOptions::default();
     let braess = braess_classic();
     let nash = try_network_nash(&braess, &fw, None).unwrap();
-    let before = seed_checks_failed();
+    let before = counter("seed_checks_failed");
     let warm = try_network_nash(&braess, &fw, Some(&nash)).unwrap();
     assert!(
         warm.converged && warm.rel_gap <= fw.rel_gap,
@@ -457,7 +501,11 @@ fn seed_at_the_target_returns_unpolished() {
         vec![warm.per_commodity[0].0.clone()],
         validated(&nash, &braess.graph, &demands)
     );
-    assert_eq!(seed_checks_failed(), before, "a passing check was counted");
+    assert_eq!(
+        counter("seed_checks_failed"),
+        before,
+        "a passing check was counted"
+    );
 
     for (name, inst) in [
         (
@@ -467,7 +515,7 @@ fn seed_at_the_target_returns_unpolished() {
         ("grid", try_grid_city_multi(5, 60.0, 24, 1).unwrap()),
     ] {
         let nash = try_multicommodity_nash(&inst, &fw, None).unwrap();
-        let before = seed_checks_failed();
+        let before = counter("seed_checks_failed");
         let warm = try_multicommodity_nash(&inst, &fw, Some(&nash)).unwrap();
         assert!(warm.converged, "{name}: gap {}", warm.rel_gap);
         assert_eq!((warm.iterations, warm.polish_rounds), (0, 0), "{name}");
@@ -479,7 +527,7 @@ fn seed_at_the_target_returns_unpolished() {
         let got: Vec<Vec<f64>> = warm.per_commodity.iter().map(|f| f.0.clone()).collect();
         assert_eq!(got, validated(&nash, &inst.graph, &demands), "{name}");
         assert_eq!(
-            seed_checks_failed(),
+            counter("seed_checks_failed"),
             before,
             "{name}: a passing check was counted"
         );
@@ -495,9 +543,9 @@ fn seed_off_the_target_is_polished_and_counted() {
     for (name, inst) in [("braess", braess_classic()), ("pigou", network_pigou())] {
         let optimum = try_network_optimum(&inst, &fw, None).unwrap();
         let cold = try_network_nash(&inst, &fw, None).unwrap();
-        let before = seed_checks_failed();
+        let before = counter("seed_checks_failed");
         let warm = try_network_nash(&inst, &fw, Some(&optimum)).unwrap();
-        assert_eq!(seed_checks_failed(), before + 1, "{name}");
+        assert_eq!(counter("seed_checks_failed"), before + 1, "{name}");
         assert!(warm.converged && warm.polish_rounds >= 1, "{name}");
         let (c, want) = (
             inst.cost(warm.flow.as_slice()),
@@ -512,9 +560,9 @@ fn seed_off_the_target_is_polished_and_counted() {
         let inst = try_random_multicommodity(3, 3, 3, 1.0, seed).unwrap();
         let optimum = try_multicommodity_optimum(&inst, &fw, None).unwrap();
         let cold = try_multicommodity_nash(&inst, &fw, None).unwrap();
-        let before = seed_checks_failed();
+        let before = counter("seed_checks_failed");
         let warm = try_multicommodity_nash(&inst, &fw, Some(&optimum)).unwrap();
-        assert_eq!(seed_checks_failed(), before + 1, "layered {seed}");
+        assert_eq!(counter("seed_checks_failed"), before + 1, "layered {seed}");
         assert!(warm.converged && warm.polish_rounds >= 1, "layered {seed}");
         let (c, want) = (
             inst.cost(warm.flow.as_slice()),
