@@ -6,9 +6,17 @@
 //! maximises shortest-path flow minimises the Leader's controlled portion
 //! `β_G`. That quantity is exactly the max flow through the shortest-path
 //! subnetwork with capacities `o_e` — computed here.
+//!
+//! There is one Dinic: [`ResidualGraph::max_flow_on`], which takes the
+//! capacitated edges as a list and touches only those outside its
+//! node-indexed searches. Theorem 2.1's plan hands it each commodity's
+//! support, about 32 of `city-od`'s 8,280 edges. The dense entry points
+//! ([`ResidualGraph::max_flow`], [`max_flow`]) gather their non-zero
+//! capacities and call it; an arc of capacity zero carries nothing either
+//! way, so every answer is bit for bit a dense run's.
 
 use crate::flow::EdgeFlow;
-use crate::graph::{DiGraph, NodeId};
+use crate::graph::{DiGraph, EdgeId, NodeId};
 
 /// Result of [`max_flow`].
 #[derive(Clone, Debug)]
@@ -27,11 +35,11 @@ struct Arc {
 }
 
 /// Dinic's residual graph over one [`DiGraph`], built once and re-capped
-/// by every [`ResidualGraph::max_flow`] run. Callers that solve many
-/// max-flow problems on one graph (Theorem 2.1's plan runs one per
-/// commodity) build the arc arrays once; each run returns exactly what a
-/// fresh [`max_flow`] returns, since the arcs, their order and the search
-/// are the same.
+/// by every run. Callers that solve many max-flow problems on one graph
+/// (Theorem 2.1's plan runs one per commodity) build the arc arrays once;
+/// each run returns exactly what a fresh [`max_flow`] returns, since the
+/// arcs, their order and the search are the same. Between runs every arc
+/// has capacity zero.
 #[derive(Clone, Debug)]
 pub struct ResidualGraph {
     /// Edge `e`'s forward arc at `2e`, its reverse arc at `2e + 1`.
@@ -89,23 +97,48 @@ impl ResidualGraph {
 
     /// Dinic's algorithm from `s` to `t` under `caps` (one entry per edge
     /// of the graph this was built from), with the contract of
-    /// [`max_flow`].
+    /// [`max_flow`]: [`ResidualGraph::max_flow_on`] over the non-zero
+    /// entries.
     pub fn max_flow(&mut self, caps: &[f64], s: NodeId, t: NodeId) -> MaxFlowResult {
         assert_eq!(caps.len(), self.arcs.len() / 2);
-        assert!(caps.iter().all(|c| *c >= 0.0), "capacities must be ≥ 0");
+        let support: Vec<(EdgeId, f64)> = caps
+            .iter()
+            .enumerate()
+            .filter(|&(_, &c)| c != 0.0)
+            .map(|(e, &c)| (EdgeId(e as u32), c))
+            .collect();
+        self.max_flow_on(&support, s, t)
+    }
+
+    /// Dinic's algorithm from `s` to `t` where edge `e` has capacity `c`
+    /// for every `(e, c)` in `support` (each edge listed at most once) and
+    /// every other edge capacity zero. Only the listed arcs are capped,
+    /// read back and reset; the searches walk the same arcs in the same
+    /// order as over dense capacities, and a zero arc carries nothing, so
+    /// the value and every edge flow are a dense run's bit for bit. The
+    /// returned flow is zero off `support`.
+    pub fn max_flow_on(
+        &mut self,
+        support: &[(EdgeId, f64)],
+        s: NodeId,
+        t: NodeId,
+    ) -> MaxFlowResult {
+        assert!(
+            support.iter().all(|&(_, c)| c >= 0.0),
+            "capacities must be ≥ 0"
+        );
         assert_ne!(s, t, "source and sink must differ");
 
         // Tolerance scaled to the instance.
-        let cap_scale = caps
+        let cap_scale = support
             .iter()
-            .cloned()
+            .map(|&(_, c)| c)
             .filter(|c| c.is_finite())
             .fold(0.0f64, f64::max);
         let eps = 1e-12 * cap_scale.max(1.0);
 
-        for (pair, &c) in self.arcs.chunks_exact_mut(2).zip(caps) {
-            pair[0].cap = c;
-            pair[1].cap = 0.0;
+        for &(e, c) in support {
+            self.arcs[2 * e.idx()].cap = c;
         }
         let adj = FlatAdj {
             off: &self.adj_off,
@@ -148,23 +181,18 @@ impl ResidualGraph {
             }
         }
 
-        // Recover per-original-edge flow: flow = initial cap − residual cap.
-        let flow = caps
-            .iter()
-            .zip(arcs.iter().step_by(2))
-            .map(|(&c, arc)| {
-                let sent = c - arc.cap;
-                if sent > eps {
-                    sent
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-        MaxFlowResult {
-            value: total,
-            flow: EdgeFlow(flow),
+        // Recover per-original-edge flow (initial cap − residual cap), and
+        // leave both arcs of every listed edge at zero for the next run.
+        let mut flow = EdgeFlow::zeros(arcs.len() / 2);
+        for &(e, c) in support {
+            let sent = c - arcs[2 * e.idx()].cap;
+            if sent > eps {
+                flow.0[e.idx()] = sent;
+            }
+            arcs[2 * e.idx()].cap = 0.0;
+            arcs[2 * e.idx() + 1].cap = 0.0;
         }
+        MaxFlowResult { value: total, flow }
     }
 }
 

@@ -1,13 +1,17 @@
 //! Cross-algorithm property tests: Dijkstra vs Bellman–Ford, Dinic vs a
-//! brute-force max-flow oracle, decomposition round-trips, and the kept
-//! one-to-many tree's certificate against a fresh search, on random
-//! graphs.
+//! brute-force max-flow oracle and vs the dense Dinic it replaced,
+//! decomposition round-trips, and the kept one-to-many tree's certificate
+//! against a fresh search, on random graphs.
 
+#[path = "support/dense_dinic.rs"]
+mod dense_dinic;
+
+use dense_dinic::dense_max_flow;
 use proptest::prelude::*;
 use sopt_network::csr::{Csr, RevCsr, SpWorkspace};
 use sopt_network::flow::{decompose, EdgeFlow};
-use sopt_network::graph::{DiGraph, NodeId};
-use sopt_network::maxflow::{max_flow, ResidualGraph};
+use sopt_network::graph::{DiGraph, EdgeId, NodeId};
+use sopt_network::maxflow::{max_flow, MaxFlowResult, ResidualGraph};
 use sopt_network::path::all_simple_paths;
 use sopt_network::spath::{bellman_ford, dijkstra};
 
@@ -215,6 +219,139 @@ proptest! {
             for p in &paths {
                 prop_assert!(set.insert(p.edges().to_vec()));
             }
+        }
+    }
+}
+
+/// The dense reference run on `g`, as `(value bits, flow bits)`.
+fn reference_bits(g: &DiGraph, caps: &[f64], s: NodeId, t: NodeId) -> (u64, Vec<u64>) {
+    let edges: Vec<(u32, u32)> = g.edges().iter().map(|e| (e.from.0, e.to.0)).collect();
+    let (value, flow) = dense_max_flow(g.num_nodes(), &edges, caps, s.0, t.0);
+    (value.to_bits(), flow.iter().map(|x| x.to_bits()).collect())
+}
+
+fn result_bits(r: &MaxFlowResult) -> (u64, Vec<u64>) {
+    let flow = r.flow.as_slice().iter().map(|x| x.to_bits()).collect();
+    (r.value.to_bits(), flow)
+}
+
+/// A random multigraph: up to 12 nodes and 40 extra edges on a spine, so
+/// parallel edges, antiparallel pairs and cycles are common.
+fn random_multigraph() -> impl Strategy<Value = DiGraph> {
+    (2usize..12, 0usize..40, any::<u64>()).prop_map(|(n, extra, seed)| {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut g = DiGraph::with_nodes(n);
+        for v in 0..n - 1 {
+            g.add_edge(NodeId(v as u32), NodeId(v as u32 + 1));
+        }
+        for _ in 0..extra {
+            let a = (next() % n as u64) as u32;
+            let b = (next() % n as u64) as u32;
+            if a != b {
+                g.add_edge(NodeId(a), NodeId(b));
+            }
+        }
+        g
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn max_flow_on_matches_the_dense_reference(
+        g in random_multigraph(),
+        seed in any::<u64>(),
+        runs in 1usize..8,
+    ) {
+        // Several supports in a row on one residual graph, each listed in
+        // shuffled order with some zero capacities among them: the value
+        // and every edge flow are the dense reference's bits. Capacities
+        // are not dyadic, so flow pushed and cancelled through a reverse
+        // arc can leave a rounding residue below the tolerance.
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let (n, m) = (g.num_nodes() as u64, g.num_edges());
+        let mut residual = ResidualGraph::new(&g);
+        for run in 0..runs {
+            let mut caps = vec![0.0; m];
+            let mut support: Vec<(EdgeId, f64)> = Vec::new();
+            for (e, c) in caps.iter_mut().enumerate() {
+                match next() % 5 {
+                    0 => {}
+                    1 => support.push((EdgeId(e as u32), 0.0)),
+                    _ => {
+                        *c = (1 + next() % 100_000) as f64 / 997.0;
+                        support.push((EdgeId(e as u32), *c));
+                    }
+                }
+            }
+            for i in (1..support.len()).rev() {
+                support.swap(i, (next() % (i as u64 + 1)) as usize);
+            }
+            let s = NodeId((next() % n) as u32);
+            let t = NodeId(((s.0 as u64 + 1 + next() % (n - 1)) % n) as u32);
+            let want = reference_bits(&g, &caps, s, t);
+            let on = residual.max_flow_on(&support, s, t);
+            prop_assert!(result_bits(&on) == want, "run {}: max_flow_on", run);
+            for e in g.edge_ids() {
+                if caps[e.idx()] == 0.0 {
+                    prop_assert_eq!(on.flow.get(e).to_bits(), 0.0f64.to_bits());
+                }
+            }
+            let dense = residual.max_flow(&caps, s, t);
+            prop_assert!(result_bits(&dense) == want, "run {}: max_flow", run);
+            let fresh = max_flow(&g, &caps, s, t);
+            prop_assert!(result_bits(&fresh) == want, "run {}: fresh", run);
+        }
+    }
+}
+
+/// The second phase's only augmenting path runs back through the arc the
+/// first phase filled (s→a→b→t first, then s→c→b⇢a→d→t), and
+/// `max_flow_on` cancels it as the reference does: in part, and in full,
+/// where pushing p onto a→b and taking it back leaves (c − p) + p, one
+/// rounding step short of c, and the residue reads as zero flow.
+#[test]
+fn max_flow_on_augments_through_a_reverse_arc() {
+    let (s, a, b, t, c, d) = (0, 1, 2, 3, 4, 5);
+    let edges = [(s, a), (a, b), (b, t), (s, c), (c, b), (a, d), (d, t)];
+    let mut g = DiGraph::with_nodes(6);
+    for &(u, v) in &edges {
+        g.add_edge(NodeId(u), NodeId(v));
+    }
+    let p = 23.0 / 89.0;
+    let partial = [1.0, 1.0, 1.0, 1.0, 1.0, 0.75, 1.0];
+    let full = [p, 77.0 / 97.0, p, 1.0, 1.0, 1.0, 1.0];
+    assert!(
+        (full[1] - p) + p < full[1],
+        "the full cancellation leaves a residue"
+    );
+    let mut residual = ResidualGraph::new(&g);
+    for caps in [partial, full, partial, full] {
+        let support: Vec<(EdgeId, f64)> = g.edge_ids().map(|e| (e, caps[e.idx()])).collect();
+        let r = residual.max_flow_on(&support, NodeId(s), NodeId(t));
+        assert_eq!(
+            result_bits(&r),
+            reference_bits(&g, &caps, NodeId(s), NodeId(t))
+        );
+        if caps == partial {
+            assert_eq!(r.value, 1.75);
+            assert_eq!(r.flow.as_slice(), &[1.0, 0.25, 1.0, 0.75, 0.75, 0.75, 0.75]);
+        } else {
+            assert_eq!(r.value, 2.0 * p);
+            assert_eq!(r.flow.get(EdgeId(1)), 0.0, "a→b");
         }
     }
 }

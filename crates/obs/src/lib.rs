@@ -289,6 +289,11 @@ pub enum Counter {
     /// because its gap stopped improving for a stall window, not because
     /// it met the target or ran out of iterations.
     StallHandovers,
+    /// Solves that returned unconverged: neither the Frank–Wolfe loop nor
+    /// the polish met the gap target within the iteration budget. The
+    /// caller sees `converged: false` (the session layer turns it into a
+    /// `NotConverged` error); this counts each such solve once.
+    UnconvergedSolves,
     /// Nodes settled across all shortest-path queries (the work an
     /// early-exit or bidirectional traversal saves shows up here).
     SpSettledNodes,
@@ -303,7 +308,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in display order.
-    pub const ALL: [Counter; 10] = [
+    pub const ALL: [Counter; 11] = [
         Counter::FwIterations,
         Counter::PolishRounds,
         Counter::WarmStarts,
@@ -311,6 +316,7 @@ impl Counter {
         Counter::SeedsRejected,
         Counter::SeedChecksFailed,
         Counter::StallHandovers,
+        Counter::UnconvergedSolves,
         Counter::SpSettledNodes,
         Counter::AonGroups,
         Counter::AonQueriesSaved,
@@ -326,6 +332,7 @@ impl Counter {
             Counter::SeedsRejected => "seeds_rejected",
             Counter::SeedChecksFailed => "seed_checks_failed",
             Counter::StallHandovers => "stall_handovers",
+            Counter::UnconvergedSolves => "unconverged_solves",
             Counter::SpSettledNodes => "sp_settled_nodes",
             Counter::AonGroups => "aon_groups",
             Counter::AonQueriesSaved => "aon_queries_saved",
@@ -788,6 +795,7 @@ mod tests {
         assert_eq!(names.len(), Counter::ALL.len());
         assert!(names.contains(&"seed_checks_failed"));
         assert!(names.contains(&"stall_handovers"));
+        assert!(names.contains(&"unconverged_solves"));
     }
 
     proptest! {

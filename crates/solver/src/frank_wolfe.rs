@@ -34,7 +34,9 @@
 //! (the previous α of an anarchy-curve sweep, MOP's free flow for an
 //! induced solve, the cold optimum for a Nash profile) skips the
 //! all-or-nothing bootstrap and the Frank–Wolfe loop. The seed is
-//! validated and rescaled in one pass per commodity; then its relative gap
+//! validated and rescaled per commodity in two branch-free passes over its
+//! edges, and conserved flow is checked only at the end nodes of its
+//! non-zero edges (plus its origin and sink); then its relative gap
 //! is measured on its edge flow, with one gradient sweep and one search
 //! per origin group (a targeted query for a lone commodity, one
 //! one-to-many tree otherwise). A seed that already meets the target
@@ -64,7 +66,7 @@ use std::cell::RefCell;
 
 use sopt_latency::{DirPlan, LatencyBatch, LatencyFn};
 use sopt_network::csr::{Csr, RevCsr, SpPool, SpWorkspace};
-use sopt_network::flow::{is_st_balance, EdgeFlow};
+use sopt_network::flow::EdgeFlow;
 use sopt_network::graph::NodeId;
 use sopt_network::instance::{MultiCommodityInstance, NetworkInstance};
 use sopt_network::DiGraph;
@@ -207,6 +209,10 @@ pub struct FwWorkspace {
     /// Per-commodity conjugate memory (valid iff `s_bar_set`).
     s_bar: Vec<EdgeFlow>,
     s_bar_set: bool,
+    /// Node balances of the warm-seed check, zero between commodities.
+    balance: Vec<f64>,
+    /// The warm-seed check's list of a commodity's non-zero edges.
+    nonzero: Vec<u32>,
 }
 
 impl FwWorkspace {
@@ -269,6 +275,118 @@ impl FwWorkspace {
             .find(|v| !v.is_empty())
             .map(std::mem::take)
             .unwrap_or_default()
+    }
+
+    /// Validate and rescale a warm-start seed into per-commodity starting
+    /// flows, built in the idle loop buffers ([`FwWorkspace::idle_flows`])
+    /// where there are any, and sum them into `self.f`. Returns `None` (→
+    /// cold start) when the seed does not fit: wrong commodity count or
+    /// edge count, non-finite or negative entries, zero s→t value for a
+    /// positive demand, broken conservation, or a capacity violation after
+    /// rescaling to the new rates.
+    ///
+    /// Per commodity, one branch-free pass rescales the seed and flags
+    /// unusable entries, and a second adds it into `f` and lists its
+    /// non-zero edges. Node balances move only on those edges, so the
+    /// conservation check and the reset visit only their end nodes plus `s`
+    /// and `t`: every other node's balance is exactly 0, which passes. `s`
+    /// and `t` stay checked even where no listed edge touches them: a small
+    /// flow that never leaves `s`, or never reaches `t`, can pass at every
+    /// node it touches, each within the tolerance. Flows, `f` and the
+    /// verdict are bit for bit those of one dense pass per commodity over
+    /// every edge and node.
+    ///
+    /// The balances and the edge list live in the workspace: allocated per
+    /// call, a β op's two warm solves left them where glibc trimmed the
+    /// heap top, and `city-od` ops faulted pages back in at some seeds.
+    fn warm_start_per(
+        &mut self,
+        seed: &[EdgeFlow],
+        graph: &DiGraph,
+        demands: &[(NodeId, NodeId, f64)],
+    ) -> Option<Vec<EdgeFlow>> {
+        let m = graph.num_edges();
+        if seed.len() != demands.len() {
+            return None;
+        }
+        let mut spare = self.idle_flows();
+        let (caps, f) = (self.batch.capacities(), &mut self.f);
+        let (balance, nonzero) = (&mut self.balance, &mut self.nonzero);
+        let unusable = |x: f64| !x.is_finite() | (x < -1e-9);
+        f.fill(0.0);
+        balance.clear();
+        balance.resize(graph.num_nodes(), 0.0);
+        // A commodity's non-zero edges are the first entries of `nonzero`.
+        nonzero.resize(m, 0);
+        let mut per = Vec::with_capacity(seed.len());
+        for (sf, &(s, t, r)) in seed.iter().zip(demands) {
+            if sf.0.len() != m {
+                return None;
+            }
+            let mut flow = spare.pop().unwrap_or_else(|| EdgeFlow(Vec::new()));
+            flow.0.clear();
+            if r <= 0.0 {
+                if sf.0.iter().any(|&x| unusable(x)) {
+                    return None;
+                }
+                flow.0.resize(m, 0.0);
+                per.push(flow);
+                continue;
+            }
+            let value = sf.excess(graph, t);
+            if value <= 1e-12 * r.max(1.0) {
+                return None;
+            }
+            let scale = r / value;
+            let mut bad = false;
+            flow.0.extend(sf.0.iter().map(|&x| {
+                bad |= unusable(x);
+                (x * scale).max(0.0)
+            }));
+            if bad {
+                return None;
+            }
+            let mut len = 0;
+            for (e, (fe, &y)) in f.iter_mut().zip(&flow.0).enumerate() {
+                *fe += y;
+                nonzero[len] = e as u32;
+                len += usize::from(y != 0.0);
+            }
+            for &e in &nonzero[..len] {
+                let (edge, y) = (graph.edges()[e as usize], flow.0[e as usize]);
+                balance[edge.from.idx()] -= y;
+                balance[edge.to.idx()] += y;
+            }
+            let edges = || nonzero[..len].iter().map(|&e| graph.edges()[e as usize]);
+            let eps = 1e-7 * r.max(1.0);
+            let balanced = |v: NodeId| {
+                let want = if v == s {
+                    -r
+                } else if v == t {
+                    r
+                } else {
+                    0.0
+                };
+                (balance[v.idx()] - want).abs() <= eps
+            };
+            let ok =
+                balanced(s) && balanced(t) && edges().all(|e| balanced(e.from) && balanced(e.to));
+            for edge in edges() {
+                balance[edge.from.idx()] = 0.0;
+                balance[edge.to.idx()] = 0.0;
+            }
+            if !ok {
+                return None;
+            }
+            per.push(flow);
+        }
+        // Combined capacity check: the line search assumes a strictly
+        // interior start w.r.t. M/M/1 poles.
+        let at_pole = f
+            .iter()
+            .zip(caps)
+            .any(|(&fe, &cap)| cap.is_finite() && fe >= cap * 0.9999);
+        (!at_pole).then_some(per)
     }
 
     /// The relative gap `Σc·(f−y) / Σc·f` of the flow in `self.f` (a
@@ -706,74 +824,6 @@ fn combined_into(per: &[EdgeFlow], out: &mut [f64]) {
     }
 }
 
-/// Validate and rescale a warm-start seed into per-commodity starting
-/// flows, built in the buffers of `spare` where it has them, and sum them
-/// into `f`. Returns `None` (→ cold start) when the seed does not fit:
-/// wrong commodity count or edge count, non-finite or negative entries,
-/// zero s→t value for a positive demand, broken conservation, or a
-/// capacity violation after rescaling to the new rates. One pass per
-/// commodity scans, rescales, sums and balances its flow.
-fn warm_start_per(
-    seed: &[EdgeFlow],
-    graph: &DiGraph,
-    caps: &[f64],
-    demands: &[(NodeId, NodeId, f64)],
-    f: &mut [f64],
-    mut spare: Vec<EdgeFlow>,
-) -> Option<Vec<EdgeFlow>> {
-    let m = graph.num_edges();
-    if seed.len() != demands.len() {
-        return None;
-    }
-    let unusable = |x: f64| !x.is_finite() || x < -1e-9;
-    f.fill(0.0);
-    let mut balance = vec![0.0; graph.num_nodes()];
-    let mut per = Vec::with_capacity(seed.len());
-    for (sf, &(s, t, r)) in seed.iter().zip(demands) {
-        if sf.0.len() != m {
-            return None;
-        }
-        let mut flow = spare.pop().unwrap_or_else(|| EdgeFlow(Vec::new()));
-        flow.0.clear();
-        if r <= 0.0 {
-            if sf.0.iter().any(|&x| unusable(x)) {
-                return None;
-            }
-            flow.0.resize(m, 0.0);
-            per.push(flow);
-            continue;
-        }
-        let value = sf.excess(graph, t);
-        if value <= 1e-12 * r.max(1.0) {
-            return None;
-        }
-        let scale = r / value;
-        balance.fill(0.0);
-        flow.0.reserve(m);
-        for ((&x, edge), fe) in sf.0.iter().zip(graph.edges()).zip(f.iter_mut()) {
-            if unusable(x) {
-                return None;
-            }
-            let y = (x * scale).max(0.0);
-            flow.0.push(y);
-            *fe += y;
-            balance[edge.from.idx()] -= y;
-            balance[edge.to.idx()] += y;
-        }
-        if !is_st_balance(&balance, s, t, r, 1e-7 * r.max(1.0)) {
-            return None;
-        }
-        per.push(flow);
-    }
-    // Combined capacity check: the line search assumes a strictly interior
-    // start w.r.t. M/M/1 poles.
-    let at_pole = f
-        .iter()
-        .zip(caps)
-        .any(|(&fe, &cap)| cap.is_finite() && fe >= cap * 0.9999);
-    (!at_pole).then_some(per)
-}
-
 fn solve_inner(
     ws: &mut FwWorkspace,
     graph: &DiGraph,
@@ -810,10 +860,7 @@ fn solve_inner(
     let solve_started = rec.is_enabled().then(std::time::Instant::now);
 
     // Initial point: a validated warm-start seed, or the chunked cold start.
-    let seeded = seed.map(|s| {
-        let spare = ws.idle_flows();
-        warm_start_per(s, graph, ws.batch.capacities(), demands, &mut ws.f, spare)
-    });
+    let seeded = seed.map(|s| ws.warm_start_per(s, graph, demands));
     if matches!(seeded, Some(None)) {
         rec.add(sopt_obs::Counter::SeedsRejected, 1);
     }
@@ -1003,6 +1050,7 @@ fn solve_inner(
     if rec.is_enabled() {
         rec.add(sopt_obs::Counter::FwIterations, fw_iterations as u64);
         rec.add(sopt_obs::Counter::StallHandovers, u64::from(stalled));
+        rec.add(sopt_obs::Counter::UnconvergedSolves, u64::from(!converged));
         rec.add(sopt_obs::Counter::PolishRounds, polish_rounds as u64);
         let kind = if warm {
             sopt_obs::Counter::WarmStarts
@@ -1749,5 +1797,220 @@ mod tests {
             assert!((a.flow.0[e] - c.flow.0[e]).abs() < 1e-12);
         }
         assert!((b.flow.0[0] - 1.0).abs() < 1e-6);
+    }
+
+    /// The dense seed validation [`warm_start_per`] replaced, kept as its
+    /// reference: one pass per commodity over every edge scans, rescales,
+    /// sums and balances, then every node's balance is checked.
+    fn warm_start_per_reference(
+        seed: &[EdgeFlow],
+        graph: &DiGraph,
+        caps: &[f64],
+        demands: &[(NodeId, NodeId, f64)],
+        f: &mut [f64],
+    ) -> Option<Vec<EdgeFlow>> {
+        let m = graph.num_edges();
+        if seed.len() != demands.len() {
+            return None;
+        }
+        let unusable = |x: f64| !x.is_finite() || x < -1e-9;
+        f.fill(0.0);
+        let mut balance = vec![0.0; graph.num_nodes()];
+        let mut per = Vec::with_capacity(seed.len());
+        for (sf, &(s, t, r)) in seed.iter().zip(demands) {
+            if sf.0.len() != m {
+                return None;
+            }
+            let mut flow = EdgeFlow(Vec::new());
+            if r <= 0.0 {
+                if sf.0.iter().any(|&x| unusable(x)) {
+                    return None;
+                }
+                flow.0.resize(m, 0.0);
+                per.push(flow);
+                continue;
+            }
+            let value = sf.excess(graph, t);
+            if value <= 1e-12 * r.max(1.0) {
+                return None;
+            }
+            let scale = r / value;
+            balance.fill(0.0);
+            for ((&x, edge), fe) in sf.0.iter().zip(graph.edges()).zip(f.iter_mut()) {
+                if unusable(x) {
+                    return None;
+                }
+                let y = (x * scale).max(0.0);
+                flow.0.push(y);
+                *fe += y;
+                balance[edge.from.idx()] -= y;
+                balance[edge.to.idx()] += y;
+            }
+            if !sopt_network::flow::is_st_balance(&balance, s, t, r, 1e-7 * r.max(1.0)) {
+                return None;
+            }
+            per.push(flow);
+        }
+        let at_pole = f
+            .iter()
+            .zip(caps)
+            .any(|(&fe, &cap)| cap.is_finite() && fe >= cap * 0.9999);
+        (!at_pole).then_some(per)
+    }
+
+    /// The support-only validation accepts and rejects exactly the seeds
+    /// the dense pass does, with the same per-commodity flows and combined
+    /// flow bit for bit, whatever the spare buffers held and whichever
+    /// seeds the workspace checked before.
+    #[test]
+    fn sparse_seed_validation_matches_the_dense_pass() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        let mut state = 0x5eed_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut verdicts = [0usize; 2];
+        for (side, mm1, seed) in [(5, false, 1), (6, true, 2), (7, false, 3)] {
+            let inst = od_grid(side, 4.0, mm1, seed);
+            let base = solve_multicommodity(&inst, CostModel::Wardrop, &FwOptions::default());
+            let demands = demands_of(&inst);
+            let (graph, m) = (&inst.graph, inst.graph.num_edges());
+            let mut ws = FwWorkspace::new();
+            ws.prepare(graph, &inst.latencies, &demands);
+            let caps = ws.batch.capacities().to_vec();
+            let path_from = |from: NodeId, to: NodeId| {
+                let sp = sopt_network::spath::dijkstra(graph, &vec![1.0; m], from);
+                sp.path_to(graph, to)
+                    .expect("a street grid is strongly connected")
+            };
+            for round in 0..42 {
+                let case = round % 14;
+                let mut dem = demands.clone();
+                let mut seed: Vec<EdgeFlow> = base.per_commodity.clone();
+                let k = dem.len();
+                let ci = (next() % k as u64) as usize;
+                let e = (next() % m as u64) as usize;
+                match case {
+                    // As solved.
+                    0 => {}
+                    // Rescaled to new rates.
+                    1 => dem
+                        .iter_mut()
+                        .for_each(|d| d.2 *= 0.5 + (next() % 100) as f64 / 50.0),
+                    // Round-off negatives on unloaded edges are usable.
+                    2 => seed.iter_mut().for_each(|sf| {
+                        for x in sf.0.iter_mut().filter(|x| **x == 0.0).step_by(3) {
+                            *x = -1e-10;
+                        }
+                    }),
+                    3 => seed[ci].0[e] = f64::NAN,
+                    4 => seed[ci].0[e] = -2e-9,
+                    // A flow that never leaves s: the same path, started
+                    // one hop downstream.
+                    5 => {
+                        let (s, t, r) = dem[ci];
+                        let p = path_from(s, t);
+                        let hop = graph.edge(p.edges()[0]).to;
+                        let mut sf = EdgeFlow::zeros(m);
+                        if hop != t {
+                            sf.add_path(&path_from(hop, t), r);
+                        }
+                        seed[ci] = sf;
+                    }
+                    // An extra cycle on top of a valid flow.
+                    6 => {
+                        let edge = graph.edges()[e];
+                        let back = path_from(edge.to, edge.from);
+                        seed[ci].0[e] += 0.3;
+                        seed[ci].add_path(&back, 0.3);
+                    }
+                    // Zero-rate commodities, with and without a flow.
+                    7 => {
+                        dem[ci].2 = 0.0;
+                        dem[(ci + 1) % k].2 = 0.0;
+                        seed[ci] = EdgeFlow::zeros(m);
+                    }
+                    // Wrong edge and commodity counts.
+                    8 => {
+                        seed[ci].0.pop();
+                    }
+                    9 => {
+                        seed.pop();
+                    }
+                    10 => dem[ci].2 = 0.0,
+                    // A seed whose sink never receives flow.
+                    11 => seed[ci] = EdgeFlow::zeros(m),
+                    // A tiny rate leaving s for five nodes other than t,
+                    // each within the balance tolerance, its value at t
+                    // only a round-off negative on an edge out of t: only
+                    // t's own check rejects it.
+                    12 => {
+                        let (s, t, _) = dem[ci];
+                        let r = 4e-7;
+                        dem[ci].2 = r;
+                        let mut sf = EdgeFlow::zeros(m);
+                        sf.0[graph.out_edges(t)[0].idx()] = -0.9e-9;
+                        let exits = (0..graph.num_nodes() as u32)
+                            .map(NodeId)
+                            .filter(|&v| v != s && v != t)
+                            .map(|v| path_from(s, v))
+                            .filter(|p| p.nodes(graph).iter().all(|&v| v != t))
+                            .take(5);
+                        for p in exits {
+                            sf.add_path(&p, 0.9e-9 / 5.0);
+                        }
+                        seed[ci] = sf;
+                    }
+                    // A tiny rate entering from five nodes other than s,
+                    // each within the balance tolerance: only s's own
+                    // check rejects it.
+                    _ => {
+                        let (s, t, _) = dem[ci];
+                        let r = 4e-7;
+                        dem[ci].2 = r;
+                        let mut sf = EdgeFlow::zeros(m);
+                        let entries = (0..graph.num_nodes() as u32)
+                            .map(NodeId)
+                            .filter(|&v| v != s && v != t)
+                            .map(|v| path_from(v, t))
+                            .filter(|p| p.nodes(graph).iter().all(|&v| v != s))
+                            .take(5);
+                        for p in entries {
+                            sf.add_path(&p, r / 5.0);
+                        }
+                        seed[ci] = sf;
+                    }
+                }
+                let spare: Vec<EdgeFlow> = (0..next() % 40)
+                    .map(|i| {
+                        EdgeFlow(vec![
+                            f64::from(i as u32) - 7.5;
+                            (next() % (2 * m as u64)) as usize
+                        ])
+                    })
+                    .collect();
+                // One workspace for every seed of the grid, as in a β op.
+                ws.ys = spare;
+                ws.f.fill(f64::NAN);
+                let got = ws.warm_start_per(&seed, graph, &dem);
+                let mut f_ref = vec![f64::NAN; m];
+                let want = warm_start_per_reference(&seed, graph, &caps, &dem, &mut f_ref);
+                let name = format!("grid {side} round {round}");
+                assert_eq!(got.is_some(), want.is_some(), "{name}: verdict");
+                verdicts[usize::from(got.is_some())] += 1;
+                if let (Some(got), Some(want)) = (got, want) {
+                    assert_eq!(got.len(), want.len(), "{name}");
+                    for (ci, (g, w)) in got.iter().zip(&want).enumerate() {
+                        assert_eq!(bits(&g.0), bits(&w.0), "{name}: commodity {ci}");
+                    }
+                    assert_eq!(bits(&ws.f), bits(&f_ref), "{name}: combined flow");
+                }
+            }
+        }
+        // Both verdicts are exercised.
+        assert!(verdicts[0] >= 36 && verdicts[1] >= 36, "{verdicts:?}");
     }
 }

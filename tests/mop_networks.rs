@@ -1,6 +1,9 @@
 //! Randomized end-to-end MOP validation on layered networks: the strategy
 //! must induce the optimum and β must be minimal along the scaling ray.
 
+#[path = "../crates/network/tests/support/dense_dinic.rs"]
+mod dense_dinic;
+
 use stackopt::core::mop::{mop, mop_greedy};
 use stackopt::equilibrium::certify::certify_network;
 use stackopt::equilibrium::network::induced_network;
@@ -114,9 +117,10 @@ fn scaled_down_mop_strategy_misses_optimum() {
 }
 
 /// Theorem 2.1's plan shares one tree per origin and one residual graph
-/// per plan; it must answer exactly like the per-commodity loop it
-/// replaced (a full Dijkstra, the shortest-path DAG and a fresh max-flow
-/// per commodity), built here as the oracle.
+/// per plan, and caps and reads back only each commodity's support; it
+/// must answer bit for bit like the per-commodity loop it replaced (a full
+/// Dijkstra, the shortest-path DAG and a dense max-flow over every edge
+/// per commodity), built here as the oracle on the test-only dense Dinic.
 #[test]
 fn per_origin_plan_matches_the_per_commodity_loop() {
     use stackopt::core::mop_multi::{try_mop_multi_plan_with_optimum, try_mop_multi_with_optimum};
@@ -124,7 +128,6 @@ fn per_origin_plan_matches_the_per_commodity_loop() {
     use stackopt::instances::random::try_random_multicommodity;
     use stackopt::instances::try_grid_city_multi;
     use stackopt::latency::LatencyFn;
-    use stackopt::network::maxflow::max_flow;
     use stackopt::network::spath::{dijkstra, shortest_dag_edges};
     use stackopt::network::{Commodity, DiGraph, MultiCommodityInstance, NodeId};
 
@@ -187,7 +190,14 @@ fn per_origin_plan_matches_the_per_commodity_loop() {
             assert!(alphas[0] > 0.5 && alphas[1] == 0.0, "{alphas:?}");
         }
 
-        let m = inst.graph.num_edges();
+        let (n, m) = (inst.graph.num_nodes(), inst.graph.num_edges());
+        let edges: Vec<(u32, u32)> = inst
+            .graph
+            .edges()
+            .iter()
+            .map(|e| (e.from.0, e.to.0))
+            .collect();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
         let mut leader_total = vec![0.0; m];
         let mut controlled = 0.0;
         for (ci, com) in inst.commodities.iter().enumerate() {
@@ -199,35 +209,60 @@ fn per_origin_plan_matches_the_per_commodity_loop() {
             for e in shortest_dag_edges(&inst.graph, &plan.edge_costs, &sp, tol) {
                 caps[e.idx()] = o_i.get(e);
             }
-            let free = max_flow(&inst.graph, &caps, com.source, com.sink);
+            let (free_value, free_flow) =
+                dense_dinic::dense_max_flow(n, &edges, &caps, com.source.0, com.sink.0);
             let leader: Vec<f64> = o_i
                 .as_slice()
                 .iter()
-                .zip(free.flow.as_slice())
+                .zip(&free_flow)
                 .map(|(o, f)| (o - f).max(0.0))
                 .collect();
-            let leader_value = (com.rate - free.value).max(0.0);
+            let leader_value = (com.rate - free_value).max(0.0);
             for (lt, l) in leader_total.iter_mut().zip(&leader) {
                 *lt += l;
             }
             controlled += leader_value;
 
             let got = &plan.commodities[ci];
-            assert_eq!(got.alpha, leader_value / com.rate, "{name}: α_{ci}");
-            assert_eq!(got.free_flow, free.flow, "{name}: free flow {ci}");
-            assert_eq!(got.leader.0, leader, "{name}: leader {ci}");
+            let alpha = leader_value / com.rate;
+            assert_eq!(got.alpha.to_bits(), alpha.to_bits(), "{name}: α_{ci}");
+            assert_eq!(
+                got.free_value.to_bits(),
+                free_value.to_bits(),
+                "{name}: r'_{ci}"
+            );
+            assert_eq!(
+                bits(&got.free_flow.0),
+                bits(&free_flow),
+                "{name}: free flow {ci}"
+            );
+            assert_eq!(bits(&got.leader.0), bits(&leader), "{name}: leader {ci}");
         }
-        assert_eq!(plan.beta, controlled / inst.total_rate(), "{name}: β");
-        assert_eq!(plan.leader_total.0, leader_total, "{name}: leader total");
+        let beta = controlled / inst.total_rate();
+        assert_eq!(plan.beta.to_bits(), beta.to_bits(), "{name}: β");
+        assert_eq!(
+            bits(&plan.leader_total.0),
+            bits(&leader_total),
+            "{name}: leader total"
+        );
 
         // The lean plan the β task runs gives the same answers.
         let lean = try_mop_multi_plan_with_optimum(inst, &opt).unwrap();
-        assert_eq!(lean.beta, plan.beta, "{name}: lean β");
-        assert_eq!(lean.leader_total, plan.leader_total, "{name}: lean total");
+        assert_eq!(lean.beta.to_bits(), plan.beta.to_bits(), "{name}: lean β");
+        assert_eq!(
+            bits(&lean.leader_total.0),
+            bits(&plan.leader_total.0),
+            "{name}: lean total"
+        );
         assert_eq!(lean.optimum_cost, plan.optimum_cost, "{name}: lean C(O)");
         assert_eq!(lean.edge_costs, plan.edge_costs, "{name}: lean costs");
         for (ci, c) in plan.commodities.iter().enumerate() {
-            assert_eq!(lean.free[ci].flow, c.free_flow, "{name}: lean free {ci}");
+            let lean_free = &lean.free[ci].flow.0;
+            assert_eq!(
+                bits(lean_free),
+                bits(&c.free_flow.0),
+                "{name}: lean free {ci}"
+            );
             assert_eq!(lean.free[ci].value, c.free_value, "{name}: lean r'_{ci}");
             assert_eq!(lean.leader_values[ci], c.leader_value, "{name}: lean {ci}");
             assert_eq!(lean.alphas[ci], c.alpha, "{name}: lean α_{ci}");

@@ -231,6 +231,25 @@ fn cold_grid_solves_hand_over_at_the_plateau() {
     assert_eq!(counter("stall_handovers"), before);
 }
 
+/// A solve that runs out of iterations before its gap target counts once
+/// in `unconverged_solves`; one that converges leaves it alone.
+#[test]
+fn unconverged_solves_are_counted_once() {
+    let _serial = serial();
+    let inst = stackopt::instances::try_grid_city(16, 1.0, 3).unwrap();
+    let capped = FwOptions {
+        max_iters: 2,
+        ..FwOptions::default()
+    };
+    let before = counter("unconverged_solves");
+    let r = try_solve_assignment(&inst, CostModel::Wardrop, &capped).unwrap();
+    assert!(!r.converged, "rel_gap {}", r.rel_gap);
+    assert_eq!(counter("unconverged_solves"), before + 1);
+    let r = try_solve_assignment(&inst, CostModel::Wardrop, &FwOptions::default()).unwrap();
+    assert!(r.converged);
+    assert_eq!(counter("unconverged_solves"), before + 1);
+}
+
 /// A cold solve whose only searches are the cold start's (no Frank–Wolfe
 /// iteration, no polish round) on a grid whose 16 origins serve two
 /// commodities each: each origin keeps its one-to-many tree from slice to
