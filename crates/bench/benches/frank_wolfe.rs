@@ -2,10 +2,10 @@
 //! DESIGN.md §6 ablation) and size scaling on layered networks.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use sopt_equilibrium::network;
 use sopt_instances::braess::fig7_instance;
-use sopt_instances::random::random_layered_network;
-use sopt_solver::frank_wolfe::{solve_assignment, FwOptions};
-use sopt_solver::objective::CostModel;
+use sopt_instances::random::try_random_layered_network;
+use sopt_solver::frank_wolfe::FwOptions;
 use std::hint::black_box;
 
 fn bench_conjugate_ablation(c: &mut Criterion) {
@@ -21,7 +21,7 @@ fn bench_conjugate_ablation(c: &mut Criterion) {
             max_iters: 1_000_000,
             ..FwOptions::default()
         };
-        b.iter(|| solve_assignment(black_box(&inst), CostModel::Wardrop, &opts))
+        b.iter(|| network::nash(black_box(&inst), &opts, None))
     });
     group.bench_function("conjugate_fw", |b| {
         let opts = FwOptions {
@@ -30,7 +30,7 @@ fn bench_conjugate_ablation(c: &mut Criterion) {
             max_iters: 1_000_000,
             ..FwOptions::default()
         };
-        b.iter(|| solve_assignment(black_box(&inst), CostModel::Wardrop, &opts))
+        b.iter(|| network::nash(black_box(&inst), &opts, None))
     });
     group.finish();
 }
@@ -39,7 +39,8 @@ fn bench_network_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("fw_network_scaling");
     group.sample_size(10);
     for &(layers, width) in &[(2usize, 3usize), (4, 4), (6, 6), (8, 8)] {
-        let inst = random_layered_network(layers, width, 5.0, 42);
+        let inst =
+            try_random_layered_network(layers, width, 5.0, 42).expect("valid generator parameters");
         let edges = inst.num_edges();
         let opts = FwOptions {
             rel_gap: 1e-8,
@@ -48,12 +49,12 @@ fn bench_network_scaling(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("wardrop", format!("{layers}x{width}_{edges}e")),
             &inst,
-            |b, inst| b.iter(|| solve_assignment(black_box(inst), CostModel::Wardrop, &opts)),
+            |b, inst| b.iter(|| network::nash(black_box(inst), &opts, None)),
         );
         group.bench_with_input(
             BenchmarkId::new("optimum", format!("{layers}x{width}_{edges}e")),
             &inst,
-            |b, inst| b.iter(|| solve_assignment(black_box(inst), CostModel::SystemOptimum, &opts)),
+            |b, inst| b.iter(|| network::optimum(black_box(inst), &opts, None)),
         );
     }
     group.finish();

@@ -1,40 +1,46 @@
-//! Frank–Wolfe pipeline throughput: cold vs warm α-sweeps and the CSR
-//! Dijkstra workspace vs the allocating wrapper — the criterion view of
-//! the numbers `fw_bench` bakes into `BENCH_fw.json`.
+//! Frank–Wolfe pipeline throughput: cold vs warm α-sweeps, a solve over a
+//! reused workspace, and the CSR Dijkstra workspace — the criterion view
+//! of the numbers `fw_bench` bakes into `BENCH_fw.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use sopt_core::curve::anarchy_curve_network;
-use sopt_instances::random::random_layered_network;
+use sopt_core::curve::{network_anarchy_curve, CurveOptions};
+use sopt_instances::random::try_random_layered_network;
 use sopt_network::csr::{Csr, SpWorkspace};
 use sopt_network::graph::NodeId;
-use sopt_network::spath::dijkstra;
-use sopt_solver::frank_wolfe::{try_solve_warm_with, FwOptions, FwWorkspace};
+use sopt_solver::frank_wolfe::{try_solve_parts_with, FwOptions, FwWorkspace};
 use sopt_solver::objective::CostModel;
 
 fn bench_curve_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("fw_curve_sweep");
-    let inst = random_layered_network(4, 4, 8.0, 7);
+    let inst = try_random_layered_network(4, 4, 8.0, 7).expect("valid generator parameters");
     let alphas: Vec<f64> = (0..=10).map(|k| k as f64 / 10.0).collect();
     let opts = FwOptions::default();
-    group.bench_function("cold", |b| {
-        b.iter(|| black_box(anarchy_curve_network(&inst, &alphas, &opts, false).unwrap()))
-    });
-    group.bench_function("warm", |b| {
-        b.iter(|| black_box(anarchy_curve_network(&inst, &alphas, &opts, true).unwrap()))
-    });
+    for (name, warm) in [("cold", false), ("warm", true)] {
+        let copts = CurveOptions {
+            warm,
+            ..CurveOptions::default()
+        };
+        group.bench_function(name, |b| {
+            b.iter(|| black_box(network_anarchy_curve(&inst, &alphas, &opts, &copts).unwrap()))
+        });
+    }
     group.finish();
 }
 
 fn bench_workspace_reuse(c: &mut Criterion) {
     let mut group = c.benchmark_group("fw_workspace");
-    let inst = random_layered_network(4, 4, 8.0, 7);
+    let inst = try_random_layered_network(4, 4, 8.0, 7).expect("valid generator parameters");
     let opts = FwOptions::default();
     let mut ws = FwWorkspace::new();
+    let (net, w) = (inst.routing(), CostModel::Wardrop);
+    let demands = net.demands();
     group.bench_function("explicit_workspace_solve", |b| {
         b.iter(|| {
-            black_box(try_solve_warm_with(&mut ws, &inst, CostModel::Wardrop, &opts, None).unwrap())
+            let r =
+                try_solve_parts_with(&mut ws, net.graph, net.latencies, &demands, w, &opts, None);
+            black_box(r.unwrap())
         })
     });
     group.finish();
@@ -42,13 +48,10 @@ fn bench_workspace_reuse(c: &mut Criterion) {
 
 fn bench_csr_dijkstra(c: &mut Criterion) {
     let mut group = c.benchmark_group("csr_dijkstra");
-    let inst = random_layered_network(8, 8, 40.0, 13);
+    let inst = try_random_layered_network(8, 8, 40.0, 13).expect("valid generator parameters");
     let costs: Vec<f64> = (0..inst.num_edges())
         .map(|e| 1.0 + (e % 7) as f64)
         .collect();
-    group.bench_function("allocating_wrapper", |b| {
-        b.iter(|| black_box(dijkstra(&inst.graph, &costs, NodeId(0))))
-    });
     let csr = Csr::new(&inst.graph);
     let mut sp = SpWorkspace::new();
     group.bench_function("csr_workspace", |b| {

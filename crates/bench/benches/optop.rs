@@ -5,17 +5,17 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sopt_core::optop::optop;
 use sopt_equilibrium::parallel::ParallelLinks;
-use sopt_instances::random::{random_affine, random_mixed};
+use sopt_instances::random::{try_random_affine, try_random_mixed};
 use std::hint::black_box;
 
 fn bench_optop_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("optop_scaling");
     for &m in &[10usize, 100, 1_000] {
-        let links = random_affine(m, 5.0, 7);
+        let links = try_random_affine(m, 5.0, 7).expect("valid generator parameters");
         group.bench_with_input(BenchmarkId::new("affine", m), &links, |b, links| {
             b.iter(|| optop(black_box(links)))
         });
-        let mixed = random_mixed(m, 5.0, 7);
+        let mixed = try_random_mixed(m, 5.0, 7).expect("valid generator parameters");
         group.bench_with_input(BenchmarkId::new("mixed", m), &mixed, |b, links| {
             b.iter(|| optop(black_box(links)))
         });

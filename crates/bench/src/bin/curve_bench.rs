@@ -2,7 +2,7 @@
 //! baseline (`BENCH_curve.json`; first CLI argument overrides the path).
 //!
 //! For each k-commodity instance and each strategy split it runs the
-//! `anarchy_curve_multi` α-sweep twice — **cold** (every induced solve
+//! `network_anarchy_curve` α-sweep twice — **cold** (every induced solve
 //! bootstraps from all-or-nothing) and **warm** (each α's follower solve is
 //! seeded from the previous α's per-commodity follower flows) — and records
 //! total Frank–Wolfe iterations, wall seconds, and the maximum per-edge
@@ -16,8 +16,8 @@
 
 use std::time::Instant;
 
-use sopt_core::curve::{anarchy_curve_multi, CurveOptions, CurveStrategy};
-use sopt_instances::random::random_multicommodity;
+use sopt_core::curve::{network_anarchy_curve, CurveOptions, CurveStrategy};
+use sopt_instances::random::try_random_multicommodity;
 use sopt_network::instance::MultiCommodityInstance;
 use sopt_solver::frank_wolfe::FwOptions;
 
@@ -55,10 +55,11 @@ fn measure(name: &str, inst: &MultiCommodityInstance, strategy: CurveStrategy) -
     let mut warm = None;
     for _ in 0..REPS {
         let t = Instant::now();
-        cold = Some(anarchy_curve_multi(inst, &alphas, &opts, &copts(false)).expect("cold sweep"));
+        cold =
+            Some(network_anarchy_curve(inst, &alphas, &opts, &copts(false)).expect("cold sweep"));
         cold_secs = cold_secs.min(t.elapsed().as_secs_f64());
         let t = Instant::now();
-        warm = Some(anarchy_curve_multi(inst, &alphas, &opts, &copts(true)).expect("warm sweep"));
+        warm = Some(network_anarchy_curve(inst, &alphas, &opts, &copts(true)).expect("warm sweep"));
         warm_secs = warm_secs.min(t.elapsed().as_secs_f64());
     }
     let (cold, warm) = (cold.unwrap(), warm.unwrap());
@@ -128,9 +129,9 @@ fn main() {
 
     // Shared layered cores with 2–3 contending commodities — the same
     // family the warm-start tests and the engine's multi scenarios use.
-    let small = random_multicommodity(3, 3, 2, 6.0, 11);
-    let medium = random_multicommodity(4, 4, 3, 12.0, 23);
-    let wide = random_multicommodity(3, 5, 3, 15.0, 41);
+    let small = try_random_multicommodity(3, 3, 2, 6.0, 11).expect("valid generator parameters");
+    let medium = try_random_multicommodity(4, 4, 3, 12.0, 23).expect("valid generator parameters");
+    let wide = try_random_multicommodity(3, 5, 3, 15.0, 41).expect("valid generator parameters");
 
     let cases = [
         measure("multi-3x3-k2", &small, CurveStrategy::Strong),

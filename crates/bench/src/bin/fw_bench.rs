@@ -10,7 +10,7 @@
 //! adjacent α equilibria are close, so the seeded solver skips the
 //! sublinear bootstrap and converges in a handful of polish rounds.
 //!
-//! Instance mix: the paper's nets (Fig. 7, Braess) plus `random_spec_mixed`
+//! Instance mix: the paper's nets (Fig. 7, Braess) plus `try_random_spec_mixed`
 //! parallel fleets (as 2-node networks) and random layered networks — the
 //! same families `sopt gen` feeds the engine.
 //!
@@ -20,9 +20,9 @@
 
 use std::time::Instant;
 
-use sopt_core::curve::anarchy_curve_network;
+use sopt_core::curve::{network_anarchy_curve, CurveOptions};
 use sopt_instances::braess::{braess_classic, fig7_instance};
-use sopt_instances::random::{random_layered_network, random_spec_mixed};
+use sopt_instances::random::{try_random_layered_network, try_random_spec_mixed};
 use sopt_network::graph::NodeId;
 use sopt_network::instance::NetworkInstance;
 use sopt_network::DiGraph;
@@ -35,10 +35,10 @@ const FLOW_TOL: f64 = 1e-5;
 /// Iteration-reduction bar.
 const MIN_ITER_RATIO: f64 = 3.0;
 
-/// A `random_spec_mixed` parallel fleet member, modelled as a 2-node
+/// A `try_random_spec_mixed` parallel fleet member, modelled as a 2-node
 /// network so it exercises the Frank–Wolfe pipeline.
 fn parallel_as_network(m: usize, rate: f64, seed: u64) -> NetworkInstance {
-    let links = random_spec_mixed(m, rate, seed);
+    let links = try_random_spec_mixed(m, rate, seed).expect("valid generator parameters");
     let mut g = DiGraph::with_nodes(2);
     for _ in 0..links.m() {
         g.add_edge(NodeId(0), NodeId(1));
@@ -74,12 +74,19 @@ fn measure(name: &'static str, inst: &NetworkInstance) -> CaseNumbers {
     let mut warm_secs = f64::INFINITY;
     let mut cold = None;
     let mut warm = None;
+    let sweep = |warm| {
+        let copts = CurveOptions {
+            warm,
+            ..CurveOptions::default()
+        };
+        network_anarchy_curve(inst, &alphas, &opts, &copts).expect("α-sweep")
+    };
     for _ in 0..REPS {
         let t = Instant::now();
-        cold = Some(anarchy_curve_network(inst, &alphas, &opts, false).expect("cold sweep"));
+        cold = Some(sweep(false));
         cold_secs = cold_secs.min(t.elapsed().as_secs_f64());
         let t = Instant::now();
-        warm = Some(anarchy_curve_network(inst, &alphas, &opts, true).expect("warm sweep"));
+        warm = Some(sweep(true));
         warm_secs = warm_secs.min(t.elapsed().as_secs_f64());
     }
     let (cold, warm) = (cold.unwrap(), warm.unwrap());
@@ -147,8 +154,14 @@ fn main() {
         measure("braess-classic", &braess_classic()),
         measure("spec-mixed-8", &parallel_as_network(8, 2.0, 17)),
         measure("spec-mixed-24", &parallel_as_network(24, 3.0, 29)),
-        measure("layered-4x4", &random_layered_network(4, 4, 8.0, 7)),
-        measure("layered-6x6", &random_layered_network(6, 6, 20.0, 11)),
+        measure(
+            "layered-4x4",
+            &try_random_layered_network(4, 4, 8.0, 7).expect("valid generator parameters"),
+        ),
+        measure(
+            "layered-6x6",
+            &try_random_layered_network(6, 6, 20.0, 11).expect("valid generator parameters"),
+        ),
     ];
 
     let cold_total: usize = cases.iter().map(|c| c.cold_iters).sum();

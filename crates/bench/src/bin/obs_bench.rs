@@ -36,9 +36,9 @@ use std::hint::black_box;
 use std::process::Command;
 use std::time::Instant;
 
-use sopt_core::curve::anarchy_curve_network;
+use sopt_core::curve::{network_anarchy_curve, CurveOptions};
 use sopt_instances::braess::{braess_classic, fig7_instance};
-use sopt_instances::random::random_layered_network;
+use sopt_instances::random::try_random_layered_network;
 use sopt_network::instance::NetworkInstance;
 use sopt_solver::frank_wolfe::FwOptions;
 
@@ -74,8 +74,14 @@ fn instances() -> Vec<(&'static str, NetworkInstance)> {
     vec![
         ("fig7-eps0.05", fig7_instance(0.05)),
         ("braess-classic", braess_classic()),
-        ("layered-4x4", random_layered_network(4, 4, 8.0, 7)),
-        ("layered-6x6", random_layered_network(6, 6, 20.0, 11)),
+        (
+            "layered-4x4",
+            try_random_layered_network(4, 4, 8.0, 7).expect("valid generator parameters"),
+        ),
+        (
+            "layered-6x6",
+            try_random_layered_network(6, 6, 20.0, 11).expect("valid generator parameters"),
+        ),
     ]
 }
 
@@ -86,7 +92,8 @@ fn workload(instances: &[(&'static str, NetworkInstance)], alphas: &[f64]) -> f6
     let mut acc = 0.0;
     for _ in 0..INNER {
         for (_, inst) in instances {
-            let curve = anarchy_curve_network(inst, alphas, &opts, true).expect("warm sweep");
+            let curve = network_anarchy_curve(inst, alphas, &opts, &CurveOptions::default())
+                .expect("warm sweep");
             acc += curve.points.iter().map(|p| p.cost).sum::<f64>();
         }
     }

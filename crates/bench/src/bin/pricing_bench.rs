@@ -15,8 +15,8 @@
 
 use std::time::Instant;
 
-use sopt_equilibrium::network::{try_network_nash, warm_seed_from};
-use sopt_instances::random::random_layered_network;
+use sopt_equilibrium::network;
+use sopt_instances::random::try_random_layered_network;
 use sopt_latency::LatencyFn;
 use sopt_network::instance::NetworkInstance;
 use sopt_solver::frank_wolfe::{FwOptions, FwResult};
@@ -42,15 +42,13 @@ struct CaseNumbers {
     max_flow_dev: f64,
 }
 
-/// The instance with a β-scaled toll on every priceable edge.
-fn tolled(inst: &NetworkInstance, priceable: &[bool], toll: f64) -> NetworkInstance {
-    let lats: Vec<LatencyFn> = inst
-        .latencies
+/// The latencies with a β-scaled toll on every priceable edge.
+fn tolled(inst: &NetworkInstance, priceable: &[bool], toll: f64) -> Vec<LatencyFn> {
+    inst.latencies
         .iter()
         .zip(priceable)
         .map(|(l, &p)| if p { l.tolled(toll) } else { l.clone() })
-        .collect();
-    NetworkInstance::new(inst.graph.clone(), lats, inst.source, inst.sink, inst.rate)
+        .collect()
 }
 
 fn revenue_of(priceable: &[bool], toll: f64, r: &FwResult) -> f64 {
@@ -73,16 +71,21 @@ fn sweep(
     opts: &FwOptions,
     warm: bool,
 ) -> (Vec<f64>, Vec<Vec<f64>>, usize) {
-    let base = try_network_nash(inst, opts, None).expect("unpriced nash");
-    let mut seed = warm_seed_from(&base.flow);
+    let base = network::nash(inst, opts, None).expect("unpriced nash");
+    let mut iters = base.iterations;
+    let mut seed = base;
     let mut revenues = Vec::with_capacity(BETA_STEPS + 1);
     let mut flows = Vec::with_capacity(BETA_STEPS + 1);
-    let mut iters = base.iterations;
     for j in 0..=BETA_STEPS {
         let beta = 2.0 * j as f64 / BETA_STEPS as f64;
         let toll = beta * PRICE;
-        let r = try_network_nash(&tolled(inst, priceable, toll), opts, warm.then_some(&seed))
-            .expect("priced nash");
+        let lats = tolled(inst, priceable, toll);
+        let r = network::nash(
+            inst.routing().with_latencies(&lats),
+            opts,
+            warm.then_some(&seed),
+        )
+        .expect("priced nash");
         iters += r.iterations;
         revenues.push(revenue_of(priceable, toll, &r));
         flows.push(r.flow.as_slice().to_vec());
@@ -180,9 +183,18 @@ fn main() {
     // The same layered family the curve and engine baselines use, single
     // commodity — the class the network pricing task runs on.
     let cases = [
-        measure("net-3x3", &random_layered_network(3, 3, 6.0, 11)),
-        measure("net-4x4", &random_layered_network(4, 4, 12.0, 23)),
-        measure("net-3x5", &random_layered_network(3, 5, 15.0, 41)),
+        measure(
+            "net-3x3",
+            &try_random_layered_network(3, 3, 6.0, 11).expect("valid generator parameters"),
+        ),
+        measure(
+            "net-4x4",
+            &try_random_layered_network(4, 4, 12.0, 23).expect("valid generator parameters"),
+        ),
+        measure(
+            "net-3x5",
+            &try_random_layered_network(3, 5, 15.0, 41).expect("valid generator parameters"),
+        ),
     ];
 
     let cold_total: usize = cases.iter().map(|c| c.cold_iters).sum();

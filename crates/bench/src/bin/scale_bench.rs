@@ -41,8 +41,8 @@ use sopt_network::graph::NodeId;
 use sopt_network::instance::NetworkInstance;
 use sopt_network::EdgeFlow;
 use sopt_solver::aon::{aon_assign_targets, aon_st_into};
-use sopt_solver::frank_wolfe::{try_solve_assignment, FwOptions};
-use sopt_solver::{AonMode, CommodityGroups, CostModel};
+use sopt_solver::frank_wolfe::FwOptions;
+use sopt_solver::{AonMode, CommodityGroups};
 use stackopt::api::{parse_batch_file, Engine};
 use stackopt::fleet::{generate_fleet, Family};
 
@@ -88,7 +88,7 @@ fn solve_timed(inst: &NetworkInstance, opts: &FwOptions, reps: usize) -> SolveNu
     let mut result = None;
     for _ in 0..reps.max(1) {
         let t = Instant::now();
-        result = Some(try_solve_assignment(inst, CostModel::Wardrop, opts).expect("grid solve"));
+        result = Some(sopt_equilibrium::network::nash(inst, opts, None).expect("grid solve"));
         secs = secs.min(t.elapsed().as_secs_f64());
     }
     let r = result.expect("at least one rep");

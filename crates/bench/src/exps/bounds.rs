@@ -4,7 +4,7 @@ use sopt_core::llf::llf;
 use sopt_core::scale::scale;
 use sopt_equilibrium::cost::coordination_ratio;
 use sopt_equilibrium::parallel::ParallelLinks;
-use sopt_instances::random::{random_affine, random_mixed};
+use sopt_instances::random::{try_random_affine, try_random_mixed};
 use sopt_latency::LatencyFn;
 use sopt_solver::sweep::par_map;
 
@@ -28,13 +28,13 @@ pub fn e8_llf_scale_bounds() {
     ]);
     for &alpha in &alphas {
         let mixed = par_map(&seeds, |&s| {
-            let links = random_mixed(5, 1.5, s);
+            let links = try_random_mixed(5, 1.5, s).expect("valid generator parameters");
             let co = links.cost(links.optimum().flows());
             let (_, c) = llf(&links, alpha);
             c / co
         });
         let linear: Vec<(f64, f64)> = par_map(&seeds, |&s| {
-            let links = random_affine(5, 1.5, s);
+            let links = try_random_affine(5, 1.5, s).expect("valid generator parameters");
             let co = links.cost(links.optimum().flows());
             let (_, cl) = llf(&links, alpha);
             let (_, cs) = scale(&links, alpha);
@@ -69,7 +69,8 @@ pub fn e10_poa_bounds() {
     println!("\n=== E10: coordination ratio (Expression (1)) ===");
     let seeds: Vec<u64> = (0..200).collect();
     let ratios = par_map(&seeds, |&s| {
-        let links = random_affine(4, 1.0 + (s % 7) as f64 * 0.3, s);
+        let links = try_random_affine(4, 1.0 + (s % 7) as f64 * 0.3, s)
+            .expect("valid generator parameters");
         let cn = links.cost(links.nash().flows());
         let co = links.cost(links.optimum().flows());
         coordination_ratio(cn, co)

@@ -1,10 +1,10 @@
 //! E1–E4: the paper's worked figures, regenerated.
 
-use sopt_core::mop::mop;
+use sopt_core::mop::try_mop;
 use sopt_core::optop::optop;
 use sopt_core::theorems::swap_reassignment;
 use sopt_equilibrium::cost::coordination_ratio;
-use sopt_equilibrium::network::{induced_network, network_nash};
+use sopt_equilibrium::network;
 use sopt_instances::braess::{fig7_expected, fig7_instance};
 use sopt_instances::fig4::{fig4_expected, fig4_links};
 use sopt_instances::pigou::{pigou_expected, pigou_links};
@@ -128,9 +128,10 @@ pub fn e3_fig7_mop() {
     for &eps in &[0.0, 0.01, 0.05, 0.1, 0.2] {
         let inst = fig7_instance(eps);
         let e = fig7_expected(eps);
-        let r = mop(&inst, &opts);
-        let nash = network_nash(&inst, &opts);
-        let follower = induced_network(&inst, &r.leader, r.leader_value, &opts);
+        let r = try_mop(&inst, &opts).expect("a reachable sink");
+        let nash = network::nash(&inst, &opts, None).expect("a reachable sink");
+        let follower = network::induced(&inst, r.leader.as_slice(), &[r.leader_value], &opts, None)
+            .expect("a reachable sink");
         let total: Vec<f64> = r
             .leader
             .as_slice()

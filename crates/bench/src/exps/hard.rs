@@ -9,7 +9,7 @@ use sopt_equilibrium::parallel::ParallelLinks;
 use sopt_instances::fig4::fig4_links;
 use sopt_instances::hard::random_weight_instance;
 use sopt_instances::pigou::pigou_links;
-use sopt_instances::random::random_common_slope;
+use sopt_instances::random::try_random_common_slope;
 use sopt_solver::sweep::par_map;
 
 use crate::table::{f, Table};
@@ -26,7 +26,8 @@ pub fn e6_theorem24_vs_brute() {
         }
     }
     let rows = par_map(&points, |&(m, seed, alpha)| {
-        let links = random_common_slope(m, 1.0, seed * 1000 + m as u64);
+        let links = try_random_common_slope(m, 1.0, seed * 1000 + m as u64)
+            .expect("valid generator parameters");
         let exact = linear_optimal_strategy(&links, alpha);
         let (_, brute) = brute_force_optimal(&links, alpha, &BruteOptions::default());
         (m, seed, alpha, exact.cost, brute, exact.beta)
@@ -92,11 +93,11 @@ pub fn e7_beta_minimality() {
         ("fig4".into(), fig4_links()),
         (
             "common-slope m=3 #1".into(),
-            random_common_slope(3, 1.0, 17),
+            try_random_common_slope(3, 1.0, 17).expect("valid generator parameters"),
         ),
         (
             "common-slope m=4 #2".into(),
-            random_common_slope(4, 1.0, 99),
+            try_random_common_slope(4, 1.0, 99).expect("valid generator parameters"),
         ),
     ];
     for (name, links) in &common {
@@ -161,7 +162,7 @@ pub fn e13_threshold() {
     for seed in [5u64, 23, 41] {
         instances.push((
             format!("common-slope m=3 seed {seed}"),
-            random_common_slope(3, 1.0, seed),
+            try_random_common_slope(3, 1.0, seed).expect("valid generator parameters"),
         ));
     }
     for (name, links) in &instances {

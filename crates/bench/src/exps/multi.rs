@@ -1,7 +1,7 @@
 //! E11 — Theorem 2.1: the price of optimum on k-commodity networks.
 
-use sopt_core::mop_multi::mop_multi;
-use sopt_equilibrium::network::{induced_multicommodity, multicommodity_nash};
+use sopt_core::mop_multi::try_mop_multi;
+use sopt_equilibrium::network;
 use sopt_latency::LatencyFn;
 use sopt_network::graph::{DiGraph, NodeId};
 use sopt_network::instance::{Commodity, MultiCommodityInstance};
@@ -129,10 +129,16 @@ pub fn e11_multicommodity() {
         "C(S+T)",
     ]);
     for (name, inst) in &instances {
-        let r = mop_multi(inst, &opts);
-        let nash = multicommodity_nash(inst, &opts);
-        let values: Vec<f64> = r.commodities.iter().map(|c| c.leader_value).collect();
-        let follower = induced_multicommodity(inst, &r.leader_total, &values, &opts);
+        let r = try_mop_multi(inst, &opts).expect("a reachable sink");
+        let nash = network::nash(inst, &opts, None).expect("a reachable sink");
+        let follower = network::induced(
+            inst,
+            r.leader_total.as_slice(),
+            &r.leader_values,
+            &opts,
+            None,
+        )
+        .expect("a reachable sink");
         let total: Vec<f64> = r
             .leader_total
             .as_slice()
@@ -142,9 +148,9 @@ pub fn e11_multicommodity() {
             .collect();
         let c_induced = inst.cost(&total);
         let alphas = r
-            .commodities
+            .alphas
             .iter()
-            .map(|c| format!("{:.3}", c.alpha))
+            .map(|alpha| format!("{alpha:.3}"))
             .collect::<Vec<_>>()
             .join(", ");
         t.row([

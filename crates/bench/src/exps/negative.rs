@@ -12,8 +12,8 @@
 //! * MOP's approximation guarantee is exactly 1 on every member
 //!   (Remark 3.1: `1 ≤ 1/α` for all α, "despite the negative result").
 
-use sopt_core::mop::mop;
-use sopt_equilibrium::network::{induced_network, network_nash};
+use sopt_core::mop::try_mop;
+use sopt_equilibrium::network;
 use sopt_instances::braess::{roughgarden_651, roughgarden_651_optimum_cost};
 use sopt_network::flow::EdgeFlow;
 use sopt_solver::frank_wolfe::FwOptions;
@@ -28,7 +28,8 @@ fn induced_cost_651(k: u32, a: f64, b: f64, c: f64, opts: &FwOptions) -> f64 {
     // Path flows → edge flows (edges: s→v, s→w, v→w, v→t, w→t).
     let leader = EdgeFlow(vec![a + c, b, c, a, b + c]);
     let value = a + b + c;
-    let follower = induced_network(&inst, &leader, value, opts);
+    let follower =
+        network::induced(&inst, leader.as_slice(), &[value], opts, None).expect("a reachable sink");
     let total: Vec<f64> = leader
         .as_slice()
         .iter()
@@ -74,9 +75,9 @@ pub fn e5_unbounded_stackelberg() {
     for &k in &[1u32, 2, 4, 8, 16, 32] {
         let inst = roughgarden_651(k);
         let copt = roughgarden_651_optimum_cost(k);
-        let nash = network_nash(&inst, &opts);
+        let nash = network::nash(&inst, &opts, None).expect("a reachable sink");
         let anarchy = inst.cost(nash.flow.as_slice()) / copt;
-        let beta = mop(&inst, &opts).beta;
+        let beta = try_mop(&inst, &opts).expect("a reachable sink").beta;
         let best = best_strategy_cost(k, alpha, 24, &opts) / copt;
         let regime = if alpha < beta - 1e-3 {
             saw_hard = true;

@@ -13,7 +13,7 @@ use sopt_equilibrium::parallel::ParallelLinks;
 use sopt_instances::fig4::fig4_links;
 use sopt_instances::mm1_families::spread_links;
 use sopt_instances::pigou::pigou_links;
-use sopt_instances::random::random_affine;
+use sopt_instances::random::try_random_affine;
 use sopt_latency::Latency;
 
 use crate::table::{f, Table};
@@ -24,7 +24,10 @@ pub fn e15_control_vs_pricing() {
     let instances: Vec<(String, ParallelLinks)> = vec![
         ("pigou".into(), pigou_links()),
         ("fig4".into(), fig4_links()),
-        ("affine m=5".into(), random_affine(5, 1.5, 3)),
+        (
+            "affine m=5".into(),
+            try_random_affine(5, 1.5, 3).expect("valid generator parameters"),
+        ),
         ("mm1 spread ×6".into(), spread_links(6, 1.0, 1.3, 8.0)),
     ];
     let mut t = Table::new([

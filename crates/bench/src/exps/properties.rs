@@ -5,7 +5,7 @@ use sopt_core::optop::optop;
 use sopt_core::theorems::{
     frozen_induced_flow, monotonicity_violation, useless_strategy_deviation,
 };
-use sopt_instances::random::random_mixed;
+use sopt_instances::random::try_random_mixed;
 use sopt_solver::sweep::par_map;
 
 use crate::table::{f, Table};
@@ -18,7 +18,7 @@ pub fn e12_invariants() {
 
     // Prop 7.1: Nash monotonicity in the rate.
     let mono = par_map(&seeds, |&s| {
-        let links = random_mixed(5, 2.0, s);
+        let links = try_random_mixed(5, 2.0, s).expect("valid generator parameters");
         let r_small = 0.2 + (s % 9) as f64 * 0.2;
         monotonicity_violation(links.latencies(), r_small.min(2.0), 2.0)
     });
@@ -27,7 +27,7 @@ pub fn e12_invariants() {
 
     // Thm 7.2: sub-Nash strategies are invisible.
     let useless = par_map(&seeds, |&s| {
-        let links = random_mixed(4, 1.0, s);
+        let links = try_random_mixed(4, 1.0, s).expect("valid generator parameters");
         let frac = (s % 10) as f64 / 10.0;
         let strat: Vec<f64> = links.nash().flows().iter().map(|n| n * frac).collect();
         useless_strategy_deviation(&links, &strat)
@@ -37,7 +37,7 @@ pub fn e12_invariants() {
 
     // Thm 7.4 / L 7.5: frozen links get nothing.
     let frozen = par_map(&seeds, |&s| {
-        let links = random_mixed(4, 1.0, s);
+        let links = try_random_mixed(4, 1.0, s).expect("valid generator parameters");
         let nash = links.nash().flows().to_vec();
         let k = (s % 4) as usize;
         let bump = (s % 7) as f64 * 0.04;
@@ -53,7 +53,7 @@ pub fn e12_invariants() {
 
     // Corollary 2.2 end-to-end: OpTop enforces C(O).
     let optop_dev = par_map(&seeds, |&s| {
-        let links = random_mixed(5, 1.5, s);
+        let links = try_random_mixed(5, 1.5, s).expect("valid generator parameters");
         let r = optop(&links);
         let c = links.induced_cost(&r.strategy);
         (c - r.optimum_cost).abs() / r.optimum_cost.max(1e-12)

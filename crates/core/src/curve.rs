@@ -6,23 +6,18 @@
 //! pins to exactly 1 at `α = β_M` (Corollary 2.2) — the crossover the
 //! experiments E5/E7 measure pointwise.
 
-use sopt_equilibrium::network::{
-    try_induced_multicommodity, try_induced_network, try_multicommodity_nash,
-    try_multicommodity_optimum, try_network_nash, try_network_optimum, WarmSeed,
-};
+use sopt_equilibrium::network::{self, WarmSeed};
 use sopt_equilibrium::parallel::ParallelLinks;
 use sopt_latency::LatencyFn;
 use sopt_network::flow::EdgeFlow;
-use sopt_network::instance::{MultiCommodityInstance, NetworkInstance};
-use sopt_solver::error::SolverError;
+use sopt_network::instance::Routing;
 use sopt_solver::frank_wolfe::{FwOptions, FwResult};
 
 use crate::brute::{brute_force_optimal, BruteOptions};
 use crate::error::CoreError;
 use crate::linear_optimal::linear_optimal_strategy;
 use crate::llf::llf;
-use crate::mop::{try_mop_with_optimum, MopResult};
-use crate::mop_multi::{try_mop_multi_with_optimum, MopMultiResult};
+use crate::mop_multi::{try_mop_multi_plan_with_optimum, MopMultiPlan};
 use crate::optop::optop;
 use crate::scale::scale;
 
@@ -145,7 +140,7 @@ pub enum CurveStrategy {
     Strong,
     /// The Leader must control the *same* portion `α` of every commodity.
     /// The curve pins to 1 only at `α = max_i α_i ≥ β` (the weak
-    /// crossover, [`MopMultiResult::weak_beta`]).
+    /// crossover, [`MopMultiPlan::weak_beta`]).
     Weak,
 }
 
@@ -174,12 +169,12 @@ impl std::fmt::Display for CurveStrategy {
     }
 }
 
-/// Knobs of the induced-equilibrium α-sweeps ([`anarchy_curve_network`],
-/// [`anarchy_curve_multi`]).
+/// Knobs of the induced-equilibrium α-sweep ([`anarchy_curve_with`],
+/// [`network_anarchy_curve`]).
 #[derive(Clone, Copy, Debug)]
 pub struct CurveOptions {
-    /// Weak vs strong portion split (k-commodity sweeps only; ignored by
-    /// single-commodity classes, where the two coincide).
+    /// Weak vs strong portion split. On one commodity the two coincide up
+    /// to the last bit (`α·r` against `(α·r/v)·v`).
     pub strategy: CurveStrategy,
     /// Seed each α's induced solve from the previous α's follower flow.
     pub warm: bool,
@@ -234,63 +229,31 @@ pub struct NetworkAnarchyCurve {
     pub total_iterations: usize,
 }
 
-/// The per-commodity α-portion plan an induced-equilibrium sweep needs,
-/// extracted from MOP (`k = 1`, Corollary 2.3) or Theorem 2.1 (`k`
-/// commodities). [`CurvePlan::leader_at`] is the per-class α-portion
-/// policy: given an overall portion it produces the Leader edge flow, the
-/// per-commodity controlled values, and the oracle tag.
+/// The per-commodity α-portion plan an induced-equilibrium sweep needs:
+/// Theorem 2.1's plan (MOP, Corollary 2.3, being its `k = 1` case) beside
+/// the per-commodity optimum it was read from. [`CurvePlan::leader_at`] is
+/// the α-portion policy: given an overall portion it produces the Leader
+/// edge flow, the per-commodity controlled values, and the oracle tag.
 #[derive(Clone, Debug)]
-pub struct CurvePlan {
-    /// Overall price of optimum `β` (the strong crossover).
-    pub beta: f64,
-    /// Weak crossover `max_i α_i`.
-    pub weak_beta: f64,
+pub struct CurvePlan<'a> {
+    /// β, the per-commodity free parts `free_i` (value `r'_i`) and the
+    /// controlled values `r_i − r'_i`.
+    pub plan: MopMultiPlan,
     /// Per-commodity demands `r_i`.
     pub rates: Vec<f64>,
-    /// Per-commodity Leader flows of the β-optimal strategy.
-    pub per_leader: Vec<EdgeFlow>,
-    /// Per-commodity controlled values `r_i − r'_i`.
-    pub leader_values: Vec<f64>,
-    /// Per-commodity free (mimicking) flows.
-    pub per_free: Vec<EdgeFlow>,
-    /// Per-commodity free values `r'_i`.
-    pub free_values: Vec<f64>,
-    /// Per-commodity optimum flows `O^i` (the SCALE base below β).
-    pub per_optimum: Vec<EdgeFlow>,
-    /// `C(O)`.
-    pub optimum_cost: f64,
+    /// Per-commodity optimum flows `O^i`: the SCALE base below β, and
+    /// `O^i − free_i` is commodity `i`'s β-optimal Leader flow.
+    pub per_optimum: &'a [EdgeFlow],
 }
 
-impl CurvePlan {
-    /// The plan of a single-commodity s–t instance (from MOP).
-    pub fn from_mop(r: &MopResult, rate: f64) -> Self {
-        let alpha = r.leader_value / rate;
-        Self {
-            beta: r.beta,
-            weak_beta: alpha,
-            rates: vec![rate],
-            per_leader: vec![r.leader.clone()],
-            leader_values: vec![r.leader_value],
-            per_free: vec![r.free_flow.clone()],
-            free_values: vec![r.free_value],
-            per_optimum: vec![r.optimum.clone()],
-            optimum_cost: r.optimum_cost,
-        }
-    }
-
-    /// The plan of a k-commodity instance (from Theorem 2.1).
-    pub fn from_mop_multi(r: &MopMultiResult, rates: Vec<f64>) -> Self {
-        Self {
-            beta: r.beta,
-            weak_beta: r.weak_beta(),
-            rates,
-            per_leader: r.commodities.iter().map(|c| c.leader.clone()).collect(),
-            leader_values: r.commodities.iter().map(|c| c.leader_value).collect(),
-            per_free: r.commodities.iter().map(|c| c.free_flow.clone()).collect(),
-            free_values: r.commodities.iter().map(|c| c.free_value).collect(),
-            per_optimum: r.commodities.iter().map(|c| c.optimum.clone()).collect(),
-            optimum_cost: r.optimum_cost,
-        }
+impl<'a> CurvePlan<'a> {
+    /// Theorem 2.1's plan of `net` at its optimum `optimum`.
+    pub fn new(net: Routing<'_>, optimum: &'a FwResult) -> Result<Self, CoreError> {
+        Ok(Self {
+            plan: try_mop_multi_plan_with_optimum(net, optimum)?,
+            rates: net.commodities().iter().map(|c| c.rate).collect(),
+            per_optimum: &optimum.per_commodity,
+        })
     }
 
     /// Number of commodities.
@@ -330,21 +293,24 @@ impl CurvePlan {
         let mut leader = EdgeFlow::zeros(m);
         let mut values = vec![0.0; k];
 
-        // Pad commodity `i`'s strategy with `share` of its mimicking flow.
+        let (free, required_i) = (&self.plan.free, &self.plan.leader_values);
+        // Pad commodity `i`'s strategy `O^i − free_i` with `share` of its
+        // mimicking flow.
         let pad = |leader: &mut EdgeFlow, i: usize, share: f64| {
-            let scale = if self.free_values[i] > 1e-15 {
-                (share / self.free_values[i]).min(1.0)
+            let free_value = free[i].value;
+            let scale = if free_value > 1e-15 {
+                (share / free_value).min(1.0)
             } else {
                 0.0
             };
-            for (le, (&se, &fe)) in leader
+            for (le, (&oe, &fe)) in leader
                 .0
                 .iter_mut()
-                .zip(self.per_leader[i].0.iter().zip(&self.per_free[i].0))
+                .zip(self.per_optimum[i].0.iter().zip(&free[i].flow.0))
             {
-                *le += se + scale * fe;
+                *le += (oe - fe).max(0.0) + scale * fe;
             }
-            self.leader_values[i] + share.min(self.free_values[i]).max(0.0)
+            required_i[i] + share.min(free_value).max(0.0)
         };
         // SCALE commodity `i` down to controlled value `b`.
         let scale_to = |leader: &mut EdgeFlow, i: usize, b: f64| {
@@ -361,15 +327,15 @@ impl CurvePlan {
         match strategy {
             CurveStrategy::Strong => {
                 let budget = alpha * total;
-                let required: f64 = self.leader_values.iter().sum();
+                let required: f64 = required_i.iter().sum();
                 if budget >= required - tol {
                     // Every requirement covered; surplus becomes mimicking
                     // flow, split across commodities by free value.
                     let surplus = (budget - required).max(0.0);
-                    let free_total: f64 = self.free_values.iter().sum();
+                    let free_total: f64 = free.iter().map(|f| f.value).sum();
                     for (i, v) in values.iter_mut().enumerate() {
                         let share = if free_total > 1e-15 {
-                            surplus * (self.free_values[i] / free_total)
+                            surplus * (free[i].value / free_total)
                         } else {
                             0.0
                         };
@@ -384,7 +350,7 @@ impl CurvePlan {
                         0.0
                     };
                     for (i, v) in values.iter_mut().enumerate() {
-                        *v = frac * self.leader_values[i];
+                        *v = frac * required_i[i];
                         scale_to(&mut leader, i, *v);
                     }
                     (leader, values, CurveOracle::HeuristicUpperBound)
@@ -394,8 +360,8 @@ impl CurvePlan {
                 let mut all_covered = true;
                 for (i, v) in values.iter_mut().enumerate() {
                     let b = alpha * self.rates[i];
-                    if b >= self.leader_values[i] - tol {
-                        *v = pad(&mut leader, i, b - self.leader_values[i]);
+                    if b >= required_i[i] - tol {
+                        *v = pad(&mut leader, i, b - required_i[i]);
                     } else {
                         all_covered = false;
                         *v = b;
@@ -416,42 +382,62 @@ impl CurvePlan {
     /// turns exact and the ratio pins to 1.
     pub fn crossover(&self, strategy: CurveStrategy) -> f64 {
         match strategy {
-            CurveStrategy::Strong => self.beta,
-            CurveStrategy::Weak => self.weak_beta,
+            CurveStrategy::Strong => self.plan.beta,
+            CurveStrategy::Weak => self.plan.weak_beta(),
         }
     }
 }
 
-/// The shared α-sweep driver behind the network and k-commodity curves:
-/// sample the plan's portion policy at each α, solve the induced
-/// equilibrium (warm-chained from the previous α when `copts.warm`), and
-/// assemble the curve. `induced` abstracts the class's induced solve.
-fn sweep_induced<F>(
-    plan: &CurvePlan,
+/// Sample the a-posteriori anarchy curve of a network at the given α
+/// values (sorted internally), with the optimum and Nash anchors supplied
+/// by the caller (the session layer threads memoized profiles through
+/// here, so a fleet re-touching one scenario solves each anchor once).
+///
+/// The Leader controls the overall portion α of the total demand, split
+/// per commodity by `copts.strategy` (weak/strong, see [`CurveStrategy`]),
+/// and every commodity's remaining flow routes selfishly against the
+/// preloaded latencies. At the crossover and above, the β-optimal strategy
+/// padded with mimicking free flow enforces the optimum exactly (Corollary
+/// 2.2 lifted to networks via Theorem 2.1); below it the Leader plays the
+/// SCALE strategy `α·O` — an upper bound on the optimal induced cost.
+///
+/// With `copts.warm`, each α's induced solve is seeded from the previous
+/// α's follower flows: adjacent α flows are close, so the solver converges
+/// in a handful of iterations instead of re-bootstrapping (`fw_bench` and
+/// `curve_bench` measure the ratio in `BENCH_fw.json` and
+/// `BENCH_curve.json`).
+pub fn anarchy_curve_with<'a>(
+    net: impl Into<Routing<'a>>,
     alphas: &[f64],
+    opts: &FwOptions,
     copts: &CurveOptions,
-    nash_cost: f64,
-    cost: &dyn Fn(&[f64]) -> f64,
-    mut induced: F,
-) -> Result<NetworkAnarchyCurve, CoreError>
-where
-    F: FnMut(&EdgeFlow, &[f64], WarmSeed<'_>) -> Result<FwResult, SolverError>,
-{
+    optimum: &FwResult,
+    nash: &FwResult,
+) -> Result<NetworkAnarchyCurve, CoreError> {
+    let net = net.into();
+    let plan = CurvePlan::new(net, optimum)?;
+    let optimum_cost = plan.plan.optimum_cost;
+    let nash_cost = net.cost(nash.flow.as_slice());
+
     let mut sorted: Vec<f64> = alphas.to_vec();
     sorted.sort_by(f64::total_cmp);
-
     let mut points = Vec::with_capacity(sorted.len());
     let mut total_iterations = 0usize;
     let mut prev: Option<FwResult> = None;
     for &alpha in &sorted {
         assert!((0.0..=1.0).contains(&alpha), "α must lie in [0, 1]");
         let (leader, values, oracle) = plan.leader_at(alpha, copts.strategy);
+        let values: Vec<f64> = values
+            .iter()
+            .zip(&plan.rates)
+            .map(|(&v, &r)| v.min(r))
+            .collect();
         let seed: WarmSeed<'_> = if copts.warm { prev.as_ref() } else { None };
         let follower = {
             // One induced-equilibrium solve per α — the unit the warm-chain
             // optimisation targets, so it gets its own phase histogram.
             let _induced = sopt_obs::global().span(sopt_obs::Phase::Induced);
-            induced(&leader, &values, seed)?
+            network::induced(net, leader.as_slice(), &values, opts, seed)?
         };
         if !follower.converged {
             return Err(CoreError::NotConverged {
@@ -465,12 +451,12 @@ where
             .zip(follower.flow.as_slice())
             .map(|(a, b)| a + b)
             .collect();
-        let point_cost = cost(&flow);
+        let point_cost = net.cost(&flow);
         total_iterations += follower.iterations;
         points.push(NetworkCurvePoint {
             alpha,
             cost: point_cost,
-            ratio: point_cost / plan.optimum_cost,
+            ratio: point_cost / optimum_cost,
             oracle,
             iterations: follower.iterations,
             flow,
@@ -481,144 +467,37 @@ where
     Ok(NetworkAnarchyCurve {
         points,
         beta: plan.crossover(copts.strategy),
-        weak_beta: plan.weak_beta,
+        weak_beta: plan.plan.weak_beta(),
         strategy: copts.strategy,
         nash_cost,
-        optimum_cost: plan.optimum_cost,
+        optimum_cost,
         total_iterations,
     })
 }
 
-/// Sample the a-posteriori anarchy curve of an s–t network at the given α
-/// values (sorted internally).
-///
-/// Strategy oracle per point: at `α ≥ β_G` the MOP strategy padded with
-/// mimicking free flow enforces the optimum exactly (Corollary 2.2 lifted
-/// to networks via Corollary 2.3); below `β_G` the Leader plays the
-/// SCALE strategy `α·O` — an upper bound on the optimal induced cost.
-///
-/// With `warm = true` each α's follower equilibrium is seeded from the
-/// previous α's follower flow (adjacent α flows are close, so the solver
-/// converges in a handful of iterations instead of re-bootstrapping —
-/// `fw_bench` measures the ratio and `BENCH_fw.json` records it).
-pub fn anarchy_curve_network(
-    inst: &NetworkInstance,
+/// [`anarchy_curve_with`] with both anchors solved cold here. They are
+/// cold in either warm mode, so a cold and a warm sweep differ only in
+/// their chained induced solves (what `fw_bench` measures).
+pub fn network_anarchy_curve<'a>(
+    net: impl Into<Routing<'a>>,
     alphas: &[f64],
     opts: &FwOptions,
-    warm: bool,
+    copts: &CurveOptions,
 ) -> Result<NetworkAnarchyCurve, CoreError> {
-    let optimum = try_network_optimum(inst, opts, None)?;
-    if !optimum.converged {
-        return Err(CoreError::NotConverged {
-            what: "optimum",
-            rel_gap: optimum.rel_gap,
-        });
-    }
-    // The Nash anchor is solved cold in both modes, so the two sweeps
-    // differ only in their chained induced solves (what `fw_bench`
-    // measures). The session layer's `curve` task passes its memoized
-    // anchors to `anarchy_curve_network_with` instead.
-    let nash = try_network_nash(inst, opts, None)?;
-    if !nash.converged {
-        return Err(CoreError::NotConverged {
-            what: "nash",
-            rel_gap: nash.rel_gap,
-        });
-    }
-    anarchy_curve_network_with(inst, alphas, opts, warm, &optimum, &nash)
-}
-
-/// [`anarchy_curve_network`] with the optimum and Nash anchors supplied by
-/// the caller — the session layer threads memoized profiles through here so
-/// a fleet re-touching one scenario solves each anchor once.
-pub fn anarchy_curve_network_with(
-    inst: &NetworkInstance,
-    alphas: &[f64],
-    opts: &FwOptions,
-    warm: bool,
-    optimum: &FwResult,
-    nash: &FwResult,
-) -> Result<NetworkAnarchyCurve, CoreError> {
-    let mop = try_mop_with_optimum(inst, optimum)?;
-    let plan = CurvePlan::from_mop(&mop, inst.rate);
-    let nash_cost = inst.cost(nash.flow.as_slice());
-    let copts = CurveOptions {
-        strategy: CurveStrategy::Strong,
-        warm,
+    let net = net.into();
+    let anchor = |r: FwResult, what| {
+        if r.converged {
+            Ok(r)
+        } else {
+            Err(CoreError::NotConverged {
+                what,
+                rel_gap: r.rel_gap,
+            })
+        }
     };
-    sweep_induced(
-        &plan,
-        alphas,
-        &copts,
-        nash_cost,
-        &|flow| inst.cost(flow),
-        |leader, values, seed| {
-            try_induced_network(inst, leader, values[0].min(inst.rate), opts, seed)
-        },
-    )
-}
-
-/// Sample the a-posteriori anarchy curve of a k-commodity instance at the
-/// given α values: the Leader controls the overall portion α of the total
-/// demand, split per commodity by `copts.strategy` (weak/strong, see
-/// [`CurveStrategy`]), and every commodity's remaining flow routes
-/// selfishly against the preloaded latencies. With `copts.warm`, each α's
-/// induced solve is seeded from the previous α's follower flows
-/// (`try_solve_warm_multicommodity` under the hood) — `curve_bench`
-/// measures the iteration reduction (`BENCH_curve.json`).
-pub fn anarchy_curve_multi(
-    inst: &MultiCommodityInstance,
-    alphas: &[f64],
-    opts: &FwOptions,
-    copts: &CurveOptions,
-) -> Result<NetworkAnarchyCurve, CoreError> {
-    let optimum = try_multicommodity_optimum(inst, opts, None)?;
-    if !optimum.converged {
-        return Err(CoreError::NotConverged {
-            what: "optimum",
-            rel_gap: optimum.rel_gap,
-        });
-    }
-    // Anchors are solved cold in both modes (see `anarchy_curve_network`).
-    let nash = try_multicommodity_nash(inst, opts, None)?;
-    if !nash.converged {
-        return Err(CoreError::NotConverged {
-            what: "nash",
-            rel_gap: nash.rel_gap,
-        });
-    }
-    anarchy_curve_multi_with(inst, alphas, opts, copts, &optimum, &nash)
-}
-
-/// [`anarchy_curve_multi`] with the optimum and Nash anchors supplied by
-/// the caller (the session layer threads memoized profiles through here).
-pub fn anarchy_curve_multi_with(
-    inst: &MultiCommodityInstance,
-    alphas: &[f64],
-    opts: &FwOptions,
-    copts: &CurveOptions,
-    optimum: &FwResult,
-    nash: &FwResult,
-) -> Result<NetworkAnarchyCurve, CoreError> {
-    let mop = try_mop_multi_with_optimum(inst, optimum)?;
-    let rates: Vec<f64> = inst.commodities.iter().map(|c| c.rate).collect();
-    let plan = CurvePlan::from_mop_multi(&mop, rates);
-    let nash_cost = inst.cost(nash.flow.as_slice());
-    sweep_induced(
-        &plan,
-        alphas,
-        copts,
-        nash_cost,
-        &|flow| inst.cost(flow),
-        |leader, values, seed| {
-            let clamped: Vec<f64> = values
-                .iter()
-                .zip(&inst.commodities)
-                .map(|(&v, c)| v.min(c.rate))
-                .collect();
-            try_induced_multicommodity(inst, leader, &clamped, opts, seed)
-        },
-    )
+    let optimum = anchor(network::optimum(net, opts, None)?, "optimum")?;
+    let nash = anchor(network::nash(net, opts, None)?, "nash")?;
+    anarchy_curve_with(net, alphas, opts, copts, &optimum, &nash)
 }
 
 fn pad(strategy: &[f64], optimum: &[f64], budget: f64) -> Vec<f64> {
@@ -643,6 +522,7 @@ fn pad(strategy: &[f64], optimum: &[f64], budget: f64) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sopt_network::instance::{MultiCommodityInstance, NetworkInstance};
 
     fn alphas() -> Vec<f64> {
         (0..=10).map(|k| k as f64 / 10.0).collect()
@@ -729,7 +609,13 @@ mod tests {
     #[test]
     fn network_curve_shape_on_braess() {
         let inst = braess();
-        let c = anarchy_curve_network(&inst, &alphas(), &FwOptions::default(), true).unwrap();
+        let c = network_anarchy_curve(
+            &inst,
+            &alphas(),
+            &FwOptions::default(),
+            &CurveOptions::default(),
+        )
+        .unwrap();
         // Anchors: C(N) = 2, C(O) = 3/2, so the curve starts at 4/3.
         assert!((c.nash_cost - 2.0).abs() < 1e-5);
         assert!((c.optimum_cost - 1.5).abs() < 1e-5);
@@ -782,27 +668,6 @@ mod tests {
         NetworkInstance::new(g, lats, s, t, 4.0)
     }
 
-    #[test]
-    fn network_curve_warm_matches_cold_with_fewer_iterations() {
-        let inst = ladder();
-        let opts = FwOptions::default();
-        let cold = anarchy_curve_network(&inst, &alphas(), &opts, false).unwrap();
-        let warm = anarchy_curve_network(&inst, &alphas(), &opts, true).unwrap();
-        assert_eq!(cold.points.len(), warm.points.len());
-        for (a, b) in cold.points.iter().zip(&warm.points) {
-            assert!((a.cost - b.cost).abs() < 1e-5, "α={}", a.alpha);
-            for (x, y) in a.flow.iter().zip(&b.flow) {
-                assert!((x - y).abs() < 1e-4, "α={}", a.alpha);
-            }
-        }
-        assert!(
-            warm.total_iterations < cold.total_iterations,
-            "warm {} !< cold {}",
-            warm.total_iterations,
-            cold.total_iterations
-        );
-    }
-
     /// Two Pigou gadgets (x vs 1) on disjoint node pairs, with per-gadget
     /// rates — requirement portions α₁ = 1/2 (rate 1) and α₂ = 3/4
     /// (rate 2), so weak_beta = 3/4 > β = 2/3 and the weak/strong
@@ -842,7 +707,7 @@ mod tests {
     #[test]
     fn multi_curve_strong_pins_at_beta() {
         let inst = two_pigous(1.0);
-        let c = anarchy_curve_multi(
+        let c = network_anarchy_curve(
             &inst,
             &alphas(),
             &FwOptions::default(),
@@ -868,7 +733,7 @@ mod tests {
     fn weak_crossover_lags_strong_on_asymmetric_rates() {
         let inst = two_pigous(2.0);
         let opts = FwOptions::default();
-        let strong = anarchy_curve_multi(
+        let strong = network_anarchy_curve(
             &inst,
             &alphas(),
             &opts,
@@ -878,7 +743,7 @@ mod tests {
             },
         )
         .unwrap();
-        let weak = anarchy_curve_multi(
+        let weak = network_anarchy_curve(
             &inst,
             &alphas(),
             &opts,
@@ -923,10 +788,10 @@ mod tests {
     fn multi_curve_warm_matches_cold_with_fewer_iterations() {
         use sopt_network::graph::NodeId;
         use sopt_network::instance::Commodity;
-        // Two commodities sharing the ladder's middle edges: enough
-        // interaction that cold induced solves take real work.
+        // The ladder itself, and two commodities sharing its middle edges:
+        // enough interaction that cold induced solves take real work.
         let single = ladder();
-        let inst = MultiCommodityInstance::new(
+        let two = MultiCommodityInstance::new(
             single.graph.clone(),
             single.latencies.clone(),
             vec![
@@ -943,9 +808,12 @@ mod tests {
             ],
         );
         let opts = FwOptions::default();
-        for strategy in [CurveStrategy::Strong, CurveStrategy::Weak] {
-            let cold = anarchy_curve_multi(
-                &inst,
+        let cases = [(single.routing(), CurveStrategy::Strong)]
+            .into_iter()
+            .chain([CurveStrategy::Strong, CurveStrategy::Weak].map(|s| (two.routing(), s)));
+        for (inst, strategy) in cases {
+            let cold = network_anarchy_curve(
+                inst,
                 &alphas(),
                 &opts,
                 &CurveOptions {
@@ -954,8 +822,8 @@ mod tests {
                 },
             )
             .unwrap();
-            let warm = anarchy_curve_multi(
-                &inst,
+            let warm = network_anarchy_curve(
+                inst,
                 &alphas(),
                 &opts,
                 &CurveOptions {

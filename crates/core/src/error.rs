@@ -1,11 +1,12 @@
 //! Typed failure modes of the paper's algorithms.
 //!
-//! The `try_` entry points ([`crate::mop::try_mop`],
-//! [`crate::mop_multi::try_mop_multi`], [`crate::optop::try_optop`],
-//! [`crate::tolls::try_marginal_cost_tolls_network`]) return these instead
-//! of panicking; the panicking wrappers (`mop`, `optop`, …) stay as thin
-//! conveniences for exploratory code. Downstream, `stackopt::api` folds
-//! both this and [`sopt_solver::equalize::EqualizeError`] into its single
+//! The network algorithms ([`crate::mop::try_mop`],
+//! [`crate::mop_multi::try_mop_multi`], [`crate::tolls::network_tolls`],
+//! [`crate::curve::anarchy_curve_with`]) and [`crate::optop::try_optop`]
+//! return these instead of panicking; a few parallel-links conveniences
+//! (`optop`, `marginal_cost_tolls`) and the `mop_greedy` ablation still
+//! panic, for exploratory code. Downstream, `stackopt::api` folds both
+//! this and [`sopt_solver::equalize::EqualizeError`] into its single
 //! `SoptError`.
 
 use sopt_solver::equalize::EqualizeError;
@@ -26,6 +27,12 @@ pub enum CoreError {
         /// Commodity index (0 for single-commodity instances).
         commodity: usize,
     },
+    /// A Leader flow does not fit the instance (see
+    /// [`SolverError::InvalidLeader`]).
+    InvalidLeader {
+        /// What is wrong with it.
+        reason: String,
+    },
     /// The parallel-links equalizer failed underneath.
     Equalize(EqualizeError),
 }
@@ -42,6 +49,7 @@ impl std::fmt::Display for CoreError {
             CoreError::Unreachable { commodity } => {
                 write!(f, "commodity {commodity}: sink unreachable from source")
             }
+            CoreError::InvalidLeader { reason } => write!(f, "invalid leader flow: {reason}"),
             CoreError::Equalize(e) => write!(f, "{e}"),
         }
     }
@@ -66,6 +74,7 @@ impl From<SolverError> for CoreError {
     fn from(e: SolverError) -> Self {
         match e {
             SolverError::UnreachableSink { commodity, .. } => CoreError::Unreachable { commodity },
+            SolverError::InvalidLeader { reason } => CoreError::InvalidLeader { reason },
         }
     }
 }

@@ -21,7 +21,9 @@
 //!   control to *enforce the optimum* on a parallel-links instance, with her
 //!   optimal strategy; polynomial time (Corollary 2.2), eluding the weak
 //!   NP-hardness of general optimal-Stackelberg ([40, Thm 6.1]);
-//! * [`mop::mop`] — the same on arbitrary s–t networks (Corollary 2.3);
+//! * [`mop::try_mop`] — the same on arbitrary s–t networks (Corollary 2.3),
+//!   read from the one-commodity case of Theorem 2.1's plan
+//!   ([`mop_multi::try_mop_multi_plan_with_optimum`]);
 //! * [`linear_optimal::linear_optimal_strategy`] — the optimal strategy on
 //!   the *hard* side `α < β_M` for common-slope linear latencies.
 
@@ -41,13 +43,10 @@ pub mod threshold;
 pub mod tolls;
 
 pub use curve::{
-    anarchy_curve_multi, anarchy_curve_network, CurveOptions, CurvePlan, CurveStrategy,
+    anarchy_curve_with, network_anarchy_curve, CurveOptions, CurvePlan, CurveStrategy,
     NetworkAnarchyCurve, NetworkCurvePoint,
 };
 pub use error::CoreError;
-pub use mop::{mop, try_mop, try_mop_with_optimum, MopResult};
-pub use mop_multi::{
-    mop_multi, try_mop_multi, try_mop_multi_plan_with_optimum, try_mop_multi_with_optimum,
-    MopMultiPlan, MopMultiResult,
-};
+pub use mop::{try_mop, try_mop_with_optimum, MopResult};
+pub use mop_multi::{try_mop_multi, try_mop_multi_plan_with_optimum, MopMultiPlan};
 pub use optop::{optop, try_optop, OpTopResult};

@@ -18,19 +18,23 @@
 //! corresponds to the decomposition that routes as much of `O` as possible
 //! over shortest paths — exactly the max flow through the shortest-path
 //! subnetwork `G̃` with capacities `o_e` (footnote 5 computes the free flow
-//! through `G̃`; Dinic makes that exact). The greedy-decomposition variant
-//! [`mop_greedy`] is kept as the ablation baseline.
+//! through `G̃`; Dinic makes that exact).
+//!
+//! MOP is Theorem 2.1 with one commodity, so [`try_mop_with_optimum`]
+//! reads its answer from the one-commodity plan of
+//! [`try_mop_multi_plan_with_optimum`]: `r'` is the value Dinic
+//! accumulates. The greedy-decomposition variant [`mop_greedy`] is kept as
+//! the ablation baseline.
 
 use crate::error::CoreError;
-use sopt_equilibrium::network::try_network_optimum;
+use crate::mop_multi::{try_mop_multi_plan_with_optimum, DAG_TOL};
+use sopt_equilibrium::network;
+use sopt_network::csr::{Csr, SpWorkspace};
 use sopt_network::flow::{decompose, EdgeFlow};
-use sopt_network::graph::EdgeId;
 use sopt_network::instance::NetworkInstance;
-use sopt_network::maxflow::max_flow;
-use sopt_network::spath::{dijkstra, shortest_dag_edges};
 use sopt_solver::frank_wolfe::{FwOptions, FwResult};
 
-/// Output of [`mop`] / [`mop_greedy`].
+/// Output of [`try_mop`] / [`mop_greedy`].
 #[derive(Clone, Debug)]
 pub struct MopResult {
     /// The price of optimum `β_G = 1 − r'/r`.
@@ -39,8 +43,6 @@ pub struct MopResult {
     pub optimum: EdgeFlow,
     /// Edge costs `ℓ_e(o_e)` fixing the shortest-path structure.
     pub edge_costs: Vec<f64>,
-    /// Edges of the shortest-path subnetwork `G̃`.
-    pub shortest_edges: Vec<EdgeId>,
     /// The free (uncontrolled) part of `O` riding shortest paths; value `r'`.
     pub free_flow: EdgeFlow,
     /// `r'`.
@@ -53,46 +55,45 @@ pub struct MopResult {
     pub optimum_cost: f64,
 }
 
-/// Tolerance for shortest-path membership, relative to path costs.
-const DAG_TOL: f64 = 1e-6;
-
-/// Run MOP with the exact (max-flow) free-flow computation. Panics where
-/// [`try_mop`] errors.
-pub fn mop(inst: &NetworkInstance, opts: &FwOptions) -> MopResult {
-    try_mop(inst, opts).expect("MOP needs a convergent optimum solve and a reachable sink")
-}
-
 /// Run MOP, reporting solver non-convergence and unreachable sinks as
-/// typed errors instead of panicking.
+/// typed errors.
 pub fn try_mop(inst: &NetworkInstance, opts: &FwOptions) -> Result<MopResult, CoreError> {
-    let opt = try_network_optimum(inst, opts, None)?;
+    let opt = network::optimum(inst, opts, None)?;
     try_mop_with_optimum(inst, &opt)
 }
 
-/// [`try_mop`] with the optimum solve supplied by the caller — the session
-/// layer threads a memoized [`network_optimum`] result through here, so an
-/// α-sweep (or a fleet re-touching one scenario) solves the optimum once.
-///
-/// [`network_optimum`]: sopt_equilibrium::network::network_optimum
+/// [`try_mop`] with the optimum solve supplied by the caller: the
+/// one-commodity case of Theorem 2.1's plan, with the free value `r'` the
+/// value of the max flow through `G̃`.
 pub fn try_mop_with_optimum(
     inst: &NetworkInstance,
     optimum: &FwResult,
 ) -> Result<MopResult, CoreError> {
-    mop_impl(inst, optimum, true)
+    let plan = try_mop_multi_plan_with_optimum(inst, optimum)?;
+    let [free] = <[_; 1]>::try_from(plan.free).expect("an s–t plan has one commodity");
+    Ok(MopResult {
+        beta: plan.beta,
+        optimum: optimum.flow.clone(),
+        edge_costs: plan.edge_costs,
+        free_flow: free.flow,
+        free_value: free.value,
+        leader: plan.leader_total,
+        leader_value: plan.leader_values[0],
+        optimum_cost: plan.optimum_cost,
+    })
 }
 
 /// Ablation: route the free flow by greedy path decomposition of `O`
 /// (classify each extracted path as shortest/non-shortest). May overstate
 /// `β_G` when the greedy decomposition wastes shortest-path capacity.
 pub fn mop_greedy(inst: &NetworkInstance, opts: &FwOptions) -> MopResult {
-    try_network_optimum(inst, opts, None)
+    network::optimum(inst, opts, None)
         .map_err(CoreError::from)
-        .and_then(|opt| mop_impl(inst, &opt, false))
+        .and_then(|opt| greedy(inst, &opt))
         .expect("MOP needs a convergent optimum solve and a reachable sink")
 }
 
-fn mop_impl(inst: &NetworkInstance, opt: &FwResult, exact: bool) -> Result<MopResult, CoreError> {
-    // (2) the optimum (solved by the caller, possibly served from a memo).
+fn greedy(inst: &NetworkInstance, opt: &FwResult) -> Result<MopResult, CoreError> {
     if !opt.converged {
         return Err(CoreError::NotConverged {
             what: "optimum",
@@ -100,42 +101,23 @@ fn mop_impl(inst: &NetworkInstance, opt: &FwResult, exact: bool) -> Result<MopRe
         });
     }
     let optimum = opt.flow.clone();
-
-    // (3) fixed optimal edge costs.
     let edge_costs = inst.edge_costs(optimum.as_slice());
-
-    // (4) shortest-path subnetwork under those costs.
-    let sp = dijkstra(&inst.graph, &edge_costs, inst.source);
-    let dist_t = sp.dist[inst.sink.idx()];
+    let mut sp = SpWorkspace::new();
+    sp.dijkstra(&Csr::new(&inst.graph), &edge_costs, inst.source);
+    let dist_t = sp.dist()[inst.sink.idx()];
     if !dist_t.is_finite() {
         return Err(CoreError::Unreachable { commodity: 0 });
     }
     let tol = DAG_TOL * dist_t.abs().max(1.0);
-    let shortest_edges = shortest_dag_edges(&inst.graph, &edge_costs, &sp, tol);
-
-    // (5)–(6) the free flow r' riding shortest paths.
-    let free_flow = if exact {
-        // Max flow through G̃ with capacities o_e: the decomposition of O
-        // maximising the uncontrolled portion.
-        let mut caps = vec![0.0; inst.num_edges()];
-        for &e in &shortest_edges {
-            caps[e.idx()] = optimum.get(e);
+    // Decompose O and keep the shortest-path pieces.
+    let decomp = decompose(&inst.graph, &optimum, inst.source, inst.sink);
+    let mut free_flow = EdgeFlow::zeros(inst.num_edges());
+    for (path, amount) in &decomp.paths {
+        if (path.cost(&edge_costs) - dist_t).abs() <= tol {
+            free_flow.add_path(path, *amount);
         }
-        max_flow(&inst.graph, &caps, inst.source, inst.sink).flow
-    } else {
-        // Greedy: decompose O and keep the shortest-path pieces.
-        let decomp = decompose(&inst.graph, &optimum, inst.source, inst.sink);
-        let mut free = EdgeFlow::zeros(inst.num_edges());
-        for (path, amount) in &decomp.paths {
-            if (path.cost(&edge_costs) - dist_t).abs() <= tol {
-                free.add_path(path, *amount);
-            }
-        }
-        free
-    };
+    }
     let free_value = free_flow.excess(&inst.graph, inst.sink);
-
-    // (5) the Leader controls the rest of O.
     let leader = EdgeFlow(
         optimum
             .as_slice()
@@ -145,13 +127,11 @@ fn mop_impl(inst: &NetworkInstance, opt: &FwResult, exact: bool) -> Result<MopRe
             .collect(),
     );
     let leader_value = (inst.rate - free_value).max(0.0);
-
     Ok(MopResult {
         beta: leader_value / inst.rate,
         optimum_cost: inst.cost(optimum.as_slice()),
         optimum,
         edge_costs,
-        shortest_edges,
         free_flow,
         free_value,
         leader,
@@ -162,10 +142,19 @@ fn mop_impl(inst: &NetworkInstance, opt: &FwResult, exact: bool) -> Result<MopRe
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sopt_equilibrium::network::induced_network;
     use sopt_latency::LatencyFn;
     use sopt_network::graph::NodeId;
+    use sopt_network::spath::on_shortest_dag;
     use sopt_network::DiGraph;
+
+    fn mop(inst: &NetworkInstance, opts: &FwOptions) -> MopResult {
+        try_mop(inst, opts).unwrap()
+    }
+
+    fn induced(inst: &NetworkInstance, r: &MopResult, seed: Option<&FwResult>) -> FwResult {
+        let opts = FwOptions::default();
+        network::induced(inst, r.leader.as_slice(), &[r.leader_value], &opts, seed).unwrap()
+    }
 
     /// The paper's Fig. 7 instance (derived affine form, see DESIGN.md):
     /// `ℓ_sv = ℓ_wt = x`, `ℓ_sw = ℓ_vt = x + 1 − 4ε`, `ℓ_vw = 0`, `r = 1`.
@@ -226,9 +215,18 @@ mod tests {
 
     #[test]
     fn fig7_middle_path_is_shortest() {
-        let r = mop(&fig7(0.05), &FwOptions::default());
+        let inst = fig7(0.05);
+        let r = mop(&inst, &FwOptions::default());
         // Shortest subnetwork must contain s→v, v→w, w→t; not s→w or v→t.
-        let ids: Vec<u32> = r.shortest_edges.iter().map(|e| e.0).collect();
+        let mut sp = SpWorkspace::new();
+        sp.dijkstra(&Csr::new(&inst.graph), &r.edge_costs, inst.source);
+        let tol = DAG_TOL * sp.dist()[inst.sink.idx()].max(1.0);
+        let ids: Vec<u32> = inst
+            .graph
+            .edge_ids()
+            .filter(|&e| on_shortest_dag(&inst.graph, &r.edge_costs, sp.dist(), e, tol))
+            .map(|e| e.0)
+            .collect();
         assert!(
             ids.contains(&0) && ids.contains(&2) && ids.contains(&4),
             "{ids:?}"
@@ -240,7 +238,7 @@ mod tests {
     fn fig7_strategy_induces_optimum() {
         let inst = fig7(0.05);
         let r = mop(&inst, &FwOptions::default());
-        let follower = induced_network(&inst, &r.leader, r.leader_value, &FwOptions::default());
+        let follower = induced(&inst, &r, None);
         let total: Vec<f64> = r
             .leader
             .as_slice()
@@ -306,10 +304,9 @@ mod tests {
 
     #[test]
     fn mop_with_supplied_optimum_matches() {
-        use sopt_equilibrium::network::try_network_optimum;
         let inst = fig7(0.05);
         let opts = FwOptions::default();
-        let opt = try_network_optimum(&inst, &opts, None).unwrap();
+        let opt = network::optimum(&inst, &opts, None).unwrap();
         let via_supplied = try_mop_with_optimum(&inst, &opt).unwrap();
         let direct = mop(&inst, &opts);
         assert_eq!(via_supplied.beta, direct.beta);
@@ -318,22 +315,19 @@ mod tests {
 
     #[test]
     fn induced_seeded_with_free_flow_converges_immediately() {
-        use sopt_equilibrium::network::{try_induced_network, warm_seed_from};
         let inst = fig7(0.05);
-        let opts = FwOptions::default();
-        let r = mop(&inst, &opts);
+        let r = mop(&inst, &FwOptions::default());
         // The free flow IS the follower equilibrium under the MOP strategy;
         // seeding with it should converge on the first gap check.
-        let seed = warm_seed_from(&r.free_flow);
-        let warm =
-            try_induced_network(&inst, &r.leader, r.leader_value, &opts, Some(&seed)).unwrap();
+        let seed = network::warm_seed(vec![r.free_flow.clone()]);
+        let warm = induced(&inst, &r, Some(&seed));
         assert!(warm.converged);
         assert!(
             warm.iterations <= 2,
             "warm induced took {} iterations",
             warm.iterations
         );
-        let cold = induced_network(&inst, &r.leader, r.leader_value, &opts);
+        let cold = induced(&inst, &r, None);
         assert!(cold.iterations >= warm.iterations);
         for e in 0..inst.num_edges() {
             assert!((warm.flow.0[e] - cold.flow.0[e]).abs() < 1e-5);

@@ -21,65 +21,32 @@
 //! and an edge off the support adds an exact `+0.0` to a dense sum, so
 //! every answer is bit for bit a dense pass's.
 //!
-//! [`try_mop_multi_plan_with_optimum`] stops at the free parts and the
-//! combined Leader flow ([`MopMultiPlan`]); [`MopMultiResult`] adds
-//! per-commodity copies of the optimum and of the Leader flow, 2·k·m
-//! floats that the β task does not read.
+//! The plan is written once over a [`Routing`] view: an s–t network is its
+//! one-commodity case, and MOP (Corollary 2.3, [`crate::mop`]) reads its
+//! answer from the one-commodity plan. It keeps each commodity's free part
+//! and the combined Leader flow ([`MopMultiPlan`]); a commodity's own
+//! Leader flow is its optimum less its free part, which the anarchy curve
+//! derives on the fly rather than storing k·m more floats.
 
 use crate::error::CoreError;
-use sopt_equilibrium::network::try_multicommodity_optimum;
+use sopt_equilibrium::network;
 use sopt_network::csr::{Csr, SpWorkspace};
 use sopt_network::flow::EdgeFlow;
-use sopt_network::graph::{EdgeId, NodeId};
-use sopt_network::instance::MultiCommodityInstance;
+use sopt_network::graph::EdgeId;
+use sopt_network::instance::Routing;
 use sopt_network::maxflow::{MaxFlowResult, ResidualGraph};
 use sopt_network::spath::on_shortest_dag;
 use sopt_solver::aon::CommodityGroups;
 use sopt_solver::frank_wolfe::{FwOptions, FwResult};
 
-/// Per-commodity share of the [`MopMultiResult`].
-#[derive(Clone, Debug)]
-pub struct MopCommodity {
-    /// This commodity's optimal edge flow `O^i`.
-    pub optimum: EdgeFlow,
-    /// The free part riding this commodity's shortest paths.
-    pub free_flow: EdgeFlow,
-    /// Value `r'_i` of the free part.
-    pub free_value: f64,
-    /// The Leader's flow for this commodity: `O^i − free`.
-    pub leader: EdgeFlow,
-    /// Controlled value `r_i − r'_i`.
-    pub leader_value: f64,
-    /// The per-commodity portion `α_i = (r_i − r'_i)/r_i`.
-    pub alpha: f64,
-}
-
-/// Output of [`mop_multi`].
-#[derive(Clone, Debug)]
-pub struct MopMultiResult {
-    /// Overall price of optimum `β = Σ (r_i − r'_i) / Σ r_i`.
-    pub beta: f64,
-    /// Per-commodity breakdown.
-    pub commodities: Vec<MopCommodity>,
-    /// The combined optimum edge flow.
-    pub optimum_total: EdgeFlow,
-    /// The combined Leader edge flow.
-    pub leader_total: EdgeFlow,
-    /// Edge costs `ℓ_e(o_e)` at the combined optimum.
-    pub edge_costs: Vec<f64>,
-    /// `C(O)`.
-    pub optimum_cost: f64,
-}
-
-/// Theorem 2.1's plan without the per-commodity copies of
-/// [`MopMultiResult`]: each commodity's free part and controlled value,
+/// Theorem 2.1's plan: each commodity's free part and controlled value,
 /// and the combined Leader flow.
 #[derive(Clone, Debug)]
 pub struct MopMultiPlan {
     /// Overall price of optimum `β = Σ (r_i − r'_i) / Σ r_i`.
     pub beta: f64,
     /// Per commodity, the free part riding its shortest paths: value `r'_i`
-    /// and edge flow.
+    /// (the value Dinic accumulates) and edge flow.
     pub free: Vec<MaxFlowResult>,
     /// Per commodity, the controlled value `r_i − r'_i`.
     pub leader_values: Vec<f64>,
@@ -94,73 +61,38 @@ pub struct MopMultiPlan {
     pub optimum_cost: f64,
 }
 
-const DAG_TOL: f64 = 1e-6;
-
-/// The Leader's flow of one commodity: its optimum less its free part.
-fn leader_part<'a>(optimum: &'a EdgeFlow, free: &'a EdgeFlow) -> impl Iterator<Item = f64> + 'a {
-    optimum
-        .as_slice()
-        .iter()
-        .zip(free.as_slice())
-        .map(|(o, f)| (o - f).max(0.0))
+impl MopMultiPlan {
+    /// The minimum portion for a **weak** Stackelberg strategy (paper §4):
+    /// a weak Leader controls the *same* portion `α` of every commodity, so
+    /// to cover each commodity's requirement `α_i` she needs
+    /// `α = max_i α_i ≥ β` (the strong strategy's overall portion).
+    pub fn weak_beta(&self) -> f64 {
+        self.alphas.iter().copied().fold(0.0, f64::max)
+    }
 }
 
-/// Run the k-commodity MOP of Theorem 2.1. Panics where [`try_mop_multi`]
-/// errors.
-pub fn mop_multi(inst: &MultiCommodityInstance, opts: &FwOptions) -> MopMultiResult {
-    try_mop_multi(inst, opts)
-        .expect("MOP needs a convergent optimum solve and reachable sinks for every commodity")
-}
+/// Tolerance for shortest-path membership, relative to path costs.
+pub(crate) const DAG_TOL: f64 = 1e-6;
 
-/// Run the k-commodity MOP of Theorem 2.1, reporting solver
-/// non-convergence and unreachable sinks as typed errors.
-pub fn try_mop_multi(
-    inst: &MultiCommodityInstance,
+/// Run the k-commodity MOP of Theorem 2.1 on a cold optimum, reporting
+/// solver non-convergence and unreachable sinks as typed errors.
+pub fn try_mop_multi<'a>(
+    net: impl Into<Routing<'a>>,
     opts: &FwOptions,
-) -> Result<MopMultiResult, CoreError> {
-    let opt = try_multicommodity_optimum(inst, opts, None)?;
-    try_mop_multi_with_optimum(inst, &opt)
+) -> Result<MopMultiPlan, CoreError> {
+    let net = net.into();
+    let opt = network::optimum(net, opts, None)?;
+    try_mop_multi_plan_with_optimum(net, &opt)
 }
 
-/// [`try_mop_multi`] with the optimum solve supplied by the caller (the
-/// session layer threads a memoized multicommodity optimum through here).
-pub fn try_mop_multi_with_optimum(
-    inst: &MultiCommodityInstance,
-    opt: &FwResult,
-) -> Result<MopMultiResult, CoreError> {
-    let plan = try_mop_multi_plan_with_optimum(inst, opt)?;
-    let commodities = plan
-        .free
-        .into_iter()
-        .enumerate()
-        .map(|(ci, free)| {
-            let o_i = &opt.per_commodity[ci];
-            MopCommodity {
-                optimum: o_i.clone(),
-                leader: EdgeFlow(leader_part(o_i, &free.flow).collect()),
-                free_value: free.value,
-                free_flow: free.flow,
-                leader_value: plan.leader_values[ci],
-                alpha: plan.alphas[ci],
-            }
-        })
-        .collect();
-    Ok(MopMultiResult {
-        beta: plan.beta,
-        commodities,
-        optimum_total: opt.flow.clone(),
-        leader_total: plan.leader_total,
-        edge_costs: plan.edge_costs,
-        optimum_cost: plan.optimum_cost,
-    })
-}
-
-/// [`try_mop_multi_with_optimum`] up to the free parts and the combined
-/// Leader flow, with the same answers and errors.
-pub fn try_mop_multi_plan_with_optimum(
-    inst: &MultiCommodityInstance,
+/// [`try_mop_multi`] with the optimum solve supplied by the caller: the
+/// session layer threads a memoized optimum through here for both network
+/// classes.
+pub fn try_mop_multi_plan_with_optimum<'a>(
+    net: impl Into<Routing<'a>>,
     opt: &FwResult,
 ) -> Result<MopMultiPlan, CoreError> {
+    let inst = net.into();
     if !opt.converged {
         return Err(CoreError::NotConverged {
             what: "multicommodity optimum",
@@ -174,15 +106,11 @@ pub fn try_mop_multi_plan_with_optimum(
         .map(|(l, &f)| sopt_latency::Latency::value(l, f))
         .collect();
 
-    let m = inst.graph.num_edges();
-    let k = inst.commodities.len();
-    let demands: Vec<(NodeId, NodeId, f64)> = inst
-        .commodities
-        .iter()
-        .map(|c| (c.source, c.sink, c.rate))
-        .collect();
+    let m = inst.num_edges();
+    let commodities = inst.commodities();
+    let k = commodities.len();
     let mut groups = CommodityGroups::new();
-    groups.rebuild(&demands);
+    groups.rebuild(&inst.demands());
 
     // Each commodity's support (its non-zero optimal edges), in one flat
     // list: commodity `ci` owns `support[spans[ci]..spans[ci + 1]]`.
@@ -204,9 +132,9 @@ pub fn try_mop_multi_plan_with_optimum(
     // One shortest-path tree per origin and one residual graph for every
     // commodity's max-flow, capped on its support's shortest-path DAG
     // edges; each commodity keeps its own DAG tolerance.
-    let csr = Csr::new(&inst.graph);
+    let csr = Csr::new(inst.graph);
     let mut sp = SpWorkspace::new();
-    let mut residual = ResidualGraph::new(&inst.graph);
+    let mut residual = ResidualGraph::new(inst.graph);
     let mut caps: Vec<(EdgeId, f64)> = Vec::new();
     let mut slots: Vec<Option<MaxFlowResult>> = vec![None; k];
     let mut unreachable: Option<usize> = None;
@@ -215,7 +143,7 @@ pub fn try_mop_multi_plan_with_optimum(
         sp.dijkstra(&csr, &edge_costs, source);
         for &ci in members {
             let ci = ci as usize;
-            let com = &inst.commodities[ci];
+            let com = &commodities[ci];
             let dist = sp.dist()[com.sink.idx()];
             if !dist.is_finite() {
                 unreachable = Some(unreachable.map_or(ci, |u| u.min(ci)));
@@ -227,9 +155,9 @@ pub fn try_mop_multi_plan_with_optimum(
             let tol = DAG_TOL * dist.abs().max(1.0);
             caps.clear();
             caps.extend(
-                support_of(ci).iter().filter(|&&(e, _)| {
-                    on_shortest_dag(&inst.graph, &edge_costs, sp.dist(), e, tol)
-                }),
+                support_of(ci)
+                    .iter()
+                    .filter(|&&(e, _)| on_shortest_dag(inst.graph, &edge_costs, sp.dist(), e, tol)),
             );
             slots[ci] = Some(residual.max_flow_on(&caps, com.source, com.sink));
         }
@@ -249,14 +177,12 @@ pub fn try_mop_multi_plan_with_optimum(
             leader_total.0[e.idx()] += (o - f.flow.get(e)).max(0.0);
         }
     }
-    let leader_values: Vec<f64> = inst
-        .commodities
+    let leader_values: Vec<f64> = commodities
         .iter()
         .zip(&free)
         .map(|(com, f)| (com.rate - f.value).max(0.0))
         .collect();
-    let alphas = inst
-        .commodities
+    let alphas = commodities
         .iter()
         .zip(&leader_values)
         .map(|(com, v)| v / com.rate)
@@ -274,24 +200,17 @@ pub fn try_mop_multi_plan_with_optimum(
     })
 }
 
-impl MopMultiResult {
-    /// The minimum portion for a **weak** Stackelberg strategy (paper §4):
-    /// a weak Leader controls the *same* portion `α` of every commodity, so
-    /// to cover each commodity's requirement `α_i` she needs
-    /// `α = max_i α_i ≥ β` (the strong strategy's overall portion).
-    pub fn weak_beta(&self) -> f64 {
-        self.commodities.iter().map(|c| c.alpha).fold(0.0, f64::max)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sopt_equilibrium::network::induced_multicommodity;
     use sopt_latency::LatencyFn;
     use sopt_network::graph::NodeId;
-    use sopt_network::instance::Commodity;
+    use sopt_network::instance::{Commodity, MultiCommodityInstance};
     use sopt_network::DiGraph;
+
+    fn mop_multi(inst: &MultiCommodityInstance) -> MopMultiPlan {
+        try_mop_multi(inst, &FwOptions::default()).unwrap()
+    }
 
     /// Two Pigou gadgets sharing nothing: per-commodity β must match the
     /// single-commodity answer (1/2 each).
@@ -327,20 +246,25 @@ mod tests {
     #[test]
     fn disjoint_pigous_give_half_each() {
         let inst = two_disjoint_pigous();
-        let r = mop_multi(&inst, &FwOptions::default());
+        let r = mop_multi(&inst);
         assert!((r.beta - 0.5).abs() < 1e-5, "β = {}", r.beta);
-        for c in &r.commodities {
-            assert!((c.alpha - 0.5).abs() < 1e-5, "α_i = {}", c.alpha);
+        for &alpha in &r.alphas {
+            assert!((alpha - 0.5).abs() < 1e-5, "α_i = {alpha}");
         }
     }
 
     #[test]
     fn strategy_induces_multicommodity_optimum() {
         let inst = two_disjoint_pigous();
-        let r = mop_multi(&inst, &FwOptions::default());
-        let values: Vec<f64> = r.commodities.iter().map(|c| c.leader_value).collect();
-        let follower =
-            induced_multicommodity(&inst, &r.leader_total, &values, &FwOptions::default());
+        let r = mop_multi(&inst);
+        let follower = network::induced(
+            &inst,
+            r.leader_total.as_slice(),
+            &r.leader_values,
+            &FwOptions::default(),
+            None,
+        )
+        .unwrap();
         let total: Vec<f64> = r
             .leader_total
             .as_slice()
@@ -389,12 +313,17 @@ mod tests {
                 },
             ],
         );
-        let r = mop_multi(&inst, &FwOptions::default());
+        let r = mop_multi(&inst);
         assert!(r.beta >= 0.0 && r.beta <= 1.0);
         // Induced play must reproduce the optimum.
-        let values: Vec<f64> = r.commodities.iter().map(|c| c.leader_value).collect();
-        let follower =
-            induced_multicommodity(&inst, &r.leader_total, &values, &FwOptions::default());
+        let follower = network::induced(
+            &inst,
+            r.leader_total.as_slice(),
+            &r.leader_values,
+            &FwOptions::default(),
+            None,
+        )
+        .unwrap();
         let total: Vec<f64> = r
             .leader_total
             .as_slice()
@@ -408,37 +337,14 @@ mod tests {
     #[test]
     fn weak_beta_dominates_strong_beta() {
         let inst = two_disjoint_pigous();
-        let r = mop_multi(&inst, &FwOptions::default());
+        let r = mop_multi(&inst);
         assert!(r.weak_beta() >= r.beta - 1e-12);
         // Equal-rate symmetric commodities: weak = strong here.
         assert!((r.weak_beta() - 0.5).abs() < 1e-5);
         // A weak Leader controlling weak_beta of EVERY commodity covers all
         // per-commodity requirements.
-        for c in &r.commodities {
-            assert!(c.alpha <= r.weak_beta() + 1e-12);
+        for &alpha in &r.alphas {
+            assert!(alpha <= r.weak_beta() + 1e-12);
         }
-    }
-
-    #[test]
-    fn single_commodity_reduces_to_mop() {
-        let mut g = DiGraph::with_nodes(2);
-        g.add_edge(NodeId(0), NodeId(1));
-        g.add_edge(NodeId(0), NodeId(1));
-        let latencies = vec![LatencyFn::identity(), LatencyFn::constant(1.0)];
-        let mc = MultiCommodityInstance::new(
-            g.clone(),
-            latencies.clone(),
-            vec![Commodity {
-                source: NodeId(0),
-                sink: NodeId(1),
-                rate: 1.0,
-            }],
-        );
-        let multi = mop_multi(&mc, &FwOptions::default());
-        let single = crate::mop::mop(
-            &sopt_network::instance::NetworkInstance::new(g, latencies, NodeId(0), NodeId(1), 1.0),
-            &FwOptions::default(),
-        );
-        assert!((multi.beta - single.beta).abs() < 1e-6);
     }
 }

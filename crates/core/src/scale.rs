@@ -2,6 +2,7 @@
 //! (Karakostas–Kolliopoulos \[18\]; also studied by Correa–Stier-Moses \[5\]).
 //! Simple, topology-agnostic, and the natural baseline for MOP on networks.
 
+use sopt_equilibrium::network;
 use sopt_equilibrium::parallel::ParallelLinks;
 use sopt_network::flow::EdgeFlow;
 use sopt_network::instance::NetworkInstance;
@@ -22,13 +23,13 @@ pub fn scale(links: &ParallelLinks, alpha: f64) -> (Vec<f64>, f64) {
 
 /// SCALE on an s–t network: the Leader ships `α·O` (edge-wise), the
 /// followers route `(1−α)r` against the a-posteriori latencies. Returns
-/// `(leader flow, induced total cost)`.
+/// `(leader flow, induced total cost)`. Panics where the solves error.
 pub fn scale_network(inst: &NetworkInstance, alpha: f64, opts: &FwOptions) -> (EdgeFlow, f64) {
     assert!((0.0..=1.0).contains(&alpha), "α must lie in [0, 1]");
-    let opt = sopt_equilibrium::network::network_optimum(inst, opts);
+    let opt = network::optimum(inst, opts, None).expect("a reachable sink");
     let leader = EdgeFlow(opt.flow.as_slice().iter().map(|o| alpha * o).collect());
-    let follower =
-        sopt_equilibrium::network::induced_network(inst, &leader, alpha * inst.rate, opts);
+    let follower = network::induced(inst, leader.as_slice(), &[alpha * inst.rate], opts, None)
+        .expect("a reachable sink and a feasible leader");
     let total: Vec<f64> = leader
         .as_slice()
         .iter()

@@ -10,10 +10,11 @@
 //! with *control over β_M·r flow*, the toll designer pays with *money
 //! collected from everyone* — `tolls` quantifies that trade on any instance.
 
+use crate::error::CoreError;
 use sopt_equilibrium::parallel::ParallelLinks;
 use sopt_latency::{Latency, LatencyFn};
-use sopt_network::instance::{MultiCommodityInstance, NetworkInstance};
-use sopt_solver::frank_wolfe::FwOptions;
+use sopt_network::instance::Routing;
+use sopt_solver::frank_wolfe::FwResult;
 
 /// Per-link/edge marginal-cost tolls `τ = o·ℓ'(o)` at an optimum `o`.
 fn tolls_at(latencies: &[LatencyFn], optimum: &[f64]) -> Vec<f64> {
@@ -54,9 +55,7 @@ pub fn marginal_cost_tolls(links: &ParallelLinks) -> ParallelTolls {
 
 /// Compute marginal-cost tolls for `(M, r)`, reporting infeasibility as a
 /// typed error instead of panicking.
-pub fn try_marginal_cost_tolls(
-    links: &ParallelLinks,
-) -> Result<ParallelTolls, crate::error::CoreError> {
+pub fn try_marginal_cost_tolls(links: &ParallelLinks) -> Result<ParallelTolls, CoreError> {
     let optimum = links.try_optimum()?.flows().to_vec();
     Ok(try_marginal_cost_tolls_with_optimum(links, optimum))
 }
@@ -79,112 +78,42 @@ pub fn try_marginal_cost_tolls_with_optimum(
     }
 }
 
-/// Marginal-cost tolls on a network instance.
+/// Marginal-cost tolls on a network of either class. The fixed-point
+/// argument is commodity-agnostic: tolling every edge its externality
+/// `o·ℓ'(o)` at the *combined* optimum makes the (multicommodity) Wardrop
+/// equilibrium of the tolled latencies coincide with the untolled optimum.
 #[derive(Clone, Debug)]
-pub struct NetworkTolls {
+pub struct EdgeTolls {
     /// Per-edge tolls `τ_e = o_e·ℓ'_e(o_e)`.
     pub tolls: Vec<f64>,
-    /// The tolled instance.
-    pub tolled: NetworkInstance,
-    /// The optimum of the untolled instance.
-    pub optimum: Vec<f64>,
-    /// Total revenue.
-    pub revenue: f64,
-}
-
-/// Compute marginal-cost edge tolls for `(G, r)`. Panics where
-/// [`try_marginal_cost_tolls_network`] errors.
-pub fn marginal_cost_tolls_network(inst: &NetworkInstance, opts: &FwOptions) -> NetworkTolls {
-    try_marginal_cost_tolls_network(inst, opts).expect("tolls need a convergent optimum solve")
-}
-
-/// Compute marginal-cost edge tolls for `(G, r)`, reporting solver
-/// non-convergence as a typed error.
-pub fn try_marginal_cost_tolls_network(
-    inst: &NetworkInstance,
-    opts: &FwOptions,
-) -> Result<NetworkTolls, crate::error::CoreError> {
-    let opt = sopt_equilibrium::network::try_network_optimum(inst, opts, None)?;
-    try_marginal_cost_tolls_network_with_optimum(inst, &opt)
-}
-
-/// [`try_marginal_cost_tolls_network`] with the optimum solve supplied by
-/// the caller (the session layer threads a memoized optimum through here).
-pub fn try_marginal_cost_tolls_network_with_optimum(
-    inst: &NetworkInstance,
-    opt: &sopt_solver::frank_wolfe::FwResult,
-) -> Result<NetworkTolls, crate::error::CoreError> {
-    if !opt.converged {
-        return Err(crate::error::CoreError::NotConverged {
-            what: "optimum",
-            rel_gap: opt.rel_gap,
-        });
-    }
-    let optimum = opt.flow.as_slice().to_vec();
-    let tolls = tolls_at(&inst.latencies, &optimum);
-    let tolled = NetworkInstance::new(
-        inst.graph.clone(),
-        tolled_latencies(&inst.latencies, &tolls),
-        inst.source,
-        inst.sink,
-        inst.rate,
-    );
-    let revenue = optimum.iter().zip(&tolls).map(|(o, t)| o * t).sum();
-    Ok(NetworkTolls {
-        tolls,
-        tolled,
-        optimum,
-        revenue,
-    })
-}
-
-/// Marginal-cost tolls on a k-commodity instance. The fixed-point argument
-/// is commodity-agnostic: tolling every edge its externality `o·ℓ'(o)` at
-/// the *combined* optimum makes the multicommodity Wardrop equilibrium of
-/// the tolled instance coincide with the untolled optimum.
-#[derive(Clone, Debug)]
-pub struct MultiTolls {
-    /// Per-edge tolls `τ_e = o_e·ℓ'_e(o_e)`.
-    pub tolls: Vec<f64>,
-    /// The tolled instance.
-    pub tolled: MultiCommodityInstance,
+    /// The tolled latencies `ℓ_e + τ_e`, one per edge; route them over the
+    /// untolled graph with [`Routing::with_latencies`].
+    pub tolled: Vec<LatencyFn>,
     /// The combined optimum of the untolled instance.
     pub optimum: Vec<f64>,
-    /// Total revenue.
+    /// Total revenue `Σ o_e·τ_e`.
     pub revenue: f64,
 }
 
-/// Compute marginal-cost edge tolls for a k-commodity instance, reporting
-/// solver non-convergence as a typed error.
-pub fn try_marginal_cost_tolls_multi(
-    inst: &MultiCommodityInstance,
-    opts: &FwOptions,
-) -> Result<MultiTolls, crate::error::CoreError> {
-    let opt = sopt_equilibrium::network::try_multicommodity_optimum(inst, opts, None)?;
-    try_marginal_cost_tolls_multi_with_optimum(inst, &opt)
-}
-
-/// [`try_marginal_cost_tolls_multi`] with the optimum solve supplied by
-/// the caller (the session layer threads a memoized optimum through here).
-pub fn try_marginal_cost_tolls_multi_with_optimum(
-    inst: &MultiCommodityInstance,
-    opt: &sopt_solver::frank_wolfe::FwResult,
-) -> Result<MultiTolls, crate::error::CoreError> {
+/// Marginal-cost edge tolls at the optimum `opt` of `net` (solved by the
+/// caller, possibly served from a memo), reporting a non-converged
+/// optimum as a typed error.
+pub fn network_tolls<'a>(
+    net: impl Into<Routing<'a>>,
+    opt: &FwResult,
+) -> Result<EdgeTolls, CoreError> {
     if !opt.converged {
-        return Err(crate::error::CoreError::NotConverged {
+        return Err(CoreError::NotConverged {
             what: "optimum",
             rel_gap: opt.rel_gap,
         });
     }
+    let latencies = net.into().latencies;
     let optimum = opt.flow.as_slice().to_vec();
-    let tolls = tolls_at(&inst.latencies, &optimum);
-    let tolled = MultiCommodityInstance::new(
-        inst.graph.clone(),
-        tolled_latencies(&inst.latencies, &tolls),
-        inst.commodities.clone(),
-    );
+    let tolls = tolls_at(latencies, &optimum);
+    let tolled = tolled_latencies(latencies, &tolls);
     let revenue = optimum.iter().zip(&tolls).map(|(o, t)| o * t).sum();
-    Ok(MultiTolls {
+    Ok(EdgeTolls {
         tolls,
         tolled,
         optimum,
@@ -195,9 +124,11 @@ pub fn try_marginal_cost_tolls_multi_with_optimum(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sopt_equilibrium::network::network_nash;
+    use sopt_equilibrium::network;
     use sopt_network::graph::NodeId;
+    use sopt_network::instance::{MultiCommodityInstance, NetworkInstance};
     use sopt_network::DiGraph;
+    use sopt_solver::frank_wolfe::FwOptions;
 
     #[test]
     fn pigou_toll_restores_optimum() {
@@ -279,20 +210,21 @@ mod tests {
             1.0,
         );
         let opts = FwOptions::default();
-        let t = marginal_cost_tolls_network(&inst, &opts);
+        let opt = network::optimum(&inst, &opts, None).unwrap();
+        let t = network_tolls(&inst, &opt).unwrap();
         // Tolls τ = o·ℓ': 1/2 on each x-edge, 0 on constants.
         assert!((t.tolls[0] - 0.5).abs() < 1e-5);
         assert!((t.tolls[4] - 0.5).abs() < 1e-5);
         assert!(t.tolls[1].abs() < 1e-9 && t.tolls[2].abs() < 1e-9);
         // The tolled Nash avoids the middle edge, restoring C(O) = 3/2.
-        let nash = network_nash(&t.tolled, &opts);
+        let tolled = inst.routing().with_latencies(&t.tolled);
+        let nash = network::nash(tolled, &opts, None).unwrap();
         assert!(nash.flow.0[2].abs() < 1e-5, "{:?}", nash.flow);
         assert!((inst.cost(nash.flow.as_slice()) - 1.5).abs() < 1e-5);
     }
 
     #[test]
     fn multicommodity_tolled_nash_is_the_optimum() {
-        use sopt_equilibrium::network::{try_multicommodity_nash, try_multicommodity_optimum};
         use sopt_network::instance::Commodity;
         // Two commodities sharing a congested middle edge, each with a
         // constant bypass — the untolled Nash overloads the shared edge.
@@ -325,9 +257,10 @@ mod tests {
             ],
         );
         let opts = FwOptions::default();
-        let t = try_marginal_cost_tolls_multi(&inst, &opts).unwrap();
-        let untolled_opt = try_multicommodity_optimum(&inst, &opts, None).unwrap();
-        let tolled_nash = try_multicommodity_nash(&t.tolled, &opts, None).unwrap();
+        let untolled_opt = network::optimum(&inst, &opts, None).unwrap();
+        let t = network_tolls(&inst, &untolled_opt).unwrap();
+        let tolled = inst.routing().with_latencies(&t.tolled);
+        let tolled_nash = network::nash(tolled, &opts, None).unwrap();
         assert!(tolled_nash.converged);
         for (e, (got, want)) in tolled_nash
             .flow

@@ -12,9 +12,9 @@
 //! cannot silently corrupt a result.
 
 use sopt_latency::LatencyFn;
+use sopt_network::csr::{Csr, SpWorkspace};
 use sopt_network::flow::{decompose, EdgeFlow};
-use sopt_network::instance::{MultiCommodityInstance, NetworkInstance};
-use sopt_network::spath::dijkstra;
+use sopt_network::instance::Routing;
 use sopt_solver::objective::CostModel;
 
 /// A certificate failure: where and by how much the conditions are violated.
@@ -119,37 +119,20 @@ pub fn certify_parallel(
     Ok(())
 }
 
-/// Certify a network equilibrium: decompose the (per-commodity) flow into
-/// paths and check that every flow-carrying path has cost within `tol` of
-/// the shortest-path distance under the gradient costs at the *total* flow.
-pub fn certify_network(
-    inst: &NetworkInstance,
-    flow: &EdgeFlow,
-    model: CostModel,
-    tol: f64,
-) -> Result<(), CertifyError> {
-    let mc = MultiCommodityInstance {
-        graph: inst.graph.clone(),
-        latencies: inst.latencies.clone(),
-        commodities: vec![sopt_network::instance::Commodity {
-            source: inst.source,
-            sink: inst.sink,
-            rate: inst.rate,
-        }],
-    };
-    certify_multicommodity(&mc, std::slice::from_ref(flow), flow, model, tol)
-}
-
-/// Multicommodity version: `per_commodity[i]` is commodity `i`'s edge flow;
-/// `total` is their sum (congestion is shared).
-pub fn certify_multicommodity(
-    inst: &MultiCommodityInstance,
+/// Certify a network equilibrium: decompose each commodity's flow
+/// (`per_commodity[i]`; one entry for an s–t instance) into paths and
+/// check that every flow-carrying path has cost within `tol` of the
+/// shortest-path distance under the gradient costs at the *total* flow
+/// `total` (congestion is shared).
+pub fn certify_network<'a>(
+    net: impl Into<Routing<'a>>,
     per_commodity: &[EdgeFlow],
     total: &EdgeFlow,
     model: CostModel,
     tol: f64,
 ) -> Result<(), CertifyError> {
-    assert_eq!(per_commodity.len(), inst.commodities.len());
+    let inst = net.into();
+    assert_eq!(per_commodity.len(), inst.commodities().len());
     let costs: Vec<f64> = inst
         .latencies
         .iter()
@@ -157,10 +140,12 @@ pub fn certify_multicommodity(
         .map(|(l, &f)| model.edge_gradient(l, f.max(0.0)))
         .collect();
 
-    for (ci, (flow, com)) in per_commodity.iter().zip(&inst.commodities).enumerate() {
+    let csr = Csr::new(inst.graph);
+    let mut sp = SpWorkspace::new();
+    for (ci, (flow, com)) in per_commodity.iter().zip(inst.commodities()).enumerate() {
         // Conservation.
         if !flow.is_st_flow(
-            &inst.graph,
+            inst.graph,
             com.source,
             com.sink,
             com.rate,
@@ -177,9 +162,9 @@ pub fn certify_multicommodity(
         if com.rate <= 0.0 {
             continue;
         }
-        let sp = dijkstra(&inst.graph, &costs, com.source);
-        let dist = sp.dist[com.sink.idx()];
-        let decomp = decompose(&inst.graph, flow, com.source, com.sink);
+        sp.dijkstra(&csr, &costs, com.source);
+        let dist = sp.dist()[com.sink.idx()];
+        let decomp = decompose(inst.graph, flow, com.source, com.sink);
         if !decomp.cycles.is_empty() {
             let circ: f64 = decomp.cycles.iter().map(|(_, a)| a).sum();
             if circ > tol * com.rate.max(1.0) {
@@ -211,9 +196,11 @@ pub fn certify_multicommodity(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network;
     use sopt_network::graph::NodeId;
+    use sopt_network::instance::NetworkInstance;
     use sopt_network::DiGraph;
-    use sopt_solver::frank_wolfe::{solve_assignment, FwOptions};
+    use sopt_solver::frank_wolfe::FwOptions;
 
     fn pigou_links() -> Vec<LatencyFn> {
         vec![LatencyFn::identity(), LatencyFn::constant(1.0)]
@@ -259,13 +246,15 @@ mod tests {
             1.0,
         );
         let opts = FwOptions::default();
-        let nash = solve_assignment(&inst, CostModel::Wardrop, &opts);
-        certify_network(&inst, &nash.flow, CostModel::Wardrop, 1e-5).expect("nash certified");
-        let opt = solve_assignment(&inst, CostModel::SystemOptimum, &opts);
-        certify_network(&inst, &opt.flow, CostModel::SystemOptimum, 1e-5)
-            .expect("optimum certified");
+        let nash = network::nash(&inst, &opts, None).unwrap();
+        let opt = network::optimum(&inst, &opts, None).unwrap();
+        let check = |r: &sopt_solver::frank_wolfe::FwResult, model| {
+            certify_network(&inst, &r.per_commodity, &r.flow, model, 1e-5)
+        };
+        check(&nash, CostModel::Wardrop).expect("nash certified");
+        check(&opt, CostModel::SystemOptimum).expect("optimum certified");
         // Cross-check: the Nash flow is not optimal and vice versa.
-        assert!(certify_network(&inst, &nash.flow, CostModel::SystemOptimum, 1e-5).is_err());
-        assert!(certify_network(&inst, &opt.flow, CostModel::Wardrop, 1e-5).is_err());
+        assert!(check(&nash, CostModel::SystemOptimum).is_err());
+        assert!(check(&opt, CostModel::Wardrop).is_err());
     }
 }

@@ -1,49 +1,34 @@
-//! Equilibria on arbitrary s–t and k-commodity networks (Frank–Wolfe).
+//! Equilibria on networks (Frank–Wolfe): the Nash flow, the optimum, and
+//! the equilibrium a Leader's flow induces.
 //!
-//! Every solve has three forms: the classic panicking convenience
-//! (`network_nash`), a `try_` variant surfacing the unreachable-sink
-//! failure as a typed [`SolverError`], and a warm-start parameter on the
-//! `try_` form — `seed` is a per-commodity flow set (usually the
-//! `per_commodity` of a previous [`FwResult`], or MOP's free flow for an
-//! induced solve) that skips the all-or-nothing bootstrap when the previous
-//! solution is close to the new one.
+//! Each is one call over a [`Routing`] view, so an s–t instance is solved
+//! as the one-commodity case of a k-commodity one. Every call returns its
+//! failures as typed [`SolverError`]s and takes a warm seed: the
+//! per-commodity flows of a nearby solution (usually a previous
+//! [`FwResult`], or the plan's free flows for an induced solve) that skip
+//! the all-or-nothing bootstrap when that solution is close to the new one.
 
 use sopt_latency::LatencyFn;
 use sopt_network::flow::EdgeFlow;
-use sopt_network::graph::NodeId;
-use sopt_network::instance::{MultiCommodityInstance, NetworkInstance};
+use sopt_network::instance::Routing;
 use sopt_solver::error::SolverError;
-use sopt_solver::frank_wolfe::{
-    try_solve_parts, try_solve_warm, try_solve_warm_multicommodity, FwOptions, FwResult,
-};
+use sopt_solver::frank_wolfe::{try_solve_parts, FwOptions, FwResult};
 use sopt_solver::objective::CostModel;
 
-/// Warm-start seed for the `try_` solves: per-commodity flows of a nearby
+/// Warm-start seed for the solves: per-commodity flows of a nearby
 /// solution (rescaled internally; an unusable seed falls back to a cold
 /// start).
 pub type WarmSeed<'a> = Option<&'a FwResult>;
 
-/// Wrap a bare edge flow as a single-commodity warm-start seed. Only the
-/// per-commodity flow matters to the seeded solver; the bookkeeping fields
-/// are placeholders (`converged = false`, no iterations). MOP uses this to
-/// seed the induced solve from its free flow.
-pub fn warm_seed_from(flow: &EdgeFlow) -> FwResult {
-    warm_seed_from_per(vec![flow.clone()])
-}
-
-/// Wrap per-commodity flows as a k-commodity warm-start seed (one
-/// [`EdgeFlow`] per commodity, in commodity order).
-pub fn warm_seed_from_per(per: Vec<EdgeFlow>) -> FwResult {
-    let m = per.first().map_or(0, |f| f.0.len());
-    let mut combined = EdgeFlow::zeros(m);
-    for p in &per {
-        for (c, x) in combined.0.iter_mut().zip(&p.0) {
-            *c += x;
-        }
-    }
+/// Wrap per-commodity flows (one [`EdgeFlow`] per commodity, in commodity
+/// order) as a warm seed. A seeded solve reads only `per_commodity`; the
+/// combined `flow` is left empty and the bookkeeping fields are
+/// placeholders (`converged = false`, no iterations). Theorem 2.1's plan
+/// seeds the induced solve with its free flows this way.
+pub fn warm_seed(per_commodity: Vec<EdgeFlow>) -> FwResult {
     FwResult {
-        flow: combined,
-        per_commodity: per,
+        flow: EdgeFlow(Vec::new()),
+        per_commodity,
         objective: f64::NAN,
         rel_gap: f64::INFINITY,
         iterations: 0,
@@ -53,150 +38,70 @@ pub fn warm_seed_from_per(per: Vec<EdgeFlow>) -> FwResult {
     }
 }
 
-/// Nash (Wardrop) flow of `(G, r)`: minimiser of the Beckmann potential.
-/// Panics where [`try_network_nash`] errors.
-pub fn network_nash(inst: &NetworkInstance, opts: &FwOptions) -> FwResult {
-    try_network_nash(inst, opts, None).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`network_nash`] with typed errors and an optional warm start.
-pub fn try_network_nash(
-    inst: &NetworkInstance,
+fn solve<'a>(
+    net: impl Into<Routing<'a>>,
+    model: CostModel,
     opts: &FwOptions,
     seed: WarmSeed<'_>,
 ) -> Result<FwResult, SolverError> {
-    try_solve_warm(inst, CostModel::Wardrop, opts, seed)
+    let net = net.into();
+    try_solve_parts(net.graph, net.latencies, &net.demands(), model, opts, seed)
 }
 
-/// Optimum flow `O` of `(G, r)`: minimiser of total cost. Panics where
-/// [`try_network_optimum`] errors.
-pub fn network_optimum(inst: &NetworkInstance, opts: &FwOptions) -> FwResult {
-    try_network_optimum(inst, opts, None).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`network_optimum`] with typed errors and an optional warm start.
-pub fn try_network_optimum(
-    inst: &NetworkInstance,
+/// The Nash (Wardrop) flow: the minimiser of the Beckmann potential.
+pub fn nash<'a>(
+    net: impl Into<Routing<'a>>,
     opts: &FwOptions,
     seed: WarmSeed<'_>,
 ) -> Result<FwResult, SolverError> {
-    try_solve_warm(inst, CostModel::SystemOptimum, opts, seed)
+    solve(net, CostModel::Wardrop, opts, seed)
 }
 
-/// The equilibrium induced by a Leader edge flow: Followers route the
-/// remaining rate against a-posteriori latencies `ℓ_e(· + s_e)`.
+/// The optimum flow `O`: the minimiser of total cost.
+pub fn optimum<'a>(
+    net: impl Into<Routing<'a>>,
+    opts: &FwOptions,
+    seed: WarmSeed<'_>,
+) -> Result<FwResult, SolverError> {
+    solve(net, CostModel::SystemOptimum, opts, seed)
+}
+
+/// The equilibrium induced by a Leader edge flow `leader` that controls
+/// `leader_values[i]` of commodity `i`: every commodity's followers route
+/// the rest of its rate selfishly against the a-posteriori latencies
+/// `ℓ_e(· + s_e)`. Returns the *follower* result; the Stackelberg
+/// equilibrium is `leader + follower`.
 ///
-/// `leader_value` is the s→t value of the Leader's flow (the amount
-/// subtracted from the follower rate). Returns the *follower* result; the
-/// Stackelberg equilibrium is `leader + follower`. Panics where
-/// [`try_induced_network`] errors.
-pub fn induced_network(
-    inst: &NetworkInstance,
-    leader: &EdgeFlow,
-    leader_value: f64,
-    opts: &FwOptions,
-) -> FwResult {
-    try_induced_network(inst, leader, leader_value, opts, None).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`induced_network`] with typed errors and an optional warm start —
-/// chained α-sweeps seed each induced solve from the previous α's
-/// follower flow; MOP callers seed from the free flow (which *is* the
-/// induced equilibrium when the strategy enforces the optimum).
-pub fn try_induced_network(
-    inst: &NetworkInstance,
-    leader: &EdgeFlow,
-    leader_value: f64,
-    opts: &FwOptions,
-    seed: WarmSeed<'_>,
-) -> Result<FwResult, SolverError> {
-    assert_eq!(leader.as_slice().len(), inst.num_edges());
-    assert!(leader_value >= -1e-12 && leader_value <= inst.rate + 1e-9);
-    let latencies: Vec<LatencyFn> = inst
-        .latencies
-        .iter()
-        .zip(leader.as_slice())
-        .map(|(l, &s)| l.preloaded(s))
-        .collect();
-    let demands = [(inst.source, inst.sink, (inst.rate - leader_value).max(0.0))];
-    try_solve_parts(
-        &inst.graph,
-        &latencies,
-        &demands,
-        CostModel::Wardrop,
-        opts,
-        seed,
-    )
-}
-
-/// Nash flow of a k-commodity instance. Panics where
-/// [`try_multicommodity_nash`] errors.
-pub fn multicommodity_nash(inst: &MultiCommodityInstance, opts: &FwOptions) -> FwResult {
-    try_multicommodity_nash(inst, opts, None).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`multicommodity_nash`] with typed errors and an optional warm start.
-pub fn try_multicommodity_nash(
-    inst: &MultiCommodityInstance,
-    opts: &FwOptions,
-    seed: WarmSeed<'_>,
-) -> Result<FwResult, SolverError> {
-    try_solve_warm_multicommodity(inst, CostModel::Wardrop, opts, seed)
-}
-
-/// Optimum flow of a k-commodity instance. Panics where
-/// [`try_multicommodity_optimum`] errors.
-pub fn multicommodity_optimum(inst: &MultiCommodityInstance, opts: &FwOptions) -> FwResult {
-    try_multicommodity_optimum(inst, opts, None).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`multicommodity_optimum`] with typed errors and an optional warm start.
-pub fn try_multicommodity_optimum(
-    inst: &MultiCommodityInstance,
-    opts: &FwOptions,
-    seed: WarmSeed<'_>,
-) -> Result<FwResult, SolverError> {
-    try_solve_warm_multicommodity(inst, CostModel::SystemOptimum, opts, seed)
-}
-
-/// Induced equilibrium on a k-commodity instance: the Leader preloads edge
-/// flow `leader` whose per-commodity values are `leader_values[i]`; every
-/// commodity's followers route the remainder selfishly. Panics where
-/// [`try_induced_multicommodity`] errors.
-pub fn induced_multicommodity(
-    inst: &MultiCommodityInstance,
-    leader: &EdgeFlow,
-    leader_values: &[f64],
-    opts: &FwOptions,
-) -> FwResult {
-    try_induced_multicommodity(inst, leader, leader_values, opts, None)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`induced_multicommodity`] with typed errors and an optional warm start.
-pub fn try_induced_multicommodity(
-    inst: &MultiCommodityInstance,
-    leader: &EdgeFlow,
+/// The Leader must fit the instance: one entry per edge, each finite and
+/// at least −1e-12 (clamped to 0), and one controlled value per commodity,
+/// each in `[−1e-12, r_i + 1e-9]`. Anything else is
+/// [`SolverError::InvalidLeader`]. A fully controlled commodity routes no
+/// followers. Chained α-sweeps seed each solve from the previous α's
+/// follower flows; the β plan seeds it from its free flows, which *are*
+/// the induced equilibrium when the strategy enforces the optimum.
+pub fn induced<'a>(
+    net: impl Into<Routing<'a>>,
+    leader: &[f64],
     leader_values: &[f64],
     opts: &FwOptions,
     seed: WarmSeed<'_>,
 ) -> Result<FwResult, SolverError> {
-    assert_eq!(leader_values.len(), inst.commodities.len());
-    let latencies: Vec<LatencyFn> = inst
+    let net = net.into();
+    check_leader(net, leader, leader_values)?;
+    let latencies: Vec<LatencyFn> = net
         .latencies
         .iter()
-        .zip(leader.as_slice())
+        .zip(leader)
         .map(|(l, &s)| l.preloaded(s.max(0.0)))
         .collect();
-    // Fully-controlled commodities legitimately drop to rate 0.
-    let demands: Vec<(NodeId, NodeId, f64)> = inst
-        .commodities
+    let demands: Vec<_> = net
+        .commodities()
         .iter()
         .zip(leader_values)
         .map(|(c, &v)| (c.source, c.sink, (c.rate - v).max(0.0)))
         .collect();
     try_solve_parts(
-        &inst.graph,
+        net.graph,
         &latencies,
         &demands,
         CostModel::Wardrop,
@@ -205,9 +110,48 @@ pub fn try_induced_multicommodity(
     )
 }
 
+/// Whether a Leader flow fits `net` (see [`induced`]).
+fn check_leader(net: Routing<'_>, leader: &[f64], values: &[f64]) -> Result<(), SolverError> {
+    let bad = |reason: String| Err(SolverError::InvalidLeader { reason });
+    let (m, commodities) = (net.num_edges(), net.commodities());
+    if leader.len() != m {
+        return bad(format!(
+            "expected one entry per edge ({m} edges), got {}",
+            leader.len()
+        ));
+    }
+    if let Some((e, s)) = leader
+        .iter()
+        .enumerate()
+        .find(|&(_, &s)| !(s.is_finite() && s >= -1e-12))
+    {
+        return bad(format!(
+            "edge {e} carries {s}; entries must be finite and ≥ 0"
+        ));
+    }
+    if values.len() != commodities.len() {
+        return bad(format!(
+            "expected one controlled value per commodity ({} commodities), got {}",
+            commodities.len(),
+            values.len()
+        ));
+    }
+    for (i, (c, &v)) in commodities.iter().zip(values).enumerate() {
+        if !(v >= -1e-12 && v <= c.rate + 1e-9) {
+            return bad(format!(
+                "commodity {i} controls {v}, outside [0, {}]",
+                c.rate
+            ));
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sopt_network::graph::NodeId;
+    use sopt_network::instance::NetworkInstance;
     use sopt_network::DiGraph;
 
     /// Classic Braess instance (edges: s→v:x, s→w:1, v→w:0, v→t:1, w→t:x).
@@ -237,8 +181,8 @@ mod tests {
     fn braess_nash_vs_optimum_costs() {
         let inst = braess();
         let opts = FwOptions::default();
-        let n = network_nash(&inst, &opts);
-        let o = network_optimum(&inst, &opts);
+        let n = nash(&inst, &opts, None).unwrap();
+        let o = optimum(&inst, &opts, None).unwrap();
         assert!((inst.cost(n.flow.as_slice()) - 2.0).abs() < 1e-6);
         assert!((inst.cost(o.flow.as_slice()) - 1.5).abs() < 1e-6);
     }
@@ -247,9 +191,9 @@ mod tests {
     fn induced_with_zero_leader_is_nash() {
         let inst = braess();
         let opts = FwOptions::default();
-        let zero = EdgeFlow::zeros(inst.num_edges());
-        let ind = induced_network(&inst, &zero, 0.0, &opts);
-        let nash = network_nash(&inst, &opts);
+        let zero = vec![0.0; inst.num_edges()];
+        let ind = induced(&inst, &zero, &[0.0], &opts, None).unwrap();
+        let nash = nash(&inst, &opts, None).unwrap();
         for e in 0..inst.num_edges() {
             assert!((ind.flow.0[e] - nash.flow.0[e]).abs() < 1e-5);
         }
@@ -260,8 +204,8 @@ mod tests {
         let inst = braess();
         let opts = FwOptions::default();
         // Leader ships the whole unit on the two outer paths (optimum).
-        let leader = EdgeFlow(vec![0.5, 0.5, 0.0, 0.5, 0.5]);
-        let ind = induced_network(&inst, &leader, 1.0, &opts);
+        let leader = [0.5, 0.5, 0.0, 0.5, 0.5];
+        let ind = induced(&inst, &leader, &[1.0], &opts, None).unwrap();
         assert!(ind.flow.0.iter().all(|f| f.abs() < 1e-9));
     }
 
@@ -271,13 +215,12 @@ mod tests {
         // flood the middle path again.
         let inst = braess();
         let opts = FwOptions::default();
-        let leader = EdgeFlow(vec![0.25, 0.25, 0.0, 0.25, 0.25]);
-        let ind = induced_network(&inst, &leader, 0.5, &opts);
+        let leader = [0.25, 0.25, 0.0, 0.25, 0.25];
+        let ind = induced(&inst, &leader, &[0.5], &opts, None).unwrap();
         assert!(ind.converged);
         // All follower flow uses the middle path.
         assert!((ind.flow.0[2] - 0.5).abs() < 1e-5, "{:?}", ind.flow);
         let total: Vec<f64> = leader
-            .as_slice()
             .iter()
             .zip(ind.flow.as_slice())
             .map(|(a, b)| a + b)

@@ -126,15 +126,15 @@ pub fn roughgarden_651_optimum_cost(k: u32) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sopt_equilibrium::network::{network_nash, network_optimum};
+    use sopt_equilibrium::network;
     use sopt_solver::frank_wolfe::FwOptions;
 
     #[test]
     fn classic_costs() {
         let inst = braess_classic();
         let opts = FwOptions::default();
-        let n = network_nash(&inst, &opts);
-        let o = network_optimum(&inst, &opts);
+        let n = network::nash(&inst, &opts, None).unwrap();
+        let o = network::optimum(&inst, &opts, None).unwrap();
         assert!((inst.cost(n.flow.as_slice()) - 2.0).abs() < 1e-6);
         assert!((inst.cost(o.flow.as_slice()) - 1.5).abs() < 1e-6);
     }
@@ -144,7 +144,7 @@ mod tests {
         for &eps in &[0.0, 0.05, 0.2] {
             let inst = fig7_instance(eps);
             let e = fig7_expected(eps);
-            let o = network_optimum(&inst, &FwOptions::default());
+            let o = network::optimum(&inst, &FwOptions::default(), None).unwrap();
             for i in 0..5 {
                 assert!(
                     (o.flow.0[i] - e.optimum[i]).abs() < 1e-5,
@@ -161,7 +161,7 @@ mod tests {
     fn fig7_nash_cost_closed_form() {
         for &eps in &[0.01, 0.1] {
             let inst = fig7_instance(eps);
-            let n = network_nash(&inst, &FwOptions::default());
+            let n = network::nash(&inst, &FwOptions::default(), None).unwrap();
             let e = fig7_expected(eps);
             assert!(
                 (inst.cost(n.flow.as_slice()) - e.nash_cost).abs() < 1e-5,
@@ -182,7 +182,7 @@ mod tests {
     fn ex651_nash_is_all_middle() {
         for &k in &[1u32, 4, 8] {
             let inst = roughgarden_651(k);
-            let n = network_nash(&inst, &FwOptions::default());
+            let n = network::nash(&inst, &FwOptions::default(), None).unwrap();
             // Middle edge carries everything: C(N) = 2.
             assert!((n.flow.0[2] - 1.0).abs() < 1e-5, "k={k}: {:?}", n.flow);
             assert!((inst.cost(n.flow.as_slice()) - 2.0).abs() < 1e-5);
@@ -194,7 +194,7 @@ mod tests {
         let mut prev = f64::INFINITY;
         for &k in &[1u32, 2, 4, 8, 16] {
             let inst = roughgarden_651(k);
-            let o = network_optimum(&inst, &FwOptions::default());
+            let o = network::optimum(&inst, &FwOptions::default(), None).unwrap();
             let measured = inst.cost(o.flow.as_slice());
             let closed = roughgarden_651_optimum_cost(k);
             assert!(
@@ -211,7 +211,7 @@ mod tests {
         // The Fig. 7 flow pattern (3/4−ε, 1/4+ε, 1/2−2ε, …) matches the
         // x^k family at k = 8 with ε ≈ 0.01 (see DESIGN.md).
         let inst = roughgarden_651(8);
-        let o = network_optimum(&inst, &FwOptions::default());
+        let o = network::optimum(&inst, &FwOptions::default(), None).unwrap();
         assert!((o.flow.0[0] - 0.75).abs() < 0.05, "{:?}", o.flow);
         assert!((o.flow.0[2] - 0.5).abs() < 0.1, "{:?}", o.flow);
     }

@@ -1,10 +1,9 @@
 //! [`InstanceError`] — typed failures of the instance generators.
 //!
-//! Continues the panics→`Result` migration started in the session API: the
-//! [`crate::random`] generators validate their shape and rate parameters and
-//! return this enum from their `try_*` forms instead of asserting. The
-//! classic panicking names remain as thin shims for algorithm-level code
-//! that constructs instances from trusted constants.
+//! The [`crate::random`] and [`crate::grid`] generators validate their
+//! shape and rate parameters and return this enum from their `try_*`
+//! forms instead of asserting. There are no panicking forms: callers that
+//! pass trusted constants write `.expect(…)`.
 
 /// Every way a generator's parameters can be invalid.
 #[derive(Clone, Copy, Debug, PartialEq)]

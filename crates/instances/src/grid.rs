@@ -86,15 +86,6 @@ pub fn try_grid_city(side: usize, rate: f64, seed: u64) -> Result<NetworkInstanc
     ))
 }
 
-/// Panicking shim over [`try_grid_city`] for trusted parameters.
-///
-/// # Panics
-/// If `side < 2`, `side > GRID_SIDE_MAX`, or `rate` is not a positive
-/// finite number.
-pub fn grid_city(side: usize, rate: f64, seed: u64) -> NetworkInstance {
-    try_grid_city(side, rate, seed).expect("valid generator parameters")
-}
-
 /// Most distinct origins a [`try_grid_city_multi`] OD matrix uses: real
 /// trip tables concentrate many destinations behind few origin zones, and
 /// the origin-grouped AON path is exactly what this family exercises.
@@ -169,7 +160,7 @@ mod tests {
 
     #[test]
     fn builds_the_advertised_shape() {
-        let inst = grid_city(4, 1.0, 7);
+        let inst = try_grid_city(4, 1.0, 7).expect("valid generator parameters");
         assert_eq!(inst.graph.num_nodes(), 16);
         assert_eq!(inst.graph.num_edges(), 48);
         assert_eq!(inst.latencies.len(), 48);
@@ -179,16 +170,16 @@ mod tests {
 
     #[test]
     fn deterministic_in_the_seed() {
-        let a = grid_city(5, 2.0, 11);
-        let b = grid_city(5, 2.0, 11);
+        let a = try_grid_city(5, 2.0, 11).expect("valid generator parameters");
+        let b = try_grid_city(5, 2.0, 11).expect("valid generator parameters");
         assert_eq!(a.latencies, b.latencies);
-        let c = grid_city(5, 2.0, 12);
+        let c = try_grid_city(5, 2.0, 12).expect("valid generator parameters");
         assert_ne!(a.latencies, c.latencies);
     }
 
     #[test]
     fn multi_reuses_the_streets_and_caps_origins() {
-        let single = grid_city(5, 3.0, 11);
+        let single = try_grid_city(5, 3.0, 11).expect("valid generator parameters");
         let multi = try_grid_city_multi(5, 3.0, 40, 11).unwrap();
         // Same seed ⇒ identical street network under the OD matrix.
         assert_eq!(multi.latencies, single.latencies);

@@ -36,6 +36,6 @@ pub mod tntp;
 pub use braess::{braess_classic, fig7_instance, roughgarden_651};
 pub use error::InstanceError;
 pub use fig4::fig4_links;
-pub use grid::{grid_city, grid_dims, try_grid_city, try_grid_city_multi, GRID_MULTI_MAX_ORIGINS};
+pub use grid::{grid_dims, try_grid_city, try_grid_city_multi, GRID_MULTI_MAX_ORIGINS};
 pub use pigou::pigou_links;
 pub use tntp::{parse_tntp, parse_tntp_readers, TntpError, TntpInstance, TntpNetwork};

@@ -33,14 +33,6 @@ pub fn try_random_common_slope(
     Ok(ParallelLinks::new(lats, rate))
 }
 
-/// Panicking shim over [`try_random_common_slope`] for trusted parameters.
-///
-/// # Panics
-/// If `m == 0` or `rate` is not a positive finite number.
-pub fn random_common_slope(m: usize, rate: f64, seed: u64) -> ParallelLinks {
-    try_random_common_slope(m, rate, seed).expect("valid generator parameters")
-}
-
 /// Random general affine system (independent slopes and intercepts) — the
 /// Roughgarden–Tardos `4/3` class.
 pub fn try_random_affine(m: usize, rate: f64, seed: u64) -> Result<ParallelLinks, InstanceError> {
@@ -56,14 +48,6 @@ pub fn try_random_affine(m: usize, rate: f64, seed: u64) -> Result<ParallelLinks
     Ok(ParallelLinks::new(lats, rate))
 }
 
-/// Panicking shim over [`try_random_affine`] for trusted parameters.
-///
-/// # Panics
-/// If `m == 0` or `rate` is not a positive finite number.
-pub fn random_affine(m: usize, rate: f64, seed: u64) -> ParallelLinks {
-    try_random_affine(m, rate, seed).expect("valid generator parameters")
-}
-
 /// Random M/M/1 system with per-link capacities in `[1.2·r, 3·r]`, so any
 /// subset of links keeps the rate feasible. The engine's fleet source for
 /// the `mm1` family (every link formats to `mm1:c` in the spec language).
@@ -75,14 +59,6 @@ pub fn try_random_mm1(m: usize, rate: f64, seed: u64) -> Result<ParallelLinks, I
         .map(|_| LatencyFn::mm1(rate * rng.random_range(1.2..3.0)))
         .collect();
     Ok(ParallelLinks::new(lats, rate))
-}
-
-/// Panicking shim over [`try_random_mm1`] for trusted parameters.
-///
-/// # Panics
-/// If `m == 0` or `rate` is not a positive finite number.
-pub fn random_mm1(m: usize, rate: f64, seed: u64) -> ParallelLinks {
-    try_random_mm1(m, rate, seed).expect("valid generator parameters")
 }
 
 /// Random mixed standard system with *smooth marginals*: affine, monomial,
@@ -116,14 +92,6 @@ pub fn try_random_mixed_smooth(
         lats[0] = LatencyFn::affine(1.0, 0.0);
     }
     Ok(ParallelLinks::new(lats, rate))
-}
-
-/// Panicking shim over [`try_random_mixed_smooth`] for trusted parameters.
-///
-/// # Panics
-/// If `m == 0` or `rate` is not a positive finite number.
-pub fn random_mixed_smooth(m: usize, rate: f64, seed: u64) -> ParallelLinks {
-    try_random_mixed_smooth(m, rate, seed).expect("valid generator parameters")
 }
 
 /// Random mixed system restricted to latency families the spec language can
@@ -160,14 +128,6 @@ pub fn try_random_spec_mixed(
         lats[0] = LatencyFn::affine(1.0, 0.0);
     }
     Ok(ParallelLinks::new(lats, rate))
-}
-
-/// Panicking shim over [`try_random_spec_mixed`] for trusted parameters.
-///
-/// # Panics
-/// If `m == 0` or `rate` is not a positive finite number.
-pub fn random_spec_mixed(m: usize, rate: f64, seed: u64) -> ParallelLinks {
-    try_random_spec_mixed(m, rate, seed).expect("valid generator parameters")
 }
 
 /// Random mixed standard system: affine, monomial, polynomial, M/M/1,
@@ -216,14 +176,6 @@ pub fn try_random_mixed(m: usize, rate: f64, seed: u64) -> Result<ParallelLinks,
     Ok(ParallelLinks::new(lats, rate))
 }
 
-/// Panicking shim over [`try_random_mixed`] for trusted parameters.
-///
-/// # Panics
-/// If `m == 0` or `rate` is not a positive finite number.
-pub fn random_mixed(m: usize, rate: f64, seed: u64) -> ParallelLinks {
-    try_random_mixed(m, rate, seed).expect("valid generator parameters")
-}
-
 /// A random layered DAG `s → layer₁ → … → layer_L → t` with affine
 /// latencies and a few skip edges: the MOP workload.
 pub fn try_random_layered_network(
@@ -270,19 +222,6 @@ pub fn try_random_layered_network(
         lats.push(rand_affine(&mut rng));
     }
     Ok(NetworkInstance::new(g, lats, s, t, rate))
-}
-
-/// Panicking shim over [`try_random_layered_network`] for trusted parameters.
-///
-/// # Panics
-/// If `layers == 0`, `width == 0`, or `rate` is not a positive finite number.
-pub fn random_layered_network(
-    layers: usize,
-    width: usize,
-    rate: f64,
-    seed: u64,
-) -> NetworkInstance {
-    try_random_layered_network(layers, width, rate, seed).expect("valid generator parameters")
 }
 
 /// Random k-commodity instance over a shared layered core: `layers × width`
@@ -354,20 +293,6 @@ pub fn try_random_multicommodity(
     Ok(MultiCommodityInstance::new(g, lats, commodities))
 }
 
-/// Panicking shim over [`try_random_multicommodity`] for trusted parameters.
-///
-/// # Panics
-/// If any shape parameter is 0 or `rate` is not a positive finite number.
-pub fn random_multicommodity(
-    layers: usize,
-    width: usize,
-    k: usize,
-    rate: f64,
-    seed: u64,
-) -> MultiCommodityInstance {
-    try_random_multicommodity(layers, width, k, rate, seed).expect("valid generator parameters")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -375,18 +300,18 @@ mod tests {
 
     #[test]
     fn generators_are_deterministic() {
-        let a = random_common_slope(5, 1.0, 42);
-        let b = random_common_slope(5, 1.0, 42);
+        let a = try_random_common_slope(5, 1.0, 42).expect("valid generator parameters");
+        let b = try_random_common_slope(5, 1.0, 42).expect("valid generator parameters");
         for i in 0..5 {
             assert_eq!(a.latencies()[i], b.latencies()[i]);
         }
-        let c = random_common_slope(5, 1.0, 43);
+        let c = try_random_common_slope(5, 1.0, 43).expect("valid generator parameters");
         assert!((0..5).any(|i| a.latencies()[i] != c.latencies()[i]));
     }
 
     #[test]
     fn common_slope_extractable() {
-        let links = random_common_slope(8, 2.0, 7);
+        let links = try_random_common_slope(8, 2.0, 7).expect("valid generator parameters");
         let slopes: Vec<f64> = links
             .latencies()
             .iter()
@@ -401,7 +326,7 @@ mod tests {
     #[test]
     fn mixed_instances_are_feasible() {
         for seed in 0..20 {
-            let links = random_mixed(6, 1.5, seed);
+            let links = try_random_mixed(6, 1.5, seed).expect("valid generator parameters");
             let n = links.try_nash().expect("feasible");
             let o = links.try_optimum().expect("feasible");
             let sn: f64 = n.flows().iter().sum();
@@ -414,7 +339,7 @@ mod tests {
     #[test]
     fn mm1_instances_are_feasible() {
         for seed in 0..20 {
-            let links = random_mm1(4, 2.0, seed);
+            let links = try_random_mm1(4, 2.0, seed).expect("valid generator parameters");
             let n = links.try_nash().expect("feasible");
             assert!(
                 (n.flows().iter().sum::<f64>() - 2.0).abs() < 1e-7,
@@ -463,11 +388,12 @@ mod tests {
 
     #[test]
     fn layered_network_well_formed() {
-        let inst = random_layered_network(3, 3, 2.0, 11);
+        let inst = try_random_layered_network(3, 3, 2.0, 11).expect("valid generator parameters");
         assert_eq!(inst.latencies.len(), inst.graph.num_edges());
         // t reachable from s.
         let costs: Vec<f64> = inst.latencies.iter().map(|l| l.value(0.0)).collect();
-        let sp = sopt_network::spath::dijkstra(&inst.graph, &costs, inst.source);
-        assert!(sp.dist[inst.sink.idx()].is_finite());
+        let mut sp = sopt_network::SpWorkspace::new();
+        sp.dijkstra(&sopt_network::Csr::new(&inst.graph), &costs, inst.source);
+        assert!(sp.reached(inst.sink));
     }
 }

@@ -15,15 +15,14 @@
 //! sinks). After costs rose, [`SpWorkspace::many_paths_hold`] certifies
 //! that a one-to-many tree still gives every sink the path a fresh search
 //! would, so a caller may keep it. [`SpWorkspace::dijkstra`] builds the
-//! full tree, which MOP's free-flow computation and the equilibrium
-//! certificates still need (through [`crate::spath::dijkstra`]).
+//! full tree, which Theorem 2.1's plan and the equilibrium certificates
+//! need.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::graph::{DiGraph, EdgeId, NodeId};
 use crate::path::Path;
-use crate::spath::ShortestPaths;
 
 /// Total order on f64 costs for the heap (no NaNs expected).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -357,15 +356,6 @@ impl SpWorkspace {
         self.walk_path_to(csr, t, |e| edges.push(e));
         edges.reverse();
         Some(Path::new(g, edges))
-    }
-
-    /// Copy the tree out as an owned [`ShortestPaths`] (compat bridge for
-    /// callers of the allocating API).
-    pub fn to_shortest_paths(&self) -> ShortestPaths {
-        ShortestPaths {
-            dist: self.dist.clone(),
-            parent: self.parent.clone(),
-        }
     }
 
     /// Nodes settled by the most recent query (full or targeted) — the
@@ -910,11 +900,10 @@ mod tests {
         let costs = [1.0, 4.0, 1.0, 5.0, 1.0];
         let mut ws = SpWorkspace::new();
         ws.dijkstra(&csr, &costs, NodeId(0));
-        let reference = crate::spath::dijkstra(&g, &costs, NodeId(0));
+        let reference = crate::spath::bellman_ford(&g, &costs, NodeId(0)).unwrap();
         assert_eq!(ws.dist(), reference.dist.as_slice());
         let p = ws.path_to(&g, &csr, NodeId(3)).unwrap();
         assert_eq!(p.edges(), &[EdgeId(0), EdgeId(2), EdgeId(4)]);
-        assert_eq!(ws.to_shortest_paths().dist, reference.dist);
     }
 
     #[test]

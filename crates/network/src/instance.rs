@@ -79,11 +79,7 @@ impl NetworkInstance {
 
     /// Total cost `C(f) = Σ_e f_e·ℓ_e(f_e)` of an edge flow.
     pub fn cost(&self, flow: &[f64]) -> f64 {
-        assert_eq!(flow.len(), self.num_edges());
-        flow.iter()
-            .zip(&self.latencies)
-            .map(|(&f, l)| if f == 0.0 { 0.0 } else { f * l.value(f) })
-            .sum()
+        self.routing().cost(flow)
     }
 
     /// Per-edge latencies evaluated at a flow (the MOP edge costs `ℓ_e(o_e)`).
@@ -92,6 +88,19 @@ impl NetworkInstance {
             .zip(&self.latencies)
             .map(|(&f, l)| l.value(f))
             .collect()
+    }
+
+    /// This instance as a one-commodity [`Routing`] view.
+    pub fn routing(&self) -> Routing<'_> {
+        Routing {
+            graph: &self.graph,
+            latencies: &self.latencies,
+            commodities: Commodities::One(Commodity {
+                source: self.source,
+                sink: self.sink,
+                rate: self.rate,
+            }),
+        }
     }
 }
 
@@ -136,29 +145,97 @@ impl MultiCommodityInstance {
 
     /// Total demand `r = Σ r_i`.
     pub fn total_rate(&self) -> f64 {
-        self.commodities.iter().map(|c| c.rate).sum()
+        self.routing().total_rate()
     }
 
     /// Total cost of a combined edge flow.
     pub fn cost(&self, flow: &[f64]) -> f64 {
-        assert_eq!(flow.len(), self.graph.num_edges());
+        self.routing().cost(flow)
+    }
+
+    /// This instance as a [`Routing`] view.
+    pub fn routing(&self) -> Routing<'_> {
+        Routing {
+            graph: &self.graph,
+            latencies: &self.latencies,
+            commodities: Commodities::Many(&self.commodities),
+        }
+    }
+}
+
+/// A borrowed view of what every flow solve routes: the graph, one latency
+/// per edge, and the commodities. Both instance types hand one out, an s–t
+/// instance as its one commodity, so the solvers, the equilibria and the
+/// paper's plans are written once over this view. It borrows; it never
+/// copies the graph.
+#[derive(Clone, Copy, Debug)]
+pub struct Routing<'a> {
+    /// The network.
+    pub graph: &'a DiGraph,
+    /// Per-edge latencies, indexed by [`EdgeId`].
+    pub latencies: &'a [LatencyFn],
+    commodities: Commodities<'a>,
+}
+
+#[derive(Clone, Copy, Debug)]
+enum Commodities<'a> {
+    One(Commodity),
+    Many(&'a [Commodity]),
+}
+
+impl<'a> Routing<'a> {
+    /// The demand pairs, in order.
+    pub fn commodities(&self) -> &[Commodity] {
+        match &self.commodities {
+            Commodities::One(c) => std::slice::from_ref(c),
+            Commodities::Many(cs) => cs,
+        }
+    }
+
+    /// The `(source, sink, rate)` demand of every commodity, in order.
+    pub fn demands(&self) -> Vec<(NodeId, NodeId, f64)> {
+        self.commodities()
+            .iter()
+            .map(|c| (c.source, c.sink, c.rate))
+            .collect()
+    }
+
+    /// Total demand `r = Σ r_i`.
+    pub fn total_rate(&self) -> f64 {
+        self.commodities().iter().map(|c| c.rate).sum()
+    }
+
+    /// Number of edges.
+    pub fn num_edges(&self) -> usize {
+        self.graph.num_edges()
+    }
+
+    /// Total cost `C(f) = Σ_e f_e·ℓ_e(f_e)` of a combined edge flow.
+    pub fn cost(&self, flow: &[f64]) -> f64 {
+        assert_eq!(flow.len(), self.num_edges());
         flow.iter()
-            .zip(&self.latencies)
+            .zip(self.latencies)
             .map(|(&f, l)| if f == 0.0 { 0.0 } else { f * l.value(f) })
             .sum()
     }
 
-    /// The single-commodity restriction `(G, r_i)` for commodity `i` (other
-    /// demands ignored) — used by per-commodity subroutines.
-    pub fn commodity_instance(&self, i: usize) -> NetworkInstance {
-        let c = self.commodities[i];
-        NetworkInstance::new(
-            self.graph.clone(),
-            self.latencies.clone(),
-            c.source,
-            c.sink,
-            c.rate,
-        )
+    /// The same graph and commodities over other latencies (tolled or
+    /// preloaded ones), one per edge.
+    pub fn with_latencies(self, latencies: &'a [LatencyFn]) -> Self {
+        assert_eq!(latencies.len(), self.num_edges(), "one latency per edge");
+        Routing { latencies, ..self }
+    }
+}
+
+impl<'a> From<&'a NetworkInstance> for Routing<'a> {
+    fn from(inst: &'a NetworkInstance) -> Self {
+        inst.routing()
+    }
+}
+
+impl<'a> From<&'a MultiCommodityInstance> for Routing<'a> {
+    fn from(inst: &'a MultiCommodityInstance) -> Self {
+        inst.routing()
     }
 }
 
@@ -215,9 +292,25 @@ mod tests {
             ],
         );
         assert_eq!(inst.total_rate(), 3.0);
-        let c1 = inst.commodity_instance(1);
-        assert_eq!(c1.rate, 2.0);
-        assert_eq!(c1.sink, NodeId(2));
+        let view = inst.routing();
+        assert_eq!(view.commodities()[1].rate, 2.0);
+        assert_eq!(view.commodities()[1].sink, NodeId(2));
+    }
+
+    #[test]
+    fn st_instances_route_as_one_commodity() {
+        let inst = two_link();
+        let view = inst.routing();
+        assert!(std::ptr::eq(view.graph, &inst.graph));
+        assert_eq!(
+            view.commodities(),
+            &[Commodity {
+                source: NodeId(0),
+                sink: NodeId(1),
+                rate: 1.0,
+            }]
+        );
+        assert_eq!(view.cost(&[0.5, 0.5]), inst.cost(&[0.5, 0.5]));
     }
 
     #[test]

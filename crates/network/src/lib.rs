@@ -25,7 +25,7 @@ pub mod spath;
 pub use csr::{Csr, RevCsr, SpWorkspace};
 pub use flow::EdgeFlow;
 pub use graph::{DiGraph, Edge, EdgeId, NodeId};
-pub use instance::{Commodity, MultiCommodityInstance, NetworkInstance};
+pub use instance::{Commodity, MultiCommodityInstance, NetworkInstance, Routing};
 pub use path::Path;
 
 /// Default flow tolerance: flows below this are treated as zero.

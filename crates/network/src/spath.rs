@@ -1,11 +1,10 @@
-//! Shortest paths: Dijkstra (production path), Bellman–Ford (test oracle),
-//! and the shortest-path subnetwork extraction used by `MOP` (paper
-//! footnote 5: "compute subgraph G̃ ⊆ G containing all edges traversed by a
-//! shortest path with respect to edge costs incurred by O").
+//! Shortest paths beside [`SpWorkspace`](crate::csr::SpWorkspace)'s
+//! Dijkstra: Bellman–Ford (the test oracle) and the shortest-path
+//! subnetwork test used by `MOP` (paper footnote 5: "compute subgraph
+//! G̃ ⊆ G containing all edges traversed by a shortest path with respect to
+//! edge costs incurred by O").
 
-use crate::csr::{Csr, SpWorkspace};
-use crate::graph::{DiGraph, EdgeId, NodeId};
-use crate::path::Path;
+use crate::graph::{DiGraph, Edge, EdgeId, NodeId};
 
 /// Single-source shortest-path tree.
 #[derive(Clone, Debug)]
@@ -14,37 +13,6 @@ pub struct ShortestPaths {
     pub dist: Vec<f64>,
     /// Entering edge of `v` on some shortest path (None at source/unreachable).
     pub parent: Vec<Option<EdgeId>>,
-}
-
-impl ShortestPaths {
-    /// Reconstruct one shortest path to `t` (None if unreachable).
-    pub fn path_to(&self, g: &DiGraph, t: NodeId) -> Option<Path> {
-        if self.dist[t.idx()].is_infinite() {
-            return None;
-        }
-        let mut edges = Vec::new();
-        let mut v = t;
-        while let Some(e) = self.parent[v.idx()] {
-            edges.push(e);
-            v = g.edge(e).from;
-        }
-        edges.reverse();
-        Some(Path::new(g, edges))
-    }
-}
-
-/// Dijkstra from `s` under nonnegative `edge_costs`. Panics on a negative
-/// cost (latencies are nonnegative, so costs `ℓ_e(o_e)` always qualify).
-///
-/// This is the allocating convenience wrapper: it builds a fresh
-/// [`Csr`] view and [`SpWorkspace`] per call. Hot loops (Frank–Wolfe's
-/// per-iteration all-or-nothing assignments) build both once and call
-/// [`SpWorkspace::dijkstra`] directly.
-pub fn dijkstra(g: &DiGraph, edge_costs: &[f64], s: NodeId) -> ShortestPaths {
-    let csr = Csr::new(g);
-    let mut ws = SpWorkspace::new();
-    ws.dijkstra(&csr, edge_costs, s);
-    ws.to_shortest_paths()
 }
 
 /// Bellman–Ford (test oracle for Dijkstra; also tolerates negative costs).
@@ -84,48 +52,21 @@ pub fn bellman_ford(g: &DiGraph, edge_costs: &[f64], s: NodeId) -> Option<Shorte
     Some(ShortestPaths { dist, parent })
 }
 
-use crate::graph::Edge;
-
-/// The *shortest-path subnetwork*: every edge `e = (u,v)` that lies on some
-/// shortest `s → …` path, i.e. `dist(u) + c_e = dist(v)` up to `tol`.
-///
-/// This is the subgraph `G̃` of the paper's footnote 5; `MOP` routes the free
-/// (uncontrolled) flow inside it.
-pub fn shortest_dag_edges(
-    g: &DiGraph,
-    edge_costs: &[f64],
-    sp: &ShortestPaths,
-    tol: f64,
-) -> Vec<EdgeId> {
-    g.edge_ids()
-        .filter(|&e| on_shortest_dag(g, edge_costs, &sp.dist, e, tol))
-        .collect()
-}
-
-/// Whether edge `e` belongs to [`shortest_dag_edges`] of the tree whose
-/// distances are `dist` (for callers that keep the tree in an
-/// [`SpWorkspace`] rather than an owned [`ShortestPaths`]).
+/// Whether edge `e = (u, v)` lies on the *shortest-path subnetwork* of the
+/// tree whose distances are `dist`: `dist(u) + c_e = dist(v)` up to `tol`.
+/// That subnetwork is the subgraph `G̃` of the paper's footnote 5; `MOP`
+/// routes the free (uncontrolled) flow inside it.
 pub fn on_shortest_dag(g: &DiGraph, edge_costs: &[f64], dist: &[f64], e: EdgeId, tol: f64) -> bool {
     let Edge { from, to } = g.edge(e);
     let (du, dv) = (dist[from.idx()], dist[to.idx()]);
     du.is_finite() && dv.is_finite() && (du + edge_costs[e.idx()] - dv).abs() <= tol
 }
 
-/// Does `path` realise the shortest `s→t` distance under `edge_costs`?
-pub fn is_shortest_path(
-    path: &Path,
-    edge_costs: &[f64],
-    sp: &ShortestPaths,
-    g: &DiGraph,
-    tol: f64,
-) -> bool {
-    let t = path.sink(g);
-    (path.cost(edge_costs) - sp.dist[t.idx()]).abs() <= tol
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr::{Csr, SpWorkspace};
+    use crate::path::Path;
 
     fn diamond() -> DiGraph {
         // 0→1→3, 0→2→3, 1→2
@@ -138,13 +79,19 @@ mod tests {
         g
     }
 
+    fn dijkstra(g: &DiGraph, costs: &[f64], s: NodeId) -> SpWorkspace {
+        let mut ws = SpWorkspace::new();
+        ws.dijkstra(&Csr::new(g), costs, s);
+        ws
+    }
+
     #[test]
     fn dijkstra_basic() {
         let g = diamond();
         let costs = [1.0, 4.0, 1.0, 5.0, 1.0];
         let sp = dijkstra(&g, &costs, NodeId(0));
-        assert_eq!(sp.dist[3], 3.0); // 0→1→2→3
-        let p = sp.path_to(&g, NodeId(3)).unwrap();
+        assert_eq!(sp.dist()[3], 3.0); // 0→1→2→3
+        let p = sp.path_to(&g, &Csr::new(&g), NodeId(3)).unwrap();
         assert_eq!(p.edges(), &[EdgeId(0), EdgeId(2), EdgeId(4)]);
     }
 
@@ -153,8 +100,8 @@ mod tests {
         let mut g = DiGraph::with_nodes(3);
         g.add_edge(NodeId(0), NodeId(1));
         let sp = dijkstra(&g, &[1.0], NodeId(0));
-        assert!(sp.dist[2].is_infinite());
-        assert!(sp.path_to(&g, NodeId(2)).is_none());
+        assert!(sp.dist()[2].is_infinite());
+        assert!(sp.path_to(&g, &Csr::new(&g), NodeId(2)).is_none());
     }
 
     #[test]
@@ -164,7 +111,7 @@ mod tests {
         let a = dijkstra(&g, &costs, NodeId(0));
         let b = bellman_ford(&g, &costs, NodeId(0)).unwrap();
         for v in 0..4 {
-            assert!((a.dist[v] - b.dist[v]).abs() < 1e-12);
+            assert!((a.dist()[v] - b.dist[v]).abs() < 1e-12);
         }
     }
 
@@ -179,28 +126,28 @@ mod tests {
     #[test]
     fn shortest_dag_extraction() {
         let g = diamond();
-        // Two shortest 0→3 routes of cost 2: 0→1→3 via (1,1)? set costs so
-        // e0+e3 = e1+e4 = 2 but e0+e2+e4 = 3.
+        // Two shortest 0→3 routes of cost 2 (e0+e3 = e1+e4 = 2), but
+        // e0+e2+e4 = 3.
         let costs = [1.0, 1.0, 1.0, 1.0, 1.0];
         let sp = dijkstra(&g, &costs, NodeId(0));
-        let dag = shortest_dag_edges(&g, &costs, &sp, 1e-12);
-        // e2 (1→2) is not on a shortest path to 3: dist(1)+1 = 2 = dist(2)? dist(2)=1 via e1.
-        assert!(dag.contains(&EdgeId(0)));
-        assert!(dag.contains(&EdgeId(1)));
-        assert!(dag.contains(&EdgeId(3)));
-        assert!(dag.contains(&EdgeId(4)));
-        assert!(!dag.contains(&EdgeId(2)));
+        let dag: Vec<EdgeId> = g
+            .edge_ids()
+            .filter(|&e| on_shortest_dag(&g, &costs, sp.dist(), e, 1e-12))
+            .collect();
+        // e2 (1→2) is not on a shortest path: dist(1) + 1 = 2 > dist(2) = 1.
+        assert_eq!(dag, vec![EdgeId(0), EdgeId(1), EdgeId(3), EdgeId(4)]);
     }
 
     #[test]
     fn is_shortest_path_checks_cost() {
+        // A path is shortest exactly when its cost meets the sink's label.
         let g = diamond();
         let costs = [1.0, 1.0, 1.0, 1.0, 1.0];
         let sp = dijkstra(&g, &costs, NodeId(0));
         let short = Path::new(&g, vec![EdgeId(0), EdgeId(3)]);
         let long = Path::new(&g, vec![EdgeId(0), EdgeId(2), EdgeId(4)]);
-        assert!(is_shortest_path(&short, &costs, &sp, &g, 1e-12));
-        assert!(!is_shortest_path(&long, &costs, &sp, &g, 1e-12));
+        assert_eq!(short.cost(&costs), sp.dist()[3]);
+        assert!(long.cost(&costs) > sp.dist()[3]);
     }
 
     #[test]

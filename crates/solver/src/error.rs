@@ -3,16 +3,17 @@
 //! The Frank–Wolfe linearised subproblem is an all-or-nothing shortest-path
 //! assignment; on a graph where a commodity's sink is cut off from its
 //! source there is no feasible flow at all, and the solvers report that as
-//! [`SolverError::UnreachableSink`] through the `try_` entry points
-//! ([`crate::frank_wolfe::try_solve_assignment`] and friends) and the
-//! all-or-nothing subroutines ([`crate::aon::aon_st_into`],
-//! [`crate::aon::aon_assign_targets`]). The panicking solve wrappers remain
-//! as shims for internal callers that pre-validate reachability.
+//! [`SolverError::UnreachableSink`] through the one entry point
+//! ([`crate::frank_wolfe::try_solve_parts`]) and the all-or-nothing
+//! subroutines ([`crate::aon::aon_st_into`],
+//! [`crate::aon::aon_assign_targets`]). Induced solves reject a Leader flow
+//! that does not fit the instance as [`SolverError::InvalidLeader`]. No
+//! solve panics on either.
 
 use sopt_network::graph::NodeId;
 
 /// Why a convex flow solve could not produce a result.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SolverError {
     /// A commodity's sink cannot be reached from its source, so no feasible
     /// assignment exists.
@@ -23,6 +24,13 @@ pub enum SolverError {
         source: NodeId,
         /// The unreachable sink.
         sink: NodeId,
+    },
+    /// A Leader flow handed to an induced solve does not fit the instance:
+    /// the wrong number of edge entries or controlled values, a negative
+    /// or non-finite entry, or a value outside its commodity's rate.
+    InvalidLeader {
+        /// What is wrong with it.
+        reason: String,
     },
 }
 
@@ -37,6 +45,7 @@ impl SolverError {
                 source,
                 sink,
             },
+            other => other,
         }
     }
 }
@@ -52,6 +61,7 @@ impl std::fmt::Display for SolverError {
                 f,
                 "sink {sink} unreachable from source {source} (commodity {commodity})"
             ),
+            SolverError::InvalidLeader { reason } => write!(f, "invalid leader flow: {reason}"),
         }
     }
 }

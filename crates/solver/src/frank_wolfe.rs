@@ -22,15 +22,16 @@
 //!
 //! ## Workspaces and warm starts
 //!
-//! All per-iteration buffers (gradient costs, all-or-nothing targets,
-//! conjugate state, the Dijkstra heap) live in a [`FwWorkspace`]. The plain
-//! entry points ([`solve_assignment`], [`solve_multicommodity`]) reuse a
-//! thread-local workspace, so back-to-back solves on one thread allocate
-//! only their results; the `_with` variants take an explicit workspace for
-//! callers that manage their own.
+//! One entry point, [`try_solve_parts`], solves every instance: a graph,
+//! one latency per edge and one demand per commodity, an s–t instance
+//! being the one-commodity case. All per-iteration buffers (gradient
+//! costs, all-or-nothing targets, conjugate state, the Dijkstra heap) live
+//! in a [`FwWorkspace`]. [`try_solve_parts`] reuses a thread-local one, so
+//! back-to-back solves on one thread allocate only their results;
+//! [`try_solve_parts_with`] takes the caller's.
 //!
-//! [`solve_warm`] / [`try_solve_warm`] additionally accept a previous
-//! [`FwResult`] as the starting point. Seeding a solve with a nearby flow
+//! Either accepts a previous solution's per-commodity flows as the
+//! starting point. Seeding a solve with a nearby flow
 //! (the previous α of an anarchy-curve sweep, MOP's free flow for an
 //! induced solve, the cold optimum for a Nash profile) skips the
 //! all-or-nothing bootstrap and the Frank–Wolfe loop. The seed is
@@ -68,7 +69,6 @@ use sopt_latency::{DirPlan, LatencyBatch, LatencyFn};
 use sopt_network::csr::{Csr, RevCsr, SpPool, SpWorkspace};
 use sopt_network::flow::EdgeFlow;
 use sopt_network::graph::NodeId;
-use sopt_network::instance::{MultiCommodityInstance, NetworkInstance};
 use sopt_network::DiGraph;
 
 use crate::aon::{
@@ -662,54 +662,20 @@ fn with_tls_workspace<R>(f: impl FnOnce(&mut FwWorkspace) -> R) -> R {
     })
 }
 
-/// Solve a single-commodity instance. See [`solve_multicommodity`]. Panics
-/// where [`try_solve_assignment`] errors.
-pub fn solve_assignment(inst: &NetworkInstance, model: CostModel, opts: &FwOptions) -> FwResult {
-    try_solve_assignment(inst, model, opts).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`solve_assignment`] with the unreachable-sink failure surfaced as a
-/// typed [`SolverError`].
-pub fn try_solve_assignment(
-    inst: &NetworkInstance,
-    model: CostModel,
-    opts: &FwOptions,
-) -> Result<FwResult, SolverError> {
-    try_solve_warm(inst, model, opts, None)
-}
-
-/// Solve a single-commodity instance starting from a previous result
-/// (`init`) when one is supplied: the initial point is `init`'s
-/// per-commodity flow rescaled to this instance's rate. A seed that does
-/// not fit (wrong shape, zero value, capacity violation after rescaling)
-/// falls back to the cold start and bumps the `seeds_rejected` counter.
-/// Panics where [`try_solve_warm`] errors.
-pub fn solve_warm(
-    inst: &NetworkInstance,
-    model: CostModel,
-    opts: &FwOptions,
-    init: Option<&FwResult>,
-) -> FwResult {
-    try_solve_warm(inst, model, opts, init).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`solve_warm`] with typed errors.
-pub fn try_solve_warm(
-    inst: &NetworkInstance,
-    model: CostModel,
-    opts: &FwOptions,
-    init: Option<&FwResult>,
-) -> Result<FwResult, SolverError> {
-    let demands = [(inst.source, inst.sink, inst.rate)];
-    try_solve_parts(&inst.graph, &inst.latencies, &demands, model, opts, init)
-}
-
 /// Solve over the parts of an instance: `graph`, one latency per edge, and
 /// one `(source, sink, rate)` demand per commodity, where a rate may be 0
-/// (a commodity its Leader fully controls). Induced solves route their
-/// followers through it over the instance's own graph, with preloaded
-/// latencies and reduced rates, without copying the graph. `init` seeds
-/// the solve as in [`try_solve_warm_multicommodity`].
+/// (a commodity its Leader fully controls). Every flow solve runs through
+/// here, an s–t instance as its one commodity: per-commodity all-or-nothing
+/// directions with a common exact step in the combined flow space. Induced
+/// solves pass preloaded latencies and reduced rates over the instance's
+/// own graph, without copying it.
+///
+/// `init` seeds the solve: its per-commodity flows (the `per_commodity`
+/// of a previous [`FwResult`], rescaled per commodity to these rates) are
+/// the starting point. A seed that does not fit (wrong shape, zero value,
+/// capacity violation after rescaling) falls back to the cold start and
+/// bumps the `seeds_rejected` counter. The solve reuses this thread's
+/// workspace; [`try_solve_parts_with`] takes the caller's.
 pub fn try_solve_parts(
     graph: &DiGraph,
     latencies: &[LatencyFn],
@@ -722,96 +688,18 @@ pub fn try_solve_parts(
     with_tls_workspace(|ws| solve_inner(ws, graph, latencies, demands, model, opts, seed))
 }
 
-/// [`try_solve_warm`] over a caller-owned workspace, seeded by raw
-/// per-commodity flows (one [`EdgeFlow`] for the single commodity).
-pub fn try_solve_warm_with(
+/// [`try_solve_parts`] over a caller-owned workspace, seeded by raw
+/// per-commodity flows.
+pub fn try_solve_parts_with(
     ws: &mut FwWorkspace,
-    inst: &NetworkInstance,
+    graph: &DiGraph,
+    latencies: &[LatencyFn],
+    demands: &[(NodeId, NodeId, f64)],
     model: CostModel,
     opts: &FwOptions,
     seed: Option<&[EdgeFlow]>,
 ) -> Result<FwResult, SolverError> {
-    solve_inner(
-        ws,
-        &inst.graph,
-        &inst.latencies,
-        &[(inst.source, inst.sink, inst.rate)],
-        model,
-        opts,
-        seed,
-    )
-}
-
-/// Solve a k-commodity instance: per-commodity all-or-nothing directions
-/// with a common exact step in the combined flow space. Panics where
-/// [`try_solve_multicommodity`] errors.
-pub fn solve_multicommodity(
-    inst: &MultiCommodityInstance,
-    model: CostModel,
-    opts: &FwOptions,
-) -> FwResult {
-    try_solve_multicommodity(inst, model, opts).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`solve_multicommodity`] with typed errors.
-pub fn try_solve_multicommodity(
-    inst: &MultiCommodityInstance,
-    model: CostModel,
-    opts: &FwOptions,
-) -> Result<FwResult, SolverError> {
-    try_solve_warm_multicommodity(inst, model, opts, None)
-}
-
-/// Multicommodity warm start: the per-commodity flows of `init` (rescaled
-/// per commodity) seed the solve. Panics where
-/// [`try_solve_warm_multicommodity`] errors.
-pub fn solve_warm_multicommodity(
-    inst: &MultiCommodityInstance,
-    model: CostModel,
-    opts: &FwOptions,
-    init: Option<&FwResult>,
-) -> FwResult {
-    try_solve_warm_multicommodity(inst, model, opts, init).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`solve_warm_multicommodity`] with typed errors.
-pub fn try_solve_warm_multicommodity(
-    inst: &MultiCommodityInstance,
-    model: CostModel,
-    opts: &FwOptions,
-    init: Option<&FwResult>,
-) -> Result<FwResult, SolverError> {
-    let demands = demands_of(inst);
-    try_solve_parts(&inst.graph, &inst.latencies, &demands, model, opts, init)
-}
-
-/// [`try_solve_warm_multicommodity`] over a caller-owned workspace, seeded
-/// by raw per-commodity flows.
-pub fn try_solve_warm_multicommodity_with(
-    ws: &mut FwWorkspace,
-    inst: &MultiCommodityInstance,
-    model: CostModel,
-    opts: &FwOptions,
-    seed: Option<&[EdgeFlow]>,
-) -> Result<FwResult, SolverError> {
-    let demands = demands_of(inst);
-    solve_inner(
-        ws,
-        &inst.graph,
-        &inst.latencies,
-        &demands,
-        model,
-        opts,
-        seed,
-    )
-}
-
-/// The `(source, sink, rate)` demand of every commodity, in order.
-fn demands_of(inst: &MultiCommodityInstance) -> Vec<(NodeId, NodeId, f64)> {
-    inst.commodities
-        .iter()
-        .map(|c| (c.source, c.sink, c.rate))
-        .collect()
+    solve_inner(ws, graph, latencies, demands, model, opts, seed)
 }
 
 /// Sum per-commodity flows into `out`.
@@ -1102,7 +990,19 @@ mod tests {
     use super::*;
     use crate::equalize::equalize;
     use sopt_latency::Latency;
-    use sopt_network::instance::Commodity;
+    use sopt_network::csr::Csr;
+    use sopt_network::instance::{Commodity, MultiCommodityInstance, NetworkInstance, Routing};
+
+    /// Solve an instance of either class through the one entry point.
+    fn solve<'a>(
+        net: impl Into<Routing<'a>>,
+        model: CostModel,
+        opts: &FwOptions,
+        init: Option<&FwResult>,
+    ) -> Result<FwResult, SolverError> {
+        let net = net.into();
+        try_solve_parts(net.graph, net.latencies, &net.demands(), model, opts, init)
+    }
 
     fn two_node(lats: Vec<LatencyFn>, rate: f64) -> NetworkInstance {
         let mut g = DiGraph::with_nodes(2);
@@ -1137,7 +1037,7 @@ mod tests {
     #[test]
     fn pigou_wardrop() {
         let inst = two_node(vec![LatencyFn::identity(), LatencyFn::constant(1.0)], 1.0);
-        let r = solve_assignment(&inst, CostModel::Wardrop, &FwOptions::default());
+        let r = solve(&inst, CostModel::Wardrop, &FwOptions::default(), None).unwrap();
         assert!(r.converged, "rel_gap {}", r.rel_gap);
         assert!((r.flow.0[0] - 1.0).abs() < 1e-6, "{:?}", r.flow);
         assert!(r.flow.0[1] < 1e-6);
@@ -1146,7 +1046,7 @@ mod tests {
     #[test]
     fn pigou_optimum() {
         let inst = two_node(vec![LatencyFn::identity(), LatencyFn::constant(1.0)], 1.0);
-        let r = solve_assignment(&inst, CostModel::SystemOptimum, &FwOptions::default());
+        let r = solve(&inst, CostModel::SystemOptimum, &FwOptions::default(), None).unwrap();
         assert!(r.converged);
         assert!((r.flow.0[0] - 0.5).abs() < 1e-6, "{:?}", r.flow);
         assert!((r.flow.0[1] - 0.5).abs() < 1e-6);
@@ -1156,7 +1056,7 @@ mod tests {
     #[test]
     fn braess_nash_floods_middle() {
         let inst = braess_classic();
-        let r = solve_assignment(&inst, CostModel::Wardrop, &FwOptions::default());
+        let r = solve(&inst, CostModel::Wardrop, &FwOptions::default(), None).unwrap();
         assert!(r.converged, "rel_gap {}", r.rel_gap);
         let f = r.flow.as_slice();
         assert!((f[0] - 1.0).abs() < 1e-6, "{f:?}"); // s→v
@@ -1168,7 +1068,7 @@ mod tests {
     #[test]
     fn braess_optimum_avoids_middle() {
         let inst = braess_classic();
-        let r = solve_assignment(&inst, CostModel::SystemOptimum, &FwOptions::default());
+        let r = solve(&inst, CostModel::SystemOptimum, &FwOptions::default(), None).unwrap();
         assert!(r.converged);
         let f = r.flow.as_slice();
         assert!((f[0] - 0.5).abs() < 1e-6, "{f:?}");
@@ -1186,7 +1086,7 @@ mod tests {
         ];
         let inst = two_node(lats.clone(), 2.0);
         for model in [CostModel::Wardrop, CostModel::SystemOptimum] {
-            let fw = solve_assignment(&inst, model, &FwOptions::default());
+            let fw = solve(&inst, model, &FwOptions::default(), None).unwrap();
             let eq = equalize(&lats, 2.0, model).unwrap();
             assert!(fw.converged);
             for i in 0..lats.len() {
@@ -1203,8 +1103,8 @@ mod tests {
     #[test]
     fn plain_fw_converges_slower_but_agrees() {
         let inst = braess_classic();
-        let fast = solve_assignment(&inst, CostModel::Wardrop, &FwOptions::default());
-        let slow = solve_assignment(
+        let fast = solve(&inst, CostModel::Wardrop, &FwOptions::default(), None).unwrap();
+        let slow = solve(
             &inst,
             CostModel::Wardrop,
             &FwOptions {
@@ -1213,7 +1113,9 @@ mod tests {
                 max_iters: 200_000,
                 ..FwOptions::default()
             },
-        );
+            None,
+        )
+        .unwrap();
         assert!(slow.converged);
         for e in 0..5 {
             assert!((fast.flow.0[e] - slow.flow.0[e]).abs() < 1e-3);
@@ -1247,7 +1149,7 @@ mod tests {
                 },
             ],
         );
-        let r = solve_multicommodity(&inst, CostModel::Wardrop, &FwOptions::default());
+        let r = solve(&inst, CostModel::Wardrop, &FwOptions::default(), None).unwrap();
         assert!(r.converged);
         assert!((r.flow.0[2] - 3.0).abs() < 1e-9);
         assert!((r.per_commodity[0].0[0] - 1.0).abs() < 1e-9);
@@ -1266,7 +1168,7 @@ mod tests {
             rate: 0.0,
             priceable: Vec::new(),
         };
-        let r = solve_assignment(&inst, CostModel::Wardrop, &FwOptions::default());
+        let r = solve(&inst, CostModel::Wardrop, &FwOptions::default(), None).unwrap();
         assert!(r.converged);
         assert_eq!(r.flow.0[0], 0.0);
     }
@@ -1289,7 +1191,7 @@ mod tests {
             NodeId(2),
             3.0,
         );
-        let r = solve_assignment(&inst, CostModel::Wardrop, &FwOptions::default());
+        let r = solve(&inst, CostModel::Wardrop, &FwOptions::default(), None).unwrap();
         assert!(r.converged, "rel_gap {}", r.rel_gap);
         assert!(r.flow.0[0] < 2.0);
         // Wardrop: both parallel edges loaded ⇒ equal latency.
@@ -1303,8 +1205,7 @@ mod tests {
         let mut g = DiGraph::with_nodes(3);
         g.add_edge(NodeId(0), NodeId(1)); // node 2 is cut off
         let inst = NetworkInstance::new(g, vec![LatencyFn::identity()], NodeId(0), NodeId(2), 1.0);
-        let err =
-            try_solve_assignment(&inst, CostModel::Wardrop, &FwOptions::default()).unwrap_err();
+        let err = solve(&inst, CostModel::Wardrop, &FwOptions::default(), None).unwrap_err();
         assert_eq!(
             err,
             SolverError::UnreachableSink {
@@ -1355,7 +1256,7 @@ mod tests {
     fn shared_origin_bootstrap_reroutes_around_a_pole_it_just_filled() {
         for (cap, bypass_b) in POLE_CASES {
             let inst = pole_pair(cap, bypass_b);
-            let demands = demands_of(&inst);
+            let demands = inst.routing().demands();
             for model in [CostModel::Wardrop, CostModel::SystemOptimum] {
                 let mut ws = FwWorkspace::new();
                 ws.prepare(&inst.graph, &inst.latencies, &demands);
@@ -1363,8 +1264,7 @@ mod tests {
                 assert!(ws.f[0] < cap, "cap {cap} {model:?}: start {:?}", ws.f);
             }
 
-            let r =
-                try_solve_multicommodity(&inst, CostModel::Wardrop, &FwOptions::default()).unwrap();
+            let r = solve(&inst, CostModel::Wardrop, &FwOptions::default(), None).unwrap();
             assert!(r.converged, "cap {cap}: rel_gap {}", r.rel_gap);
             let f = r.flow.as_slice();
             assert!(f[0] < cap, "cap {cap}: {f:?}");
@@ -1564,7 +1464,7 @@ mod tests {
             }
         }
         for (name, inst) in &cases {
-            let demands = demands_of(inst);
+            let demands = inst.routing().demands();
             let lats = &inst.latencies;
             for model in [CostModel::Wardrop, CostModel::SystemOptimum] {
                 let mut ws = FwWorkspace::new();
@@ -1605,7 +1505,7 @@ mod tests {
             max_iters: 0,
             ..FwOptions::default()
         };
-        let r = try_solve_multicommodity(&inst, CostModel::Wardrop, &opts).unwrap();
+        let r = solve(&inst, CostModel::Wardrop, &opts, None).unwrap();
         for p in &r.per_commodity {
             assert_eq!(p.0, [0.875, 0.125]);
         }
@@ -1629,8 +1529,7 @@ mod tests {
             vec![LatencyFn::identity(), LatencyFn::identity()],
             vec![c(0, 2), c(1, 3), c(0, 3)],
         );
-        let err =
-            try_solve_multicommodity(&inst, CostModel::Wardrop, &FwOptions::default()).unwrap_err();
+        let err = solve(&inst, CostModel::Wardrop, &FwOptions::default(), None).unwrap_err();
         assert_eq!(
             err,
             SolverError::UnreachableSink {
@@ -1701,8 +1600,8 @@ mod tests {
     fn warm_start_from_own_solution_converges_immediately() {
         let inst = braess_classic();
         let opts = FwOptions::default();
-        let cold = solve_assignment(&inst, CostModel::Wardrop, &opts);
-        let warm = solve_warm(&inst, CostModel::Wardrop, &opts, Some(&cold));
+        let cold = solve(&inst, CostModel::Wardrop, &opts, None).unwrap();
+        let warm = solve(&inst, CostModel::Wardrop, &opts, Some(&cold)).unwrap();
         assert!(warm.converged);
         assert!(
             warm.iterations <= 2,
@@ -1718,7 +1617,7 @@ mod tests {
     fn warm_start_rescales_to_new_rate() {
         let inst = braess_classic();
         let opts = FwOptions::default();
-        let cold = solve_assignment(&inst, CostModel::SystemOptimum, &opts);
+        let cold = solve(&inst, CostModel::SystemOptimum, &opts, None).unwrap();
         // Same network at a slightly different rate: the seed rescales.
         let bumped = NetworkInstance::new(
             inst.graph.clone(),
@@ -1727,8 +1626,8 @@ mod tests {
             inst.sink,
             1.05,
         );
-        let warm = solve_warm(&bumped, CostModel::SystemOptimum, &opts, Some(&cold));
-        let fresh = solve_assignment(&bumped, CostModel::SystemOptimum, &opts);
+        let warm = solve(&bumped, CostModel::SystemOptimum, &opts, Some(&cold)).unwrap();
+        let fresh = solve(&bumped, CostModel::SystemOptimum, &opts, None).unwrap();
         assert!(warm.converged && fresh.converged);
         assert!(warm.iterations <= fresh.iterations);
         for e in 0..5 {
@@ -1751,7 +1650,7 @@ mod tests {
             polish_rounds: 0,
             converged: false,
         };
-        let r = solve_warm(&inst, CostModel::Wardrop, &opts, Some(&bad));
+        let r = solve(&inst, CostModel::Wardrop, &opts, Some(&bad)).unwrap();
         assert!(r.converged);
         assert!((r.flow.0[2] - 1.0).abs() < 1e-6);
     }
@@ -1777,7 +1676,7 @@ mod tests {
         // Every setting still drives a solve to convergence.
         let inst = braess_classic();
         for opts in [default, fixed, never] {
-            let r = solve_assignment(&inst, CostModel::Wardrop, &opts);
+            let r = solve(&inst, CostModel::Wardrop, &opts, None).unwrap();
             assert!(r.converged, "stall_window {:?}", opts.stall_window);
             assert!((r.flow.0[2] - 1.0).abs() < 1e-6);
         }
@@ -1789,9 +1688,13 @@ mod tests {
         let braess = braess_classic();
         let pigou = two_node(vec![LatencyFn::identity(), LatencyFn::constant(1.0)], 1.0);
         let opts = FwOptions::default();
-        let a = try_solve_warm_with(&mut ws, &braess, CostModel::Wardrop, &opts, None).unwrap();
-        let b = try_solve_warm_with(&mut ws, &pigou, CostModel::Wardrop, &opts, None).unwrap();
-        let c = try_solve_warm_with(&mut ws, &braess, CostModel::Wardrop, &opts, None).unwrap();
+        let mut run = |inst: &NetworkInstance| {
+            let (net, w) = (inst.routing(), CostModel::Wardrop);
+            let demands = net.demands();
+            try_solve_parts_with(&mut ws, net.graph, net.latencies, &demands, w, &opts, None)
+        };
+        let (a, b, c) = (run(&braess), run(&pigou), run(&braess));
+        let (a, b, c) = (a.unwrap(), b.unwrap(), c.unwrap());
         assert!(a.converged && b.converged && c.converged);
         for e in 0..5 {
             assert!((a.flow.0[e] - c.flow.0[e]).abs() < 1e-12);
@@ -1875,15 +1778,17 @@ mod tests {
         let mut verdicts = [0usize; 2];
         for (side, mm1, seed) in [(5, false, 1), (6, true, 2), (7, false, 3)] {
             let inst = od_grid(side, 4.0, mm1, seed);
-            let base = solve_multicommodity(&inst, CostModel::Wardrop, &FwOptions::default());
-            let demands = demands_of(&inst);
+            let base = solve(&inst, CostModel::Wardrop, &FwOptions::default(), None).unwrap();
+            let demands = inst.routing().demands();
             let (graph, m) = (&inst.graph, inst.graph.num_edges());
             let mut ws = FwWorkspace::new();
             ws.prepare(graph, &inst.latencies, &demands);
             let caps = ws.batch.capacities().to_vec();
+            let csr = Csr::new(graph);
             let path_from = |from: NodeId, to: NodeId| {
-                let sp = sopt_network::spath::dijkstra(graph, &vec![1.0; m], from);
-                sp.path_to(graph, to)
+                let mut sp = SpWorkspace::new();
+                sp.dijkstra(&csr, &vec![1.0; m], from);
+                sp.path_to(graph, &csr, to)
                     .expect("a street grid is strongly connected")
             };
             for round in 0..42 {

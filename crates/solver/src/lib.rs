@@ -43,9 +43,5 @@ pub use aon::{AonMode, CommodityGroups};
 pub use equalize::{equalize, EqualizeError, EqualizeResult};
 pub use error::SolverError;
 pub use eval::Eval;
-pub use frank_wolfe::{
-    solve_assignment, solve_multicommodity, solve_warm, solve_warm_multicommodity,
-    try_solve_assignment, try_solve_multicommodity, try_solve_warm, try_solve_warm_multicommodity,
-    FwOptions, FwResult, FwWorkspace,
-};
+pub use frank_wolfe::{try_solve_parts, try_solve_parts_with, FwOptions, FwResult, FwWorkspace};
 pub use objective::CostModel;

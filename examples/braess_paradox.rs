@@ -14,8 +14,8 @@
 //!    while MOP still enforces the optimum outright with β ≈ 1 − 1/e… of
 //!    the flow.
 
-use stackopt::core::mop::mop;
-use stackopt::equilibrium::network::network_nash;
+use stackopt::core::mop::try_mop;
+use stackopt::equilibrium::network;
 use stackopt::instances::braess::{fig7_expected, roughgarden_651, roughgarden_651_optimum_cost};
 use stackopt::prelude::*;
 use stackopt::solver::frank_wolfe::FwOptions;
@@ -58,8 +58,8 @@ fn main() -> Result<(), SoptError> {
     let opts = FwOptions::default();
     for k in [1u32, 2, 4, 8, 16] {
         let inst = roughgarden_651(k);
-        let nash = network_nash(&inst, &opts);
-        let r = mop(&inst, &opts);
+        let nash = network::nash(&inst, &opts, None).expect("a reachable sink");
+        let r = try_mop(&inst, &opts).expect("a reachable sink");
         let cn = inst.cost(nash.flow.as_slice());
         let co = roughgarden_651_optimum_cost(k);
         println!(

@@ -220,6 +220,7 @@ impl From<SolverError> for SoptError {
     fn from(e: SolverError) -> Self {
         match e {
             SolverError::UnreachableSink { commodity, .. } => SoptError::Unreachable { commodity },
+            SolverError::InvalidLeader { reason } => SoptError::InvalidStrategy { reason },
         }
     }
 }
@@ -253,6 +254,7 @@ impl From<CoreError> for SoptError {
                 rel_gap,
             },
             CoreError::Unreachable { commodity } => SoptError::Unreachable { commodity },
+            CoreError::InvalidLeader { reason } => SoptError::InvalidStrategy { reason },
             CoreError::Equalize(inner) => inner.into(),
         }
     }

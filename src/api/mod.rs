@@ -2,8 +2,8 @@
 //!
 //! One uniform entry point over everything the paper computes, replacing
 //! the per-algorithm free functions (`optop(&ParallelLinks)`,
-//! `mop(&NetworkInstance, &FwOptions)`, `mop_multi(…)`) for application
-//! code. The shape follows how the Stackelberg literature frames the
+//! `try_mop(&NetworkInstance, &FwOptions)`, `try_mop_multi(…)`) for
+//! application code. The shape follows how the Stackelberg literature frames the
 //! problem — one leader-computation task, parameterized by instance class:
 //!
 //! * [`Scenario`] — any of the paper's three instance classes behind one

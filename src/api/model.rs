@@ -16,28 +16,23 @@
 //! Implementations exist for the three instance types themselves
 //! ([`ParallelLinks`], [`NetworkInstance`], [`MultiCommodityInstance`]);
 //! [`Scenario::model`](super::Scenario) hands out the right one — the only
-//! per-class `match` left in the session layer.
+//! per-class `match` left in the session layer. The two network classes
+//! share one implementation over their [`Routing`] view, an s–t network
+//! being the one-commodity case of Theorem 2.1; each keeps only its class,
+//! the tasks it supports and pricing, and s–t reports carry no
+//! per-commodity portions.
 
 use sopt_core::curve::{
-    anarchy_curve, anarchy_curve_multi_with, anarchy_curve_network_with, CurveOptions, CurveOracle,
-    CurveStrategy, NetworkAnarchyCurve,
+    anarchy_curve, anarchy_curve_with, CurveOptions, CurveOracle, CurveStrategy,
 };
 use sopt_core::llf::llf_strategy_for_optimum;
-use sopt_core::tolls::{
-    try_marginal_cost_tolls_multi_with_optimum, try_marginal_cost_tolls_network_with_optimum,
-    try_marginal_cost_tolls_with_optimum,
-};
-use sopt_core::{try_mop_multi_plan_with_optimum, try_mop_with_optimum, try_optop};
-use sopt_equilibrium::network::{
-    try_induced_multicommodity, try_induced_network, try_multicommodity_nash,
-    try_multicommodity_optimum, try_network_nash, try_network_optimum, warm_seed_from,
-    warm_seed_from_per,
-};
+use sopt_core::tolls::{network_tolls, try_marginal_cost_tolls_with_optimum};
+use sopt_core::{try_mop_multi_plan_with_optimum, try_optop};
+use sopt_equilibrium::network;
 use sopt_equilibrium::parallel::ParallelLinks;
 use sopt_latency::LatencyFn;
 use sopt_network::csr::{Csr, RevCsr, SpWorkspace};
-use sopt_network::flow::EdgeFlow;
-use sopt_network::instance::{MultiCommodityInstance, NetworkInstance};
+use sopt_network::instance::{MultiCommodityInstance, NetworkInstance, Routing};
 use sopt_solver::frank_wolfe::{FwOptions, FwResult};
 
 use super::error::SoptError;
@@ -277,40 +272,13 @@ fn points_report(
         .collect()
 }
 
-/// Map a core induced-sweep curve into the report shape. `weak_beta` is
-/// reported only where the split is a real choice (k > 1).
-fn curve_report_from(c: &NetworkAnarchyCurve, commodities: usize) -> CurveReport {
-    CurveReport {
-        beta: c.beta,
-        weak_beta: (commodities > 1).then_some(c.weak_beta),
-        strategy: c.strategy.name(),
-        nash_cost: c.nash_cost,
-        optimum_cost: c.optimum_cost,
-        points: points_report(
-            c.points
-                .iter()
-                .map(|p| (p.alpha, p.cost, p.ratio, p.oracle)),
-        ),
-    }
-}
-
-fn check_converged(r: &FwResult, what: &'static str) -> Result<(), SoptError> {
+/// `r` if its solve converged, a typed error naming the solve otherwise.
+fn converged(r: FwResult, what: &'static str) -> Result<FwResult, SoptError> {
     if r.converged {
-        Ok(())
+        Ok(r)
     } else {
         Err(SoptError::NotConverged {
             what: what.to_string(),
-            rel_gap: r.rel_gap,
-        })
-    }
-}
-
-fn checked_profile(r: FwResult, kind: EqKind) -> Result<ModelProfile, SoptError> {
-    if r.converged {
-        Ok(ModelProfile::Flow(r))
-    } else {
-        Err(SoptError::NotConverged {
-            what: kind.what().to_string(),
             rel_gap: r.rel_gap,
         })
     }
@@ -490,20 +458,41 @@ impl ScenarioModel for ParallelLinks {
 }
 
 // ---------------------------------------------------------------------------
-// Single-commodity s–t networks (MOP, Corollary 2.3).
+// Networks: s–t (MOP, Corollary 2.3) and k-commodity (Theorem 2.1).
 // ---------------------------------------------------------------------------
 
-impl ScenarioModel for NetworkInstance {
+/// What the two network classes do not share. The rest of
+/// [`ScenarioModel`] is written once, below, over their [`Routing`] view:
+/// an s–t network is the one-commodity case of Theorem 2.1.
+trait NetworkModel {
+    /// The instance class.
+    const CLASS: ScenarioClass;
+
+    /// The view every solve, plan, sweep and toll runs over.
+    fn routing(&self) -> Routing<'_>;
+
+    /// Whether `task` is defined on this class.
+    fn supports(&self, task: Task) -> bool;
+
+    /// The pricing task (see [`ScenarioModel::pricing`]).
+    fn pricing(
+        &self,
+        options: &SolveOptions,
+        nash: Option<&ModelProfile>,
+    ) -> Result<PricingReport, SoptError>;
+}
+
+impl<T: NetworkModel> ScenarioModel for T {
     fn class(&self) -> ScenarioClass {
-        ScenarioClass::Network
+        T::CLASS
     }
 
     fn commodities(&self) -> usize {
-        1
+        self.routing().commodities().len()
     }
 
     fn cost(&self, flow: &[f64]) -> f64 {
-        NetworkInstance::cost(self, flow)
+        self.routing().cost(flow)
     }
 
     fn fw_keyed(&self) -> bool {
@@ -511,13 +500,16 @@ impl ScenarioModel for NetworkInstance {
     }
 
     fn supports(&self, task: Task) -> bool {
-        !matches!(task, Task::Llf)
+        NetworkModel::supports(self, task)
     }
 
     fn solve_profile(&self, kind: EqKind, fw: &FwOptions) -> Result<ModelProfile, SoptError> {
         match kind {
             EqKind::Nash => self.nash_from_optimum(&self.solve_profile(EqKind::Optimum, fw)?, fw),
-            EqKind::Optimum => checked_profile(try_network_optimum(self, fw, None)?, kind),
+            EqKind::Optimum => {
+                let r = network::optimum(self.routing(), fw, None)?;
+                Ok(ModelProfile::Flow(converged(r, kind.what())?))
+            }
         }
     }
 
@@ -527,23 +519,33 @@ impl ScenarioModel for NetworkInstance {
         fw: &FwOptions,
     ) -> Result<ModelProfile, SoptError> {
         let seed = ModelProfile::require_flow(Some(optimum), "optimum")?;
-        checked_profile(try_network_nash(self, fw, Some(seed))?, EqKind::Nash)
+        let r = network::nash(self.routing(), fw, Some(seed))?;
+        Ok(ModelProfile::Flow(converged(r, EqKind::Nash.what())?))
     }
 
     fn beta_plan(&self, optimum: Option<&ModelProfile>) -> Result<BetaPlan, SoptError> {
-        let r = try_mop_with_optimum(self, ModelProfile::require_flow(optimum, "optimum")?)?;
+        let opt = ModelProfile::require_flow(optimum, "optimum")?;
+        // No per-commodity copies of the optimum and the Leader flows,
+        // which the β task does not read, and the free flows move into the
+        // seed uncloned: 3·k·m fewer floats allocated per plan.
+        let r = try_mop_multi_plan_with_optimum(self.routing(), opt)?;
         Ok(BetaPlan {
             beta: r.beta,
-            commodity_alphas: vec![],
-            leader: r.leader.as_slice().to_vec(),
-            leader_values: vec![r.leader_value],
-            optimum: r.optimum.as_slice().to_vec(),
+            // An s–t report has no per-commodity portions.
+            commodity_alphas: match T::CLASS {
+                ScenarioClass::Network => vec![],
+                _ => r.alphas,
+            },
+            leader: r.leader_total.0,
+            leader_values: r.leader_values,
+            optimum: opt.flow.as_slice().to_vec(),
             optimum_cost: r.optimum_cost,
             nash_cost: None,
-            // The free flow IS the follower equilibrium the MOP strategy
-            // induces (S + T = O), so it seeds the induced solve to
-            // near-instant convergence.
-            induced_seed: Some(warm_seed_from(&r.free_flow)),
+            // Per-commodity free flows are the follower equilibria the
+            // strategy induces (S + T = O) — the exact warm seed.
+            induced_seed: Some(network::warm_seed(
+                r.free.into_iter().map(|f| f.flow).collect(),
+            )),
         })
     }
 
@@ -554,10 +556,10 @@ impl ScenarioModel for NetworkInstance {
         fw: &FwOptions,
         seed: Option<&FwResult>,
     ) -> Result<InducedOutcome, SoptError> {
-        let leader = EdgeFlow(leader.to_vec());
-        let value = leader_values.first().copied().unwrap_or(0.0);
-        let r = try_induced_network(self, &leader, value, fw, seed)?;
-        check_converged(&r, "induced")?;
+        let r = converged(
+            network::induced(self.routing(), leader, leader_values, fw, seed)?,
+            "induced",
+        )?;
         Ok(InducedOutcome {
             follower: r.flow.as_slice().to_vec(),
             result: Some(r),
@@ -566,14 +568,16 @@ impl ScenarioModel for NetworkInstance {
 
     fn tolls(&self, optimum: &ModelProfile, fw: &FwOptions) -> Result<TollsReport, SoptError> {
         let opt = ModelProfile::require_flow(Some(optimum), "optimum")?;
-        let t = try_marginal_cost_tolls_network_with_optimum(self, opt)?;
-        // Marginal-cost tolls induce the untolled optimum — seed the tolled
-        // Nash with it.
-        let seed = warm_seed_from(&opt.flow);
-        let tolled_nash = try_network_nash(&t.tolled, fw, Some(&seed))?;
-        check_converged(&tolled_nash, "tolled nash")?;
+        let net = self.routing();
+        let t = network_tolls(net, opt)?;
+        // The tolled equilibrium is the untolled optimum, commodity by
+        // commodity — the optimum itself is the exact warm seed.
+        let tolled_nash = converged(
+            network::nash(net.with_latencies(&t.tolled), fw, Some(opt))?,
+            "tolled nash",
+        )?;
         Ok(TollsReport {
-            tolled_cost: self.cost(tolled_nash.flow.as_slice()),
+            tolled_cost: net.cost(tolled_nash.flow.as_slice()),
             tolled_nash: tolled_nash.flow.as_slice().to_vec(),
             tolls: t.tolls,
             optimum: t.optimum,
@@ -584,12 +588,74 @@ impl ScenarioModel for NetworkInstance {
     fn llf(&self, _alpha: f64, _optimum: &ModelProfile) -> Result<LlfReport, SoptError> {
         Err(SoptError::Unsupported {
             task: Task::Llf,
-            class: self.class(),
+            class: T::CLASS,
         })
     }
 
     fn pricing_needs_nash(&self) -> bool {
         true
+    }
+
+    fn pricing(
+        &self,
+        options: &SolveOptions,
+        nash: Option<&ModelProfile>,
+    ) -> Result<PricingReport, SoptError> {
+        NetworkModel::pricing(self, options, nash)
+    }
+
+    fn anarchy_curve(
+        &self,
+        alphas: &[f64],
+        strategy: CurveStrategy,
+        fw: &FwOptions,
+        optimum: &ModelProfile,
+        nash: &ModelProfile,
+    ) -> Result<CurveReport, SoptError> {
+        // On one commodity the weak and strong splits coincide: an s–t
+        // sweep runs the strong split and echoes the knob the caller
+        // asked for.
+        let split = match T::CLASS {
+            ScenarioClass::Network => CurveStrategy::Strong,
+            _ => strategy,
+        };
+        let c = anarchy_curve_with(
+            self.routing(),
+            alphas,
+            fw,
+            &CurveOptions {
+                strategy: split,
+                warm: true,
+            },
+            ModelProfile::require_flow(Some(optimum), "optimum")?,
+            ModelProfile::require_flow(Some(nash), "nash")?,
+        )?;
+        Ok(CurveReport {
+            beta: c.beta,
+            // The weak crossover is reported only where the split is a
+            // real choice.
+            weak_beta: (self.commodities() > 1).then_some(c.weak_beta),
+            strategy: strategy.name(),
+            nash_cost: c.nash_cost,
+            optimum_cost: c.optimum_cost,
+            points: points_report(
+                c.points
+                    .iter()
+                    .map(|p| (p.alpha, p.cost, p.ratio, p.oracle)),
+            ),
+        })
+    }
+}
+
+impl NetworkModel for NetworkInstance {
+    const CLASS: ScenarioClass = ScenarioClass::Network;
+
+    fn routing(&self) -> Routing<'_> {
+        NetworkInstance::routing(self)
+    }
+
+    fn supports(&self, task: Task) -> bool {
+        !matches!(task, Task::Llf)
     }
 
     fn pricing(
@@ -636,7 +702,7 @@ impl ScenarioModel for NetworkInstance {
         let fw = options.fw();
         // One tolled Nash per candidate, warm-chained: adjacent candidates
         // perturb only the priceable tolls, so the previous equilibrium is
-        // an excellent seed.
+        // an excellent seed. Each solves over the instance's own graph.
         let solve_at = |p: f64, seed: &FwResult| -> Result<FwResult, SoptError> {
             // Each candidate price costs one tolled-Nash solve; the
             // auction_candidate histogram shows whether warm-chaining
@@ -654,41 +720,33 @@ impl ScenarioModel for NetworkInstance {
                     }
                 })
                 .collect();
-            let tolled = NetworkInstance::new(
-                self.graph.clone(),
-                latencies,
-                self.source,
-                self.sink,
-                self.rate,
-            );
-            let r = try_network_nash(&tolled, &fw, Some(seed))?;
-            check_converged(&r, "priced nash")?;
-            Ok(r)
+            let r = network::nash(self.routing().with_latencies(&latencies), &fw, Some(seed))?;
+            converged(r, "priced nash")
         };
         let revenue_at = |p: f64, r: &FwResult| -> f64 {
             p * priceable.iter().map(|&e| r.flow.as_slice()[e]).sum::<f64>()
         };
-        let mut seed = warm_seed_from(&nash.flow);
         let mut best_p = 0.0;
         let mut best_rev = 0.0;
         let mut best_flow: Vec<f64> = nash.flow.as_slice().to_vec();
+        let mut prev: Option<FwResult> = None;
         for &p in &candidates {
-            let r = solve_at(p, &seed)?;
+            let r = solve_at(p, prev.as_ref().unwrap_or(nash))?;
             let rev = revenue_at(p, &r);
             if rev > best_rev {
                 best_rev = rev;
                 best_p = p;
                 best_flow = r.flow.as_slice().to_vec();
             }
-            seed = r;
+            prev = Some(r);
         }
         // Revenue at β-scaled winning prices, warm-chained along the grid.
         let sweep: Result<Vec<PricingSweepPoint>, SoptError> = (0..=options.steps)
             .map(|j| {
                 let beta = 2.0 * j as f64 / options.steps as f64;
-                let r = solve_at(beta * best_p, &seed)?;
+                let r = solve_at(beta * best_p, prev.as_ref().unwrap_or(nash))?;
                 let revenue = revenue_at(beta * best_p, &r);
-                seed = r;
+                prev = Some(r);
                 Ok(PricingSweepPoint { beta, revenue })
             })
             .collect();
@@ -705,134 +763,19 @@ impl ScenarioModel for NetworkInstance {
             sweep: sweep?,
         })
     }
-
-    fn anarchy_curve(
-        &self,
-        alphas: &[f64],
-        strategy: CurveStrategy,
-        fw: &FwOptions,
-        optimum: &ModelProfile,
-        nash: &ModelProfile,
-    ) -> Result<CurveReport, SoptError> {
-        let c = anarchy_curve_network_with(
-            self,
-            alphas,
-            fw,
-            true,
-            ModelProfile::require_flow(Some(optimum), "optimum")?,
-            ModelProfile::require_flow(Some(nash), "nash")?,
-        )?;
-        let mut report = curve_report_from(&c, self.commodities());
-        // One commodity: the weak and strong splits coincide; echo the
-        // knob the caller asked for.
-        report.strategy = strategy.name();
-        Ok(report)
-    }
 }
 
-// ---------------------------------------------------------------------------
-// k-commodity networks (Theorem 2.1).
-// ---------------------------------------------------------------------------
+impl NetworkModel for MultiCommodityInstance {
+    const CLASS: ScenarioClass = ScenarioClass::Multi;
 
-impl ScenarioModel for MultiCommodityInstance {
-    fn class(&self) -> ScenarioClass {
-        ScenarioClass::Multi
-    }
-
-    fn commodities(&self) -> usize {
-        self.commodities.len()
-    }
-
-    fn cost(&self, flow: &[f64]) -> f64 {
-        MultiCommodityInstance::cost(self, flow)
-    }
-
-    fn fw_keyed(&self) -> bool {
-        true
+    fn routing(&self) -> Routing<'_> {
+        MultiCommodityInstance::routing(self)
     }
 
     fn supports(&self, task: Task) -> bool {
         // Single-price network pricing is an s–t notion; a per-commodity
         // generalisation is future work (see ROADMAP.md).
         !matches!(task, Task::Llf | Task::Pricing)
-    }
-
-    fn solve_profile(&self, kind: EqKind, fw: &FwOptions) -> Result<ModelProfile, SoptError> {
-        match kind {
-            EqKind::Nash => self.nash_from_optimum(&self.solve_profile(EqKind::Optimum, fw)?, fw),
-            EqKind::Optimum => checked_profile(try_multicommodity_optimum(self, fw, None)?, kind),
-        }
-    }
-
-    fn nash_from_optimum(
-        &self,
-        optimum: &ModelProfile,
-        fw: &FwOptions,
-    ) -> Result<ModelProfile, SoptError> {
-        let seed = ModelProfile::require_flow(Some(optimum), "optimum")?;
-        checked_profile(try_multicommodity_nash(self, fw, Some(seed))?, EqKind::Nash)
-    }
-
-    fn beta_plan(&self, optimum: Option<&ModelProfile>) -> Result<BetaPlan, SoptError> {
-        let opt = ModelProfile::require_flow(optimum, "optimum")?;
-        // No per-commodity copies of the optimum and the Leader flows,
-        // which the β task does not read, and the free flows move into the
-        // seed uncloned: 3·k·m fewer floats allocated per plan.
-        let r = try_mop_multi_plan_with_optimum(self, opt)?;
-        Ok(BetaPlan {
-            beta: r.beta,
-            commodity_alphas: r.alphas,
-            leader: r.leader_total.0,
-            leader_values: r.leader_values,
-            optimum: opt.flow.as_slice().to_vec(),
-            optimum_cost: r.optimum_cost,
-            nash_cost: None,
-            // Per-commodity free flows are the follower equilibria the
-            // strategy induces — the exact warm seed.
-            induced_seed: Some(warm_seed_from_per(
-                r.free.into_iter().map(|f| f.flow).collect(),
-            )),
-        })
-    }
-
-    fn induced(
-        &self,
-        leader: &[f64],
-        leader_values: &[f64],
-        fw: &FwOptions,
-        seed: Option<&FwResult>,
-    ) -> Result<InducedOutcome, SoptError> {
-        let leader = EdgeFlow(leader.to_vec());
-        let r = try_induced_multicommodity(self, &leader, leader_values, fw, seed)?;
-        check_converged(&r, "induced")?;
-        Ok(InducedOutcome {
-            follower: r.flow.as_slice().to_vec(),
-            result: Some(r),
-        })
-    }
-
-    fn tolls(&self, optimum: &ModelProfile, fw: &FwOptions) -> Result<TollsReport, SoptError> {
-        let opt = ModelProfile::require_flow(Some(optimum), "optimum")?;
-        let t = try_marginal_cost_tolls_multi_with_optimum(self, opt)?;
-        // The tolled equilibrium is the untolled optimum, commodity by
-        // commodity — its per-commodity flows are the exact warm seed.
-        let seed = warm_seed_from_per(opt.per_commodity.clone());
-        let tolled_nash = try_multicommodity_nash(&t.tolled, fw, Some(&seed))?;
-        check_converged(&tolled_nash, "tolled nash")?;
-        Ok(TollsReport {
-            tolled_cost: self.cost(tolled_nash.flow.as_slice()),
-            tolled_nash: tolled_nash.flow.as_slice().to_vec(),
-            tolls: t.tolls,
-            optimum: t.optimum,
-            revenue: t.revenue,
-        })
-    }
-
-    fn llf(&self, _alpha: f64, _optimum: &ModelProfile) -> Result<LlfReport, SoptError> {
-        Err(SoptError::Unsupported {
-            task: Task::Llf,
-            class: self.class(),
-        })
     }
 
     fn pricing(
@@ -842,31 +785,8 @@ impl ScenarioModel for MultiCommodityInstance {
     ) -> Result<PricingReport, SoptError> {
         Err(SoptError::Unsupported {
             task: Task::Pricing,
-            class: self.class(),
+            class: Self::CLASS,
         })
-    }
-
-    fn anarchy_curve(
-        &self,
-        alphas: &[f64],
-        strategy: CurveStrategy,
-        fw: &FwOptions,
-        optimum: &ModelProfile,
-        nash: &ModelProfile,
-    ) -> Result<CurveReport, SoptError> {
-        let copts = CurveOptions {
-            strategy,
-            warm: true,
-        };
-        let c = anarchy_curve_multi_with(
-            self,
-            alphas,
-            fw,
-            &copts,
-            ModelProfile::require_flow(Some(optimum), "optimum")?,
-            ModelProfile::require_flow(Some(nash), "nash")?,
-        )?;
-        Ok(curve_report_from(&c, self.commodities()))
     }
 }
 

@@ -1,7 +1,7 @@
 //! [`Scenario`] — one type for every instance class the paper treats.
 
 use sopt_equilibrium::parallel::ParallelLinks;
-use sopt_network::instance::{Commodity, MultiCommodityInstance, NetworkInstance};
+use sopt_network::instance::{MultiCommodityInstance, NetworkInstance, Routing};
 
 use super::error::SoptError;
 use super::model::ScenarioModel;
@@ -213,24 +213,10 @@ impl Scenario {
             }
             // Network is the single-commodity special case of the same
             // serialization.
-            Scenario::Network(inst) => network_spec_string(
-                &inst.graph,
-                &inst.latencies,
-                &[Commodity {
-                    source: inst.source,
-                    sink: inst.sink,
-                    rate: inst.rate,
-                }],
-                &inst.priceable,
-                &fmt_lat,
-            ),
-            Scenario::Multi(inst) => network_spec_string(
-                &inst.graph,
-                &inst.latencies,
-                &inst.commodities,
-                &[],
-                &fmt_lat,
-            ),
+            Scenario::Network(inst) => {
+                network_spec_string(inst.routing(), &inst.priceable, &fmt_lat)
+            }
+            Scenario::Multi(inst) => network_spec_string(inst.routing(), &[], &fmt_lat),
         }
     }
 }
@@ -238,20 +224,18 @@ impl Scenario {
 /// Serialize the network grammar: `nodes=N; A->B: expr; …; demand A->B: r`,
 /// with ` [priceable]` suffixes for edges marked in `priceable`.
 fn network_spec_string(
-    graph: &sopt_network::graph::DiGraph,
-    latencies: &[sopt_latency::LatencyFn],
-    commodities: &[Commodity],
+    net: Routing<'_>,
     priceable: &[bool],
     fmt_lat: &dyn Fn(usize, &sopt_latency::LatencyFn) -> Result<String, SoptError>,
 ) -> Result<String, SoptError> {
-    let mut out = format!("nodes={}", graph.num_nodes());
-    for (i, (e, lat)) in graph.edges().iter().zip(latencies).enumerate() {
+    let mut out = format!("nodes={}", net.graph.num_nodes());
+    for (i, (e, lat)) in net.graph.edges().iter().zip(net.latencies).enumerate() {
         out.push_str(&format!("; {}->{}: {}", e.from.0, e.to.0, fmt_lat(i, lat)?));
         if priceable.get(i).copied().unwrap_or(false) {
             out.push_str(" [priceable]");
         }
     }
-    for c in commodities {
+    for c in net.commodities() {
         out.push_str(&format!(
             "; demand {}->{}: {}",
             c.source.0, c.sink.0, c.rate

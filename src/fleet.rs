@@ -24,22 +24,22 @@ use sopt_instances::{try_grid_city, try_grid_city_multi};
 /// A spec-representable random instance family.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Family {
-    /// Independent affine links (`random_affine`).
+    /// Independent affine links (`try_random_affine`).
     Affine,
     /// Common-slope affine links — the Theorem 2.4 class
-    /// (`random_common_slope`).
+    /// (`try_random_common_slope`).
     CommonSlope,
     /// Mixed representable families: affine, monomial, M/M/1, BPR,
-    /// constant (`random_spec_mixed`).
+    /// constant (`try_random_spec_mixed`).
     Mixed,
-    /// M/M/1 links with feasible random capacities (`random_mm1`).
+    /// M/M/1 links with feasible random capacities (`try_random_mm1`).
     Mm1,
     /// Layered k-commodity networks with affine latencies
-    /// (`random_multicommodity`); layer depth and commodity count vary
+    /// (`try_random_multicommodity`); layer depth and commodity count vary
     /// deterministically per scenario, `--size` pins the layer width.
     Multi,
     /// Deterministic city grids with BPR streets and a corner-to-corner
-    /// demand (`grid_city`); `--size` pins the grid side (default sides
+    /// demand (`try_grid_city`); `--size` pins the grid side (default sides
     /// vary in 2..=10, so edges vary in 8..=360). `--commodities K` swaps
     /// the single demand for a deterministic K-demand OD matrix sharing at
     /// most 16 origins (`try_grid_city_multi`) — the origin-grouped AON

@@ -72,13 +72,12 @@ pub mod prelude {
     };
     pub use sopt_core::linear_optimal::linear_optimal_strategy;
     pub use sopt_core::llf::llf_strategy;
-    pub use sopt_core::mop::mop;
+    pub use sopt_core::mop::try_mop;
     pub use sopt_core::optop::optop;
     pub use sopt_core::scale::scale_strategy;
     pub use sopt_core::strategy::{induced_cost, ParallelStrategy};
-    pub use sopt_equilibrium::network::{network_nash, network_optimum};
     pub use sopt_equilibrium::parallel::{ParallelLinks, ParallelProfile};
     pub use sopt_latency::{Affine, Bpr, Constant, Latency, LatencyFn, Monomial, Polynomial, MM1};
     pub use sopt_network::graph::{DiGraph, EdgeId, NodeId};
-    pub use sopt_network::instance::{MultiCommodityInstance, NetworkInstance};
+    pub use sopt_network::instance::{MultiCommodityInstance, NetworkInstance, Routing};
 }

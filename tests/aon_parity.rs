@@ -8,7 +8,7 @@
 //! proptest case.
 
 use proptest::prelude::*;
-use stackopt::equilibrium::network::try_multicommodity_optimum;
+use stackopt::equilibrium::network;
 use stackopt::instances::random::try_random_multicommodity;
 use stackopt::instances::try_grid_city_multi;
 use stackopt::network::instance::MultiCommodityInstance;
@@ -21,7 +21,7 @@ fn flows_under(inst: &MultiCommodityInstance, mode: AonMode) -> Vec<Vec<f64>> {
         aon: mode,
         ..FwOptions::default()
     };
-    let r = try_multicommodity_optimum(inst, &opts, None).expect("solvable instance");
+    let r = network::optimum(inst, &opts, None).expect("solvable instance");
     assert!(r.converged, "{mode:?} failed to converge");
     r.per_commodity.into_iter().map(|f| f.0).collect()
 }

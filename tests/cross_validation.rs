@@ -3,16 +3,16 @@
 
 use stackopt::core::brute::{brute_force_optimal, BruteOptions};
 use stackopt::core::linear_optimal::linear_optimal_strategy;
-use stackopt::core::mop::mop;
+use stackopt::core::mop::try_mop;
 use stackopt::core::optop::optop;
 use stackopt::instances::random::{
-    random_common_slope, random_layered_network, random_mixed, random_mixed_smooth,
+    try_random_common_slope, try_random_layered_network, try_random_mixed, try_random_mixed_smooth,
 };
 use stackopt::latency::LatencyFn;
 use stackopt::network::graph::{DiGraph, NodeId};
 use stackopt::network::instance::NetworkInstance;
 use stackopt::prelude::*;
-use stackopt::solver::frank_wolfe::FwOptions;
+use stackopt::solver::frank_wolfe::{try_solve_parts, FwOptions, FwResult};
 use stackopt::solver::objective::CostModel;
 use stackopt::solver::pgd::path_equilibrium;
 
@@ -31,18 +31,24 @@ fn as_network(links: &ParallelLinks) -> NetworkInstance {
     )
 }
 
+/// A cold Frank–Wolfe solve under either cost model.
+fn frank_wolfe(inst: &NetworkInstance, model: CostModel, opts: &FwOptions) -> FwResult {
+    let net = inst.routing();
+    try_solve_parts(net.graph, net.latencies, &net.demands(), model, opts, None).unwrap()
+}
+
 /// The equalizer (closed-form inverses + bisection) and Frank–Wolfe
 /// (first-order method) agree on parallel links for both equilibria.
 /// (Smooth-marginal families: the FW SystemOptimum gap certificate is
-/// undefined at piecewise-linear kinks — see `random_mixed` docs.)
+/// undefined at piecewise-linear kinks — see `try_random_mixed` docs.)
 #[test]
 fn equalizer_vs_frank_wolfe() {
     for seed in 0..8u64 {
-        let links = random_mixed_smooth(5, 1.5, seed);
+        let links = try_random_mixed_smooth(5, 1.5, seed).expect("valid generator parameters");
         let inst = as_network(&links);
         let opts = FwOptions::default();
         for model in [CostModel::Wardrop, CostModel::SystemOptimum] {
-            let fw = stackopt::solver::frank_wolfe::solve_assignment(&inst, model, &opts);
+            let fw = frank_wolfe(&inst, model, &opts);
             assert!(fw.converged, "seed {seed} {model:?}");
             let eq = match model {
                 CostModel::Wardrop => links.nash(),
@@ -64,10 +70,10 @@ fn equalizer_vs_frank_wolfe() {
 #[test]
 fn frank_wolfe_vs_pgd() {
     for seed in [3u64, 9, 21] {
-        let inst = random_layered_network(2, 2, 1.0, seed);
+        let inst = try_random_layered_network(2, 2, 1.0, seed).expect("valid generator parameters");
         let opts = FwOptions::default();
         for model in [CostModel::Wardrop, CostModel::SystemOptimum] {
-            let fw = stackopt::solver::frank_wolfe::solve_assignment(&inst, model, &opts);
+            let fw = frank_wolfe(&inst, model, &opts);
             let pg = path_equilibrium(&inst, model, 100, 30_000);
             let c_fw = inst.cost(fw.flow.as_slice());
             let c_pg = inst.cost(pg.flow.as_slice());
@@ -85,9 +91,9 @@ fn frank_wolfe_vs_pgd() {
 #[test]
 fn optop_vs_mop_on_parallel_links() {
     for seed in 0..6u64 {
-        let links = random_common_slope(4, 1.0, seed);
+        let links = try_random_common_slope(4, 1.0, seed).expect("valid generator parameters");
         let ot = optop(&links);
-        let mp = mop(&as_network(&links), &FwOptions::default());
+        let mp = try_mop(&as_network(&links), &FwOptions::default()).unwrap();
         assert!(
             (ot.beta - mp.beta).abs() < 1e-4,
             "seed {seed}: OpTop β {} vs MOP β {}",
@@ -103,7 +109,7 @@ fn optop_vs_mop_on_parallel_links() {
 fn theorem_24_vs_brute_force() {
     let mut hard_side_seen = 0;
     for seed in 0..10u64 {
-        let links = random_common_slope(3, 1.0, seed);
+        let links = try_random_common_slope(3, 1.0, seed).expect("valid generator parameters");
         let beta = optop(&links).beta;
         for &alpha in &[0.15, 0.35, 0.6] {
             let exact = linear_optimal_strategy(&links, alpha);
@@ -137,7 +143,7 @@ fn theorem_24_vs_brute_force() {
 #[test]
 fn llf_guarantee_on_random_instances() {
     for seed in 0..10u64 {
-        let links = random_mixed(5, 2.0, seed);
+        let links = try_random_mixed(5, 2.0, seed).expect("valid generator parameters");
         let copt = links.cost(links.optimum().flows());
         for &alpha in &[0.2, 0.5, 0.8] {
             let (_, cost) = stackopt::core::llf::llf(&links, alpha);

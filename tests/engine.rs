@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use stackopt::api::{parse_batch_file, Engine, Report, Scenario, SolveCache, SoptError, Task};
 use stackopt::fleet::{generate_fleet, Family};
 use stackopt::instances::grid::try_grid_city;
-use stackopt::instances::random::random_layered_network;
+use stackopt::instances::random::try_random_layered_network;
 
 /// A *uniform* fleet: same-shaped small parallel scenarios, distinct seeds.
 fn uniform_fleet(n: usize) -> Vec<Scenario> {
@@ -21,7 +21,9 @@ fn uniform_fleet(n: usize) -> Vec<Scenario> {
 /// costlier under Frank–Wolfe), then many tiny parallel scenarios — the
 /// shape equal-count chunking handles worst.
 fn skewed_fleet(tiny: usize) -> Vec<Scenario> {
-    let mut fleet = vec![Scenario::from(random_layered_network(3, 4, 2.0, 5))];
+    let mut fleet = vec![Scenario::from(
+        try_random_layered_network(3, 4, 2.0, 5).expect("valid generator parameters"),
+    )];
     fleet.extend(uniform_fleet(tiny));
     fleet
 }
@@ -76,7 +78,9 @@ fn one_thread_delivers_the_costliest_scenario_first() {
     // than the equal-size parallel scenarios ahead of it: the queue pops it
     // first, then the rest in input order.
     let mut fleet = uniform_fleet(8);
-    fleet.push(Scenario::from(random_layered_network(3, 4, 2.0, 5)));
+    fleet.push(Scenario::from(
+        try_random_layered_network(3, 4, 2.0, 5).expect("valid generator parameters"),
+    ));
     let mut order = Vec::new();
     Engine::new(fleet)
         .threads(1)

@@ -4,9 +4,9 @@
 
 use stackopt::core::curve::anarchy_curve;
 use stackopt::core::optop::optop;
-use stackopt::core::tolls::{marginal_cost_tolls, marginal_cost_tolls_network};
+use stackopt::core::tolls::{marginal_cost_tolls, network_tolls};
 use stackopt::equilibrium::certify::certify_parallel;
-use stackopt::equilibrium::network::network_nash;
+use stackopt::equilibrium::network;
 use stackopt::instances::braess::fig7_instance;
 use stackopt::instances::fig4::fig4_links;
 use stackopt::prelude::*;
@@ -63,8 +63,9 @@ fn tolls_and_stackelberg_agree_on_fig4() {
 fn network_tolls_on_fig7() {
     let inst = fig7_instance(0.05);
     let opts = FwOptions::default();
-    let t = marginal_cost_tolls_network(&inst, &opts);
-    let nash = network_nash(&t.tolled, &opts);
+    let optimum = network::optimum(&inst, &opts, None).unwrap();
+    let t = network_tolls(&inst, &optimum).unwrap();
+    let nash = network::nash(inst.routing().with_latencies(&t.tolled), &opts, None).unwrap();
     // Latency cost of the tolled equilibrium = C(O) of the original.
     let c = inst.cost(nash.flow.as_slice());
     let copt = inst.cost(&t.optimum);

@@ -9,7 +9,7 @@ use stackopt::core::theorems::{
 };
 use stackopt::equilibrium::certify::certify_parallel;
 use stackopt::equilibrium::cost::coordination_ratio;
-use stackopt::instances::random::{random_affine, random_mixed};
+use stackopt::instances::random::{try_random_affine, try_random_mixed};
 use stackopt::solver::objective::CostModel;
 
 proptest! {
@@ -19,7 +19,7 @@ proptest! {
     #[test]
     fn prop_7_1_monotonicity(seed in 0u64..5000, r1 in 0.05..2.0f64, r2 in 0.05..2.0f64) {
         let (lo, hi) = if r1 <= r2 { (r1, r2) } else { (r2, r1) };
-        let links = random_mixed(5, hi, seed);
+        let links = try_random_mixed(5, hi, seed).expect("valid generator parameters");
         let v = monotonicity_violation(links.latencies(), lo, hi);
         prop_assert!(v <= 1e-6, "violation {v}");
     }
@@ -27,7 +27,7 @@ proptest! {
     /// Theorem 7.2: strategies below the Nash profile change nothing.
     #[test]
     fn thm_7_2_useless_strategies(seed in 0u64..5000, frac in 0.0..1.0f64) {
-        let links = random_mixed(4, 1.0, seed);
+        let links = try_random_mixed(4, 1.0, seed).expect("valid generator parameters");
         let nash = links.nash().flows().to_vec();
         let s: Vec<f64> = nash.iter().map(|n| n * frac).collect();
         let dev = useless_strategy_deviation(&links, &s);
@@ -37,7 +37,7 @@ proptest! {
     /// Theorem 7.4 / Lemma 7.5: frozen links get no induced flow.
     #[test]
     fn thm_7_4_frozen_links(seed in 0u64..5000, bump in 0.0..0.3f64, k in 0usize..4) {
-        let links = random_mixed(4, 1.0, seed);
+        let links = try_random_mixed(4, 1.0, seed).expect("valid generator parameters");
         let nash = links.nash().flows().to_vec();
         // Freeze link k at its Nash load plus a bump (capped by the budget).
         let mut s = vec![0.0; 4];
@@ -53,7 +53,7 @@ proptest! {
     /// exceeds 4/3 (Roughgarden–Tardos; Pigou attains it).
     #[test]
     fn linear_poa_bounded_by_four_thirds(seed in 0u64..5000, rate in 0.1..3.0f64) {
-        let links = random_affine(5, rate, seed);
+        let links = try_random_affine(5, rate, seed).expect("valid generator parameters");
         let cn = links.cost(links.nash().flows());
         let co = links.cost(links.optimum().flows());
         let ratio = coordination_ratio(cn, co);
@@ -65,7 +65,7 @@ proptest! {
     /// optimum, certified against the KKT conditions, and β ∈ [0, 1].
     #[test]
     fn optop_enforces_optimum(seed in 0u64..5000, rate in 0.2..2.0f64) {
-        let links = random_mixed(5, rate, seed);
+        let links = try_random_mixed(5, rate, seed).expect("valid generator parameters");
         let r = optop(&links);
         prop_assert!((0.0..=1.0 + 1e-9).contains(&r.beta));
         let ind = links.induced(&r.strategy);
@@ -81,7 +81,7 @@ proptest! {
     /// The equalizer's equilibria satisfy their defining certificates.
     #[test]
     fn equilibria_certified(seed in 0u64..5000, rate in 0.1..2.5f64) {
-        let links = random_mixed(6, rate, seed);
+        let links = try_random_mixed(6, rate, seed).expect("valid generator parameters");
         let n = links.nash();
         let o = links.optimum();
         prop_assert!(certify_parallel(links.latencies(), n.flows(), rate,
@@ -96,7 +96,7 @@ proptest! {
     /// strategy (minimality flavour of Corollary 2.2 along this ray).
     #[test]
     fn optop_ray_monotone(seed in 0u64..5000, gamma in 0.0..1.0f64) {
-        let links = random_mixed(4, 1.0, seed);
+        let links = try_random_mixed(4, 1.0, seed).expect("valid generator parameters");
         let r = optop(&links);
         let scaled: Vec<f64> = r.strategy.iter().map(|s| s * gamma).collect();
         let c = links.induced_cost(&scaled);

@@ -4,10 +4,10 @@
 #[path = "../crates/network/tests/support/dense_dinic.rs"]
 mod dense_dinic;
 
-use stackopt::core::mop::{mop, mop_greedy};
+use stackopt::core::mop::{mop_greedy, try_mop, MopResult};
 use stackopt::equilibrium::certify::certify_network;
-use stackopt::equilibrium::network::induced_network;
-use stackopt::instances::random::random_layered_network;
+use stackopt::equilibrium::network;
+use stackopt::instances::random::try_random_layered_network;
 use stackopt::solver::frank_wolfe::FwOptions;
 use stackopt::solver::objective::CostModel;
 
@@ -18,11 +18,15 @@ fn opts() -> FwOptions {
     }
 }
 
+fn mop(inst: &stackopt::network::NetworkInstance) -> MopResult {
+    try_mop(inst, &opts()).unwrap()
+}
+
 #[test]
 fn mop_induces_optimum_on_random_layered_nets() {
     for seed in 0..8u64 {
-        let inst = random_layered_network(3, 3, 2.0, seed);
-        let r = mop(&inst, &opts());
+        let inst = try_random_layered_network(3, 3, 2.0, seed).expect("valid generator parameters");
+        let r = mop(&inst);
         assert!(
             (0.0..=1.0 + 1e-6).contains(&r.beta),
             "seed {seed}: β = {}",
@@ -30,11 +34,13 @@ fn mop_induces_optimum_on_random_layered_nets() {
         );
 
         // The optimum itself is certified.
-        certify_network(&inst, &r.optimum, CostModel::SystemOptimum, 1e-4)
+        let o = std::slice::from_ref(&r.optimum);
+        certify_network(&inst, o, &r.optimum, CostModel::SystemOptimum, 1e-4)
             .unwrap_or_else(|e| panic!("seed {seed}: optimum not certified: {e}"));
 
         // Leader + induced followers = optimum cost.
-        let follower = induced_network(&inst, &r.leader, r.leader_value, &opts());
+        let follower =
+            network::induced(&inst, r.leader.as_slice(), &[r.leader_value], &opts(), None).unwrap();
         let total: Vec<f64> = r
             .leader
             .as_slice()
@@ -54,8 +60,8 @@ fn mop_induces_optimum_on_random_layered_nets() {
 #[test]
 fn mop_beta_never_exceeds_greedy_on_random_nets() {
     for seed in 0..8u64 {
-        let inst = random_layered_network(3, 3, 2.0, seed);
-        let exact = mop(&inst, &opts());
+        let inst = try_random_layered_network(3, 3, 2.0, seed).expect("valid generator parameters");
+        let exact = mop(&inst);
         let greedy = mop_greedy(&inst, &opts());
         assert!(
             exact.beta <= greedy.beta + 1e-6,
@@ -69,8 +75,8 @@ fn mop_beta_never_exceeds_greedy_on_random_nets() {
 #[test]
 fn mop_leader_and_free_parts_partition_optimum() {
     for seed in [2u64, 5, 11] {
-        let inst = random_layered_network(2, 4, 1.5, seed);
-        let r = mop(&inst, &opts());
+        let inst = try_random_layered_network(2, 4, 1.5, seed).expect("valid generator parameters");
+        let r = mop(&inst);
         for e in 0..inst.num_edges() {
             let o = r.optimum.as_slice()[e];
             let fr = r.free_flow.as_slice()[e];
@@ -91,18 +97,14 @@ fn scaled_down_mop_strategy_misses_optimum() {
     // Minimality along the ray: 80% of the MOP strategy cannot induce C(O)
     // whenever β > 0 and the instance is not already optimal at Nash.
     for seed in 0..8u64 {
-        let inst = random_layered_network(3, 3, 2.0, seed);
-        let r = mop(&inst, &opts());
+        let inst = try_random_layered_network(3, 3, 2.0, seed).expect("valid generator parameters");
+        let r = mop(&inst);
         if r.beta < 0.05 {
             continue;
         }
         let scaled: Vec<f64> = r.leader.as_slice().iter().map(|x| x * 0.8).collect();
-        let follower = induced_network(
-            &inst,
-            &stackopt::network::flow::EdgeFlow(scaled.clone()),
-            r.leader_value * 0.8,
-            &opts(),
-        );
+        let follower =
+            network::induced(&inst, &scaled, &[r.leader_value * 0.8], &opts(), None).unwrap();
         let total: Vec<f64> = scaled
             .iter()
             .zip(follower.flow.as_slice())
@@ -121,15 +123,16 @@ fn scaled_down_mop_strategy_misses_optimum() {
 /// must answer bit for bit like the per-commodity loop it replaced (a full
 /// Dijkstra, the shortest-path DAG and a dense max-flow over every edge
 /// per commodity), built here as the oracle on the test-only dense Dinic.
+/// The s–t nets check MOP, the plan's one-commodity case, the same way.
 #[test]
 fn per_origin_plan_matches_the_per_commodity_loop() {
-    use stackopt::core::mop_multi::{try_mop_multi_plan_with_optimum, try_mop_multi_with_optimum};
-    use stackopt::equilibrium::network::try_multicommodity_optimum;
+    use stackopt::core::mop::try_mop_with_optimum;
+    use stackopt::core::mop_multi::try_mop_multi_plan_with_optimum;
     use stackopt::instances::random::try_random_multicommodity;
-    use stackopt::instances::try_grid_city_multi;
+    use stackopt::instances::{braess_classic, fig7_instance, try_grid_city, try_grid_city_multi};
     use stackopt::latency::LatencyFn;
-    use stackopt::network::spath::{dijkstra, shortest_dag_edges};
-    use stackopt::network::{Commodity, DiGraph, MultiCommodityInstance, NodeId};
+    use stackopt::network::spath::on_shortest_dag;
+    use stackopt::network::{Commodity, Csr, DiGraph, MultiCommodityInstance, NodeId, SpWorkspace};
 
     // OD grids: the first three have one origin per commodity (k ≤ 16),
     // the last two share 16 origins among 40 and 24 commodities.
@@ -179,18 +182,27 @@ fn per_origin_plan_matches_the_per_commodity_loop() {
     };
     assert!(origins(&cases[3].1) < cases[3].1.commodities.len());
     assert!(origins(&cases[4].1) < cases[4].1.commodities.len());
+    let st = [
+        ("braess", braess_classic()),
+        ("fig7", fig7_instance(0.05)),
+        ("grid 4", try_grid_city(4, 1.0, 7).unwrap()),
+    ];
+    let views = cases
+        .iter()
+        .map(|(name, inst)| (name.as_str(), inst.routing()))
+        .chain(st.iter().map(|(name, inst)| (*name, inst.routing())));
 
-    for (name, inst) in &cases {
-        let opt = try_multicommodity_optimum(inst, &opts(), None).unwrap();
-        let plan = try_mop_multi_with_optimum(inst, &opt).unwrap();
+    for (name, inst) in views {
+        let opt = network::optimum(inst, &opts(), None).unwrap();
+        let plan = try_mop_multi_plan_with_optimum(inst, &opt).unwrap();
         assert!(plan.beta > 1e-3, "{name}: β = {}", plan.beta);
         if name == "two tolerances" {
             // The near member controls its slow edge; the far one none.
-            let alphas: Vec<f64> = plan.commodities.iter().map(|c| c.alpha).collect();
+            let alphas = &plan.alphas;
             assert!(alphas[0] > 0.5 && alphas[1] == 0.0, "{alphas:?}");
         }
 
-        let (n, m) = (inst.graph.num_nodes(), inst.graph.num_edges());
+        let (n, m) = (inst.graph.num_nodes(), inst.num_edges());
         let edges: Vec<(u32, u32)> = inst
             .graph
             .edges()
@@ -200,14 +212,18 @@ fn per_origin_plan_matches_the_per_commodity_loop() {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
         let mut leader_total = vec![0.0; m];
         let mut controlled = 0.0;
-        for (ci, com) in inst.commodities.iter().enumerate() {
+        let csr = Csr::new(inst.graph);
+        let mut sp = SpWorkspace::new();
+        for (ci, com) in inst.commodities().iter().enumerate() {
             let o_i = &opt.per_commodity[ci];
-            let sp = dijkstra(&inst.graph, &plan.edge_costs, com.source);
-            let dist = sp.dist[com.sink.idx()];
+            sp.dijkstra(&csr, &plan.edge_costs, com.source);
+            let dist = sp.dist()[com.sink.idx()];
             let tol = 1e-6 * dist.abs().max(1.0);
             let mut caps = vec![0.0; m];
-            for e in shortest_dag_edges(&inst.graph, &plan.edge_costs, &sp, tol) {
-                caps[e.idx()] = o_i.get(e);
+            for e in inst.graph.edge_ids() {
+                if on_shortest_dag(inst.graph, &plan.edge_costs, sp.dist(), e, tol) {
+                    caps[e.idx()] = o_i.get(e);
+                }
             }
             let (free_value, free_flow) =
                 dense_dinic::dense_max_flow(n, &edges, &caps, com.source.0, com.sink.0);
@@ -223,20 +239,20 @@ fn per_origin_plan_matches_the_per_commodity_loop() {
             }
             controlled += leader_value;
 
-            let got = &plan.commodities[ci];
             let alpha = leader_value / com.rate;
-            assert_eq!(got.alpha.to_bits(), alpha.to_bits(), "{name}: α_{ci}");
+            let (got, got_alpha) = (&plan.free[ci], plan.alphas[ci]);
+            assert_eq!(got_alpha.to_bits(), alpha.to_bits(), "{name}: α_{ci}");
             assert_eq!(
-                got.free_value.to_bits(),
-                free_value.to_bits(),
-                "{name}: r'_{ci}"
+                plan.leader_values[ci].to_bits(),
+                leader_value.to_bits(),
+                "{name}: r_{ci} − r'_{ci}"
             );
+            assert_eq!(got.value.to_bits(), free_value.to_bits(), "{name}: r'_{ci}");
             assert_eq!(
-                bits(&got.free_flow.0),
+                bits(&got.flow.0),
                 bits(&free_flow),
                 "{name}: free flow {ci}"
             );
-            assert_eq!(bits(&got.leader.0), bits(&leader), "{name}: leader {ci}");
         }
         let beta = controlled / inst.total_rate();
         assert_eq!(plan.beta.to_bits(), beta.to_bits(), "{name}: β");
@@ -245,27 +261,17 @@ fn per_origin_plan_matches_the_per_commodity_loop() {
             bits(&leader_total),
             "{name}: leader total"
         );
-
-        // The lean plan the β task runs gives the same answers.
-        let lean = try_mop_multi_plan_with_optimum(inst, &opt).unwrap();
-        assert_eq!(lean.beta.to_bits(), plan.beta.to_bits(), "{name}: lean β");
-        assert_eq!(
-            bits(&lean.leader_total.0),
-            bits(&plan.leader_total.0),
-            "{name}: lean total"
+    }
+    // MOP reads its answer off the one-commodity plan.
+    for (name, inst) in &st {
+        let opt = network::optimum(inst, &opts(), None).unwrap();
+        let (mop, plan) = (
+            try_mop_with_optimum(inst, &opt).unwrap(),
+            try_mop_multi_plan_with_optimum(inst, &opt).unwrap(),
         );
-        assert_eq!(lean.optimum_cost, plan.optimum_cost, "{name}: lean C(O)");
-        assert_eq!(lean.edge_costs, plan.edge_costs, "{name}: lean costs");
-        for (ci, c) in plan.commodities.iter().enumerate() {
-            let lean_free = &lean.free[ci].flow.0;
-            assert_eq!(
-                bits(lean_free),
-                bits(&c.free_flow.0),
-                "{name}: lean free {ci}"
-            );
-            assert_eq!(lean.free[ci].value, c.free_value, "{name}: lean r'_{ci}");
-            assert_eq!(lean.leader_values[ci], c.leader_value, "{name}: lean {ci}");
-            assert_eq!(lean.alphas[ci], c.alpha, "{name}: lean α_{ci}");
-        }
+        assert_eq!(mop.beta.to_bits(), plan.beta.to_bits(), "{name}: β");
+        assert_eq!(mop.free_value, plan.free[0].value, "{name}: r'");
+        assert_eq!(mop.free_flow.0, plan.free[0].flow.0, "{name}: free flow");
+        assert_eq!(mop.leader.0, plan.leader_total.0, "{name}: leader");
     }
 }

@@ -1,11 +1,11 @@
 //! Integration tests pinning every number of the paper's worked examples
 //! (Experiments E1–E4 of DESIGN.md).
 
-use stackopt::core::mop::mop;
+use stackopt::core::mop::try_mop;
 use stackopt::core::optop::optop;
 use stackopt::core::theorems::swap_reassignment;
 use stackopt::equilibrium::cost::coordination_ratio;
-use stackopt::equilibrium::network::{induced_network, network_nash};
+use stackopt::equilibrium::network;
 use stackopt::instances::braess::{fig7_expected, fig7_instance};
 use stackopt::instances::fig4::{fig4_expected, fig4_links};
 use stackopt::instances::pigou::{pigou_expected, pigou_links};
@@ -70,7 +70,7 @@ fn e3_fig7_mop() {
     for &eps in &[0.0, 0.01, 0.05, 0.1] {
         let inst = fig7_instance(eps);
         let e = fig7_expected(eps);
-        let r = mop(&inst, &opts);
+        let r = try_mop(&inst, &opts).unwrap();
 
         // Fig. 7(a): optimal edge flows.
         for (i, want) in e.optimum.iter().enumerate() {
@@ -90,7 +90,8 @@ fn e3_fig7_mop() {
 
         // The strategy achieves approximation guarantee exactly 1
         // (Remark 3.1: despite [41, Ex 6.5.1], MOP hits the optimum here).
-        let follower = induced_network(&inst, &r.leader, r.leader_value, &opts);
+        let follower =
+            network::induced(&inst, r.leader.as_slice(), &[r.leader_value], &opts, None).unwrap();
         let total: Vec<f64> = r
             .leader
             .as_slice()
@@ -101,7 +102,7 @@ fn e3_fig7_mop() {
         assert!((inst.cost(&total) - e.optimum_cost).abs() < 1e-4, "ε={eps}");
 
         // Cross-check the closed-form Nash cost 2 − 4ε.
-        let nash = network_nash(&inst, &opts);
+        let nash = network::nash(&inst, &opts, None).unwrap();
         assert!(
             (inst.cost(nash.flow.as_slice()) - e.nash_cost).abs() < 1e-4,
             "ε={eps}"

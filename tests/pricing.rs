@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use stackopt::api::{Scenario, SoptError, Task};
-use stackopt::instances::random::random_affine;
+use stackopt::instances::random::try_random_affine;
 use stackopt::pricing::{best_response, closed_form_affine};
 
 fn pricing_report(spec: &str) -> Result<stackopt::api::Report, SoptError> {
@@ -51,7 +51,7 @@ proptest! {
         m in 2usize..5,
         rate in 0.5..2.0f64,
     ) {
-        let links = random_affine(m, rate, seed);
+        let links = try_random_affine(m, rate, seed).expect("valid generator parameters");
         // Randomized intercepts can price a link out or degenerate the
         // sub-game; parity is claimed only where the closed form is
         // defined.

@@ -11,20 +11,13 @@
 
 use std::sync::{Mutex, MutexGuard};
 
-use stackopt::equilibrium::network::{
-    try_induced_network, try_multicommodity_nash, try_multicommodity_optimum, try_network_nash,
-    try_network_optimum, warm_seed_from,
-};
-use stackopt::instances::random::{
-    random_layered_network, random_multicommodity, try_random_multicommodity,
-};
+use stackopt::equilibrium::network;
+use stackopt::instances::random::{try_random_layered_network, try_random_multicommodity};
 use stackopt::instances::{braess_classic, try_grid_city_multi};
 use stackopt::latency::LatencyFn;
-use stackopt::network::instance::{MultiCommodityInstance, NetworkInstance};
+use stackopt::network::instance::{MultiCommodityInstance, NetworkInstance, Routing};
 use stackopt::network::{DiGraph, EdgeFlow, NodeId};
-use stackopt::solver::frank_wolfe::{
-    try_solve_assignment, try_solve_multicommodity, FwOptions, FwResult,
-};
+use stackopt::solver::frank_wolfe::{try_solve_parts, FwOptions, FwResult};
 use stackopt::solver::CostModel;
 
 /// Holds off the other tests of this file, whose warm solves would move
@@ -37,6 +30,12 @@ fn serial() -> MutexGuard<'static, ()> {
 /// A global obs counter by name (the recorder is enabled on first use).
 fn counter(name: &str) -> u64 {
     stackopt::obs::enable().snapshot().counter(name).unwrap()
+}
+
+/// A cold solve under either cost model.
+fn solve<'a>(net: impl Into<Routing<'a>>, model: CostModel, opts: &FwOptions) -> FwResult {
+    let net = net.into();
+    try_solve_parts(net.graph, net.latencies, &net.demands(), model, opts, None).unwrap()
 }
 
 fn with_rate(inst: &NetworkInstance, rate: f64) -> NetworkInstance {
@@ -52,15 +51,15 @@ fn with_rate(inst: &NetworkInstance, rate: f64) -> NetworkInstance {
 #[test]
 fn perturbed_rate_warm_start_is_equivalent_and_strictly_cheaper() {
     let _serial = serial();
-    let base = random_layered_network(4, 4, 8.0, 7);
+    let base = try_random_layered_network(4, 4, 8.0, 7).expect("valid generator parameters");
     let opts = FwOptions::default();
-    let cold_base = try_network_optimum(&base, &opts, None).unwrap();
+    let cold_base = network::optimum(&base, &opts, None).unwrap();
     assert!(cold_base.converged);
 
     for bump in [1.02, 1.1, 0.95] {
         let perturbed = with_rate(&base, 8.0 * bump);
-        let fresh = try_network_optimum(&perturbed, &opts, None).unwrap();
-        let warm = try_network_optimum(&perturbed, &opts, Some(&cold_base)).unwrap();
+        let fresh = network::optimum(&perturbed, &opts, None).unwrap();
+        let warm = network::optimum(&perturbed, &opts, Some(&cold_base)).unwrap();
         assert!(fresh.converged && warm.converged, "bump {bump}");
         assert!(
             warm.iterations < fresh.iterations,
@@ -77,9 +76,9 @@ fn perturbed_rate_warm_start_is_equivalent_and_strictly_cheaper() {
 #[test]
 fn perturbed_leader_warm_start_chains_like_a_curve_sweep() {
     let _serial = serial();
-    let inst = random_layered_network(4, 4, 8.0, 7);
+    let inst = try_random_layered_network(4, 4, 8.0, 7).expect("valid generator parameters");
     let opts = FwOptions::default();
-    let optimum = try_network_optimum(&inst, &opts, None).unwrap();
+    let optimum = network::optimum(&inst, &opts, None).unwrap();
 
     // Two adjacent SCALE strategies, as in an α-sweep.
     let leader_at = |alpha: f64| {
@@ -94,9 +93,16 @@ fn perturbed_leader_warm_start_chains_like_a_curve_sweep() {
     };
     let l30 = leader_at(0.30);
     let l35 = leader_at(0.35);
-    let f30 = try_induced_network(&inst, &l30, 0.30 * inst.rate, &opts, None).unwrap();
-    let cold = try_induced_network(&inst, &l35, 0.35 * inst.rate, &opts, None).unwrap();
-    let warm = try_induced_network(&inst, &l35, 0.35 * inst.rate, &opts, Some(&f30)).unwrap();
+    let f30 = network::induced(&inst, l30.as_slice(), &[0.30 * inst.rate], &opts, None).unwrap();
+    let cold = network::induced(&inst, l35.as_slice(), &[0.35 * inst.rate], &opts, None).unwrap();
+    let warm = network::induced(
+        &inst,
+        l35.as_slice(),
+        &[0.35 * inst.rate],
+        &opts,
+        Some(&f30),
+    )
+    .unwrap();
     assert!(f30.converged && cold.converged && warm.converged);
     assert!(
         warm.iterations < cold.iterations,
@@ -114,9 +120,9 @@ fn perturbed_multicommodity_warm_start_is_equivalent_and_cheaper() {
     let _serial = serial();
     // A rate-perturbed k-commodity instance: the seed rescales per
     // commodity and must land on the same equilibrium within 1e-5.
-    let base = random_multicommodity(3, 3, 2, 6.0, 11);
+    let base = try_random_multicommodity(3, 3, 2, 6.0, 11).expect("valid generator parameters");
     let opts = FwOptions::default();
-    let cold_base = try_multicommodity_optimum(&base, &opts, None).unwrap();
+    let cold_base = network::optimum(&base, &opts, None).unwrap();
     assert!(cold_base.converged);
 
     for bump in [1.05, 0.93] {
@@ -132,8 +138,8 @@ fn perturbed_multicommodity_warm_start_is_equivalent_and_cheaper() {
                 })
                 .collect(),
         );
-        let fresh = try_multicommodity_optimum(&perturbed, &opts, None).unwrap();
-        let warm = try_multicommodity_optimum(&perturbed, &opts, Some(&cold_base)).unwrap();
+        let fresh = network::optimum(&perturbed, &opts, None).unwrap();
+        let warm = network::optimum(&perturbed, &opts, Some(&cold_base)).unwrap();
         assert!(fresh.converged && warm.converged, "bump {bump}");
         assert!(
             warm.iterations < fresh.iterations,
@@ -159,16 +165,16 @@ fn batched_evaluation_preserves_warm_and_cold_flows() {
     let inst = stackopt::instances::try_grid_city(6, 1.0, 42).unwrap();
     let perturbed = with_rate(&inst, 1.1);
     let opts = FwOptions::default();
-    let cold = try_network_optimum(&inst, &opts, None).unwrap();
-    let warm = try_network_optimum(&perturbed, &opts, Some(&cold)).unwrap();
-    let nash = try_network_nash(&inst, &opts, None).unwrap();
+    let cold = network::optimum(&inst, &opts, None).unwrap();
+    let warm = network::optimum(&perturbed, &opts, Some(&cold)).unwrap();
+    let nash = network::nash(&inst, &opts, None).unwrap();
     for (name, at, model, r) in [
         ("cold optimum", &inst, CostModel::SystemOptimum, &cold),
         ("warm optimum", &perturbed, CostModel::SystemOptimum, &warm),
         ("cold nash", &inst, CostModel::Wardrop, &nash),
     ] {
         assert!(r.converged, "{name}: gap {}", r.rel_gap);
-        if let Err(e) = certify_network(at, &r.flow, model, 1e-8) {
+        if let Err(e) = certify_network(at, &r.per_commodity, &r.flow, model, 1e-8) {
             panic!("{name}: {e}");
         }
         let scalar: f64 = at
@@ -201,9 +207,9 @@ fn cold_grid_solves_hand_over_at_the_plateau() {
         let inst = stackopt::instances::try_grid_city(16, 1.0, seed).unwrap();
         for model in [CostModel::Wardrop, CostModel::SystemOptimum] {
             let before = counter("stall_handovers");
-            let handed = try_solve_assignment(&inst, model, &default).unwrap();
+            let handed = solve(&inst, model, &default);
             let after_handed = counter("stall_handovers");
-            let full = try_solve_assignment(&inst, model, &pinned).unwrap();
+            let full = solve(&inst, model, &pinned);
             // One handover under the default window, none with it off.
             assert_eq!(
                 (after_handed, counter("stall_handovers")),
@@ -226,7 +232,7 @@ fn cold_grid_solves_hand_over_at_the_plateau() {
     // Network Pigou's optimum meets the target inside the Frank–Wolfe loop
     // within two iterations: no handover, no polish.
     let before = counter("stall_handovers");
-    let pigou = try_network_optimum(&network_pigou(), &default, None).unwrap();
+    let pigou = network::optimum(&network_pigou(), &default, None).unwrap();
     assert!(pigou.converged && pigou.fw_iterations <= 2 && pigou.polish_rounds == 0);
     assert_eq!(counter("stall_handovers"), before);
 }
@@ -242,10 +248,10 @@ fn unconverged_solves_are_counted_once() {
         ..FwOptions::default()
     };
     let before = counter("unconverged_solves");
-    let r = try_solve_assignment(&inst, CostModel::Wardrop, &capped).unwrap();
+    let r = solve(&inst, CostModel::Wardrop, &capped);
     assert!(!r.converged, "rel_gap {}", r.rel_gap);
     assert_eq!(counter("unconverged_solves"), before + 1);
-    let r = try_solve_assignment(&inst, CostModel::Wardrop, &FwOptions::default()).unwrap();
+    let r = solve(&inst, CostModel::Wardrop, &FwOptions::default());
     assert!(r.converged);
     assert_eq!(counter("unconverged_solves"), before + 1);
 }
@@ -273,7 +279,7 @@ fn shared_origin_cold_start_keeps_its_trees() {
     };
     for model in [CostModel::Wardrop, CostModel::SystemOptimum] {
         let before = trees();
-        try_solve_multicommodity(&inst, model, &opts).unwrap();
+        solve(&inst, model, &opts);
         let grown = trees() - before;
         assert!(
             (16..8 * 16).contains(&grown),
@@ -290,14 +296,14 @@ fn grouped_aon_preserves_warm_and_cold_multicommodity_flows() {
     // thread the fan-out) and the per-commodity sequential loop must
     // agree on every edge flow, cold- and warm-started alike.
     use stackopt::solver::AonMode;
-    let base = random_multicommodity(3, 3, 2, 6.0, 11);
+    let base = try_random_multicommodity(3, 3, 2, 6.0, 11).expect("valid generator parameters");
     let auto = FwOptions::default();
     let sequential = FwOptions {
         aon: AonMode::Sequential,
         ..FwOptions::default()
     };
-    let cold_a = try_multicommodity_optimum(&base, &auto, None).unwrap();
-    let cold_s = try_multicommodity_optimum(&base, &sequential, None).unwrap();
+    let cold_a = network::optimum(&base, &auto, None).unwrap();
+    let cold_s = network::optimum(&base, &sequential, None).unwrap();
     assert!(cold_a.converged && cold_s.converged);
     for (e, (a, b)) in cold_a.flow.0.iter().zip(&cold_s.flow.0).enumerate() {
         assert!((a - b).abs() < 1e-5, "cold edge {e}: {a} vs {b}");
@@ -315,8 +321,8 @@ fn grouped_aon_preserves_warm_and_cold_multicommodity_flows() {
             })
             .collect(),
     );
-    let warm_a = try_multicommodity_optimum(&perturbed, &auto, Some(&cold_a)).unwrap();
-    let warm_s = try_multicommodity_optimum(&perturbed, &sequential, Some(&cold_s)).unwrap();
+    let warm_a = network::optimum(&perturbed, &auto, Some(&cold_a)).unwrap();
+    let warm_s = network::optimum(&perturbed, &sequential, Some(&cold_s)).unwrap();
     assert!(warm_a.converged && warm_s.converged);
     for (e, (a, b)) in warm_a.flow.0.iter().zip(&warm_s.flow.0).enumerate() {
         assert!((a - b).abs() < 1e-5, "warm edge {e}: {a} vs {b}");
@@ -326,7 +332,7 @@ fn grouped_aon_preserves_warm_and_cold_multicommodity_flows() {
 #[test]
 fn unusable_seed_falls_back_to_cold_and_still_solves() {
     let _serial = serial();
-    let inst = random_layered_network(3, 3, 4.0, 3);
+    let inst = try_random_layered_network(3, 3, 4.0, 3).expect("valid generator parameters");
     let opts = FwOptions::default();
     // A zero flow has no s→t value: rejected, and the rejection counted.
     let rejected = || {
@@ -336,10 +342,10 @@ fn unusable_seed_falls_back_to_cold_and_still_solves() {
             .unwrap()
     };
     let before = rejected();
-    let zero = warm_seed_from(&EdgeFlow::zeros(inst.num_edges()));
-    let warm = try_network_nash(&inst, &opts, Some(&zero)).unwrap();
+    let zero = network::warm_seed(vec![EdgeFlow::zeros(inst.num_edges())]);
+    let warm = network::nash(&inst, &opts, Some(&zero)).unwrap();
     assert!(rejected() > before, "the rejected seed was not counted");
-    let cold = try_network_nash(&inst, &opts, None).unwrap();
+    let cold = network::nash(&inst, &opts, None).unwrap();
     assert!(warm.converged && cold.converged);
     assert_eq!(warm.iterations, cold.iterations);
     for (a, b) in warm.flow.0.iter().zip(&cold.flow.0) {
@@ -355,7 +361,6 @@ fn nash_profile_is_polished_from_the_cold_optimum() {
     // Nash cost, leave β and the plan exactly where a cold optimum puts
     // them, and reach the reports bit for bit with or without a memo.
     use stackopt::api::{Engine, EqKind, ModelProfile, Report, Scenario, SolveCache, Task};
-    use stackopt::equilibrium::network::try_multicommodity_nash;
     use stackopt::instances::braess::braess_topology;
     use stackopt::instances::random::try_random_multicommodity;
     use stackopt::instances::{braess_classic, roughgarden_651, try_grid_city_multi};
@@ -401,17 +406,13 @@ fn nash_profile_is_polished_from_the_cold_optimum() {
     let fw = FwOptions::default();
     for (name, sc) in &cases {
         let model = sc.model();
-        let (cold_nash, cold_opt) = match sc {
-            Scenario::Network(i) => (
-                try_network_nash(i, &fw, None).unwrap(),
-                try_network_optimum(i, &fw, None).unwrap(),
-            ),
-            Scenario::Multi(i) => (
-                try_multicommodity_nash(i, &fw, None).unwrap(),
-                try_multicommodity_optimum(i, &fw, None).unwrap(),
-            ),
+        let net = match sc {
+            Scenario::Network(i) => i.routing(),
+            Scenario::Multi(i) => i.routing(),
             Scenario::Parallel(_) => unreachable!("{name}"),
         };
+        let cold_nash = network::nash(net, &fw, None).unwrap();
+        let cold_opt = network::optimum(net, &fw, None).unwrap();
 
         // (a) The profile skips Frank–Wolfe and matches the cold Nash.
         let nash = model.solve_profile(EqKind::Nash, &fw).unwrap();
@@ -506,9 +507,9 @@ fn seed_at_the_target_returns_unpolished() {
     // validated seed comes back as the answer with no polish round.
     let fw = FwOptions::default();
     let braess = braess_classic();
-    let nash = try_network_nash(&braess, &fw, None).unwrap();
+    let nash = network::nash(&braess, &fw, None).unwrap();
     let before = counter("seed_checks_failed");
-    let warm = try_network_nash(&braess, &fw, Some(&nash)).unwrap();
+    let warm = network::nash(&braess, &fw, Some(&nash)).unwrap();
     assert!(
         warm.converged && warm.rel_gap <= fw.rel_gap,
         "gap {}",
@@ -533,9 +534,9 @@ fn seed_at_the_target_returns_unpolished() {
         ),
         ("grid", try_grid_city_multi(5, 60.0, 24, 1).unwrap()),
     ] {
-        let nash = try_multicommodity_nash(&inst, &fw, None).unwrap();
+        let nash = network::nash(&inst, &fw, None).unwrap();
         let before = counter("seed_checks_failed");
-        let warm = try_multicommodity_nash(&inst, &fw, Some(&nash)).unwrap();
+        let warm = network::nash(&inst, &fw, Some(&nash)).unwrap();
         assert!(warm.converged, "{name}: gap {}", warm.rel_gap);
         assert_eq!((warm.iterations, warm.polish_rounds), (0, 0), "{name}");
         let demands: Vec<_> = inst
@@ -560,10 +561,10 @@ fn seed_off_the_target_is_polished_and_counted() {
     // lands on the cold Nash cost.
     let fw = FwOptions::default();
     for (name, inst) in [("braess", braess_classic()), ("pigou", network_pigou())] {
-        let optimum = try_network_optimum(&inst, &fw, None).unwrap();
-        let cold = try_network_nash(&inst, &fw, None).unwrap();
+        let optimum = network::optimum(&inst, &fw, None).unwrap();
+        let cold = network::nash(&inst, &fw, None).unwrap();
         let before = counter("seed_checks_failed");
-        let warm = try_network_nash(&inst, &fw, Some(&optimum)).unwrap();
+        let warm = network::nash(&inst, &fw, Some(&optimum)).unwrap();
         assert_eq!(counter("seed_checks_failed"), before + 1, "{name}");
         assert!(warm.converged && warm.polish_rounds >= 1, "{name}");
         let (c, want) = (
@@ -577,10 +578,10 @@ fn seed_off_the_target_is_polished_and_counted() {
     }
     for seed in 0..3 {
         let inst = try_random_multicommodity(3, 3, 3, 1.0, seed).unwrap();
-        let optimum = try_multicommodity_optimum(&inst, &fw, None).unwrap();
-        let cold = try_multicommodity_nash(&inst, &fw, None).unwrap();
+        let optimum = network::optimum(&inst, &fw, None).unwrap();
+        let cold = network::nash(&inst, &fw, None).unwrap();
         let before = counter("seed_checks_failed");
-        let warm = try_multicommodity_nash(&inst, &fw, Some(&optimum)).unwrap();
+        let warm = network::nash(&inst, &fw, Some(&optimum)).unwrap();
         assert_eq!(counter("seed_checks_failed"), before + 1, "layered {seed}");
         assert!(warm.converged && warm.polish_rounds >= 1, "layered {seed}");
         let (c, want) = (
@@ -630,14 +631,14 @@ fn seed_check_gap_is_the_polish_round_zero_gap() {
             try_random_multicommodity(3, 3, 3, 1.0, 1).unwrap(),
         ),
     ] {
-        let optimum = try_multicommodity_optimum(&inst, &FwOptions::default(), None).unwrap();
-        let a = try_multicommodity_nash(&inst, &check, Some(&optimum)).unwrap();
-        let b = try_multicommodity_nash(&inst, &round0, Some(&optimum)).unwrap();
+        let optimum = network::optimum(&inst, &FwOptions::default(), None).unwrap();
+        let a = network::nash(&inst, &check, Some(&optimum)).unwrap();
+        let b = network::nash(&inst, &round0, Some(&optimum)).unwrap();
         agree(name, &a, &b);
     }
-    let single = random_layered_network(4, 4, 8.0, 7);
-    let optimum = try_network_optimum(&single, &FwOptions::default(), None).unwrap();
-    let a = try_network_nash(&single, &check, Some(&optimum)).unwrap();
-    let b = try_network_nash(&single, &round0, Some(&optimum)).unwrap();
+    let single = try_random_layered_network(4, 4, 8.0, 7).expect("valid generator parameters");
+    let optimum = network::optimum(&single, &FwOptions::default(), None).unwrap();
+    let a = network::nash(&single, &check, Some(&optimum)).unwrap();
+    let b = network::nash(&single, &round0, Some(&optimum)).unwrap();
     agree("single commodity", &a, &b);
 }
