@@ -15,32 +15,32 @@
 //! Each grid also gets a shortest-path microbenchmark: µs/query and
 //! settled nodes for the corner-to-corner query, as the full tree
 //! (`SpWorkspace::dijkstra`, which MOP and the certificates run) and as
-//! the solver's targeted query (`SpWorkspace::shortest_to` with a reverse
-//! view). The file also carries an engine throughput number
-//! (scenarios/second over a small grid fleet) and the process's peak RSS
-//! from `/proc/self/status`.
+//! the solver's one search with the sink as its one target
+//! (`SpWorkspace::shortest_to_many`, keys `targeted_*`). The file also
+//! carries an engine throughput number (scenarios/second over a small grid
+//! fleet) and the process's peak RSS from `/proc/self/status`.
 //!
 //! A multi-commodity arm measures the all-or-nothing phase on its own: a
 //! 10⁴-edge grid OD matrix with many commodities over few origins, timing
-//! the per-commodity query loop against the origin-grouped one-to-many
-//! tree (`AonMode::Grouped`) and its threaded fan-out
-//! (`AonMode::Parallel`) at free-flow costs.
+//! one search per commodity (`AonMode::Sequential`) against one
+//! one-to-many tree per origin (`AonMode::Grouped`) and its threaded
+//! fan-out (`AonMode::Parallel`) at free-flow costs.
 //!
 //! Acceptance bars (asserted here, checked in CI):
 //! * the default solve converges, at an objective within `1e-9` relative
 //!   of the pinned solve's;
 //! * the grouped AON phase is ≥ 2× faster than the sequential loop at
-//!   ≥ 64 commodities over ≤ 16 origins, per-commodity flows within `1e-6`.
+//!   ≥ 64 commodities over ≤ 16 origins, per-commodity flows bit-identical.
 
 use std::time::Instant;
 
 use sopt_instances::{grid_dims, try_grid_city, try_grid_city_multi};
 use sopt_latency::Latency;
-use sopt_network::csr::{Csr, RevCsr, SpPool, SpWorkspace};
+use sopt_network::csr::{Csr, SpPool, SpWorkspace};
 use sopt_network::graph::NodeId;
 use sopt_network::instance::NetworkInstance;
 use sopt_network::EdgeFlow;
-use sopt_solver::aon::{aon_assign_targets, aon_st_into};
+use sopt_solver::aon::aon_assign_targets;
 use sopt_solver::frank_wolfe::FwOptions;
 use sopt_solver::{AonMode, CommodityGroups};
 use stackopt::api::{parse_batch_file, Engine};
@@ -50,8 +50,6 @@ use stackopt::fleet::{generate_fleet, Family};
 const SIDES_CI: [usize; 2] = [16, 51];
 /// Added by `--full`: 100 488 edges.
 const SIDE_FULL: usize = 159;
-/// Per-commodity flow-parity bar between the AON arms.
-const FLOW_TOL: f64 = 1e-6;
 /// Relative objective parity between the default and pinned solves.
 const OBJECTIVE_TOL: f64 = 1e-9;
 /// Shortest-path microbenchmark repetitions.
@@ -123,10 +121,9 @@ fn time_query(sp: &mut SpWorkspace, mut query: impl FnMut(&mut SpWorkspace)) -> 
 }
 
 /// Times the corner-to-corner query at free-flow costs: the full tree
-/// vs. the targeted query the solver runs.
+/// vs. the one-target search the solver runs.
 fn sp_micro(inst: &NetworkInstance) -> SpNumbers {
     let csr = Csr::new(&inst.graph);
-    let rcsr = RevCsr::new(&inst.graph);
     let costs: Vec<f64> = inst.latencies.iter().map(|l| l.value(0.0)).collect();
     let mut sp = SpWorkspace::new();
     let (full_us, full_settled) = time_query(&mut sp, |sp| {
@@ -134,8 +131,8 @@ fn sp_micro(inst: &NetworkInstance) -> SpNumbers {
         assert!(sp.reached(inst.sink), "grid sink unreachable");
     });
     let (targeted_us, targeted_settled) = time_query(&mut sp, |sp| {
-        let d = sp.shortest_to(&csr, Some(&rcsr), &costs, inst.source, inst.sink);
-        assert!(d.is_some(), "grid sink unreachable");
+        let reached = sp.shortest_to_many(&csr, &costs, inst.source, &[inst.sink]);
+        assert_eq!(reached, 1, "grid sink unreachable");
     });
     SpNumbers {
         full_us,
@@ -182,13 +179,12 @@ struct AonCase {
 }
 
 /// Times one all-or-nothing assignment of a many-commodity grid OD matrix
-/// at free-flow costs: the per-commodity targeted query loop vs. the
-/// origin-grouped one-to-many tree, sequential and threaded.
+/// at free-flow costs: one search per commodity vs. the origin-grouped
+/// one-to-many tree, single-threaded and threaded.
 fn aon_micro() -> AonCase {
     let inst = try_grid_city_multi(AON_SIDE, 64.0, AON_K, 7).expect("aon bench grid");
     let m = inst.graph.num_edges();
     let csr = Csr::new(&inst.graph);
-    let rcsr = RevCsr::new(&inst.graph);
     let costs: Vec<f64> = inst.latencies.iter().map(|l| l.value(0.0)).collect();
     let demands: Vec<(NodeId, NodeId, f64)> = inst
         .commodities
@@ -198,29 +194,6 @@ fn aon_micro() -> AonCase {
     let mut groups = CommodityGroups::new();
     groups.rebuild(&demands);
 
-    // One targeted s–t query per commodity.
-    let mut sp = SpWorkspace::new();
-    let mut seq = vec![EdgeFlow::zeros(m); demands.len()];
-    let mut sequential_us = f64::INFINITY;
-    for _ in 0..AON_REPS {
-        let t = Instant::now();
-        for (ci, &(s, snk, rate)) in demands.iter().enumerate() {
-            seq[ci].0.fill(0.0);
-            aon_st_into(
-                &csr,
-                Some(&rcsr),
-                &mut sp,
-                &costs,
-                s,
-                snk,
-                rate,
-                &mut seq[ci].0,
-            )
-            .expect("grid sink reachable");
-        }
-        sequential_us = sequential_us.min(t.elapsed().as_secs_f64() * 1e6);
-    }
-
     let run_mode = |mode: AonMode| -> (f64, Vec<EdgeFlow>) {
         let mut ws = SpWorkspace::new();
         let mut pool = SpPool::new();
@@ -229,21 +202,14 @@ fn aon_micro() -> AonCase {
         for _ in 0..AON_REPS {
             let t = Instant::now();
             aon_assign_targets(
-                &csr,
-                Some(&rcsr),
-                &mut ws,
-                &mut pool,
-                &groups,
-                mode,
-                &costs,
-                &demands,
-                &mut ys,
+                &csr, &mut ws, &mut pool, &groups, mode, &costs, &demands, &mut ys,
             )
             .expect("grid sinks reachable");
             best = best.min(t.elapsed().as_secs_f64() * 1e6);
         }
         (best, ys)
     };
+    let (sequential_us, seq) = run_mode(AonMode::Sequential);
     let (grouped_us, grouped_ys) = run_mode(AonMode::Grouped);
     let (parallel_us, parallel_ys) = run_mode(AonMode::Parallel);
 
@@ -429,8 +395,9 @@ fn main() {
         );
     }
     assert!(
-        aon.max_flow_dev <= FLOW_TOL,
-        "aon: grouped/parallel flows deviate from sequential by {:.3e} > {FLOW_TOL:.1e}",
+        aon.max_flow_dev == 0.0,
+        "aon: grouped/parallel flows deviate from sequential by {:.3e}; every mode runs \
+         the same search",
         aon.max_flow_dev
     );
     let grouped_speedup = aon.sequential_us / aon.grouped_us.max(1e-12);

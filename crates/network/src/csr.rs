@@ -3,20 +3,19 @@
 //! [`DiGraph`] stores adjacency as one `Vec<EdgeId>` per node — convenient
 //! to build incrementally, but a pointer chase per node when an algorithm
 //! walks the graph thousands of times (every Frank–Wolfe iteration runs
-//! one shortest-path query per commodity or origin). [`Csr`] flattens that
-//! adjacency into two arrays (`offsets` into a slot array, original edge
-//! ids + head nodes per slot) built once per solve, [`RevCsr`] does the
-//! same for incoming edges, and [`SpWorkspace`] owns the distance/parent/
-//! heap state so repeated queries allocate nothing.
+//! one shortest-path search per origin). [`Csr`] flattens that adjacency
+//! into two arrays (`offsets` into a slot array, original edge ids + head
+//! nodes per slot) built once per solve, [`RevCsr`] does the same for
+//! incoming edges, and [`SpWorkspace`] owns the distance/parent/heap state
+//! so repeated searches allocate nothing.
 //!
-//! The solver's queries are targeted: [`SpWorkspace::shortest_to`] (one
-//! sink; bidirectional with a [`RevCsr`] on 64 nodes or more, early-exit
-//! otherwise) and [`SpWorkspace::shortest_to_many`] (one origin, many
-//! sinks). After costs rose, [`SpWorkspace::many_paths_hold`] certifies
-//! that a one-to-many tree still gives every sink the path a fresh search
-//! would, so a caller may keep it. [`SpWorkspace::dijkstra`] builds the
-//! full tree, which Theorem 2.1's plan and the equilibrium certificates
-//! need.
+//! [`SpWorkspace`] runs two searches. [`SpWorkspace::shortest_to_many`] is
+//! the solver's targeted one: from one origin until every requested sink
+//! is settled, a lone sink being a search with one target. After costs
+//! rose, [`SpWorkspace::many_paths_hold`] certifies that its tree still
+//! gives every sink the path a fresh search would, so a caller may keep
+//! it. [`SpWorkspace::dijkstra`] builds the full tree, which Theorem 2.1's
+//! plan and the equilibrium certificates need.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -129,20 +128,18 @@ impl Csr {
 }
 
 /// The reverse forward-star view: slot `i` in `offsets[v]..offsets[v+1]`
-/// holds the `i`-th *incoming* edge of `v`. Backing store for the backward
-/// half of bidirectional Dijkstra (searching from the sink over reversed
-/// edges).
+/// holds the `i`-th *incoming* edge of `v`. The kept-tree certificate
+/// ([`SpWorkspace::many_paths_hold`]) scans every edge into a path node
+/// through it.
 #[derive(Clone, Debug, Default)]
 pub struct RevCsr {
     /// `offsets[v]..offsets[v+1]` indexes the slot arrays for head node `v`.
     offsets: Vec<u32>,
     /// Original edge id per slot.
     edge_ids: Vec<EdgeId>,
-    /// Tail node (`edge.from`) per slot — the "successor" when walking the
-    /// reversed graph.
+    /// Tail node (`edge.from`) per slot.
     sources: Vec<u32>,
-    /// Head node per edge id (for forward reconstruction of backward parent
-    /// chains without the original graph).
+    /// Head node per edge id.
     heads: Vec<u32>,
 }
 
@@ -182,18 +179,6 @@ impl RevCsr {
         }
     }
 
-    /// Number of nodes.
-    #[inline]
-    pub fn num_nodes(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
-    }
-
-    /// Number of edges.
-    #[inline]
-    pub fn num_edges(&self) -> usize {
-        self.edge_ids.len()
-    }
-
     /// The incoming `(edge id, tail node)` pairs of `v`.
     #[inline]
     pub fn inc(&self, v: NodeId) -> impl Iterator<Item = (EdgeId, NodeId)> + '_ {
@@ -212,59 +197,33 @@ impl RevCsr {
     }
 }
 
-/// Node count below which [`SpWorkspace::shortest_to`] keeps the single
-/// frontier even when given a [`RevCsr`] (the second heap costs more than
-/// it saves on tiny graphs).
-const BIDI_MIN_NODES: usize = 64;
-
-/// What the workspace's arrays currently describe (see
-/// [`SpWorkspace::walk_st_path`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-enum LastQuery {
-    /// No single-target answer: a fresh workspace or a full
-    /// [`SpWorkspace::dijkstra`] tree.
-    #[default]
-    None,
-    /// Early-exit forward query; `dist`/`parent` valid where stamped.
-    Forward { t: NodeId },
-    /// Bidirectional query; forward chain from `meet` + backward chain to
-    /// the sink.
-    Bidi { meet: Option<NodeId>, t: NodeId },
-    /// One-to-many query; per-target validity via the stamp arrays
-    /// ([`SpWorkspace::walk_many_path_to`]). `walk_st_path` has no single
-    /// target to walk and returns `false`.
-    Many,
-}
-
 /// Reusable single-source shortest-path state: preallocated distance,
 /// parent-edge and settled arrays plus the binary heap. One workspace
-/// serves any number of [`SpWorkspace::dijkstra`] calls (over graphs of any
-/// size — buffers grow on demand) without allocating per call.
+/// serves any number of [`SpWorkspace::dijkstra`] and
+/// [`SpWorkspace::shortest_to_many`] calls (over graphs of any size —
+/// buffers grow on demand) without allocating per call.
 #[derive(Clone, Debug, Default)]
 pub struct SpWorkspace {
     dist: Vec<f64>,
     parent: Vec<Option<EdgeId>>,
     done: Vec<bool>,
     heap: BinaryHeap<Reverse<(Cost, u32)>>,
-    // Targeted-query state. `dist`/`parent` double as the forward buffers;
-    // validity is tracked by generation stamps (`seen`/`settled` match
-    // `gen`), so a query over a 10⁶-node workspace resets in O(touched)
-    // rather than O(n).
+    // Targeted-search state. The search shares `dist`/`parent` with the
+    // full tree; validity is tracked by generation stamps (`seen`/`settled`
+    // match `gen`), so a search over a 10⁶-node workspace resets in
+    // O(touched) rather than O(n).
     seen: Vec<u32>,
     settled: Vec<u32>,
-    /// Stamp marking the requested targets of the current one-to-many
-    /// query (`target_stamp[v] == gen` ⇔ `v` is a target this generation).
+    /// Stamp marking the requested targets of the current search
+    /// (`target_stamp[v] == gen` ⇔ `v` is a target this generation).
     target_stamp: Vec<u32>,
-    dist_b: Vec<f64>,
-    parent_b: Vec<Option<EdgeId>>,
-    seen_b: Vec<u32>,
-    settled_b: Vec<u32>,
-    heap_b: BinaryHeap<Reverse<(Cost, u32)>>,
     /// Reused buffer for [`SpWorkspace::many_paths_hold`]'s path walks.
     path: Vec<EdgeId>,
     gen: u32,
     settled_count: usize,
-    last: LastQuery,
+    /// Whether the arrays hold a [`SpWorkspace::shortest_to_many`] tree
+    /// (not a full [`SpWorkspace::dijkstra`] one, whose stamps are stale).
+    many: bool,
 }
 
 impl SpWorkspace {
@@ -309,7 +268,7 @@ impl SpWorkspace {
                 }
             }
         }
-        self.last = LastQuery::None;
+        self.many = false;
     }
 
     /// `dist[v]` from the last source (`f64::INFINITY` if unreachable).
@@ -358,53 +317,11 @@ impl SpWorkspace {
         Some(Path::new(g, edges))
     }
 
-    /// Nodes settled by the most recent query (full or targeted) — the
+    /// Nodes settled by the most recent search (full or targeted) — the
     /// work metric behind the `sp_settled_nodes` counter.
     #[inline]
     pub fn settled_nodes(&self) -> usize {
         self.settled_count
-    }
-
-    /// Single-target shortest-path distance `s → t`, or `None` when `t` is
-    /// unreachable. With a [`RevCsr`] on a graph of at least 64 nodes the
-    /// query runs bidirectionally; otherwise it is forward Dijkstra that
-    /// stops once `t` is settled. After a `Some` result,
-    /// [`walk_st_path`](Self::walk_st_path) /
-    /// [`st_path_edges`](Self::st_path_edges) expose one shortest `s–t`
-    /// path.
-    ///
-    /// Unlike [`dijkstra`](Self::dijkstra), targeted queries reset in
-    /// O(touched) via generation stamps and leave [`dist`](Self::dist) /
-    /// [`parent`](Self::parent) unspecified (use the return value and the
-    /// walk methods instead).
-    pub fn shortest_to(
-        &mut self,
-        csr: &Csr,
-        rcsr: Option<&RevCsr>,
-        edge_costs: &[f64],
-        s: NodeId,
-        t: NodeId,
-    ) -> Option<f64> {
-        assert_eq!(edge_costs.len(), csr.num_edges());
-        let n = csr.num_nodes();
-        if s == t {
-            self.settled_count = 0;
-            self.last = LastQuery::Forward { t };
-            self.next_gen(n);
-            self.seen[s.idx()] = self.gen;
-            self.settled[s.idx()] = self.gen;
-            self.dist[s.idx()] = 0.0;
-            self.parent[s.idx()] = None;
-            return Some(0.0);
-        }
-        debug_assert!(
-            edge_costs.iter().all(|c| *c >= 0.0),
-            "Dijkstra requires nonnegative edge costs"
-        );
-        match rcsr {
-            Some(rcsr) if n >= BIDI_MIN_NODES => self.bidirectional(csr, rcsr, edge_costs, s, t),
-            _ => self.forward_to(csr, edge_costs, s, t),
-        }
     }
 
     /// Advance the stamp generation (wrap-safe) and size the stamp/value
@@ -414,8 +331,6 @@ impl SpWorkspace {
             self.seen.iter_mut().for_each(|s| *s = 0);
             self.settled.iter_mut().for_each(|s| *s = 0);
             self.target_stamp.iter_mut().for_each(|s| *s = 0);
-            self.seen_b.iter_mut().for_each(|s| *s = 0);
-            self.settled_b.iter_mut().for_each(|s| *s = 0);
             self.gen = 0;
         }
         self.gen += 1;
@@ -431,50 +346,6 @@ impl SpWorkspace {
         }
     }
 
-    fn ensure_backward(&mut self, n: usize) {
-        if self.seen_b.len() < n {
-            self.seen_b.resize(n, 0);
-            self.settled_b.resize(n, 0);
-            self.dist_b.resize(n, f64::INFINITY);
-            self.parent_b.resize(n, None);
-        }
-    }
-
-    /// Forward Dijkstra from `s`, stopping the moment `t` is settled.
-    fn forward_to(&mut self, csr: &Csr, edge_costs: &[f64], s: NodeId, t: NodeId) -> Option<f64> {
-        let n = csr.num_nodes();
-        self.next_gen(n);
-        let gen = self.gen;
-        self.heap.clear();
-        self.settled_count = 0;
-        self.last = LastQuery::Forward { t };
-        self.seen[s.idx()] = gen;
-        self.dist[s.idx()] = 0.0;
-        self.parent[s.idx()] = None;
-        self.heap.push(Reverse((Cost(0.0), s.0)));
-        while let Some(Reverse((Cost(d), u))) = self.heap.pop() {
-            let u = NodeId(u);
-            if self.settled[u.idx()] == gen {
-                continue;
-            }
-            self.settled[u.idx()] = gen;
-            self.settled_count += 1;
-            if u == t {
-                return Some(d);
-            }
-            for (e, v) in csr.out(u) {
-                let nd = d + edge_costs[e.idx()];
-                if self.seen[v.idx()] != gen || nd < self.dist[v.idx()] {
-                    self.seen[v.idx()] = gen;
-                    self.dist[v.idx()] = nd;
-                    self.parent[v.idx()] = Some(e);
-                    self.heap.push(Reverse((Cost(nd), v.0)));
-                }
-            }
-        }
-        None
-    }
-
     /// One-to-many shortest paths: forward Dijkstra from `source` that
     /// stops once every *distinct* node in `targets` is settled and has
     /// relaxed its out-edges (remaining-targets early exit), leaving one
@@ -484,10 +355,13 @@ impl SpWorkspace {
     /// [`walk_many_path_to`](Self::walk_many_path_to) answer per-target
     /// queries against the shared tree — the backbone of origin-grouped
     /// all-or-nothing assignment, where k commodities sharing one origin
-    /// cost one traversal instead of k. Duplicate targets are counted
-    /// once; `source` itself may appear among the targets (settled first,
-    /// with an empty path). Resets in O(touched) via generation stamps,
-    /// like the other targeted queries.
+    /// cost one traversal instead of k. A target's label is final once it
+    /// settles, so it gets the same path and distance whichever other
+    /// targets share the search; one target is the single-sink query.
+    /// Duplicate targets are counted once; `source` itself may appear
+    /// among the targets (settled first, with an empty path). Resets in
+    /// O(touched) via generation stamps, leaving [`dist`](Self::dist) and
+    /// [`parent`](Self::parent) unspecified off the tree.
     pub fn shortest_to_many(
         &mut self,
         csr: &Csr,
@@ -508,7 +382,7 @@ impl SpWorkspace {
         let gen = self.gen;
         self.heap.clear();
         self.settled_count = 0;
-        self.last = LastQuery::Many;
+        self.many = true;
         let mut remaining = 0usize;
         for &t in targets {
             if self.target_stamp[t.idx()] != gen {
@@ -608,10 +482,7 @@ impl SpWorkspace {
     /// not settled — unreachable, or pruned by the early exit).
     #[inline]
     pub fn many_dist(&self, t: NodeId) -> Option<f64> {
-        if self.last != LastQuery::Many
-            || self.seen[t.idx()] != self.gen
-            || self.settled[t.idx()] != self.gen
-        {
+        if !self.many || self.seen[t.idx()] != self.gen || self.settled[t.idx()] != self.gen {
             return None;
         }
         Some(self.dist[t.idx()])
@@ -633,177 +504,6 @@ impl SpWorkspace {
             v = csr.tail(e);
         }
         true
-    }
-
-    /// Bidirectional Dijkstra: forward frontier from `s` over `csr`,
-    /// backward frontier from `t` over `rcsr`, stopping once the two
-    /// frontier minima certify the best meeting point.
-    fn bidirectional(
-        &mut self,
-        csr: &Csr,
-        rcsr: &RevCsr,
-        edge_costs: &[f64],
-        s: NodeId,
-        t: NodeId,
-    ) -> Option<f64> {
-        let n = csr.num_nodes();
-        self.next_gen(n);
-        self.ensure_backward(n);
-        let gen = self.gen;
-        self.heap.clear();
-        self.heap_b.clear();
-        self.settled_count = 0;
-        self.seen[s.idx()] = gen;
-        self.dist[s.idx()] = 0.0;
-        self.parent[s.idx()] = None;
-        self.heap.push(Reverse((Cost(0.0), s.0)));
-        self.seen_b[t.idx()] = gen;
-        self.dist_b[t.idx()] = 0.0;
-        self.parent_b[t.idx()] = None;
-        self.heap_b.push(Reverse((Cost(0.0), t.0)));
-        let mut best = f64::INFINITY;
-        let mut meet: Option<NodeId> = None;
-        loop {
-            let top_f = self.heap.peek().map_or(f64::INFINITY, |r| r.0 .0 .0);
-            let top_b = self.heap_b.peek().map_or(f64::INFINITY, |r| r.0 .0 .0);
-            if top_f + top_b >= best {
-                break;
-            }
-            if top_f <= top_b {
-                let Some(Reverse((Cost(d), u))) = self.heap.pop() else {
-                    break;
-                };
-                let u = NodeId(u);
-                if self.settled[u.idx()] == gen {
-                    continue;
-                }
-                self.settled[u.idx()] = gen;
-                self.settled_count += 1;
-                for (e, v) in csr.out(u) {
-                    let nd = d + edge_costs[e.idx()];
-                    if self.seen[v.idx()] != gen || nd < self.dist[v.idx()] {
-                        self.seen[v.idx()] = gen;
-                        self.dist[v.idx()] = nd;
-                        self.parent[v.idx()] = Some(e);
-                        self.heap.push(Reverse((Cost(nd), v.0)));
-                    }
-                    if self.seen_b[v.idx()] == gen {
-                        let cand = self.dist[v.idx()] + self.dist_b[v.idx()];
-                        if cand < best {
-                            best = cand;
-                            meet = Some(v);
-                        }
-                    }
-                }
-            } else {
-                let Some(Reverse((Cost(d), u))) = self.heap_b.pop() else {
-                    break;
-                };
-                let u = NodeId(u);
-                if self.settled_b[u.idx()] == gen {
-                    continue;
-                }
-                self.settled_b[u.idx()] = gen;
-                self.settled_count += 1;
-                for (e, v) in rcsr.inc(u) {
-                    let nd = d + edge_costs[e.idx()];
-                    if self.seen_b[v.idx()] != gen || nd < self.dist_b[v.idx()] {
-                        self.seen_b[v.idx()] = gen;
-                        self.dist_b[v.idx()] = nd;
-                        self.parent_b[v.idx()] = Some(e);
-                        self.heap_b.push(Reverse((Cost(nd), v.0)));
-                    }
-                    if self.seen[v.idx()] == gen {
-                        let cand = self.dist[v.idx()] + self.dist_b[v.idx()];
-                        if cand < best {
-                            best = cand;
-                            meet = Some(v);
-                        }
-                    }
-                }
-            }
-        }
-        self.last = LastQuery::Bidi { meet, t };
-        meet.map(|_| best)
-    }
-
-    /// Visit every edge of one shortest `s–t` path found by the last
-    /// [`shortest_to`](Self::shortest_to) (order unspecified; use
-    /// [`st_path_edges`](Self::st_path_edges) for source-to-sink order).
-    /// Returns `false`, visiting nothing, when the target was unreachable.
-    /// `rcsr` must be the view passed to the query (only consulted after a
-    /// bidirectional run).
-    pub fn walk_st_path(
-        &self,
-        csr: &Csr,
-        rcsr: Option<&RevCsr>,
-        mut visit: impl FnMut(EdgeId),
-    ) -> bool {
-        match self.last {
-            LastQuery::None | LastQuery::Many => false,
-            LastQuery::Forward { t } => {
-                if self.seen[t.idx()] != self.gen || self.settled[t.idx()] != self.gen {
-                    return false;
-                }
-                let mut v = t;
-                while let Some(e) = self.parent[v.idx()] {
-                    visit(e);
-                    v = csr.tail(e);
-                }
-                true
-            }
-            LastQuery::Bidi { meet, t } => {
-                let Some(meet) = meet else {
-                    return false;
-                };
-                let rcsr = rcsr.expect("bidirectional walk needs the RevCsr used by the query");
-                let mut v = meet;
-                while let Some(e) = self.parent[v.idx()] {
-                    visit(e);
-                    v = csr.tail(e);
-                }
-                let mut v = meet;
-                while v != t {
-                    let e = self.parent_b[v.idx()].expect("backward chain reaches the sink");
-                    visit(e);
-                    v = rcsr.head(e);
-                }
-                true
-            }
-        }
-    }
-
-    /// One shortest `s–t` path from the last targeted query as an ordered
-    /// source-to-sink edge list (`None` when unreachable).
-    pub fn st_path_edges(&self, csr: &Csr, rcsr: Option<&RevCsr>) -> Option<Vec<EdgeId>> {
-        match self.last {
-            LastQuery::Bidi { meet, t } => {
-                let meet = meet?;
-                let rcsr = rcsr.expect("bidirectional walk needs the RevCsr used by the query");
-                let mut edges = Vec::new();
-                let mut v = meet;
-                while let Some(e) = self.parent[v.idx()] {
-                    edges.push(e);
-                    v = csr.tail(e);
-                }
-                edges.reverse();
-                let mut v = meet;
-                while v != t {
-                    let e = self.parent_b[v.idx()].expect("backward chain reaches the sink");
-                    edges.push(e);
-                    v = rcsr.head(e);
-                }
-                Some(edges)
-            }
-            _ => {
-                let mut edges = Vec::new();
-                if !self.walk_st_path(csr, rcsr, |e| edges.push(e)) {
-                    return None;
-                }
-                edges.reverse();
-                Some(edges)
-            }
-        }
     }
 }
 
@@ -929,21 +629,28 @@ mod tests {
         // Duplicate target and the source itself are both handled.
         let targets = [NodeId(3), NodeId(2), NodeId(3), NodeId(0)];
         assert_eq!(many.shortest_to_many(&csr, &costs, NodeId(0), &targets), 3);
+        let mut full = SpWorkspace::new();
+        full.dijkstra(&csr, &costs, NodeId(0));
         let mut single = SpWorkspace::new();
         for t in [NodeId(2), NodeId(3)] {
-            let d = single
-                .shortest_to(&csr, None, &costs, NodeId(0), t)
-                .unwrap();
-            assert_eq!(many.many_dist(t), Some(d), "target {t}");
-            let mut edges = Vec::new();
+            // A search with one target labels it as the shared tree does.
+            assert_eq!(single.shortest_to_many(&csr, &costs, NodeId(0), &[t]), 1);
+            assert_eq!(many.many_dist(t), single.many_dist(t), "target {t}");
+            assert_eq!(many.many_dist(t), Some(full.dist()[t.idx()]), "target {t}");
+            let (mut edges, mut one) = (Vec::new(), Vec::new());
             assert!(many.walk_many_path_to(&csr, t, |e| edges.push(e)));
+            assert!(single.walk_many_path_to(&csr, t, |e| one.push(e)));
+            assert_eq!(edges, one, "target {t}");
             edges.reverse();
-            assert_eq!(edges, single.st_path_edges(&csr, None).unwrap());
+            assert_eq!(edges, full.path_to(&g, &csr, t).unwrap().edges());
         }
         assert_eq!(many.many_dist(NodeId(0)), Some(0.0));
         let mut visited = 0;
         assert!(many.walk_many_path_to(&csr, NodeId(0), |_| visited += 1));
         assert_eq!(visited, 0, "source path is empty");
+        // A full tree leaves no one-to-many answer behind.
+        many.dijkstra(&csr, &costs, NodeId(0));
+        assert_eq!(many.many_dist(NodeId(3)), None);
     }
 
     #[test]
@@ -966,8 +673,6 @@ mod tests {
         // Pruned nodes report None, as does a stale walk.
         assert_eq!(ws.many_dist(NodeId(9)), None);
         assert!(!ws.walk_many_path_to(&csr, NodeId(9), |_| {}));
-        // And the single-target walk API refuses a Many tree.
-        assert!(!ws.walk_st_path(&csr, None, |_| {}));
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! Cross-algorithm property tests: Dijkstra vs Bellman–Ford, Dinic vs a
-//! brute-force max-flow oracle and vs the dense Dinic it replaced,
-//! decomposition round-trips, and the kept one-to-many tree's certificate
-//! against a fresh search, on random graphs.
+//! Cross-algorithm property tests: Dijkstra vs Bellman–Ford, the targeted
+//! search vs the full tree, Dinic vs a brute-force max-flow oracle and vs
+//! the dense Dinic it replaced, decomposition round-trips, and the kept
+//! one-to-many tree's certificate against a fresh search, on random
+//! graphs.
 
 #[path = "support/dense_dinic.rs"]
 mod dense_dinic;
@@ -334,8 +335,7 @@ fn max_flow_on_augments_through_a_reverse_arc() {
 }
 
 /// A random graph with NO guaranteed spine, so some targets are
-/// unreachable, at sizes straddling the 64-node threshold above which a
-/// query given a `RevCsr` runs bidirectionally.
+/// unreachable, at sizes from 2 to 119 nodes.
 fn random_sparse_graph() -> impl Strategy<Value = (DiGraph, Vec<f64>)> {
     (2usize..120, 0usize..240, any::<u64>()).prop_map(|(n, extra, seed)| {
         let mut state = seed | 1;
@@ -357,65 +357,6 @@ fn random_sparse_graph() -> impl Strategy<Value = (DiGraph, Vec<f64>)> {
         }
         (g, costs)
     })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn targeted_queries_match_full_dijkstra((g, costs) in random_sparse_graph()) {
-        let csr = Csr::new(&g);
-        let rcsr = RevCsr::new(&g);
-        let mut full = SpWorkspace::new();
-        full.dijkstra(&csr, &costs, NodeId(0));
-        let reference = full.dist().to_vec();
-        // One shared workspace across both queries and every target
-        // exercises the generation-stamped O(touched) reset. Without a
-        // reverse view the query is forward early-exit; with one it is
-        // bidirectional on the graphs of 64 nodes or more.
-        let mut ws = SpWorkspace::new();
-        for (v, &ref_dist) in reference.iter().enumerate() {
-            let t = NodeId(v as u32);
-            for rev in [None, Some(&rcsr)] {
-                let mode = if rev.is_some() { "reverse view" } else { "forward" };
-                let got = ws.shortest_to(&csr, rev, &costs, NodeId(0), t);
-                match got {
-                    Some(d) => {
-                        prop_assert!(
-                            (d - ref_dist).abs() < 1e-9,
-                            "{mode} to {v}: {d} vs {}", ref_dist
-                        );
-                        let edges = ws.st_path_edges(&csr, rev).expect("reached ⇒ path");
-                        // The edge list is a contiguous 0→t walk realising d.
-                        let mut at = NodeId(0);
-                        let mut cost = 0.0;
-                        for &e in &edges {
-                            prop_assert_eq!(g.edge(e).from, at);
-                            at = g.edge(e).to;
-                            cost += costs[e.idx()];
-                        }
-                        prop_assert_eq!(at, t);
-                        prop_assert!((cost - d).abs() < 1e-9, "{mode}: path cost {cost} vs {d}");
-                    }
-                    None => prop_assert!(
-                        ref_dist.is_infinite(),
-                        "{mode} to {v}: None vs {}", ref_dist
-                    ),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn early_exit_settles_no_more_than_full((g, costs) in random_sparse_graph()) {
-        let csr = Csr::new(&g);
-        let t = NodeId((g.num_nodes() - 1) as u32);
-        let mut ws = SpWorkspace::new();
-        ws.dijkstra(&csr, &costs, NodeId(0));
-        let full_settled = ws.settled_nodes();
-        ws.shortest_to(&csr, None, &costs, NodeId(0), t);
-        prop_assert!(ws.settled_nodes() <= full_settled);
-    }
 }
 
 /// A random graph with a spine from node 0 and parallel edges, and costs
@@ -450,6 +391,66 @@ fn tied_graph() -> impl Strategy<Value = (DiGraph, Vec<f64>, u64)> {
         }
         (g, costs, next())
     })
+}
+
+/// Every node of `g` as the one target of a search from node 0, on one
+/// workspace shared across targets (exercising the generation-stamped
+/// reset): a reached target's distance is the full tree's bit for bit, its
+/// path is the full tree's parent chain edge for edge; an unreachable
+/// target gives no distance and no path.
+fn one_target_searches_match_full(g: &DiGraph, costs: &[f64]) -> Result<(), TestCaseError> {
+    let csr = Csr::new(g);
+    let mut full = SpWorkspace::new();
+    full.dijkstra(&csr, costs, NodeId(0));
+    let mut ws = SpWorkspace::new();
+    for t in g.nodes() {
+        let reached = ws.shortest_to_many(&csr, costs, NodeId(0), &[t]);
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        let walked = ws.walk_many_path_to(&csr, t, |e| got.push(e));
+        if full.reached(t) {
+            prop_assert_eq!(reached, 1);
+            let dist = ws.many_dist(t).map(f64::to_bits);
+            prop_assert_eq!(dist, Some(full.dist()[t.idx()].to_bits()));
+            full.walk_path_to(&csr, t, |e| want.push(e));
+            prop_assert!(walked && got == want, "target {t}: {got:?} vs {want:?}");
+        } else {
+            prop_assert_eq!(reached, 0);
+            prop_assert!(ws.many_dist(t).is_none() && !walked, "target {t}");
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn targeted_queries_match_full_dijkstra(
+        (g, costs) in random_sparse_graph(),
+        (tg, tcosts, _) in tied_graph(),
+    ) {
+        one_target_searches_match_full(&g, &costs)?;
+        one_target_searches_match_full(&tg, &tcosts)?;
+    }
+
+    /// A one-target search stops at its target, or at the end of what the
+    /// source reaches: it never settles more nodes than the full tree.
+    #[test]
+    fn early_exit_settles_no_more_than_full(
+        (g, costs) in random_sparse_graph(),
+        (tg, tcosts, _) in tied_graph(),
+    ) {
+        for (g, costs) in [(&g, &costs), (&tg, &tcosts)] {
+            let csr = Csr::new(g);
+            let mut ws = SpWorkspace::new();
+            ws.dijkstra(&csr, costs, NodeId(0));
+            let full_settled = ws.settled_nodes();
+            for t in g.nodes() {
+                ws.shortest_to_many(&csr, costs, NodeId(0), &[t]);
+                prop_assert!(ws.settled_nodes() <= full_settled, "target {t}");
+            }
+        }
+    }
 }
 
 proptest! {

@@ -227,8 +227,9 @@ pub enum Phase {
     QueueWait,
     /// End-to-end service time of one serve solve request.
     SolveLatency,
-    /// One single-target shortest-path query (all-or-nothing linearization,
-    /// polish column generation, auction candidate gaps).
+    /// One shortest-path search from an origin towards its group's sinks
+    /// (all-or-nothing linearization, cold start, warm-seed check, polish
+    /// column generation).
     SpQuery,
     /// One multi-commodity all-or-nothing assignment pass (all commodities,
     /// whatever the `AonMode` — grouped/parallel wins show up as shorter
@@ -294,8 +295,9 @@ pub enum Counter {
     /// caller sees `converged: false` (the session layer turns it into a
     /// `NotConverged` error); this counts each such solve once.
     UnconvergedSolves,
-    /// Nodes settled across all shortest-path queries (the work an
-    /// early-exit or bidirectional traversal saves shows up here).
+    /// Nodes settled across all shortest-path searches (the work a
+    /// search saves by stopping once its targets are settled shows up
+    /// here).
     SpSettledNodes,
     /// Origin groups traversed by grouped/parallel all-or-nothing passes
     /// (each group is one one-to-many Dijkstra).

@@ -1,43 +1,45 @@
 //! All-or-nothing assignment: the Frank–Wolfe linearised subproblem.
 //!
-//! Single-commodity callers route one `s→t` query per call
-//! ([`aon_st_into`]). The multi-commodity hot path goes through
-//! [`aon_assign_targets`], which groups commodities by origin
-//! ([`CommodityGroups`]) so each origin costs one one-to-many Dijkstra
-//! instead of one query per OD pair, and optionally fans the origin groups
-//! out across scoped threads ([`AonMode`]). The Frank–Wolfe cold start
-//! (see [`crate::frank_wolfe`]) walks the same groups, whatever the mode:
-//! each of its chunks costs one pricing per origin, and a shared origin
-//! grows a new tree only when the certificate
+//! Every shortest-path search the solver runs routes an origin group
+//! ([`CommodityGroups`]): one search from the shared origin
+//! ([`SpWorkspace::shortest_to_many`]), then each member's distance and
+//! path read off its tree (`route_group`). A commodity with its own
+//! origin is a group of one. [`aon_assign_targets`] runs the per-iteration
+//! step that way, optionally fanning the groups out across scoped threads
+//! ([`AonMode`]). The Frank–Wolfe cold start, the warm-seed check and the
+//! path polish's column generation (see [`crate::frank_wolfe`] and
+//! [`crate::path_polish`]) walk the same groups, whatever the mode; the
+//! cold start grows a new tree only when the certificate
 //! ([`SpWorkspace::many_paths_hold`]) cannot keep the last one.
 
-use sopt_network::csr::{Csr, RevCsr, SpPool, SpWorkspace};
+use std::time::Instant;
+
+use sopt_network::csr::{Csr, SpPool, SpWorkspace};
 use sopt_network::flow::EdgeFlow;
-use sopt_network::graph::NodeId;
+use sopt_network::graph::{EdgeId, NodeId};
+use sopt_obs::Recorder;
 
 use crate::error::SolverError;
 
 /// How the per-iteration multi-commodity all-or-nothing step runs.
 ///
-/// `Sequential` runs one targeted query per OD pair. `Grouped`
-/// runs one one-to-many Dijkstra per distinct origin and extracts every
-/// member commodity's path from the shared tree. `Parallel` additionally
-/// fans the origin groups out across scoped threads, each worker owning a
-/// pooled [`SpWorkspace`] and writing into disjoint per-commodity flows —
-/// no locks, deterministic merge order, bit-identical run-to-run. `Auto`
-/// (the default) picks per solve: sequential when no origins are shared,
-/// threads when there is enough work to pay for them, grouped otherwise.
+/// Every mode runs the same search (`route_group`). `Sequential` makes
+/// each commodity a group of one. `Grouped` runs one search per distinct
+/// origin and reads every member commodity's path off the shared tree.
+/// `Parallel` additionally fans the origin groups out across scoped
+/// threads, each worker owning a pooled [`SpWorkspace`] and writing into
+/// disjoint per-commodity flows — no locks, deterministic merge order.
+/// `Auto` (the default) picks per solve: sequential when no origins are
+/// shared, threads when there is enough work to pay for them, grouped
+/// otherwise.
 ///
-/// Grouped and parallel assignments are bit-identical to each other by
-/// construction; they can differ from sequential only in which of several
-/// *equal-cost* shortest paths carries the flow (ties are broken by a
-/// different traversal order), which line search and convergence are
-/// indifferent to.
+/// A search settles a sink with its final label, whichever other sinks it
+/// looks for, so every mode routes every commodity along the same path:
+/// the modes are bit-identical by construction.
 ///
 /// The mode governs only the per-iteration step. The cold start before
 /// the first iteration is origin-grouped under every mode (see
-/// [`crate::frank_wolfe`]), so no mode replays the solver from before
-/// origin grouping.
+/// [`crate::frank_wolfe`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum AonMode {
     /// Pick per solve: `Sequential` when every commodity has its own
@@ -45,10 +47,10 @@ pub enum AonMode {
     /// than one hardware thread is available, `Grouped` otherwise.
     #[default]
     Auto,
-    /// One targeted shortest-path query per commodity per iteration (kept
-    /// for A/B comparison).
+    /// One search per commodity per iteration, each commodity a group of
+    /// one.
     Sequential,
-    /// One one-to-many Dijkstra per distinct origin, single-threaded.
+    /// One one-to-many search per distinct origin, single-threaded.
     Grouped,
     /// Origin groups fanned out across scoped threads.
     Parallel,
@@ -164,9 +166,9 @@ fn resolve_aon(mode: AonMode, groups: &CommodityGroups, num_nodes: usize) -> Aon
         AonMode::Auto => {
             let g = groups.num_groups();
             if g == groups.num_commodities() {
-                // No origin sharing: grouping degenerates to one query per
-                // commodity, so keep the targeted (early-exit /
-                // bidirectional) sequential path.
+                // No origin sharing: every group is one commodity, so
+                // grouping saves no search and threads would only split
+                // the same searches.
                 AonMode::Sequential
             } else if g >= 2
                 && std::thread::available_parallelism().map_or(1, |p| p.get()) > 1
@@ -181,69 +183,19 @@ fn resolve_aon(mode: AonMode, groups: &CommodityGroups, num_nodes: usize) -> Aon
     }
 }
 
-/// [`SpWorkspace::shortest_to`] wrapped in the solver's observability
-/// surface: the `sp_query` span and the `sp_settled_nodes` counter (both
-/// free when the global recorder is disabled). All solver shortest-path
-/// queries route through here so the metrics cover every solve path.
-pub(crate) fn timed_shortest_to(
-    csr: &Csr,
-    rcsr: Option<&RevCsr>,
-    sp: &mut SpWorkspace,
-    edge_costs: &[f64],
-    s: NodeId,
-    t: NodeId,
-) -> Option<f64> {
-    let rec = sopt_obs::global();
-    let started = rec.is_enabled().then(std::time::Instant::now);
-    let dist = sp.shortest_to(csr, rcsr, edge_costs, s, t);
-    if let Some(at) = started {
-        rec.record_duration(sopt_obs::Phase::SpQuery, at.elapsed().as_micros() as u64);
-        rec.add(sopt_obs::Counter::SpSettledNodes, sp.settled_nodes() as u64);
-    }
-    dist
-}
-
-/// Allocation-free all-or-nothing over prebuilt CSR views: one targeted
-/// shortest-path query (bidirectional when `rcsr` is supplied on a graph of
-/// 64 nodes or more, early-exit otherwise — see
-/// [`SpWorkspace::shortest_to`]) that **adds** `rate` along one shortest
-/// `s→t` path into `out` (callers zero `out` when they want a pure
-/// assignment). The hot path of every single-commodity Frank–Wolfe
-/// iteration.
-#[allow(clippy::too_many_arguments)]
-pub fn aon_st_into(
-    csr: &Csr,
-    rcsr: Option<&RevCsr>,
-    sp: &mut SpWorkspace,
-    edge_costs: &[f64],
-    s: NodeId,
-    t: NodeId,
-    rate: f64,
-    out: &mut [f64],
-) -> Result<(), SolverError> {
-    if timed_shortest_to(csr, rcsr, sp, edge_costs, s, t).is_none() {
-        return Err(SolverError::UnreachableSink {
-            commodity: 0,
-            source: s,
-            sink: t,
-        });
-    }
-    sp.walk_st_path(csr, rcsr, |e| out[e.idx()] += rate);
-    Ok(())
-}
-
-/// [`SpWorkspace::shortest_to_many`] under the same observability surface
-/// as [`timed_shortest_to`]: one `sp_query` span per one-to-many sweep.
-pub(crate) fn timed_shortest_to_many(
+/// The solver's one search: [`SpWorkspace::shortest_to_many`] from
+/// `source` towards `targets`, recorded into `rec` (the `sp_query` span
+/// and the `sp_settled_nodes` counter, both free on a disabled recorder).
+pub(crate) fn search(
     csr: &Csr,
     sp: &mut SpWorkspace,
+    rec: &Recorder,
     edge_costs: &[f64],
-    s: NodeId,
+    source: NodeId,
     targets: &[NodeId],
 ) -> usize {
-    let rec = sopt_obs::global();
-    let started = rec.is_enabled().then(std::time::Instant::now);
-    let reached = sp.shortest_to_many(csr, edge_costs, s, targets);
+    let started = rec.is_enabled().then(Instant::now);
+    let reached = sp.shortest_to_many(csr, edge_costs, source, targets);
     if let Some(at) = started {
         rec.record_duration(sopt_obs::Phase::SpQuery, at.elapsed().as_micros() as u64);
         rec.add(sopt_obs::Counter::SpSettledNodes, sp.settled_nodes() as u64);
@@ -251,44 +203,97 @@ pub(crate) fn timed_shortest_to_many(
     reached
 }
 
-/// One origin group's worth of work for the parallel arm: the shared
-/// source plus `(commodity index, sink, rate, output flow)` per member.
-/// Holding the `&mut EdgeFlow` directly is what makes the fan-out
+/// One group member's route, read off its group's tree by
+/// [`route_group`].
+pub(crate) struct Route<'a> {
+    csr: &'a Csr,
+    sp: &'a SpWorkspace,
+    sink: NodeId,
+    /// The sink's distance from the group's origin.
+    pub(crate) dist: f64,
+}
+
+impl Route<'_> {
+    /// Visit the route's edges, sink to source.
+    pub(crate) fn walk(&self, visit: impl FnMut(EdgeId)) {
+        self.sp.walk_many_path_to(self.csr, self.sink, visit);
+    }
+}
+
+/// Route one origin group at `edge_costs`: one [`search`] from `source`
+/// towards `sinks`, then `member(i, route)` for each sink `i` in order.
+/// Stops at the first sink the search did not reach and returns its
+/// position.
+pub(crate) fn route_group(
+    csr: &Csr,
+    sp: &mut SpWorkspace,
+    rec: &Recorder,
+    edge_costs: &[f64],
+    source: NodeId,
+    sinks: &[NodeId],
+    mut member: impl FnMut(usize, Route<'_>),
+) -> Result<(), usize> {
+    search(csr, sp, rec, edge_costs, source, sinks);
+    for (i, &sink) in sinks.iter().enumerate() {
+        let dist = sp.many_dist(sink).ok_or(i)?;
+        member(
+            i,
+            Route {
+                csr,
+                sp,
+                sink,
+                dist,
+            },
+        );
+    }
+    Ok(())
+}
+
+/// One origin group's worth of all-or-nothing work: the shared source,
+/// and per member its sink and `(commodity index, rate, output flow)`.
+/// Holding the `&mut EdgeFlow` directly is what makes the parallel fan-out
 /// lock-free — every commodity's output belongs to exactly one group, so
 /// the workers write into disjoint memory by construction.
 struct GroupJob<'a> {
     source: NodeId,
-    members: Vec<(usize, NodeId, f64, &'a mut EdgeFlow)>,
+    sinks: Vec<NodeId>,
+    members: Vec<(usize, f64, &'a mut EdgeFlow)>,
 }
 
-/// Assign every group in `jobs` using `ws`, adding each member's rate
-/// along its path out of the group's shared one-to-many tree. Returns the
-/// first (in group order) unreachable-sink error plus the settled-node
-/// total for the observability counters.
-fn assign_group_jobs(
+/// Route every group in `jobs` on `ws`, adding each member's rate along
+/// its path. Returns the settled-node total and the first (in group order)
+/// unreachable-sink error.
+fn route_jobs(
     csr: &Csr,
     ws: &mut SpWorkspace,
+    rec: &Recorder,
     edge_costs: &[f64],
     jobs: &mut [GroupJob<'_>],
 ) -> (u64, Option<SolverError>) {
     let mut settled = 0u64;
     let mut first_err: Option<SolverError> = None;
-    let mut targets: Vec<NodeId> = Vec::new();
     for job in jobs.iter_mut() {
-        targets.clear();
-        targets.extend(job.members.iter().map(|m| m.1));
-        ws.shortest_to_many(csr, edge_costs, job.source, &targets);
+        let members = &mut job.members;
+        let routed = route_group(
+            csr,
+            ws,
+            rec,
+            edge_costs,
+            job.source,
+            &job.sinks,
+            |i, route| {
+                let (_, rate, out) = &mut members[i];
+                let (rate, buf) = (*rate, &mut out.0);
+                route.walk(|e| buf[e.idx()] += rate);
+            },
+        );
         settled += ws.settled_nodes() as u64;
-        for (ci, t, r, out) in job.members.iter_mut() {
-            let rate = *r;
-            let buf = &mut out.0;
-            if !ws.walk_many_path_to(csr, *t, |e| buf[e.idx()] += rate) && first_err.is_none() {
-                first_err = Some(SolverError::UnreachableSink {
-                    commodity: *ci,
-                    source: job.source,
-                    sink: *t,
-                });
-            }
+        if let Err(i) = routed {
+            first_err.get_or_insert(SolverError::UnreachableSink {
+                commodity: job.members[i].0,
+                source: job.source,
+                sink: job.sinks[i],
+            });
         }
     }
     (settled, first_err)
@@ -296,8 +301,8 @@ fn assign_group_jobs(
 
 /// The multi-commodity all-or-nothing step: zero `ys`, then route every
 /// commodity's full rate along one shortest path under `edge_costs` into
-/// its own `ys[ci]`, using the strategy selected by `aon_mode` (see
-/// [`AonMode`]). `groups` must be the plan for `demands` (see
+/// its own `ys[ci]`, in the groups `aon_mode` selects (see [`AonMode`]).
+/// `groups` must be the plan for `demands` (see
 /// [`CommodityGroups::rebuild`]); `pool` feeds the parallel arm's
 /// per-worker workspaces and gets them back after the join.
 ///
@@ -307,7 +312,6 @@ fn assign_group_jobs(
 #[allow(clippy::too_many_arguments)]
 pub fn aon_assign_targets(
     csr: &Csr,
-    rcsr: Option<&RevCsr>,
     sp: &mut SpWorkspace,
     pool: &mut SpPool,
     groups: &CommodityGroups,
@@ -326,50 +330,47 @@ pub fn aon_assign_targets(
     }
 
     let rec = sopt_obs::global();
-    let started = rec.is_enabled().then(std::time::Instant::now);
+    let started = rec.is_enabled().then(Instant::now);
     let mode = resolve_aon(aon_mode, groups, csr.num_nodes());
+    let sequential = matches!(mode, AonMode::Sequential | AonMode::Auto);
 
-    let result = match mode {
-        AonMode::Auto | AonMode::Sequential => {
-            let mut out = Ok(());
-            for (ci, &(s, t, r)) in demands.iter().enumerate() {
-                if let Err(e) = aon_st_into(csr, rcsr, sp, edge_costs, s, t, r, &mut ys[ci].0) {
-                    out = Err(e.with_commodity(ci));
-                    break;
-                }
-            }
-            out
+    // Hand each commodity's output flow to its one group.
+    let mut outs: Vec<Option<&mut EdgeFlow>> = ys.iter_mut().map(Some).collect();
+    let mut job = |source: NodeId, members: &[u32]| {
+        let (sinks, members) = members
+            .iter()
+            .map(|&ci| {
+                let (ci, (_, t, r)) = (ci as usize, demands[ci as usize]);
+                let out = outs[ci].take().expect("one group per commodity");
+                (t, (ci, r, out))
+            })
+            .unzip();
+        GroupJob {
+            source,
+            sinks,
+            members,
         }
-        AonMode::Grouped => {
-            let mut out = Ok(());
-            let mut targets: Vec<NodeId> = Vec::new();
-            'groups: for g in 0..groups.num_groups() {
+    };
+    let mut jobs: Vec<GroupJob<'_>> = if sequential {
+        (0..demands.len() as u32)
+            .map(|ci| job(demands[ci as usize].0, &[ci]))
+            .collect()
+    } else {
+        (0..groups.num_groups())
+            .map(|g| {
                 let (source, members) = groups.group(g);
-                targets.clear();
-                targets.extend(members.iter().map(|&ci| demands[ci as usize].1));
-                timed_shortest_to_many(csr, sp, edge_costs, source, &targets);
-                for &ci in members {
-                    let ci = ci as usize;
-                    let (_, t, r) = demands[ci];
-                    let buf = &mut ys[ci].0;
-                    if !sp.walk_many_path_to(csr, t, |e| buf[e.idx()] += r) {
-                        out = Err(SolverError::UnreachableSink {
-                            commodity: ci,
-                            source,
-                            sink: t,
-                        });
-                        break 'groups;
-                    }
-                }
-            }
-            out
-        }
-        AonMode::Parallel => parallel_groups(csr, pool, groups, edge_costs, demands, ys, rec),
+                job(source, members)
+            })
+            .collect()
+    };
+    let err = match mode {
+        AonMode::Parallel => parallel_jobs(csr, pool, edge_costs, &mut jobs, rec),
+        _ => route_jobs(csr, sp, rec, edge_costs, &mut jobs).1,
     };
 
     if let Some(at) = started {
         rec.record_duration(sopt_obs::Phase::Aon, at.elapsed().as_micros() as u64);
-        if !matches!(mode, AonMode::Sequential | AonMode::Auto) {
+        if !sequential {
             rec.add(sopt_obs::Counter::AonGroups, groups.num_groups() as u64);
             rec.add(
                 sopt_obs::Counter::AonQueriesSaved,
@@ -377,55 +378,38 @@ pub fn aon_assign_targets(
             );
         }
     }
-    result
+    err.map_or(Ok(()), Err)
 }
 
 /// The [`AonMode::Parallel`] arm: origin groups in contiguous chunks
 /// across scoped threads. Each worker moves a pooled [`SpWorkspace`] in
 /// and hands it back through its join, so back-to-back iterations reuse
-/// the same allocations. Workers report their first error in group order;
-/// the chunk layout is monotone in group index, so the merged error is the
-/// deterministic first one overall.
-fn parallel_groups(
+/// the same allocations. Workers time no search (their spans would
+/// overlap); their settled nodes go into `rec` after the join. Workers
+/// report their first error in group order; the chunk layout is monotone
+/// in group index, so the merged error is the deterministic first one
+/// overall.
+fn parallel_jobs(
     csr: &Csr,
     pool: &mut SpPool,
-    groups: &CommodityGroups,
     edge_costs: &[f64],
-    demands: &[(NodeId, NodeId, f64)],
-    ys: &mut [EdgeFlow],
-    rec: &sopt_obs::Recorder,
-) -> Result<(), SolverError> {
-    let num_groups = groups.num_groups();
-    // Hand each commodity's output flow to its owning group exactly once.
-    let mut slots: Vec<Option<&mut EdgeFlow>> = ys.iter_mut().map(Some).collect();
-    let mut jobs: Vec<GroupJob<'_>> = Vec::with_capacity(num_groups);
-    for g in 0..num_groups {
-        let (source, group_members) = groups.group(g);
-        let mut members = Vec::with_capacity(group_members.len());
-        for &ci in group_members {
-            let ci = ci as usize;
-            let (_, t, r) = demands[ci];
-            let slot = slots[ci].take().expect("one group per commodity");
-            members.push((ci, t, r, slot));
-        }
-        jobs.push(GroupJob { source, members });
-    }
-
+    jobs: &mut [GroupJob<'_>],
+    rec: &Recorder,
+) -> Option<SolverError> {
     let workers = std::thread::available_parallelism()
         .map_or(1, |p| p.get())
-        .clamp(1, num_groups);
-    let chunk = num_groups.div_ceil(workers);
-    let mut pending: Vec<(&mut [GroupJob<'_>], SpWorkspace)> = Vec::new();
-    for jc in jobs.chunks_mut(chunk) {
-        pending.push((jc, pool.take()));
-    }
+        .clamp(1, jobs.len());
+    let chunk = jobs.len().div_ceil(workers);
+    let pending: Vec<(&mut [GroupJob<'_>], SpWorkspace)> =
+        jobs.chunks_mut(chunk).map(|jc| (jc, pool.take())).collect();
 
     let joined = crossbeam::thread::scope(|s| {
         let handles: Vec<_> = pending
             .into_iter()
             .map(|(chunk_jobs, mut ws)| {
                 s.spawn(move |_| {
-                    let (settled, err) = assign_group_jobs(csr, &mut ws, edge_costs, chunk_jobs);
+                    let untimed = Recorder::disabled();
+                    let (settled, err) = route_jobs(csr, &mut ws, &untimed, edge_costs, chunk_jobs);
                     (ws, settled, err)
                 })
             })
@@ -446,13 +430,8 @@ fn parallel_groups(
             first_err = err;
         }
     }
-    if rec.is_enabled() {
-        rec.add(sopt_obs::Counter::SpSettledNodes, settled_total);
-    }
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
+    rec.add(sopt_obs::Counter::SpSettledNodes, settled_total);
+    first_err
 }
 
 #[cfg(test)]
@@ -496,22 +475,13 @@ mod tests {
         mode: AonMode,
     ) -> Result<Vec<EdgeFlow>, SolverError> {
         let csr = Csr::new(g);
-        let rcsr = RevCsr::new(g);
         let mut groups = CommodityGroups::new();
         groups.rebuild(demands);
         let mut sp = SpWorkspace::new();
         let mut pool = SpPool::new();
         let mut ys = vec![EdgeFlow::zeros(g.num_edges()); demands.len()];
         aon_assign_targets(
-            &csr,
-            Some(&rcsr),
-            &mut sp,
-            &mut pool,
-            &groups,
-            mode,
-            costs,
-            demands,
-            &mut ys,
+            &csr, &mut sp, &mut pool, &groups, mode, costs, demands, &mut ys,
         )?;
         Ok(ys)
     }
@@ -588,23 +558,22 @@ mod tests {
         }
     }
 
-    /// One `aon_st_into` call into a zero flow, with or without the
-    /// reverse view.
+    /// One commodity's all-or-nothing flow, which every mode must agree
+    /// on bit for bit (or fail on with the same error).
     fn st(
         g: &DiGraph,
         costs: &[f64],
         s: NodeId,
         t: NodeId,
         rate: f64,
-        reverse: bool,
     ) -> Result<Vec<f64>, SolverError> {
-        let csr = Csr::new(g);
-        let rcsr = RevCsr::new(g);
-        let mut out = vec![0.0; g.num_edges()];
-        let rcsr = reverse.then_some(&rcsr);
-        let mut sp = SpWorkspace::new();
-        aon_st_into(&csr, rcsr, &mut sp, costs, s, t, rate, &mut out)?;
-        Ok(out)
+        let demands = [(s, t, rate)];
+        let want = assign(g, costs, &demands, AonMode::Sequential).map(|ys| ys[0].0.clone());
+        for mode in AonMode::ALL {
+            let got = assign(g, costs, &demands, mode).map(|ys| ys[0].0.clone());
+            assert_eq!(got, want, "{mode:?}");
+        }
+        want
     }
 
     #[test]
@@ -612,7 +581,7 @@ mod tests {
         let mut g = DiGraph::with_nodes(2);
         g.add_edge(NodeId(0), NodeId(1));
         g.add_edge(NodeId(0), NodeId(1));
-        let f = st(&g, &[2.0, 1.0], NodeId(0), NodeId(1), 3.0, false).unwrap();
+        let f = st(&g, &[2.0, 1.0], NodeId(0), NodeId(1), 3.0).unwrap();
         assert_eq!(f, [0.0, 3.0]);
     }
 
@@ -622,51 +591,55 @@ mod tests {
         g.add_edge(NodeId(0), NodeId(1));
         g.add_edge(NodeId(1), NodeId(2));
         g.add_edge(NodeId(0), NodeId(2));
-        let f = st(&g, &[1.0, 1.0, 5.0], NodeId(0), NodeId(2), 1.0, false).unwrap();
+        let f = st(&g, &[1.0, 1.0, 5.0], NodeId(0), NodeId(2), 1.0).unwrap();
         assert_eq!(f, [1.0, 1.0, 0.0]);
     }
 
     #[test]
     fn unreachable_sink_is_typed() {
         let g = DiGraph::with_nodes(2);
-        for reverse in [false, true] {
-            let err = st(&g, &[], NodeId(0), NodeId(1), 1.0, reverse).unwrap_err();
-            assert_eq!(
-                err,
-                SolverError::UnreachableSink {
-                    commodity: 0,
-                    source: NodeId(0),
-                    sink: NodeId(1),
-                }
-            );
-        }
+        let err = st(&g, &[], NodeId(0), NodeId(1), 1.0).unwrap_err();
+        assert_eq!(
+            err,
+            SolverError::UnreachableSink {
+                commodity: 0,
+                source: NodeId(0),
+                sink: NodeId(1),
+            }
+        );
     }
 
     #[test]
-    fn aon_st_into_adds_along_shortest() {
+    fn each_assignment_replaces_the_last() {
         let mut g = DiGraph::with_nodes(3);
         g.add_edge(NodeId(0), NodeId(1));
         g.add_edge(NodeId(1), NodeId(2));
         g.add_edge(NodeId(0), NodeId(2));
+        let demands = [(NodeId(0), NodeId(2), 2.0)];
+        let mut groups = CommodityGroups::new();
+        groups.rebuild(&demands);
         let csr = Csr::new(&g);
-        let mut sp = SpWorkspace::new();
-        let mut out = vec![0.0; 3];
-        let (s, t) = (NodeId(0), NodeId(2));
-        let costs = [1.0, 1.0, 5.0];
-        aon_st_into(&csr, None, &mut sp, &costs, s, t, 2.0, &mut out).unwrap();
-        assert_eq!(out, vec![2.0, 2.0, 0.0]);
-        // Additive: a second call accumulates.
-        let costs = [1.0, 1.0, 0.5];
-        aon_st_into(&csr, None, &mut sp, &costs, s, t, 1.0, &mut out).unwrap();
-        assert_eq!(out, vec![2.0, 2.0, 1.0]);
+        let (mut sp, mut pool) = (SpWorkspace::new(), SpPool::new());
+        let mut ys = vec![EdgeFlow::zeros(3)];
+        for (costs, want) in [
+            ([1.0, 1.0, 5.0], [2.0, 2.0, 0.0]),
+            ([1.0, 1.0, 0.5], [0.0, 0.0, 2.0]),
+        ] {
+            let mode = AonMode::Auto;
+            aon_assign_targets(
+                &csr, &mut sp, &mut pool, &groups, mode, &costs, &demands, &mut ys,
+            )
+            .unwrap();
+            assert_eq!(ys[0].0, want);
+        }
     }
 
     #[test]
-    fn aon_st_into_matches_full_across_modes() {
-        // A two-row ladder of 80 nodes: with the reverse view the query runs
-        // bidirectionally (≥ 64 nodes), without it forward early-exit. Both
-        // must route along the path the full Dijkstra tree gives; distinct
-        // square-root costs make that path unique.
+    fn one_commodity_ladder_matches_full_across_modes() {
+        // A two-row ladder of 80 nodes, where the bidirectional search of
+        // old took over: every mode must route along the path the full
+        // Dijkstra tree gives; distinct square-root costs make that path
+        // unique.
         const L: u32 = 40;
         let mut g = DiGraph::with_nodes(2 * L as usize);
         for i in 0..L - 1 {
@@ -686,20 +659,17 @@ mod tests {
         full.dijkstra(&csr, &costs, s);
         let mut want = vec![0.0; g.num_edges()];
         assert!(full.walk_path_to(&csr, t, |e| want[e.idx()] += 2.0));
-        for reverse in [false, true] {
-            let got = st(&g, &costs, s, t, 2.0, reverse).unwrap();
-            assert_eq!(got, want, "reverse view: {reverse}");
-            // Unreachable sink stays a typed error: the rows run only
-            // rightwards, so the far corner cannot reach node 0.
-            let err = st(&g, &costs, t, s, 1.0, reverse).unwrap_err();
-            assert_eq!(
-                err,
-                SolverError::UnreachableSink {
-                    commodity: 0,
-                    source: t,
-                    sink: s,
-                }
-            );
-        }
+        assert_eq!(st(&g, &costs, s, t, 2.0).unwrap(), want);
+        // Unreachable sink stays a typed error: the rows run only
+        // rightwards, so the far corner cannot reach node 0.
+        let err = st(&g, &costs, t, s, 1.0).unwrap_err();
+        assert_eq!(
+            err,
+            SolverError::UnreachableSink {
+                commodity: 0,
+                source: t,
+                sink: s,
+            }
+        );
     }
 }

@@ -4,9 +4,8 @@
 //! assignment; on a graph where a commodity's sink is cut off from its
 //! source there is no feasible flow at all, and the solvers report that as
 //! [`SolverError::UnreachableSink`] through the one entry point
-//! ([`crate::frank_wolfe::try_solve_parts`]) and the all-or-nothing
-//! subroutines ([`crate::aon::aon_st_into`],
-//! [`crate::aon::aon_assign_targets`]). Induced solves reject a Leader flow
+//! ([`crate::frank_wolfe::try_solve_parts`]) and the all-or-nothing step
+//! ([`crate::aon::aon_assign_targets`]). Induced solves reject a Leader flow
 //! that does not fit the instance as [`SolverError::InvalidLeader`]. No
 //! solve panics on either.
 
@@ -32,22 +31,6 @@ pub enum SolverError {
         /// What is wrong with it.
         reason: String,
     },
-}
-
-impl SolverError {
-    /// The same error attributed to commodity `commodity` — multicommodity
-    /// solvers use this to replace the per-commodity subroutine's local
-    /// index (always 0) with the commodity's position in the instance.
-    pub fn with_commodity(self, commodity: usize) -> Self {
-        match self {
-            SolverError::UnreachableSink { source, sink, .. } => SolverError::UnreachableSink {
-                commodity,
-                source,
-                sink,
-            },
-            other => other,
-        }
-    }
 }
 
 impl std::fmt::Display for SolverError {

@@ -39,8 +39,7 @@
 //! edges, and conserved flow is checked only at the end nodes of its
 //! non-zero edges (plus its origin and sink); then its relative gap
 //! is measured on its edge flow, with one gradient sweep and one search
-//! per origin group (a targeted query for a lone commodity, one
-//! one-to-many tree otherwise). A seed that already meets the target
+//! per origin group. A seed that already meets the target
 //! returns as it is, with no polish round; any other is path-decomposed
 //! and polished. `fw_bench` (`BENCH_fw.json`) measures the cold/warm
 //! iteration ratio.
@@ -57,11 +56,11 @@
 //! search would return the same path to every member's sink; only when it
 //! fails does the group grow a new tree. A 64-commodity, 16-origin profile
 //! takes 128 pricings and at most 128 trees (about 17 on `city-od`)
-//! instead of 512 pricings and queries. With one commodity per origin
-//! (every single-commodity solve) each slice gets its own pricing and
-//! targeted query, in commodity order. Only the zero flow is priced by a
-//! full gradient sweep; each later pricing re-prices just the edges the
-//! slices moved, bit for bit as a full sweep would.
+//! instead of 512 pricings and searches. A commodity with its own origin
+//! (every single-commodity solve) is a group of one, whose tree is kept
+//! and certified the same way. Only the zero flow is priced by a full
+//! gradient sweep; each later pricing re-prices just the edges the slices
+//! moved, bit for bit as a full sweep would.
 
 use std::cell::RefCell;
 
@@ -71,10 +70,7 @@ use sopt_network::flow::EdgeFlow;
 use sopt_network::graph::NodeId;
 use sopt_network::DiGraph;
 
-use crate::aon::{
-    aon_assign_targets, aon_st_into, timed_shortest_to, timed_shortest_to_many, AonMode,
-    CommodityGroups,
-};
+use crate::aon::{aon_assign_targets, route_group, search, AonMode, CommodityGroups};
 use crate::error::SolverError;
 use crate::eval::Eval;
 use crate::line_search::{exact_step, max_step};
@@ -104,10 +100,10 @@ pub struct FwOptions {
     pub stall_window: Option<usize>,
     /// Strategy for the per-iteration multi-commodity all-or-nothing step.
     /// [`AonMode::Auto`] groups commodities by origin (one one-to-many
-    /// Dijkstra per distinct source) and fans the groups out across
-    /// threads when the work pays for it; [`AonMode::Sequential`] runs one
-    /// query per commodity, kept for A/B. The cold start does not consult
-    /// it: it is origin-grouped under every mode.
+    /// search per distinct source) and fans the groups out across threads
+    /// when the work pays for it; [`AonMode::Sequential`] searches once per
+    /// commodity. Every mode routes the same paths, bit for bit. The cold
+    /// start does not consult it: it is origin-grouped under every mode.
     pub aon: AonMode,
 }
 
@@ -177,7 +173,7 @@ pub struct FwResult {
 #[derive(Clone, Debug, Default)]
 pub struct FwWorkspace {
     csr: Csr,
-    /// Reverse adjacency for bidirectional queries.
+    /// Reverse adjacency for the cold start's kept-tree certificate.
     rcsr: RevCsr,
     sp: SpWorkspace,
     /// Origin-grouping plan for the AON step (rebuilt on demand change).
@@ -391,8 +387,7 @@ impl FwWorkspace {
 
     /// The relative gap `Σc·(f−y) / Σc·f` of the flow in `self.f` (a
     /// validated warm seed): one gradient sweep, then one search per
-    /// origin group for its members of positive rate, a targeted query for
-    /// a lone member and one one-to-many tree otherwise. It is the gap the
+    /// origin group for its members of positive rate. It is the gap the
     /// polish measures in its first round, without the path decomposition.
     /// An unreachable sink makes it `+∞`.
     fn seed_gap(
@@ -401,34 +396,31 @@ impl FwWorkspace {
         model: CostModel,
         demands: &[(NodeId, NodeId, f64)],
     ) -> f64 {
-        let (csr, rcsr, sp) = (&self.csr, Some(&self.rcsr), &mut self.sp);
+        let (csr, sp, rec) = (&self.csr, &mut self.sp, sopt_obs::global());
         Eval::new(latencies, &self.batch).gradient_into(model, &self.f, &mut self.costs);
         let costs = &self.costs;
         let cf: f64 = costs.iter().zip(&self.f).map(|(c, x)| c * x).sum();
         let mut cy = 0.0;
-        let (mut live, mut targets) = (Vec::new(), Vec::new());
+        let (mut sinks, mut rates) = (Vec::new(), Vec::new());
         for g in 0..self.groups.num_groups() {
             let (source, members) = self.groups.group(g);
-            live.clear();
-            live.extend(members.iter().filter_map(|&ci| {
+            sinks.clear();
+            rates.clear();
+            for &ci in members {
                 let (_, t, r) = demands[ci as usize];
-                (r > 0.0).then_some((t, r))
-            }));
-            if let &[(t, r)] = live.as_slice() {
-                match timed_shortest_to(csr, rcsr, sp, costs, source, t) {
-                    Some(dist) => cy += r * dist,
-                    None => return f64::INFINITY,
+                if r > 0.0 {
+                    sinks.push(t);
+                    rates.push(r);
                 }
-            } else if !live.is_empty() {
-                targets.clear();
-                targets.extend(live.iter().map(|&(t, _)| t));
-                timed_shortest_to_many(csr, sp, costs, source, &targets);
-                for &(t, r) in &live {
-                    match sp.many_dist(t) {
-                        Some(dist) => cy += r * dist,
-                        None => return f64::INFINITY,
-                    }
-                }
+            }
+            if sinks.is_empty() {
+                continue;
+            }
+            let routed = route_group(csr, sp, rec, costs, source, &sinks, |i, route| {
+                cy += rates[i] * route.dist;
+            });
+            if routed.is_err() {
+                return f64::INFINITY;
             }
         }
         if cf.abs() > 1e-300 {
@@ -441,26 +433,22 @@ impl FwWorkspace {
     /// The cold start: every commodity loaded in [`CHUNKS`] equal slices,
     /// each routed at pole-guarded gradient costs of the running combined
     /// flow (see [`guarded_costs`]), so no slice steps over an M/M/1 pole
-    /// while another path exists. Walks the origin groups in order: a
-    /// one-member group takes one pricing and one targeted query per chunk;
-    /// a larger group shares one pricing per chunk and a one-to-many tree
-    /// among its members. The tree's prices predate the chunk's earlier
-    /// slices, so a member whose own slice would take an edge the tree
-    /// priced below the guard to ≥ 99.99% of its capacity waits until the
-    /// chunk's tree slices are in, then gets a pricing and a query of its
-    /// own: only a slice priced at the current flow steps onto the guard,
-    /// as in the one-member case. Returns the per-commodity flows; `self.f`
-    /// holds their sum.
+    /// while another path exists. Walks the origin groups in order: per
+    /// chunk, a group shares one pricing and one one-to-many tree among its
+    /// members, a commodity with its own origin being a group of one. The
+    /// tree's prices predate the chunk's earlier slices, so a member whose
+    /// own slice would take an edge the tree priced below the guard to ≥
+    /// 99.99% of its capacity waits until the chunk's tree slices are in,
+    /// then gets a pricing and a search of its own: only a slice priced at
+    /// the current flow steps onto the guard. Returns the per-commodity
+    /// flows; `self.f` holds their sum.
     ///
     /// A group keeps its tree from one chunk to the next while no
     /// re-priced edge got cheaper and [`SpWorkspace::many_paths_hold`]
     /// proves that a fresh tree would give every member the same path, so
     /// members walk the paths a fresh tree would give them, in the same
-    /// order. A deferred member's query overwrites the tree, so the next
+    /// order. A deferred member's search overwrites the tree, so the next
     /// chunk grows a new one.
-    ///
-    /// With one commodity per origin every slice gets its own pricing and
-    /// targeted query, in commodity order.
     ///
     /// Only the zero flow is priced by a full sweep. Each later pricing
     /// re-prices just the edges the slices moved since the one before
@@ -472,46 +460,19 @@ impl FwWorkspace {
         model: CostModel,
         demands: &[(NodeId, NodeId, f64)],
     ) -> Result<Vec<EdgeFlow>, SolverError> {
-        let (csr, rcsr, groups) = (&self.csr, Some(&self.rcsr), &self.groups);
+        let (csr, rcsr, groups) = (&self.csr, &self.rcsr, &self.groups);
         let (sp, f, costs) = (&mut self.sp, &mut self.f, &mut self.costs);
-        let eval = Eval::new(latencies, &self.batch);
+        let (eval, rec) = (Eval::new(latencies, &self.batch), sopt_obs::global());
         let m = f.len();
         let mut per = vec![EdgeFlow::zeros(m); demands.len()];
         f.fill(0.0);
         guarded_costs(&eval, model, f, costs);
         let mut moved = Moved::new(m);
 
-        // One slice routed at fresh prices, added into `out` and `f`.
-        let fresh_slice = |sp: &mut SpWorkspace,
-                           f: &mut [f64],
-                           costs: &mut [f64],
-                           moved: &mut Moved,
-                           (s, t, r): (NodeId, NodeId, f64),
-                           out: &mut [f64]| {
-            moved.reprice(&eval, model, f, costs);
-            let slice = r / CHUNKS as f64;
-            aon_st_into(csr, rcsr, sp, costs, s, t, slice, out)?;
-            sp.walk_st_path(csr, rcsr, |e| {
-                f[e.idx()] += slice;
-                moved.push(e.idx());
-            });
-            Ok::<(), SolverError>(())
-        };
-
         let mut targets: Vec<NodeId> = Vec::new();
         let mut deferred: Vec<usize> = Vec::new();
         for g in 0..groups.num_groups() {
             let (source, members) = groups.group(g);
-            if let &[ci] = members {
-                let ci = ci as usize;
-                for _ in 0..CHUNKS {
-                    let slice = fresh_slice(sp, f, costs, &mut moved, demands[ci], &mut per[ci].0);
-                    if slice.is_err() {
-                        return Err(lowest_unreachable(csr, sp, costs, demands, ci));
-                    }
-                }
-                continue;
-            }
             targets.clear();
             targets.extend(members.iter().map(|&ci| demands[ci as usize].1));
             // Whether `sp` holds this group's tree, grown at prices that no
@@ -519,9 +480,9 @@ impl FwWorkspace {
             let mut tree = false;
             for _ in 0..CHUNKS {
                 let cheaper = moved.reprice(&eval, model, f, costs);
-                tree = tree && !cheaper && sp.many_paths_hold(csr, &self.rcsr, costs, &targets);
+                tree = tree && !cheaper && sp.many_paths_hold(csr, rcsr, costs, &targets);
                 if !tree {
-                    timed_shortest_to_many(csr, sp, costs, source, &targets);
+                    search(csr, sp, rec, costs, source, &targets);
                     tree = true;
                 }
                 deferred.clear();
@@ -551,10 +512,21 @@ impl FwWorkspace {
                     });
                 }
                 for &ci in &deferred {
-                    fresh_slice(sp, f, costs, &mut moved, demands[ci], &mut per[ci].0)
-                        .map_err(|e| e.with_commodity(ci))?;
+                    // A slice routed at fresh prices. Its sink was reached
+                    // above, and pricing moves no edge out of reach.
+                    moved.reprice(&eval, model, f, costs);
+                    let (_, t, r) = demands[ci];
+                    let (slice, out) = (r / CHUNKS as f64, &mut per[ci].0);
+                    let routed = route_group(csr, sp, rec, costs, source, &[t], |_, route| {
+                        route.walk(|e| {
+                            out[e.idx()] += slice;
+                            f[e.idx()] += slice;
+                            moved.push(e.idx());
+                        });
+                    });
+                    routed.expect("a deferred member's sink stays reachable");
                 }
-                // A deferred member's query has overwritten the tree.
+                // A deferred member's search has overwritten the tree.
                 tree &= deferred.is_empty();
             }
         }
@@ -636,7 +608,7 @@ fn lowest_unreachable(
     let lowest = (0..ci)
         .find(|&j| {
             let (s, t, _) = demands[j];
-            sp.shortest_to(csr, None, costs, s, t).is_none()
+            sp.shortest_to_many(csr, costs, s, &[t]) == 0
         })
         .unwrap_or(ci);
     let (source, sink, _) = demands[lowest];
@@ -788,7 +760,6 @@ fn solve_inner(
         opts.max_iters
     };
     let eval = Eval::new(latencies, &ws.batch);
-    let rcsr = Some(&ws.rcsr);
 
     for iter in 0..fw_budget {
         iterations = iter + 1;
@@ -801,7 +772,6 @@ fn solve_inner(
         // queries, threaded when `opts.aon` resolves that way.
         aon_assign_targets(
             &ws.csr,
-            rcsr,
             &mut ws.sp,
             &mut ws.pool,
             &ws.groups,
@@ -911,8 +881,8 @@ fn solve_inner(
         // this to surface NotConverged instead of spinning).
         let pr = crate::path_polish::polish_with(
             &ws.csr,
-            rcsr,
             &mut ws.sp,
+            &ws.groups,
             graph,
             &eval,
             demands,
@@ -1273,15 +1243,16 @@ mod tests {
         }
     }
 
-    /// The cold start with a full [`guarded_costs`] sweep before every
-    /// search, as it ran before incremental pricing.
+    /// The cold start with a full [`guarded_costs`] sweep and a fresh tree
+    /// before every chunk of a group, as it ran before incremental pricing
+    /// and kept trees.
     fn full_sweep_cold_start(
         ws: &mut FwWorkspace,
         lats: &[LatencyFn],
         model: CostModel,
         demands: &[(NodeId, NodeId, f64)],
     ) -> Vec<EdgeFlow> {
-        let (csr, rcsr, groups) = (&ws.csr, Some(&ws.rcsr), &ws.groups);
+        let (csr, groups) = (&ws.csr, &ws.groups);
         let (sp, f, costs) = (&mut ws.sp, &mut ws.f, &mut ws.costs);
         let eval = Eval::new(lats, &ws.batch);
         let mut per = vec![EdgeFlow::zeros(f.len()); demands.len()];
@@ -1293,17 +1264,14 @@ mod tests {
                            out: &mut [f64]| {
             guarded_costs(&eval, model, f, costs);
             let slice = r / CHUNKS as f64;
-            aon_st_into(csr, rcsr, sp, costs, s, t, slice, out).unwrap();
-            sp.walk_st_path(csr, rcsr, |e| f[e.idx()] += slice);
+            assert_eq!(sp.shortest_to_many(csr, costs, s, &[t]), 1);
+            sp.walk_many_path_to(csr, t, |e| {
+                out[e.idx()] += slice;
+                f[e.idx()] += slice;
+            });
         };
         for g in 0..groups.num_groups() {
             let (source, members) = groups.group(g);
-            if let &[ci] = members {
-                for _ in 0..CHUNKS {
-                    fresh_slice(sp, f, costs, demands[ci as usize], &mut per[ci as usize].0);
-                }
-                continue;
-            }
             let targets: Vec<NodeId> = members.iter().map(|&ci| demands[ci as usize].1).collect();
             for _ in 0..CHUNKS {
                 guarded_costs(&eval, model, f, costs);
@@ -1541,8 +1509,8 @@ mod tests {
     }
 
     /// With one commodity per origin the cold start is eight guarded
-    /// sweeps and targeted queries per commodity, in commodity order, bit
-    /// for bit.
+    /// sweeps and one-target searches per commodity, in commodity order,
+    /// bit for bit, whether or not a group of one keeps its tree.
     #[test]
     fn distinct_origin_bootstrap_is_the_per_commodity_loop() {
         // Two origins into a shared M/M/1 middle edge, so the guard and the
@@ -1579,13 +1547,12 @@ mod tests {
                 for _ in 0..CHUNKS {
                     guarded_costs(&eval, model, &ws.f, &mut ws.costs);
                     let slice = r / CHUNKS as f64;
-                    let rcsr = Some(&ws.rcsr);
-                    aon_st_into(
-                        &ws.csr, rcsr, &mut ws.sp, &ws.costs, s, t, slice, &mut out.0,
-                    )
-                    .unwrap();
+                    assert_eq!(ws.sp.shortest_to_many(&ws.csr, &ws.costs, s, &[t]), 1);
                     let f = &mut ws.f;
-                    ws.sp.walk_st_path(&ws.csr, rcsr, |e| f[e.idx()] += slice);
+                    ws.sp.walk_many_path_to(&ws.csr, t, |e| {
+                        out.0[e.idx()] += slice;
+                        f[e.idx()] += slice;
+                    });
                 }
                 want.push(out);
             }

@@ -13,9 +13,9 @@
 //! * **Frank–Wolfe family** ([`frank_wolfe`]) — convex-combinations method
 //!   for general (multi)networks, minimising either the Beckmann potential
 //!   `Σ ∫₀^{f_e} ℓ_e` (Wardrop/Nash) or the total cost `Σ f_e ℓ_e(f_e)`
-//!   (system optimum), with all-or-nothing subproblems via targeted
-//!   (early-exit or bidirectional) Dijkstra ([`aon`]), every O(m) latency
-//!   sweep through struct-of-arrays lanes ([`eval`]), an exact Illinois
+//!   (system optimum), with all-or-nothing subproblems via one
+//!   target-aware Dijkstra search per origin group ([`aon`]), every O(m)
+//!   latency sweep through struct-of-arrays lanes ([`eval`]), an exact Illinois
 //!   line search ([`line_search`]), the conjugate direction acceleration
 //!   of Mitradjieva–Lindberg (ablation: `benches/frank_wolfe.rs`), and a
 //!   path-based polish ([`path_polish`]) for the tail once FW plateaus.

@@ -14,7 +14,8 @@
 //!    symmetric-difference edges (the gradient-projection step of
 //!    Jayakrishnan et al., 1994, also taken by Dial's Algorithm B),
 //!    safeguarded by one secant step where Newton overshoots;
-//! 3. generate new shortest paths (Dijkstra columns) as the gradient moves;
+//! 3. generate new shortest paths (Dijkstra columns, one tree per origin
+//!    group) as the gradient moves;
 //! 4. stop at the target relative gap.
 //!
 //! Each round measures the gap from a fresh full gradient sweep. Between
@@ -29,12 +30,12 @@
 use std::collections::HashMap;
 
 use sopt_latency::{Latency, LatencyFn};
-use sopt_network::csr::{Csr, RevCsr, SpWorkspace};
+use sopt_network::csr::{Csr, SpWorkspace};
 use sopt_network::flow::{decompose, EdgeFlow};
 use sopt_network::graph::{EdgeId, NodeId};
 use sopt_network::DiGraph;
 
-use crate::aon::timed_shortest_to;
+use crate::aon::{route_group, CommodityGroups};
 use crate::eval::Eval;
 use crate::objective::CostModel;
 
@@ -54,8 +55,6 @@ const H_EPS_REL: f64 = 1e-14;
 
 /// One commodity's path-flow state.
 struct PathState {
-    source: NodeId,
-    sink: NodeId,
     rate: f64,
     /// Edge lists of known paths.
     paths: Vec<Vec<EdgeId>>,
@@ -81,17 +80,17 @@ impl PathState {
 /// Polish per-commodity edge flows toward the exact equilibrium of `model`.
 /// `per` is updated in place; returns the achieved relative gap.
 ///
-/// Runs over a caller-owned CSR view and shortest-path workspace (the
-/// Frank–Wolfe solver hands in its own, so the polish phase shares the
-/// solve's buffers). Column generation runs one targeted single-sink query
-/// per commodity (bidirectional when `rcsr` is supplied on a graph of 64
-/// nodes or more), and the O(m) gradient sweeps route through `eval`'s
-/// batch lanes.
+/// Runs over a caller-owned CSR view, shortest-path workspace and origin
+/// groups (the Frank–Wolfe solver hands in its own, so the polish phase
+/// shares the solve's buffers); `groups` must be the plan for `demands`.
+/// Column generation grows one tree per origin group for its members of
+/// positive rate, and the O(m) gradient sweeps route through `eval`'s batch
+/// lanes.
 #[allow(clippy::too_many_arguments)]
 pub fn polish_with(
     csr: &Csr,
-    rcsr: Option<&RevCsr>,
     sp: &mut SpWorkspace,
+    groups: &CommodityGroups,
     graph: &DiGraph,
     eval: &Eval,
     demands: &[(NodeId, NodeId, f64)],
@@ -102,6 +101,7 @@ pub fn polish_with(
 ) -> PolishResult {
     let m = graph.num_edges();
     let latencies = eval.latencies();
+    let rec = sopt_obs::global();
     assert_eq!(per.len(), demands.len());
 
     // Path-decompose the warm start (circulations are dropped: they carry no
@@ -109,8 +109,6 @@ pub fn polish_with(
     let mut states: Vec<PathState> = Vec::with_capacity(demands.len());
     for (flow, &(source, sink, rate)) in per.iter().zip(demands) {
         let mut st = PathState {
-            source,
-            sink,
             rate,
             paths: Vec::new(),
             flows: Vec::new(),
@@ -145,6 +143,10 @@ pub fn polish_with(
     let mut rel_gap = f64::INFINITY;
     let mut converged = false;
     let mut rounds = 0;
+    // Per commodity, its shortest-path distance this round; per group, its
+    // live members and their sinks.
+    let mut dist = vec![0.0; states.len()];
+    let (mut live, mut sinks) = (Vec::new(), Vec::new());
 
     for round in 0..max_rounds {
         rounds = round + 1;
@@ -153,23 +155,39 @@ pub fn polish_with(
         // the batched sweep agrees with the clamped per-edge refresh.
         eval.gradient_into(model, &edges.f, &mut edges.g);
         let cf: f64 = edges.g.iter().zip(&edges.f).map(|(c, x)| c * x).sum();
-        let mut cy = 0.0;
         let mut unreachable = false;
-        for st in &mut states {
-            if st.rate <= 0.0 {
+        for g in 0..groups.num_groups() {
+            let (source, members) = groups.group(g);
+            live.clear();
+            live.extend(
+                members
+                    .iter()
+                    .map(|&ci| ci as usize)
+                    .filter(|&ci| demands[ci].2 > 0.0),
+            );
+            sinks.clear();
+            sinks.extend(live.iter().map(|&ci| demands[ci].1));
+            if live.is_empty() {
                 continue;
             }
-            match timed_shortest_to(csr, rcsr, sp, &edges.g, st.source, st.sink) {
-                Some(dist) => {
-                    cy += st.rate * dist;
-                    if let Some(path) = sp.st_path_edges(csr, rcsr) {
-                        st.add_path(path);
-                    }
-                }
-                // Unreachable under the current costs: the gap is +∞, so
-                // the check fails and the round budget runs out instead of
-                // panicking.
-                None => unreachable = true,
+            let routed = route_group(csr, sp, rec, &edges.g, source, &sinks, |i, route| {
+                let ci = live[i];
+                dist[ci] = route.dist;
+                let mut path = Vec::new();
+                route.walk(|e| path.push(e));
+                path.reverse();
+                states[ci].add_path(path);
+            });
+            // Unreachable under the current costs: the gap is +∞, so the
+            // check fails and the round budget runs out instead of
+            // panicking.
+            unreachable |= routed.is_err();
+        }
+        // Summed in commodity order, whatever the groups.
+        let mut cy = 0.0;
+        for (st, d) in states.iter().zip(&dist) {
+            if st.rate > 0.0 {
+                cy += st.rate * d;
             }
         }
         rel_gap = if unreachable {
@@ -429,10 +447,12 @@ mod tests {
         max_rounds: usize,
     ) -> PolishResult {
         let batch = LatencyBatch::new(lats);
+        let mut groups = CommodityGroups::new();
+        groups.rebuild(demands);
         polish_with(
             &Csr::new(g),
-            Some(&RevCsr::new(g)),
             &mut SpWorkspace::new(),
+            &groups,
             g,
             &Eval::new(lats, &batch),
             demands,

@@ -31,7 +31,7 @@ use sopt_core::{try_mop_multi_plan_with_optimum, try_optop};
 use sopt_equilibrium::network;
 use sopt_equilibrium::parallel::ParallelLinks;
 use sopt_latency::LatencyFn;
-use sopt_network::csr::{Csr, RevCsr, SpWorkspace};
+use sopt_network::csr::{Csr, SpWorkspace};
 use sopt_network::instance::{MultiCommodityInstance, NetworkInstance, Routing};
 use sopt_solver::frank_wolfe::{FwOptions, FwResult};
 
@@ -352,10 +352,20 @@ impl ScenarioModel for ParallelLinks {
     fn induced(
         &self,
         leader: &[f64],
-        _leader_values: &[f64],
+        leader_values: &[f64],
         _fw: &FwOptions,
         _seed: Option<&FwResult>,
     ) -> Result<InducedOutcome, SoptError> {
+        // One controlled value for the one rate, within the tolerances the
+        // network classes allow theirs (NaN fails both comparisons).
+        let rate = self.rate();
+        if !matches!(leader_values, &[v] if v >= -1e-12 && v <= rate + 1e-9) {
+            return Err(SoptError::InvalidStrategy {
+                reason: format!(
+                    "expected one controlled value in [0, {rate}], got {leader_values:?}"
+                ),
+            });
+        }
         let induced = self.try_induced(leader)?;
         Ok(InducedOutcome {
             follower: induced.follower,
@@ -675,21 +685,20 @@ impl NetworkModel for NetworkInstance {
         // congestion (Briest–Hoefer–Krysta single-price auction): d_free
         // uses the priceable edges at toll 0, d_block forbids them.
         let costs = self.edge_costs(nash.flow.as_slice());
-        // Single-target queries: the early-exit/bidirectional workspace
-        // settles only what the s→t answer needs instead of the whole graph.
+        // One-target searches settle only what the s→t answer needs
+        // instead of the whole graph.
         let csr = Csr::new(&self.graph);
-        let rcsr = RevCsr::new(&self.graph);
         let mut sp = SpWorkspace::new();
-        let d_free = sp
-            .shortest_to(&csr, Some(&rcsr), &costs, self.source, self.sink)
-            .unwrap_or(f64::INFINITY);
+        let mut distance = |costs: &[f64]| {
+            sp.shortest_to_many(&csr, costs, self.source, &[self.sink]);
+            sp.many_dist(self.sink).unwrap_or(f64::INFINITY)
+        };
+        let d_free = distance(&costs);
         let mut blocked = costs;
         for &e in &priceable {
             blocked[e] = f64::INFINITY;
         }
-        let d_block = sp
-            .shortest_to(&csr, Some(&rcsr), &blocked, self.source, self.sink)
-            .unwrap_or(f64::INFINITY);
+        let d_block = distance(&blocked);
         if !d_block.is_finite() {
             return Err(SoptError::UnboundedRevenue {
                 reason: "the priceable edges cut every s→t path; against inelastic demand \

@@ -1,11 +1,10 @@
-//! Property-based parity for the origin-grouped AON path: whatever
-//! `AonMode` resolves the per-iteration all-or-nothing targets —
-//! sequential per-commodity queries, origin-grouped one-to-many queries,
-//! or the threaded fan-out — every per-commodity edge flow of the solved
-//! optimum must agree to ≤1e-12 with the sequential per-commodity loop.
-//! Forcing `Grouped` and `Parallel` explicitly exercises both sides of
-//! the `Auto` work threshold without needing city-scale instances per
-//! proptest case.
+//! Parity of the AON modes: whatever `AonMode` resolves the per-iteration
+//! all-or-nothing targets — one search per commodity, one one-to-many
+//! search per origin, or the threaded fan-out — every mode runs the same
+//! search, so every per-commodity edge flow of the solved optimum must
+//! equal the sequential one bit for bit. Forcing `Grouped` and `Parallel`
+//! explicitly exercises both sides of the `Auto` work threshold without
+//! needing city-scale instances per proptest case.
 
 use proptest::prelude::*;
 use stackopt::equilibrium::network;
@@ -34,7 +33,7 @@ fn assert_parity(inst: &MultiCommodityInstance) -> Result<(), TestCaseError> {
         for (ci, (a, b)) in got.iter().zip(&sequential).enumerate() {
             for (e, (x, y)) in a.iter().zip(b).enumerate() {
                 prop_assert!(
-                    (x - y).abs() <= 1e-12,
+                    x == y,
                     "{:?} commodity {} edge {}: {} vs sequential {}",
                     mode,
                     ci,
@@ -75,5 +74,15 @@ proptest! {
     ) {
         let inst = try_grid_city_multi(side, 2.0, k, seed).unwrap();
         assert_parity(&inst)?;
+    }
+}
+
+/// Two fixed OD grids of side 9 (81 nodes): past the 64 nodes where a lone
+/// commodity's query once ran bidirectionally.
+#[test]
+fn aon_modes_agree_on_side_nine_grids() {
+    for seed in [3, 11] {
+        let inst = try_grid_city_multi(9, 4.0, 12, seed).unwrap();
+        assert_parity(&inst).unwrap();
     }
 }

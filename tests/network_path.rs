@@ -149,6 +149,11 @@ fn bad_leaders_are_typed_errors_on_every_class() {
         (PIGOU, vec![0.1; 3], vec![0.3]),
         (PIGOU, vec![0.2, -0.1], vec![0.1]),
         (PIGOU, vec![0.2, f64::NAN], vec![0.2]),
+        (PIGOU, vec![0.2, 0.0], vec![]),
+        (PIGOU, vec![0.2, 0.0], vec![-0.5]),
+        (PIGOU, vec![0.2, 0.0], vec![1.5]),
+        (PIGOU, vec![0.2, 0.0], vec![f64::NAN]),
+        (PIGOU, vec![0.2, 0.0], vec![0.1, 0.05, 0.05]),
         (BRAESS, vec![0.0; 4], vec![0.0]),
         (BRAESS, vec![0.0; 6], vec![0.0]),
         (BRAESS, five(0.0), vec![1.5]),
