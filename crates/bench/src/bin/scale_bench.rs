@@ -16,7 +16,10 @@
 //! settled nodes for the corner-to-corner query, as the full tree
 //! (`SpWorkspace::dijkstra`, which MOP and the certificates run) and as
 //! the solver's one search with the sink as its one target
-//! (`SpWorkspace::shortest_to_many`, keys `targeted_*`). The file also
+//! (`SpWorkspace::shortest_to_many`, keys `targeted_*`). The far corner
+//! is the last node a search from the near corner settles, so the same
+//! search is also timed towards the grid's centre node (keys `centre_*`),
+//! where its early exit shows. The file also
 //! carries an engine throughput number (scenarios/second over a small grid
 //! fleet) and the process's peak RSS from `/proc/self/status`.
 //!
@@ -106,6 +109,8 @@ struct SpNumbers {
     targeted_us: f64,
     full_settled: usize,
     targeted_settled: usize,
+    centre_us: f64,
+    centre_settled: usize,
 }
 
 /// Best of `SP_REPS` timings of `query` in µs, with the settled-node count
@@ -121,8 +126,9 @@ fn time_query(sp: &mut SpWorkspace, mut query: impl FnMut(&mut SpWorkspace)) -> 
 }
 
 /// Times the corner-to-corner query at free-flow costs: the full tree
-/// vs. the one-target search the solver runs.
-fn sp_micro(inst: &NetworkInstance) -> SpNumbers {
+/// vs. the one-target search the solver runs, and that search towards the
+/// centre node of the `side × side` grid.
+fn sp_micro(inst: &NetworkInstance, side: usize) -> SpNumbers {
     let csr = Csr::new(&inst.graph);
     let costs: Vec<f64> = inst.latencies.iter().map(|l| l.value(0.0)).collect();
     let mut sp = SpWorkspace::new();
@@ -134,11 +140,19 @@ fn sp_micro(inst: &NetworkInstance) -> SpNumbers {
         let reached = sp.shortest_to_many(&csr, &costs, inst.source, &[inst.sink]);
         assert_eq!(reached, 1, "grid sink unreachable");
     });
+    // Grid nodes are numbered row by row.
+    let centre = NodeId(((side / 2) * side + side / 2) as u32);
+    let (centre_us, centre_settled) = time_query(&mut sp, |sp| {
+        let reached = sp.shortest_to_many(&csr, &costs, inst.source, &[centre]);
+        assert_eq!(reached, 1, "grid centre unreachable");
+    });
     SpNumbers {
         full_us,
         targeted_us,
         full_settled,
         targeted_settled,
+        centre_us,
+        centre_settled,
     }
 }
 
@@ -164,7 +178,7 @@ fn measure(side: usize) -> GridCase {
         edges,
         pinned: solve_timed(&inst, &pinned_opts(), reps),
         default: solve_timed(&inst, &FwOptions::default(), reps),
-        sp: sp_micro(&inst),
+        sp: sp_micro(&inst, side),
     }
 }
 
@@ -281,7 +295,8 @@ fn case_json(c: &GridCase) -> String {
          \"default\": {{\"secs\": {}, \"fw_iters\": {}, \"polish_rounds\": {}, \
          \"rel_gap\": {}, \"converged\": {}, \"objective_rel_dev\": {}}}, \
          \"sp\": {{\"full_us\": {}, \"targeted_us\": {}, \
-         \"full_settled\": {}, \"targeted_settled\": {}}}}}",
+         \"full_settled\": {}, \"targeted_settled\": {}, \
+         \"centre_us\": {}, \"centre_settled\": {}}}}}",
         c.side,
         c.nodes,
         c.edges,
@@ -298,6 +313,8 @@ fn case_json(c: &GridCase) -> String {
         num(c.sp.targeted_us),
         c.sp.full_settled,
         c.sp.targeted_settled,
+        num(c.sp.centre_us),
+        c.sp.centre_settled,
     )
 }
 

@@ -41,10 +41,20 @@
 //! [`EngineStats`](super::EngineStats). Errors are memoized like successes
 //! (a saturated M/M/1 scenario is just as deterministic to re-fail), except
 //! worker panics, which are positional and never cached.
+//!
+//! An entry replayed from a disk log may hold its record's payload still
+//! undecoded. Its first hit decodes it outside the shard lock, checking it
+//! against the scenario's model, and the decoded value replaces it; a
+//! payload that fails is dropped, counted in `rejected_records`, and the
+//! lookup reads as a miss. Which keys came from the log is kept as a
+//! per-shard set of their FNV digests, not of cloned keys: a hit on one
+//! counts a disk hit, and its fresh results are not appended again.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 use sopt_solver::frank_wolfe::FwOptions;
@@ -126,8 +136,9 @@ pub(crate) struct ProfileKey {
 }
 
 impl ProfileKey {
-    /// Shard index among `shards` (a power of two).
-    fn shard(&self, shards: usize) -> usize {
+    /// FNV-1a digest of the whole key: the shard selector, and the handle
+    /// the replayed-key bookkeeping stores instead of a cloned key.
+    fn digest(&self) -> u64 {
         let mut h = Fnv64::default();
         h.write_u64(self.class as u64);
         h.write(self.spec.as_bytes());
@@ -141,9 +152,22 @@ impl ProfileKey {
             h.write_u64(k.stall_window);
             h.write(k.aon.as_bytes());
         }
-        (h.finish() as usize) & (shards - 1)
+        h.finish()
     }
 }
+
+/// A table entry's value: solved (or decoded), or the payload text of a
+/// record replayed from the disk log and not yet decoded. A raw payload is
+/// decoded on its entry's first hit, outside the shard lock, and the
+/// decoded value replaces it; one that fails to decode is dropped and the
+/// lookup reads as a miss.
+#[derive(Clone, Debug)]
+enum Slot<V> {
+    Ready(Result<V, SoptError>),
+    Raw(Arc<str>),
+}
+
+type Table<K, V> = [Mutex<BoundedShard<K, Slot<V>>>; SHARDS];
 
 /// One bounded, second-chance-evicting map shard. Keys live once in the
 /// FIFO; a `get` marks the entry referenced, which buys it one reprieve
@@ -153,6 +177,11 @@ struct BoundedShard<K, V> {
     map: HashMap<K, (V, bool)>,
     fifo: VecDeque<K>,
     cap: usize,
+    /// Digests of the keys replayed from the disk log into this shard.
+    /// A hit on one counts a disk hit, and a key listed here is never
+    /// appended to the log again. Two keys share a digest with
+    /// probability 2⁻⁶⁴; the cost would be one result left unlogged.
+    replayed: HashSet<u64>,
 }
 
 impl<K: Eq + Hash + Clone, V: Clone> BoundedShard<K, V> {
@@ -161,6 +190,7 @@ impl<K: Eq + Hash + Clone, V: Clone> BoundedShard<K, V> {
             map: HashMap::new(),
             fifo: VecDeque::new(),
             cap,
+            replayed: HashSet::new(),
         }
     }
 
@@ -172,9 +202,20 @@ impl<K: Eq + Hash + Clone, V: Clone> BoundedShard<K, V> {
     }
 
     /// Inserts, evicting per second-chance until the shard fits its cap.
-    /// Returns the number of entries evicted.
+    /// Returns the number of entries evicted. Below the cap the map is
+    /// probed once.
     fn insert(&mut self, k: K, v: V) -> u64 {
         if self.cap == 0 {
+            return 0;
+        }
+        if self.map.len() < self.cap {
+            match self.map.entry(k) {
+                Entry::Occupied(mut e) => e.get_mut().0 = v,
+                Entry::Vacant(e) => {
+                    self.fifo.push_back(e.key().clone());
+                    e.insert((v, false));
+                }
+            }
             return 0;
         }
         if let Some(entry) = self.map.get_mut(&k) {
@@ -202,6 +243,14 @@ impl<K: Eq + Hash + Clone, V: Clone> BoundedShard<K, V> {
         self.fifo.push_back(k.clone());
         self.map.insert(k, (v, false));
         evicted
+    }
+
+    /// Drops `k`'s entry (and its FIFO place) as if it had never been
+    /// inserted.
+    fn remove(&mut self, k: &K) {
+        if self.map.remove(k).is_some() {
+            self.fifo.retain(|q| q != k);
+        }
     }
 
     fn len(&self) -> usize {
@@ -234,29 +283,8 @@ fn shard_cap(total: usize, shards: usize, i: usize) -> usize {
     total / shards + usize::from(i < total % shards)
 }
 
-/// The disk backing of a persistent cache: the append-only log handle plus
-/// the key sets that were replayed from it at open time (hits on those keys
-/// are *disk* hits — work that survived a process restart).
-pub(crate) struct DiskAttachment {
-    /// The append-only log (new entries are written through).
-    pub(crate) log: crate::api::serve::persist::DiskLog,
-    /// Report keys replayed from disk at open.
-    pub(crate) report_keys: std::collections::HashSet<Fingerprint>,
-    /// Profile keys replayed from disk at open.
-    pub(crate) profile_keys: std::collections::HashSet<ProfileKey>,
-}
-
-impl std::fmt::Debug for DiskAttachment {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DiskAttachment")
-            .field("report_keys", &self.report_keys.len())
-            .field("profile_keys", &self.profile_keys.len())
-            .finish()
-    }
-}
-
 /// The engine's memo table. Cheap to share: wrap in an
-/// [`Arc`](std::sync::Arc) and pass the same cache to several
+/// [`Arc`] and pass the same cache to several
 /// [`Engine`](super::Engine) runs to keep it warm across fleets.
 ///
 /// A cache opened through
@@ -266,14 +294,14 @@ impl std::fmt::Debug for DiskAttachment {
 /// through to the log so the next process starts warm.
 #[derive(Debug)]
 pub struct SolveCache {
-    reports: [Mutex<BoundedShard<Fingerprint, Result<Report, SoptError>>>; SHARDS],
-    profiles: [Mutex<BoundedShard<ProfileKey, Result<ModelProfile, SoptError>>>; SHARDS],
+    reports: Table<Fingerprint, Report>,
+    profiles: Table<ProfileKey, ModelProfile>,
     /// Active report shards (power of two ≤ [`SHARDS`]).
     report_shards: usize,
     /// Active profile shards (power of two ≤ [`SHARDS`]).
     profile_shards: usize,
     /// The disk log, attached once right after replay (before sharing).
-    disk: std::sync::OnceLock<DiskAttachment>,
+    disk: std::sync::OnceLock<crate::api::serve::persist::DiskLog>,
     hits: AtomicU64,
     misses: AtomicU64,
     eq_hits: AtomicU64,
@@ -283,6 +311,7 @@ pub struct SolveCache {
     disk_hits: AtomicU64,
     report_evictions: AtomicU64,
     profile_evictions: AtomicU64,
+    rejected_records: AtomicU64,
 }
 
 impl Default for SolveCache {
@@ -314,6 +343,10 @@ pub struct CacheCounters {
     pub report_evictions: u64,
     /// Entries evicted from the profile table.
     pub profile_evictions: u64,
+    /// Disk-log records dropped: at replay (a torn line, a bad key field,
+    /// a payload kind that does not match its key) or at the entry's
+    /// first hit (a payload that fails to decode or to fit its scenario).
+    pub rejected_records: u64,
 }
 
 impl SolveCache {
@@ -356,59 +389,171 @@ impl SolveCache {
             disk_hits: AtomicU64::new(0),
             report_evictions: AtomicU64::new(0),
             profile_evictions: AtomicU64::new(0),
+            rejected_records: AtomicU64::new(0),
         }
     }
 
     /// Attaches the disk log after replay. Called exactly once, by
     /// [`EngineBuilder::build_cache`](super::EngineBuilder), before the
     /// cache is shared; later attempts are ignored.
-    pub(crate) fn attach_disk(&self, att: DiskAttachment) {
-        let _ = self.disk.set(att);
+    pub(crate) fn attach_disk(&self, log: crate::api::serve::persist::DiskLog) {
+        let _ = self.disk.set(log);
     }
 
-    /// Replays one report entry from disk: inserted without counting a
-    /// miss, without writing back to the log. Eviction counters still run —
-    /// a log larger than the capacity simply keeps its newest entries.
-    pub(crate) fn seed_report(&self, fp: Fingerprint, report: Report) {
-        let shard = (fp.hash as usize) & (self.report_shards - 1);
-        let evicted = self.reports[shard].lock().insert(fp, Ok(report));
-        if evicted > 0 {
-            self.report_evictions.fetch_add(evicted, Ordering::Relaxed);
-        }
-    }
-
-    /// Replays one profile entry from disk (see [`Self::seed_report`]).
-    pub(crate) fn seed_profile(&self, key: ProfileKey, profile: ModelProfile) {
-        let shard = key.shard(self.profile_shards);
-        let evicted = self.profiles[shard].lock().insert(key, Ok(profile));
-        if evicted > 0 {
-            self.profile_evictions.fetch_add(evicted, Ordering::Relaxed);
-        }
-    }
-
-    /// Looks up a memoized report, counting the hit or miss. A hit on an
-    /// entry that was replayed from disk additionally counts a disk hit.
-    pub(crate) fn get_report(&self, fp: &Fingerprint) -> Option<Result<Report, SoptError>> {
-        // Lookup latency (hit or miss — lock wait plus probe) lands in the
-        // cache_lookup histogram; compute latency shows up as cold_solve /
-        // warm_polish, so the two sides of the memoization bet are
-        // separately measurable.
-        let _lookup = sopt_obs::global().span(sopt_obs::Phase::CacheLookup);
-        let shard = (fp.hash as usize) & (self.report_shards - 1);
-        let found = self.reports[shard].lock().get(fp);
-        match &found {
-            Some(_) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                if let Some(att) = self.disk.get() {
-                    if att.report_keys.contains(fp) {
-                        self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
+    /// Sizes both tables for a replay of `reports` and `profiles` records,
+    /// so the replay's inserts do not regrow the shards' maps.
+    pub(crate) fn reserve(&self, reports: usize, profiles: usize) {
+        fn per_shard<K: Eq + Hash, V>(table: &Table<K, V>, shards: usize, n: usize) {
+            let each = n.div_ceil(shards);
+            for shard in &table[..shards] {
+                let mut shard = shard.lock();
+                let n = shard.cap.min(each + each / 8);
+                shard.map.reserve(n);
+                shard.fifo.reserve(n);
+                shard.replayed.reserve(n);
             }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
+        }
+        per_shard(&self.reports, self.report_shards, reports);
+        per_shard(&self.profiles, self.profile_shards, profiles);
+    }
+
+    /// Counts `n` disk-log records dropped at replay.
+    pub(crate) fn count_rejected(&self, n: u64) {
+        self.rejected_records.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Replays one report record from disk, its payload undecoded: inserted
+    /// without counting a miss, without writing back to the log. Eviction
+    /// counters still run — a log larger than the capacity simply keeps its
+    /// newest entries.
+    pub(crate) fn seed_report(&self, fp: Fingerprint, payload: &str) {
+        let digest = fp.hash;
+        let shard = (digest as usize) & (self.report_shards - 1);
+        Self::seed(
+            &self.reports[shard],
+            fp,
+            digest,
+            payload,
+            &self.report_evictions,
+        );
+    }
+
+    /// Replays one profile record from disk (see [`Self::seed_report`]).
+    pub(crate) fn seed_profile(&self, key: ProfileKey, payload: &str) {
+        let digest = key.digest();
+        let shard = (digest as usize) & (self.profile_shards - 1);
+        Self::seed(
+            &self.profiles[shard],
+            key,
+            digest,
+            payload,
+            &self.profile_evictions,
+        );
+    }
+
+    fn seed<K: Eq + Hash + Clone, V: Clone>(
+        shard: &Mutex<BoundedShard<K, Slot<V>>>,
+        key: K,
+        digest: u64,
+        payload: &str,
+        evictions: &AtomicU64,
+    ) {
+        let mut shard = shard.lock();
+        shard.replayed.insert(digest);
+        let evicted = shard.insert(key, Slot::Raw(payload.into()));
+        if evicted > 0 {
+            evictions.fetch_add(evicted, Ordering::Relaxed);
+        }
+    }
+
+    /// Looks `key` up in `shard`, counting a disk hit when its key was
+    /// replayed. A raw payload is decoded by `decode` outside the lock and
+    /// replaces its entry; one that fails to decode is dropped, counted in
+    /// `rejected_records`, and reads as a miss, so the fresh result is
+    /// written through. Returns `None` on a miss.
+    fn lookup<K: Eq + Hash + Clone, V: Clone>(
+        &self,
+        shard: &Mutex<BoundedShard<K, Slot<V>>>,
+        key: &K,
+        digest: u64,
+        decode: impl FnOnce(&str) -> Option<V>,
+    ) -> Option<Result<V, SoptError>> {
+        let disk_hit = || self.disk_hits.fetch_add(1, Ordering::Relaxed);
+        let (raw, replayed) = {
+            let mut shard = shard.lock();
+            let replayed = shard.replayed.contains(&digest);
+            match shard.get(key)? {
+                Slot::Ready(value) => {
+                    if replayed {
+                        disk_hit();
+                    }
+                    return Some(value);
+                }
+                Slot::Raw(raw) => (raw, replayed),
             }
         };
+        let decoded = decode(&raw);
+        let mut shard = shard.lock();
+        let still_raw =
+            matches!(shard.map.get(key), Some((Slot::Raw(r), _)) if Arc::ptr_eq(r, &raw));
+        match decoded {
+            Some(value) => {
+                if still_raw {
+                    if let Some(entry) = shard.map.get_mut(key) {
+                        entry.0 = Slot::Ready(Ok(value.clone()));
+                    }
+                }
+                if replayed {
+                    disk_hit();
+                }
+                Some(Ok(value))
+            }
+            None => {
+                if still_raw {
+                    shard.remove(key);
+                    shard.replayed.remove(&digest);
+                    self.rejected_records.fetch_add(1, Ordering::Relaxed);
+                }
+                None
+            }
+        }
+    }
+
+    /// Whether a fresh result under `digest` goes to the disk log: there is
+    /// one, and the key was not replayed from it.
+    fn log_for<K, V>(
+        &self,
+        shard: &Mutex<BoundedShard<K, Slot<V>>>,
+        digest: u64,
+    ) -> Option<&crate::api::serve::persist::DiskLog> {
+        self.disk
+            .get()
+            .filter(|_| !shard.lock().replayed.contains(&digest))
+    }
+
+    /// Looks up a memoized report of a scenario whose model is `model`,
+    /// counting the hit or miss. A hit on an entry that was replayed from
+    /// disk additionally counts a disk hit.
+    pub(crate) fn get_report(
+        &self,
+        fp: &Fingerprint,
+        model: &dyn ScenarioModel,
+    ) -> Option<Result<Report, SoptError>> {
+        // Lookup latency (hit or miss — lock wait plus probe, and a
+        // replayed payload's decode) lands in the cache_lookup histogram;
+        // compute latency shows up as cold_solve / warm_polish, so the two
+        // sides of the memoization bet are separately measurable.
+        let _lookup = sopt_obs::global().span(sopt_obs::Phase::CacheLookup);
+        let shard = (fp.hash as usize) & (self.report_shards - 1);
+        let found = self.lookup(&self.reports[shard], fp, fp.hash, |payload| {
+            crate::api::serve::persist::decode_report(fp, payload, Some(model))
+        });
+        let counter = if found.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
         found
     }
 
@@ -419,13 +564,13 @@ impl SolveCache {
     /// so they are not worth the bytes); entries that came *from* the log
     /// are never written back.
     pub(crate) fn put_report(&self, fp: Fingerprint, result: Result<Report, SoptError>) {
-        if let (Some(att), Ok(report)) = (self.disk.get(), &result) {
-            if !att.report_keys.contains(&fp) {
-                att.log.append_report(&fp, report);
+        let shard = (fp.hash as usize) & (self.report_shards - 1);
+        if let Ok(report) = &result {
+            if let Some(log) = self.log_for(&self.reports[shard], fp.hash) {
+                log.append_report(&fp, report);
             }
         }
-        let shard = (fp.hash as usize) & (self.report_shards - 1);
-        let evicted = self.reports[shard].lock().insert(fp, result);
+        let evicted = self.reports[shard].lock().insert(fp, Slot::Ready(result));
         if evicted > 0 {
             self.report_evictions.fetch_add(evicted, Ordering::Relaxed);
         }
@@ -435,28 +580,28 @@ impl SolveCache {
     fn profile_entry(
         &self,
         key: ProfileKey,
+        model: &dyn ScenarioModel,
         hits: &AtomicU64,
         misses: &AtomicU64,
         compute: impl FnOnce() -> Result<ModelProfile, SoptError>,
     ) -> Result<ModelProfile, SoptError> {
-        let shard = key.shard(self.profile_shards);
-        if let Some(found) = self.profiles[shard].lock().get(&key) {
+        let digest = key.digest();
+        let shard = &self.profiles[(digest as usize) & (self.profile_shards - 1)];
+        let found = self.lookup(shard, &key, digest, |payload| {
+            crate::api::serve::persist::decode_profile(&key, payload, Some(model))
+        });
+        if let Some(profile) = found {
             hits.fetch_add(1, Ordering::Relaxed);
-            if let Some(att) = self.disk.get() {
-                if att.profile_keys.contains(&key) {
-                    self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            return found;
+            return profile;
         }
         misses.fetch_add(1, Ordering::Relaxed);
         let computed = compute();
-        if let (Some(att), Ok(profile)) = (self.disk.get(), &computed) {
-            if !att.profile_keys.contains(&key) {
-                att.log.append_profile(&key, profile);
+        if let Ok(profile) = &computed {
+            if let Some(log) = self.log_for(shard, digest) {
+                log.append_profile(&key, profile);
             }
         }
-        let evicted = self.profiles[shard].lock().insert(key, computed.clone());
+        let evicted = shard.lock().insert(key, Slot::Ready(computed.clone()));
         if evicted > 0 {
             self.profile_evictions.fetch_add(evicted, Ordering::Relaxed);
         }
@@ -518,7 +663,7 @@ impl SolveCache {
             kind,
             fw: fw_key,
         };
-        self.profile_entry(key, hits, misses, compute)
+        self.profile_entry(key, model, hits, misses, compute)
     }
 
     /// Number of memoized reports.
@@ -558,6 +703,7 @@ impl SolveCache {
             disk_hits: self.disk_hits.load(Ordering::Relaxed),
             report_evictions: self.report_evictions.load(Ordering::Relaxed),
             profile_evictions: self.profile_evictions.load(Ordering::Relaxed),
+            rejected_records: self.rejected_records.load(Ordering::Relaxed),
         }
     }
 }
@@ -605,10 +751,10 @@ mod tests {
         let cache = SolveCache::new();
         let sc = Scenario::parse("x, 1.0").unwrap();
         let fp = Fingerprint::of(&sc, &SolveOptions::default()).unwrap();
-        assert!(cache.get_report(&fp).is_none());
-        let report = sc.solve().run().unwrap();
+        assert!(cache.get_report(&fp, sc.model()).is_none());
+        let report = sc.clone().solve().run().unwrap();
         cache.put_report(fp.clone(), Ok(report.clone()));
-        let back = cache.get_report(&fp).unwrap().unwrap();
+        let back = cache.get_report(&fp, sc.model()).unwrap().unwrap();
         assert_eq!(back.to_json(), report.to_json());
         let c = cache.counters();
         assert_eq!((c.hits, c.misses), (1, 1));

@@ -83,6 +83,12 @@ pub struct EngineStats {
     /// (reports and profiles combined) — work that survived a restart.
     /// Always 0 on a cache without a persistence path.
     pub disk_hits: u64,
+    /// Disk-log records dropped: a torn line, a bad key field or a payload
+    /// kind that does not match its key (at replay), or a payload that
+    /// fails to decode or to fit its scenario (at its first hit, which then
+    /// solves afresh). A server counts from its log's replay on; a fleet
+    /// run counts the first hits during the run.
+    pub rejected_records: u64,
     /// Profile-table entries evicted by the capacity bound.
     pub profile_evictions: u64,
     /// Report-table entries evicted by the capacity bound.

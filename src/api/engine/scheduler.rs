@@ -94,7 +94,7 @@ pub(crate) fn cached_solve(
 ) -> Result<Report, SoptError> {
     let fp = cache.and_then(|_| Fingerprint::of(&scenario, options));
     if let (Some(cache), Some(fp)) = (cache, &fp) {
-        if let Some(found) = cache.get_report(fp) {
+        if let Some(found) = cache.get_report(fp, scenario.model()) {
             counters.hits.fetch_add(1, Ordering::Relaxed);
             return found;
         }
@@ -221,6 +221,7 @@ where
         stats.net_profile_hits = after.net_hits - before.net_hits;
         stats.net_profile_misses = after.net_misses - before.net_misses;
         stats.disk_hits = after.disk_hits - before.disk_hits;
+        stats.rejected_records = after.rejected_records - before.rejected_records;
         stats.profile_evictions = after.profile_evictions - before.profile_evictions;
         stats.report_evictions = after.report_evictions - before.report_evictions;
     }

@@ -160,6 +160,9 @@ pub trait ScenarioModel {
     /// Number of commodities (1 for parallel links and s–t networks).
     fn commodities(&self) -> usize;
 
+    /// Number of links/edges: the length of every per-edge vector.
+    fn size(&self) -> usize;
+
     /// Total cost `C(f)` of a combined flow.
     fn cost(&self, flow: &[f64]) -> f64;
 
@@ -295,6 +298,10 @@ impl ScenarioModel for ParallelLinks {
 
     fn commodities(&self) -> usize {
         1
+    }
+
+    fn size(&self) -> usize {
+        self.m()
     }
 
     fn cost(&self, flow: &[f64]) -> f64 {
@@ -499,6 +506,10 @@ impl<T: NetworkModel> ScenarioModel for T {
 
     fn commodities(&self) -> usize {
         self.routing().commodities().len()
+    }
+
+    fn size(&self) -> usize {
+        self.routing().latencies.len()
     }
 
     fn cost(&self, flow: &[f64]) -> f64 {

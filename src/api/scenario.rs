@@ -134,11 +134,7 @@ impl Scenario {
 
     /// Number of links/edges.
     pub fn size(&self) -> usize {
-        match self {
-            Scenario::Parallel(l) => l.m(),
-            Scenario::Network(n) => n.num_edges(),
-            Scenario::Multi(m) => m.graph.num_edges(),
-        }
+        self.model().size()
     }
 
     /// Number of vertices (2 for parallel links, modelled as s and t).

@@ -947,7 +947,7 @@ pub(crate) fn stats_json(s: &EngineStats) -> String {
         "{{\"scenarios\": {}, \"delivered\": {}, \"cache_hits\": {}, \
          \"cache_misses\": {}, \"eq_hits\": {}, \"eq_misses\": {}, \
          \"net_profile_hits\": {}, \"net_profile_misses\": {}, \
-         \"disk_hits\": {}, \"profile_evictions\": {}, \
+         \"disk_hits\": {}, \"rejected_records\": {}, \"profile_evictions\": {}, \
          \"report_evictions\": {}, \"dropped\": {}, \"cancelled\": {}, \
          \"uptime_ms\": {}, \"queue_depth\": {}}}",
         s.scenarios,
@@ -959,6 +959,7 @@ pub(crate) fn stats_json(s: &EngineStats) -> String {
         s.net_profile_hits,
         s.net_profile_misses,
         s.disk_hits,
+        s.rejected_records,
         s.profile_evictions,
         s.report_evictions,
         s.dropped,
@@ -1112,6 +1113,7 @@ mod tests {
     fn stats_serialize_every_counter() {
         let s = EngineStats {
             disk_hits: 2,
+            rejected_records: 4,
             dropped: 1,
             cancelled: 3,
             uptime_ms: 1234,
@@ -1120,6 +1122,7 @@ mod tests {
         };
         let j = stats_json(&s);
         assert!(j.contains("\"disk_hits\": 2"), "{j}");
+        assert!(j.contains("\"rejected_records\": 4"), "{j}");
         assert!(j.contains("\"dropped\": 1"), "{j}");
         assert!(j.contains("\"cancelled\": 3"), "{j}");
         assert!(j.contains("\"uptime_ms\": 1234"), "{j}");

@@ -31,7 +31,8 @@
 //! * `kind: "stats"` requests ride the same queue (priority them ahead if
 //!   needed) and answer with the server's cumulative [`EngineStats`],
 //!   including `disk_hits` — cache hits served by entries that were
-//!   replayed from the persistence log rather than computed this process.
+//!   replayed from the persistence log rather than computed this process —
+//!   and `rejected_records`, the log records dropped as damaged.
 //! * `kind: "metrics"` requests answer with the full
 //!   [`MetricsSnapshot`](sopt_obs::MetricsSnapshot) of the server's
 //!   recorder (per-phase latency histograms as bucket arrays plus solver
@@ -218,7 +219,8 @@ impl Server {
 
     /// The server's cumulative [`EngineStats`]: request counts and
     /// report-table traffic since construction, profile-table and
-    /// disk-hit deltas against the cache's state at construction.
+    /// disk-hit deltas against the cache's state at construction, and the
+    /// disk-log records rejected since the log's replay.
     pub fn stats(&self) -> EngineStats {
         let after = self.cache.counters();
         EngineStats {
@@ -231,6 +233,8 @@ impl Server {
             net_profile_hits: after.net_hits - self.base.net_hits,
             net_profile_misses: after.net_misses - self.base.net_misses,
             disk_hits: after.disk_hits - self.base.disk_hits,
+            // The server opened its cache, so its replay counts too.
+            rejected_records: after.rejected_records,
             profile_evictions: after.profile_evictions - self.base.profile_evictions,
             report_evictions: after.report_evictions - self.base.report_evictions,
             dropped: self.dropped.load(Ordering::Relaxed),

@@ -25,18 +25,46 @@
 //! report that was first solved. Payload vectors are comma-joined (`-`
 //! when empty); curve points are `alpha:cost:ratio:oracle` tokens.
 //!
+//! ## Replay
+//!
+//! Replay parses only what a lookup needs. Each record's key fields are
+//! parsed and its payload's kind token is checked against the key (a
+//! report payload's fourth token must be the key's task; a profile
+//! payload's first must be `par` under the knob-free parallel class and
+//! `fw` under a network class with its knobs). The payload itself is kept
+//! as text in the cache entry and decoded on the entry's first hit,
+//! outside the shard lock, where the decoded value replaces it; a record
+//! that no request reads is never decoded. The newest record for a key
+//! wins, and a replayed key is never appended again.
+//!
 //! ## Robustness
 //!
 //! * Only `Ok` results are persisted — errors are deterministic to
 //!   recompute and not worth the bytes.
-//! * A torn final line (crash mid-append) or any undecodable record is
-//!   skipped on replay; the rest of the log still loads.
+//! * Damage is caught in one of two places, and every dropped record is
+//!   counted in `EngineStats::rejected_records`:
+//!   - at replay: a torn final line (a crash mid-append leaves it without
+//!     its newline), a line that is not a record, a key field that does not
+//!     parse, or a payload kind that does not match its key. The rest of
+//!     the log still loads.
+//!   - at the entry's first hit: a payload that does not decode, or whose
+//!     vectors do not fit the scenario (one value per link or edge, curve
+//!     points and pricing sweeps `steps + 1`, a k-commodity β one αᵢ per
+//!     commodity). The lookup reads as a miss: the request is solved
+//!     afresh, never served from the record, and the fresh result is
+//!     written through, so the next replay finds a good record. A damaged
+//!     newest record therefore costs a recompute even where an older good
+//!     record for its key precedes it.
+//!   - A hex digit flipped to another hex digit still decodes, to a wrong
+//!     number: catching that needs a per-record checksum.
 //! * A file whose header is not `soptcache 2` is refused with a typed
 //!   [`SoptError::Io`] — future format versions bump the header rather
 //!   than silently misparsing.
 //! * Append failures (disk full, revoked permissions) poison the log
 //!   handle: the server keeps solving from memory and simply stops
 //!   persisting, rather than failing requests.
+//! * `sopt cache compact` decodes every record (without a scenario to check
+//!   vector lengths against) and drops those that fail.
 
 use std::io::Write;
 use std::path::Path;
@@ -46,10 +74,10 @@ use sopt_network::flow::EdgeFlow;
 use sopt_solver::frank_wolfe::FwResult;
 use sopt_solver::AonMode;
 
-use super::super::engine::cache::{DiskAttachment, EqKind, FwKnobs, ProfileKey, SolveCache};
+use super::super::engine::cache::{EqKind, FwKnobs, ProfileKey, SolveCache};
 use super::super::engine::fingerprint::Fingerprint;
 use super::super::error::SoptError;
-use super::super::model::ModelProfile;
+use super::super::model::{ModelProfile, ScenarioModel};
 use super::super::report::{
     BetaReport, CurvePointReport, CurveReport, EquilibReport, LlfReport, PricingReport,
     PricingSweepPoint, Report, ReportData, ScenarioSummary, TollsReport,
@@ -63,6 +91,7 @@ const HEADER: &str = "soptcache 2";
 /// The write side of the log. Appends are serialized by a mutex and
 /// flushed per record; a failed append poisons the handle (persistence
 /// stops, solving continues).
+#[derive(Debug)]
 pub(crate) struct DiskLog {
     file: std::sync::Mutex<Option<std::fs::File>>,
 }
@@ -92,19 +121,18 @@ impl DiskLog {
     }
 }
 
-/// Opens (creating if missing) the log at `path`, replays every decodable
-/// record into `cache`, and attaches the write side so fresh `Ok` results
-/// are written through. Called once per cache by
-/// [`EngineBuilder::build_cache`](super::super::engine::EngineBuilder).
+/// Opens (creating if missing) the log at `path`, replays every record
+/// whose key fields parse and whose payload kind matches its key, and
+/// attaches the write side so fresh `Ok` results are written through.
+/// Payloads stay undecoded until their entry's first hit. Called once per
+/// cache by [`EngineBuilder::build_cache`](super::super::engine::EngineBuilder).
 pub(crate) fn attach(path: &Path, cache: &SolveCache) -> Result<(), SoptError> {
     let io_err = |what: &str, e: std::io::Error| SoptError::Io {
         context: format!("{what} '{}': {e}", path.display()),
     };
-    let mut report_keys = std::collections::HashSet::new();
-    let mut profile_keys = std::collections::HashSet::new();
     match std::fs::read_to_string(path) {
         Ok(text) if !text.is_empty() => {
-            let mut lines = text.lines();
+            let mut lines = text.split('\n');
             if lines.next() != Some(HEADER) {
                 return Err(SoptError::Io {
                     context: format!(
@@ -113,19 +141,34 @@ pub(crate) fn attach(path: &Path, cache: &SolveCache) -> Result<(), SoptError> {
                     ),
                 });
             }
-            for line in lines {
-                match decode_record(line) {
-                    Some(Record::Report(fp, report)) => {
-                        report_keys.insert(fp.clone());
-                        cache.seed_report(fp, report);
-                    }
-                    Some(Record::Profile(key, profile)) => {
-                        profile_keys.insert(key.clone());
-                        cache.seed_profile(key, profile);
-                    }
-                    None => {} // torn or foreign record: skip, keep the rest
+            // Every append ends its record with a newline, so the piece
+            // after the last one is empty unless a write was torn.
+            let mut lines = lines.peekable();
+            let mut rejected = 0;
+            let mut records = Vec::new();
+            while let Some(line) = lines.next() {
+                let complete = lines.peek().is_some();
+                if !complete && line.is_empty() {
+                    break;
+                }
+                match complete.then(|| parse_record(line)).flatten() {
+                    Some(record) => records.push(record),
+                    None => rejected += 1, // torn or foreign: skip, keep the rest
                 }
             }
+            // Keys first, then one sizing of both tables, then the inserts.
+            let reports = records
+                .iter()
+                .filter(|r| matches!(r, Keyed::Report(..)))
+                .count();
+            cache.reserve(reports, records.len() - reports);
+            for record in records {
+                match record {
+                    Keyed::Report(fp, payload) => cache.seed_report(fp, payload),
+                    Keyed::Profile(key, payload) => cache.seed_profile(key, payload),
+                }
+            }
+            cache.count_rejected(rejected);
         }
         Ok(_) => {} // empty file: treat as fresh
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
@@ -144,19 +187,26 @@ pub(crate) fn attach(path: &Path, cache: &SolveCache) -> Result<(), SoptError> {
     if empty {
         writeln!(file, "{HEADER}").map_err(|e| io_err("cannot write cache header", e))?;
     }
-    cache.attach_disk(DiskAttachment {
-        log: DiskLog {
-            file: std::sync::Mutex::new(Some(file)),
-        },
-        report_keys,
-        profile_keys,
+    cache.attach_disk(DiskLog {
+        file: std::sync::Mutex::new(Some(file)),
     });
     Ok(())
 }
 
-enum Record {
-    Report(Fingerprint, Report),
-    Profile(ProfileKey, ModelProfile),
+/// A record whose key fields parsed, with its payload still text.
+enum Keyed<'a> {
+    Report(Fingerprint, &'a str),
+    Profile(ProfileKey, &'a str),
+}
+
+/// Whether a record's key parses and its payload decodes, without a
+/// model to check vector lengths against (the compaction check).
+fn decodes(line: &str) -> bool {
+    match parse_record(line) {
+        Some(Keyed::Report(fp, payload)) => decode_report(&fp, payload, None).is_some(),
+        Some(Keyed::Profile(key, payload)) => decode_profile(&key, payload, None).is_some(),
+        None => false,
+    }
 }
 
 /// One-shot compaction of the log at `path`: drops torn or undecodable
@@ -188,7 +238,7 @@ pub(crate) fn compact(path: &Path) -> Result<(usize, usize), SoptError> {
     let mut before = 0usize;
     for line in lines {
         before += 1;
-        if decode_record(line).is_none() {
+        if !decodes(line) {
             continue; // torn or foreign: drop rather than carry forward
         }
         let Some((key, _payload)) = line.rsplit_once('\t') else {
@@ -343,6 +393,11 @@ impl<'a> Tok<'a> {
         vec_dec(self.next()?)
     }
 
+    /// A vector that must hold exactly `len` values, when `len` is known.
+    fn vec_of(&mut self, len: Option<usize>) -> Option<Vec<f64>> {
+        self.vec().filter(|v| len.is_none_or(|n| v.len() == n))
+    }
+
     fn opt(&mut self) -> Option<Option<f64>> {
         opt_dec(self.next()?)
     }
@@ -469,16 +524,16 @@ fn encode_report_payload(report: &Report) -> Option<String> {
     Some(format!("{head} {data}"))
 }
 
-fn decode_record(line: &str) -> Option<Record> {
+fn parse_record(line: &str) -> Option<Keyed<'_>> {
     let mut fields = line.split('\t');
     match fields.next()? {
-        "R" => decode_report(fields),
-        "P" => decode_profile(fields),
+        "R" => parse_report_key(fields),
+        "P" => parse_profile_key(fields),
         _ => None,
     }
 }
 
-fn decode_report(mut fields: std::str::Split<'_, char>) -> Option<Record> {
+fn parse_report_key(mut fields: std::str::Split<'_, char>) -> Option<Keyed<'_>> {
     let task: Task = fields.next()?.parse().ok()?;
     let class = class_parse(fields.next()?)?;
     let tolerance_bits = unhx_bits(fields.next()?)?;
@@ -489,29 +544,18 @@ fn decode_report(mut fields: std::str::Split<'_, char>) -> Option<Record> {
     let price_steps: usize = fields.next()?.parse().ok()?;
     let price_rounds: usize = fields.next()?.parse().ok()?;
     let aon = AonMode::from_name(fields.next()?)?;
-    let spec = fields.next()?.to_string();
+    let spec = fields.next()?;
     let payload = fields.next()?;
     if fields.next().is_some() {
         return None;
     }
-    let mut t = Tok::new(payload);
-    let size = t.usize()?;
-    let nodes = t.usize()?;
-    let rate = t.f64()?;
-    let data = decode_report_data(&mut t)?;
-    t.done()?;
-    let report = Report {
-        scenario: ScenarioSummary {
-            class,
-            task,
-            size,
-            nodes,
-            rate,
-        },
-        data,
-    };
+    // The payload's fourth token names the report kind; it must be the
+    // key's task.
+    if payload.split_ascii_whitespace().nth(3)? != task.name() {
+        return None;
+    }
     let fp = Fingerprint::from_parts(
-        spec,
+        spec.to_string(),
         class,
         task,
         tolerance_bits,
@@ -523,44 +567,80 @@ fn decode_report(mut fields: std::str::Split<'_, char>) -> Option<Record> {
         price_rounds,
         aon,
     );
-    Some(Record::Report(fp, report))
+    Some(Keyed::Report(fp, payload))
 }
 
-fn decode_report_data(t: &mut Tok<'_>) -> Option<ReportData> {
-    match t.next()? {
-        "beta" => Some(ReportData::Beta(BetaReport {
+/// Decodes a report payload replayed under `fp`. Every vector must have
+/// the length its key fixes: per-link/edge vectors the payload's own size
+/// (which must be `model`'s when a model is given), curve points and
+/// pricing sweeps `steps + 1`, and a k-commodity β's αᵢ one per commodity.
+pub(crate) fn decode_report(
+    fp: &Fingerprint,
+    payload: &str,
+    model: Option<&dyn ScenarioModel>,
+) -> Option<Report> {
+    let mut t = Tok::new(payload);
+    let size = t.usize()?;
+    if model.is_some_and(|m| m.size() != size) {
+        return None;
+    }
+    let nodes = t.usize()?;
+    let rate = t.f64()?;
+    if t.next()? != fp.task.name() {
+        return None;
+    }
+    let alphas = match (fp.class, model) {
+        (ScenarioClass::Multi, Some(m)) => Some(m.commodities()),
+        (ScenarioClass::Multi, None) => None,
+        _ => Some(0),
+    };
+    let data = decode_report_data(fp.task, &mut t, size, fp.steps.saturating_add(1), alphas)?;
+    t.done()?;
+    Some(Report {
+        scenario: ScenarioSummary {
+            class: fp.class,
+            task: fp.task,
+            size,
+            nodes,
+            rate,
+        },
+        data,
+    })
+}
+
+/// The data of a `task` report: `m` per-edge values per vector, `points`
+/// curve points or sweep entries, and `alphas` αᵢ when known.
+fn decode_report_data(
+    task: Task,
+    t: &mut Tok<'_>,
+    m: usize,
+    points: usize,
+    alphas: Option<usize>,
+) -> Option<ReportData> {
+    match task {
+        Task::Beta => Some(ReportData::Beta(BetaReport {
             beta: t.f64()?,
             nash_cost: t.f64()?,
             optimum_cost: t.f64()?,
             induced_cost: t.f64()?,
-            strategy: t.vec()?,
-            optimum: t.vec()?,
-            commodity_alphas: t.vec()?,
+            strategy: t.vec_of(Some(m))?,
+            optimum: t.vec_of(Some(m))?,
+            commodity_alphas: t.vec_of(alphas)?,
         })),
-        "curve" => {
+        Task::Curve => {
             let beta = t.f64()?;
             let weak_beta = t.opt()?;
             let strategy = split_static(t.next()?)?;
             let nash_cost = t.f64()?;
             let optimum_cost = t.f64()?;
-            let points_tok = t.next()?;
-            let points = if points_tok == "-" {
-                Vec::new()
-            } else {
-                points_tok
-                    .split(',')
-                    .map(|p| {
-                        let mut parts = p.split(':');
-                        let point = CurvePointReport {
-                            alpha: unhx(parts.next()?)?,
-                            cost: unhx(parts.next()?)?,
-                            ratio: unhx(parts.next()?)?,
-                            oracle: oracle_static(parts.next()?)?,
-                        };
-                        parts.next().is_none().then_some(point)
-                    })
-                    .collect::<Option<Vec<_>>>()?
-            };
+            let points = decode_list(t.next()?, points, |parts| {
+                Some(CurvePointReport {
+                    alpha: unhx(parts.next()?)?,
+                    cost: unhx(parts.next()?)?,
+                    ratio: unhx(parts.next()?)?,
+                    oracle: oracle_static(parts.next()?)?,
+                })
+            })?;
             Some(ReportData::Curve(CurveReport {
                 beta,
                 weak_beta,
@@ -570,51 +650,41 @@ fn decode_report_data(t: &mut Tok<'_>) -> Option<ReportData> {
                 points,
             }))
         }
-        "equilib" => Some(ReportData::Equilib(EquilibReport {
-            nash_flows: t.vec()?,
+        Task::Equilib => Some(ReportData::Equilib(EquilibReport {
+            nash_flows: t.vec_of(Some(m))?,
             nash_level: t.opt()?,
             nash_cost: t.f64()?,
-            optimum_flows: t.vec()?,
+            optimum_flows: t.vec_of(Some(m))?,
             optimum_level: t.opt()?,
             optimum_cost: t.f64()?,
         })),
-        "tolls" => Some(ReportData::Tolls(TollsReport {
-            tolls: t.vec()?,
-            optimum: t.vec()?,
-            tolled_nash: t.vec()?,
+        Task::Tolls => Some(ReportData::Tolls(TollsReport {
+            tolls: t.vec_of(Some(m))?,
+            optimum: t.vec_of(Some(m))?,
+            tolled_nash: t.vec_of(Some(m))?,
             tolled_cost: t.f64()?,
             revenue: t.f64()?,
         })),
-        "llf" => Some(ReportData::Llf(LlfReport {
+        Task::Llf => Some(ReportData::Llf(LlfReport {
             alpha: t.f64()?,
-            strategy: t.vec()?,
+            strategy: t.vec_of(Some(m))?,
             cost: t.f64()?,
             optimum_cost: t.f64()?,
             ratio: t.f64()?,
             bound: t.f64()?,
         })),
-        "pricing" => {
+        Task::Pricing => {
             let method = method_static(t.next()?)?;
-            let prices = t.vec()?;
-            let flows = t.vec()?;
+            let prices = t.vec_of(Some(m))?;
+            let flows = t.vec_of(Some(m))?;
             let revenue = t.f64()?;
             let level = t.opt()?;
-            let sweep_tok = t.next()?;
-            let sweep = if sweep_tok == "-" {
-                Vec::new()
-            } else {
-                sweep_tok
-                    .split(',')
-                    .map(|p| {
-                        let mut parts = p.split(':');
-                        let point = PricingSweepPoint {
-                            beta: unhx(parts.next()?)?,
-                            revenue: unhx(parts.next()?)?,
-                        };
-                        parts.next().is_none().then_some(point)
-                    })
-                    .collect::<Option<Vec<_>>>()?
-            };
+            let sweep = decode_list(t.next()?, points, |parts| {
+                Some(PricingSweepPoint {
+                    beta: unhx(parts.next()?)?,
+                    revenue: unhx(parts.next()?)?,
+                })
+            })?;
             Some(ReportData::Pricing(PricingReport {
                 method,
                 prices,
@@ -624,8 +694,28 @@ fn decode_report_data(t: &mut Tok<'_>) -> Option<ReportData> {
                 sweep,
             }))
         }
-        _ => None,
     }
+}
+
+/// A comma-joined list of exactly `len` colon-joined items (`-` when
+/// empty), each decoded by `item`, which must consume every part.
+fn decode_list<T>(
+    tok: &str,
+    len: usize,
+    item: impl Fn(&mut std::str::Split<'_, char>) -> Option<T>,
+) -> Option<Vec<T>> {
+    let list: Vec<T> = if tok == "-" {
+        Vec::new()
+    } else {
+        tok.split(',')
+            .map(|p| {
+                let mut parts = p.split(':');
+                let decoded = item(&mut parts)?;
+                parts.next().is_none().then_some(decoded)
+            })
+            .collect::<Option<_>>()?
+    };
+    (list.len() == len).then_some(list)
 }
 
 // ---------------------------------------------------------------------------
@@ -679,7 +769,7 @@ fn encode_profile(key: &ProfileKey, profile: &ModelProfile) -> Option<String> {
     ))
 }
 
-fn decode_profile(mut fields: std::str::Split<'_, char>) -> Option<Record> {
+fn parse_profile_key(mut fields: std::str::Split<'_, char>) -> Option<Keyed<'_>> {
     let class = class_parse(fields.next()?)?;
     let kind = kind_parse(fields.next()?)?;
     let fw_tok = fields.next()?;
@@ -704,18 +794,45 @@ fn decode_profile(mut fields: std::str::Split<'_, char>) -> Option<Record> {
         }
         Some(knobs)
     };
-    let spec = fields.next()?.to_string();
+    let spec = fields.next()?;
     let payload = fields.next()?;
     if fields.next().is_some() {
         return None;
     }
+    // The parallel equalizer's profiles are knob-free `par` payloads; the
+    // network classes' are Frank–Wolfe `fw` payloads keyed by their knobs.
+    let parallel = class == ScenarioClass::Parallel;
+    let expected = if parallel { "par" } else { "fw" };
+    if parallel != fw.is_none() || payload.split_ascii_whitespace().next()? != expected {
+        return None;
+    }
+    let key = ProfileKey {
+        class,
+        spec: spec.to_string(),
+        kind,
+        fw,
+    };
+    Some(Keyed::Profile(key, payload))
+}
+
+/// Decodes a profile payload replayed under `key`: every flow vector must
+/// have one value per link/edge (`model`'s count when a model is given,
+/// else the combined flow's), and a Frank–Wolfe profile one flow per
+/// commodity when a model is given.
+pub(crate) fn decode_profile(
+    key: &ProfileKey,
+    payload: &str,
+    model: Option<&dyn ScenarioModel>,
+) -> Option<ModelProfile> {
     let mut t = Tok::new(payload);
-    let profile = match t.next()? {
-        "par" => ModelProfile::Parallel {
-            level: t.f64()?,
-            flows: t.vec()?,
-        },
-        "fw" => {
+    let m = model.map(|m| m.size());
+    let profile = match (t.next()?, key.class) {
+        ("par", ScenarioClass::Parallel) => {
+            let level = t.f64()?;
+            let flows = t.vec_of(m)?;
+            ModelProfile::Parallel { level, flows }
+        }
+        ("fw", ScenarioClass::Network | ScenarioClass::Multi) => {
             let objective = t.f64()?;
             let rel_gap = t.f64()?;
             let iterations = t.usize()?;
@@ -724,21 +841,24 @@ fn decode_profile(mut fields: std::str::Split<'_, char>) -> Option<Record> {
                 "1" => true,
                 _ => return None,
             };
-            let flow = EdgeFlow(t.vec()?);
+            let flow = t.vec_of(m)?;
             let per_tok = t.next()?;
             let per_commodity = if per_tok == "-" {
                 Vec::new()
             } else {
                 per_tok
                     .split(';')
-                    .map(|s| vec_dec(s).map(EdgeFlow))
+                    .map(|s| vec_dec(s).filter(|f| f.len() == flow.len()).map(EdgeFlow))
                     .collect::<Option<Vec<_>>>()?
             };
+            if model.is_some_and(|m| per_commodity.len() != m.commodities()) {
+                return None;
+            }
             // The on-disk record predates the fw/polish iteration split;
             // attribute everything to the FW phase on replay. Telemetry
             // fields never feed a Report, so replays stay bit-identical.
             ModelProfile::Flow(FwResult {
-                flow,
+                flow: EdgeFlow(flow),
                 per_commodity,
                 objective,
                 rel_gap,
@@ -751,15 +871,7 @@ fn decode_profile(mut fields: std::str::Split<'_, char>) -> Option<Record> {
         _ => return None,
     };
     t.done()?;
-    Some(Record::Profile(
-        ProfileKey {
-            class,
-            spec,
-            kind,
-            fw,
-        },
-        profile,
-    ))
+    Some(profile)
 }
 
 #[cfg(test)]
@@ -767,6 +879,27 @@ mod tests {
     use super::super::super::scenario::Scenario;
     use super::super::super::solve::SolveOptions;
     use super::*;
+
+    /// A fully decoded record.
+    enum Record {
+        Report(Fingerprint, Report),
+        Profile(ProfileKey, ModelProfile),
+    }
+
+    /// Parses a record's key and decodes its payload, checking vector
+    /// lengths against `model` when one is given.
+    fn decode_record(line: &str, model: Option<&dyn ScenarioModel>) -> Option<Record> {
+        match parse_record(line)? {
+            Keyed::Report(fp, payload) => {
+                let report = decode_report(&fp, payload, model)?;
+                Some(Record::Report(fp, report))
+            }
+            Keyed::Profile(key, payload) => {
+                let profile = decode_profile(&key, payload, model)?;
+                Some(Record::Profile(key, profile))
+            }
+        }
+    }
 
     fn report_of(spec: &str, task: Task) -> (Fingerprint, Report) {
         let sc = Scenario::parse(spec).unwrap();
@@ -797,7 +930,8 @@ mod tests {
             };
             let (fp, report) = report_of(spec, task);
             let line = encode_report(&fp, &report).unwrap();
-            let Some(Record::Report(fp2, report2)) = decode_record(&line) else {
+            let sc = Scenario::parse(spec).unwrap();
+            let Some(Record::Report(fp2, report2)) = decode_record(&line, Some(sc.model())) else {
                 panic!("{task}: undecodable: {line}");
             };
             assert_eq!(fp, fp2, "{task}");
@@ -807,13 +941,45 @@ mod tests {
 
     #[test]
     fn network_report_records_round_trip() {
-        let (fp, report) = report_of("nodes=2; 0->1: x; 0->1: 1; demand 0->1: 1", Task::Beta);
-        let line = encode_report(&fp, &report).unwrap();
-        let Some(Record::Report(fp2, report2)) = decode_record(&line) else {
-            panic!("undecodable: {line}");
-        };
-        assert_eq!(fp, fp2);
-        assert_eq!(report.to_json(), report2.to_json());
+        for spec in [
+            "nodes=2; 0->1: x; 0->1: 1; demand 0->1: 1",
+            "nodes=3; 0->1: x; 0->1: 1; 1->2: x; 0->2: 2; demand 0->2: 1; demand 1->2: 0.5",
+        ] {
+            let sc = Scenario::parse(spec).unwrap();
+            for task in [Task::Beta, Task::Curve, Task::Equilib, Task::Tolls] {
+                let (fp, report) = report_of(spec, task);
+                let line = encode_report(&fp, &report).unwrap();
+                let Some(Record::Report(fp2, report2)) = decode_record(&line, Some(sc.model()))
+                else {
+                    panic!("{task}: undecodable: {line}");
+                };
+                assert_eq!(fp, fp2);
+                assert_eq!(report.to_json(), report2.to_json());
+            }
+            // The profiles those solves memoize decode against the model too.
+            let fw = sopt_solver::frank_wolfe::FwOptions::default();
+            for kind in [EqKind::Nash, EqKind::Optimum] {
+                let key = ProfileKey {
+                    class: sc.class(),
+                    spec: spec.into(),
+                    kind,
+                    fw: Some(FwKnobs {
+                        tolerance_bits: 1e-10f64.to_bits(),
+                        max_iters: 2000,
+                        conjugate: true,
+                        restart_period: 50,
+                        stall_window: u64::MAX,
+                        aon: AonMode::Auto.name(),
+                    }),
+                };
+                let profile = sc.model().solve_profile(kind, &fw).unwrap();
+                let line = encode_profile(&key, &profile).unwrap();
+                assert!(
+                    decode_record(&line, Some(sc.model())).is_some(),
+                    "undecodable: {line}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -829,7 +995,7 @@ mod tests {
             level: 1.0 + f64::EPSILON, // an awkward value decimal would mangle
         };
         let line = encode_profile(&key, &profile).unwrap();
-        let Some(Record::Profile(key2, profile2)) = decode_record(&line) else {
+        let Some(Record::Profile(key2, profile2)) = decode_record(&line, None) else {
             panic!("undecodable: {line}");
         };
         assert_eq!(key, key2);
@@ -870,7 +1036,7 @@ mod tests {
             converged: true,
         });
         let line = encode_profile(&fw_key, &fw_profile).unwrap();
-        let Some(Record::Profile(key2, profile2)) = decode_record(&line) else {
+        let Some(Record::Profile(key2, profile2)) = decode_record(&line, None) else {
             panic!("undecodable: {line}");
         };
         assert_eq!(fw_key, key2);
@@ -913,7 +1079,7 @@ mod tests {
         assert_eq!(lines, vec![HEADER, line_b.as_str(), line_c.as_str()]);
         // The compacted file still replays: every line decodes.
         for line in &lines[1..] {
-            assert!(decode_record(line).is_some());
+            assert!(decodes(line));
         }
         // Compacting an already-compact file is a fixpoint.
         assert_eq!(compact(&path).unwrap(), (2, 2));
@@ -935,6 +1101,7 @@ mod tests {
 
     #[test]
     fn torn_and_foreign_records_are_skipped() {
+        // Rejected at replay: the key fields or the framing do not parse.
         for bad in [
             "",
             "R",
@@ -942,9 +1109,58 @@ mod tests {
             "R\tbeta\tparallel-links\tzz\t00\t1\t1\tstrong\tx, 1\t2 2 00",
             "Q\twhatever",
             "R\tbeta\tparallel-links", // truncated mid-record (torn write)
-            "P\tparallel-links\tnash\t-\tx, 1\tpar", // payload cut short
         ] {
-            assert!(decode_record(bad).is_none(), "accepted {bad:?}");
+            assert!(parse_record(bad).is_none(), "replayed {bad:?}");
+        }
+        // Rejected at the first hit: the key and the kind token parse, the
+        // payload does not decode, or its vectors do not fit the scenario.
+        let pigou = Scenario::parse("x, 1").unwrap();
+        let (fp, report) = report_of("x, 1.0", Task::Beta);
+        let good = encode_report(&fp, &report).unwrap();
+        let (head, payload) = good.rsplit_once('\t').unwrap();
+        let short = format!("{head}\t{}", payload.replacen(',', " ", 1)); // strategy split in two
+        let one_link = format!("{head}\t1 2 3ff0000000000000 beta 0 0 0 0 0 0 -");
+        for bad in [
+            "P\tparallel-links\tnash\t-\tx, 1\tpar".to_string(), // payload cut short
+            "P\tparallel-links\tnash\t-\tx, 1\tpar 3ff0000000000000 3ff0000000000000".to_string(), // one flow for two links
+            short,
+            one_link,
+        ] {
+            assert!(parse_record(&bad).is_some(), "rejected at replay: {bad:?}");
+            assert!(
+                decode_record(&bad, Some(pigou.model())).is_none(),
+                "decoded {bad:?}"
+            );
+        }
+        assert!(decode_record(&good, Some(pigou.model())).is_some());
+    }
+
+    #[test]
+    fn a_payload_kind_that_does_not_match_its_key_is_rejected_at_replay() {
+        // A `beta` key carrying a `curve` payload.
+        let (fp, report) = report_of("x, 1.0", Task::Beta);
+        let (_, curve) = report_of("x, 1.0", Task::Curve);
+        let line = encode_report(&fp, &curve).unwrap();
+        assert!(parse_record(&line).is_none(), "replayed {line}");
+        let good = encode_report(&fp, &report).unwrap();
+        assert!(parse_record(&good).is_some());
+
+        // A profile payload must be `par` under the knob-free parallel
+        // class and `fw` under a network class with its knobs.
+        let par = "par 3ff0000000000000 3fe0000000000000,3fe0000000000000";
+        let fw = "fw 3ff0000000000000 0000000000000000 1 1 3ff0000000000000 -";
+        let knobs = "3ddb7cdfd9d7bdbb:2000:1:256:18446744073709551615:auto";
+        for (class, fw_tok, payload, ok) in [
+            ("parallel-links", "-", par, true),
+            ("parallel-links", "-", fw, false),
+            ("parallel-links", knobs, par, false),
+            ("network", knobs, fw, true),
+            ("network", knobs, par, false),
+            ("network", "-", fw, false),
+            ("multicommodity", "-", par, false),
+        ] {
+            let line = format!("P\t{class}\tnash\t{fw_tok}\tx, 1\t{payload}");
+            assert_eq!(parse_record(&line).is_some(), ok, "{line}");
         }
     }
 }

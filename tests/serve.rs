@@ -180,6 +180,102 @@ fn torn_final_record_is_skipped_on_replay() {
     );
 }
 
+/// A parallel-links β, equilibria and 5-point curve, whose log holds one
+/// record of each report kind and the two profiles they share.
+fn damage_requests() -> Vec<Request> {
+    [(0, Task::Beta), (1, Task::Equilib), (2, Task::Curve)]
+        .into_iter()
+        .map(|(id, task)| {
+            let mut r = solve_req(id, "x, 1.0");
+            let RequestKind::Solve(s) = &mut r.kind else {
+                unreachable!()
+            };
+            s.task = Some(task);
+            s.steps = Some(4);
+            r
+        })
+        .collect()
+}
+
+/// Each answer's report JSON, in request order (no id, no timing).
+fn answers(server: &stackopt::api::Server) -> Vec<String> {
+    damage_requests()
+        .into_iter()
+        .map(|r| match server.handle(r).outcome {
+            Outcome::Ok(report) => report.to_json(),
+            other => panic!("expected ok, got {other:?}"),
+        })
+        .collect()
+}
+
+/// Whether byte `at` of `log` lies in its record's spec field (the
+/// record's twelfth field for a report, its fifth for a profile).
+fn in_spec_field(log: &[u8], at: usize) -> bool {
+    let start = log[..at]
+        .iter()
+        .rposition(|&b| b == b'\n')
+        .map_or(0, |i| i + 1);
+    let field = log[start..at].iter().filter(|&&b| b == b'\t').count();
+    match log[start] {
+        b'R' => field == 11,
+        b'P' => field == 4,
+        _ => false,
+    }
+}
+
+/// Structural fault injection: one damage at a time, every byte of the
+/// log's records replaced by `z`, by a tab and by a newline, and the log
+/// truncated at every byte. Each damaged log starts a server that must
+/// answer the original requests `ok`, byte-identical to the cold solve,
+/// and count a rejected record whenever it had to recompute because a
+/// record was damaged. (A `z` in a spec files the record under another
+/// scenario, which no request reads.) A hex digit flipped to another hex
+/// digit still decodes, to a wrong number; only a per-record checksum can
+/// catch that, so this test leaves it out.
+#[test]
+fn damaged_records_are_rejected_and_never_change_an_answer() {
+    let base = TempPath::new("fault-base");
+    let cold = {
+        let server = EngineBuilder::new()
+            .threads(1)
+            .persist(&base.0)
+            .server()
+            .unwrap();
+        answers(&server)
+    };
+    let log = std::fs::read(&base.0).unwrap();
+    let header = log.iter().position(|&b| b == b'\n').unwrap() + 1;
+    assert_eq!(log[header..].iter().filter(|&&b| b == b'\n').count(), 5);
+    let damaged = TempPath::new("fault-damaged");
+    let builder = EngineBuilder::new().threads(1).persist(&damaged.0);
+    // `absent`: a recompute may find no record (a record filed under
+    // another spec, or cut off whole); `torn`: the final line is partial.
+    let check = |bytes: &[u8], what: &str, absent: bool, torn: bool| {
+        std::fs::write(&damaged.0, bytes).unwrap();
+        let server = builder.server().unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert_eq!(answers(&server), cold, "{what}");
+        let s = server.stats();
+        let recomputed = s.cache_misses + s.eq_misses > 0;
+        if torn || (recomputed && !absent) {
+            assert!(s.rejected_records > 0, "{what}: nothing rejected: {s:?}");
+        }
+    };
+    // The undamaged log replays every answer without a rejection.
+    check(&log, "undamaged", false, false);
+    for at in header..log.len() {
+        for with in [b'z', b'\t', b'\n'] {
+            if log[at] != with {
+                let mut bytes = log.clone();
+                bytes[at] = with;
+                let moved = with == b'z' && in_spec_field(&log, at);
+                check(&bytes, &format!("byte {at} -> {with:?}"), moved, false);
+            }
+        }
+        let torn = log[at - 1] != b'\n';
+        check(&log[..at], &format!("truncated at {at}"), true, torn);
+    }
+}
+
 #[test]
 fn metrics_requests_return_populated_histograms_after_a_mixed_workload() {
     // A metrics-enabled server: network solves (cold + warm), a parallel
