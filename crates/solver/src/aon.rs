@@ -160,13 +160,6 @@ impl CommodityGroups {
     }
 }
 
-/// The core count, read once per process: `available_parallelism` reads
-/// the cgroup quota files on every call.
-fn cores() -> usize {
-    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
-}
-
 /// Resolve [`AonMode::Auto`] against the plan and graph size.
 fn resolve_aon(mode: AonMode, groups: &CommodityGroups, num_nodes: usize) -> AonMode {
     match mode {
@@ -177,7 +170,10 @@ fn resolve_aon(mode: AonMode, groups: &CommodityGroups, num_nodes: usize) -> Aon
                 // grouping saves no search and threads would only split
                 // the same searches.
                 AonMode::Sequential
-            } else if g >= 2 && g.saturating_mul(num_nodes) >= AON_PARALLEL_MIN_WORK && cores() > 1
+            } else if g >= 2
+                && g.saturating_mul(num_nodes) >= AON_PARALLEL_MIN_WORK
+                // Tested last: it reads the cgroup quota files.
+                && std::thread::available_parallelism().map_or(1, |p| p.get()) > 1
             {
                 AonMode::Parallel
             } else {
@@ -401,7 +397,9 @@ fn parallel_jobs(
     jobs: &mut [GroupJob<'_>],
     rec: &Recorder,
 ) -> Option<SolverError> {
-    let workers = cores().clamp(1, jobs.len());
+    let workers = std::thread::available_parallelism()
+        .map_or(1, |p| p.get())
+        .clamp(1, jobs.len());
     let chunk = jobs.len().div_ceil(workers);
     let pending: Vec<(&mut [GroupJob<'_>], SpWorkspace)> =
         jobs.chunks_mut(chunk).map(|jc| (jc, pool.take())).collect();

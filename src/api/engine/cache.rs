@@ -208,40 +208,33 @@ impl<K: Eq + Hash + Clone, V: Clone> BoundedShard<K, V> {
         if self.cap == 0 {
             return 0;
         }
-        if self.map.len() < self.cap {
-            match self.map.entry(k) {
-                Entry::Occupied(mut e) => e.get_mut().0 = v,
-                Entry::Vacant(e) => {
-                    self.fifo.push_back(e.key().clone());
-                    e.insert((v, false));
-                }
-            }
-            return 0;
-        }
-        if let Some(entry) = self.map.get_mut(&k) {
-            // Re-memoized (racing workers): refresh in place, keep position.
-            entry.0 = v;
-            return 0;
-        }
         let mut evicted = 0;
-        while self.map.len() >= self.cap {
-            let Some(old) = self.fifo.pop_front() else {
-                break;
-            };
-            match self.map.get_mut(&old) {
-                Some((_, referenced)) if *referenced => {
-                    *referenced = false;
-                    self.fifo.push_back(old);
+        if self.map.len() >= self.cap && !self.map.contains_key(&k) {
+            while self.map.len() >= self.cap {
+                let Some(old) = self.fifo.pop_front() else {
+                    break;
+                };
+                match self.map.get_mut(&old) {
+                    Some((_, referenced)) if *referenced => {
+                        *referenced = false;
+                        self.fifo.push_back(old);
+                    }
+                    Some(_) => {
+                        self.map.remove(&old);
+                        evicted += 1;
+                    }
+                    None => {}
                 }
-                Some(_) => {
-                    self.map.remove(&old);
-                    evicted += 1;
-                }
-                None => {}
             }
         }
-        self.fifo.push_back(k.clone());
-        self.map.insert(k, (v, false));
+        match self.map.entry(k) {
+            // Re-memoized (racing workers): refresh in place, keep position.
+            Entry::Occupied(mut e) => e.get_mut().0 = v,
+            Entry::Vacant(e) => {
+                self.fifo.push_back(e.key().clone());
+                e.insert((v, false));
+            }
+        }
         evicted
     }
 

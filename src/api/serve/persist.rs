@@ -46,7 +46,9 @@
 //!   - at replay: a torn final line (a crash mid-append leaves it without
 //!     its newline), a line that is not a record, a key field that does not
 //!     parse, or a payload kind that does not match its key. The rest of
-//!     the log still loads.
+//!     the log still loads. A torn final line (or a header without its
+//!     newline) is ended with one before the log is written to, so the
+//!     next record starts a line of its own.
 //!   - at the entry's first hit: a payload that does not decode, or whose
 //!     vectors do not fit the scenario (one value per link or edge, curve
 //!     points and pricing sweeps `steps + 1`, a k-commodity β one αᵢ per
@@ -130,7 +132,7 @@ pub(crate) fn attach(path: &Path, cache: &SolveCache) -> Result<(), SoptError> {
     let io_err = |what: &str, e: std::io::Error| SoptError::Io {
         context: format!("{what} '{}': {e}", path.display()),
     };
-    match std::fs::read_to_string(path) {
+    let torn = match std::fs::read_to_string(path) {
         Ok(text) if !text.is_empty() => {
             let mut lines = text.split('\n');
             if lines.next() != Some(HEADER) {
@@ -169,11 +171,12 @@ pub(crate) fn attach(path: &Path, cache: &SolveCache) -> Result<(), SoptError> {
                 }
             }
             cache.count_rejected(rejected);
+            !text.ends_with('\n')
         }
-        Ok(_) => {} // empty file: treat as fresh
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+        Ok(_) => false, // empty file: treat as fresh
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => false,
         Err(e) => return Err(io_err("cannot read cache file", e)),
-    }
+    };
     let mut file = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
@@ -186,6 +189,10 @@ pub(crate) fn attach(path: &Path, cache: &SolveCache) -> Result<(), SoptError> {
         == 0;
     if empty {
         writeln!(file, "{HEADER}").map_err(|e| io_err("cannot write cache header", e))?;
+    } else if torn {
+        // End the torn last line, so the next record starts a line of its
+        // own instead of being glued onto the fragment.
+        writeln!(file).map_err(|e| io_err("cannot write cache file", e))?;
     }
     cache.attach_disk(DiskLog {
         file: std::sync::Mutex::new(Some(file)),

@@ -180,6 +180,27 @@ fn torn_final_record_is_skipped_on_replay() {
     );
 }
 
+#[test]
+fn a_header_without_its_newline_is_ended_before_the_first_record() {
+    // A crash between the header and its newline: the first record must
+    // start a line of its own, or every later start refuses the header.
+    let cache_file = TempPath::new("bare-header");
+    std::fs::write(&cache_file.0, "soptcache 2").unwrap();
+    let builder = EngineBuilder::new().threads(1).persist(&cache_file.0);
+    {
+        let server = builder.server().unwrap();
+        collect_ok(&server, vec![solve_req(0, "x, 1.0")]);
+    }
+    let server = builder.server().unwrap();
+    collect_ok(&server, vec![solve_req(0, "x, 1.0")]);
+    let stats = server.stats();
+    assert_eq!(
+        (stats.cache_hits, stats.cache_misses, stats.rejected_records),
+        (1, 0, 0),
+        "{stats:?}"
+    );
+}
+
 /// A parallel-links β, equilibria and 5-point curve, whose log holds one
 /// record of each report kind and the two profiles they share.
 fn damage_requests() -> Vec<Request> {
@@ -224,8 +245,12 @@ fn in_spec_field(log: &[u8], at: usize) -> bool {
 }
 
 /// Structural fault injection: one damage at a time, every byte of the
-/// log's records replaced by `z`, by a tab and by a newline, and the log
-/// truncated at every byte. Each damaged log starts a server that must
+/// log's records (of the curve's five points, the first) replaced by `z`,
+/// by a tab and by a newline, and the log cut at each record boundary and
+/// once inside each record (an unended last line is rejected before it is
+/// parsed, so where in a record the cut falls does not matter), then
+/// restarted once more after a torn last record. Each damaged log starts
+/// a server that must
 /// answer the original requests `ok`, byte-identical to the cold solve,
 /// and count a rejected record whenever it had to recompute because a
 /// record was damaged. (A `z` in a spec files the record under another
@@ -245,7 +270,14 @@ fn damaged_records_are_rejected_and_never_change_an_answer() {
     };
     let log = std::fs::read(&base.0).unwrap();
     let header = log.iter().position(|&b| b == b'\n').unwrap() + 1;
-    assert_eq!(log[header..].iter().filter(|&&b| b == b'\n').count(), 5);
+    // Where each record starts, and the end of the log.
+    let mut bounds = vec![header];
+    bounds.extend(
+        (header..log.len())
+            .filter(|&i| log[i] == b'\n')
+            .map(|i| i + 1),
+    );
+    assert_eq!(bounds.len(), 6, "five records");
     let damaged = TempPath::new("fault-damaged");
     let builder = EngineBuilder::new().threads(1).persist(&damaged.0);
     // `absent`: a recompute may find no record (a record filed under
@@ -259,10 +291,33 @@ fn damaged_records_are_rejected_and_never_change_an_answer() {
         if torn || (recomputed && !absent) {
             assert!(s.rejected_records > 0, "{what}: nothing rejected: {s:?}");
         }
+        s
     };
-    // The undamaged log replays every answer without a rejection.
-    check(&log, "undamaged", false, false);
-    for at in header..log.len() {
+    // The undamaged log replays every answer, recomputing nothing and
+    // rejecting nothing.
+    let s = check(&log, "undamaged", false, false);
+    assert_eq!(s.rejected_records, 0, "undamaged: {s:?}");
+    assert_eq!(s.cache_misses + s.eq_misses, 0, "undamaged: {s:?}");
+    // The curve record's second to fifth points decode through the same
+    // code as its first, and each damage there costs a 5-point recompute
+    // of the curve, so they are left undamaged.
+    let curve = *bounds
+        .iter()
+        .find(|&&b| log[b..].starts_with(b"R\tcurve\t"))
+        .unwrap();
+    let curve_end = bounds[bounds.iter().position(|&b| b == curve).unwrap() + 1] - 1;
+    let points = curve
+        + log[curve..curve_end]
+            .iter()
+            .rposition(|&b| b == b' ')
+            .unwrap();
+    let second = points
+        + log[points..curve_end]
+            .iter()
+            .position(|&b| b == b',')
+            .unwrap()
+        + 1;
+    for at in (header..log.len()).filter(|at| !(second..curve_end).contains(at)) {
         for with in [b'z', b'\t', b'\n'] {
             if log[at] != with {
                 let mut bytes = log.clone();
@@ -271,9 +326,32 @@ fn damaged_records_are_rejected_and_never_change_an_answer() {
                 check(&bytes, &format!("byte {at} -> {with:?}"), moved, false);
             }
         }
-        let torn = log[at - 1] != b'\n';
-        check(&log[..at], &format!("truncated at {at}"), true, torn);
     }
+    for pair in bounds.windows(2) {
+        let (start, end) = (pair[0], pair[1]);
+        check(
+            &log[..start],
+            &format!("cut before byte {start}"),
+            true,
+            false,
+        );
+        let inside = (start + end) / 2;
+        check(&log[..inside], &format!("cut at byte {inside}"), true, true);
+    }
+    // A restart after a torn last record: the first server ended the
+    // fragment before writing the recomputed record, so the second finds
+    // that record on a line of its own and recomputes nothing.
+    let last = bounds[bounds.len() - 2];
+    let inside = (last + log.len()) / 2;
+    let s = check(&log[..inside], "torn last record", true, true);
+    assert!(
+        s.cache_misses > 0,
+        "the torn record was not a report: {s:?}"
+    );
+    let server = builder.server().unwrap();
+    assert_eq!(answers(&server), cold, "restart after a torn record");
+    let s = server.stats();
+    assert_eq!(s.cache_misses + s.eq_misses, 0, "second restart: {s:?}");
 }
 
 #[test]
